@@ -11,8 +11,9 @@ shift's b -> infinity limit), sums pairs into sum-equals-product limit
 identities, and parses "SEED |> STEP |> STEP(arg)" chain expressions.
 
 Generators take (n, order, den) and return a QSeries valid at least to
-order + min(0, valuation); callers that need more depth re-request.  Pairs
-are immutable and generator calls are memoized per pair.
+order + min(0, valuation); callers that need more depth re-request through
+:func:`qident.series.deepen_until_valid`, the one deepen-until-valid loop.
+Pairs are immutable and generator calls are memoized per pair.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from qident.series import (
     QSeries,
     TruncationError,
     compare_up_to,
+    deepen_until_valid,
     exp_num,
     invert_unit,
     parse_monomial,
@@ -270,28 +272,9 @@ def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
             if term.is_zero:
                 continue
             rhs = rhs + term * t_q[n - k] * t_aq[n + k]
-        lhs = _valid_to(lambda d: p.beta(n, d, den), order, den)
+        lhs = deepen_until_valid(lambda d: p.beta(n, d, den), order, den)
         results.append((n, compare_up_to(lhs, rhs, order)))
     return PairReport(p.name, p.a, order, tuple(results))
-
-
-def _valid_to(gen: Callable[[Fraction], QSeries], order: Fraction,
-              den: int) -> QSeries:
-    """Re-request from `gen` until the result is valid through `order`."""
-    onum = exp_num(order, den)
-    req = order
-    s = gen(req)
-    for _ in range(4):
-        if s.order_num is None or s.order_num >= onum:
-            return s
-        req = req + Fraction(onum - s.order_num, den)
-        s = gen(req)
-    raise TruncationError(f"generator never reached order {order}")
-
-
-def _deep_alpha(p: BaileyPair, n: int, order: Fraction,
-                den: int) -> QSeries:
-    return _valid_to(lambda d: p.alpha(n, d, den), order, den)
 
 
 def pairs_equal(p1: BaileyPair, p2: BaileyPair, n_max: int, order: ExpLike,
@@ -301,15 +284,14 @@ def pairs_equal(p1: BaileyPair, p2: BaileyPair, n_max: int, order: ExpLike,
     if p1.a != p2.a:
         return (0, "a", Mismatch(p1.a.exp, p1.a.coeff, p2.a.coeff))
     for n in range(n_max + 1):
-        m = compare_up_to(_deep_alpha(p1, n, order, den),
-                          _deep_alpha(p2, n, order, den), order)
-        if m is not None:
-            return (n, "alpha", m)
-        m = compare_up_to(_valid_to(lambda d: p1.beta(n, d, den), order, den),
-                          _valid_to(lambda d: p2.beta(n, d, den), order, den),
-                          order)
-        if m is not None:
-            return (n, "beta", m)
+        for side in ("alpha", "beta"):
+            g1, g2 = getattr(p1, side), getattr(p2, side)
+            m = compare_up_to(
+                deepen_until_valid(lambda d: g1(n, d, den), order, den),
+                deepen_until_valid(lambda d: g2(n, d, den), order, den),
+                order)
+            if m is not None:
+                return (n, side, m)
     return None
 
 
@@ -342,14 +324,15 @@ def _transform_s1(p: BaileyPair) -> tuple[Monomial, Gen, Gen]:
     return a, alpha, beta
 
 
-def _transform_s3(p: BaileyPair) -> tuple[Monomial, Gen, Gen]:
-    a = p.a
-    num_arg = Monomial(-1, HALF)
-    den_arg = Monomial(-a.coeff, a.exp + HALF)
+def _poch_ratio_transform(p: BaileyPair, num_arg: Monomial,
+                          den_arg: Monomial,
+                          mono: Callable[[int], Monomial]
+                          ) -> tuple[Monomial, Gen, Gen]:
+    """alpha'_n = alpha_n (num_arg;q)_n mono(n) / (den_arg;q)_n and
+    beta'_n = sum_r beta_r (num_arg;q)_r mono(r) / ((q;q)_{n-r} (den_arg;q)_n).
 
-    def mono(r: int) -> Monomial:
-        return Monomial(Fraction(a.coeff) ** r,
-                        r * a.exp + Fraction(r * r, 2))
+    S3 and S5 are this transform with different (num_arg, den_arg, mono).
+    """
 
     def alpha(n, order=None, den=DEFAULT_D):
         order = _need(order)
@@ -366,7 +349,18 @@ def _transform_s3(p: BaileyPair) -> tuple[Monomial, Gen, Gen]:
                 poch_finite(num_arg, 1, r, order, den) * tq[n - r] * mono(r)
         return acc * _inv_table(den_arg, Fraction(1), n, order, den)[n]
 
-    return a, alpha, beta
+    return p.a, alpha, beta
+
+
+def _transform_s3(p: BaileyPair) -> tuple[Monomial, Gen, Gen]:
+    a = p.a
+
+    def mono(r: int) -> Monomial:
+        return Monomial(Fraction(a.coeff) ** r,
+                        r * a.exp + Fraction(r * r, 2))
+
+    return _poch_ratio_transform(p, Monomial(-1, HALF),
+                                 Monomial(-a.coeff, a.exp + HALF), mono)
 
 
 def _transform_s5(p: BaileyPair) -> tuple[Monomial, Gen, Gen]:
@@ -375,30 +369,20 @@ def _transform_s5(p: BaileyPair) -> tuple[Monomial, Gen, Gen]:
         raise ValueError("S5 needs a = q^e with coefficient 1")
     half_exp = a.exp / 2
     exp_num(half_exp, DEFAULT_D)  # a must be an even lattice power
-    num_arg = Monomial(-1, half_exp + 1)
-    den_arg = Monomial(-1, half_exp)
 
     def mono(r: int) -> Monomial:
         return Monomial(1, r * half_exp + Fraction(r * r - r, 2))
 
-    def alpha(n, order=None, den=DEFAULT_D):
-        order = _need(order)
-        exp_num(half_exp, den)  # reject off-lattice square roots
-        inv = _inv_table(den_arg, Fraction(1), n, order, den)[n]
-        return p.alpha(n, order, den) * \
-            poch_finite(num_arg, 1, n, order, den) * inv * mono(n)
+    def lattice_checked(gen: Gen) -> Gen:
+        def checked(n, order=None, den=DEFAULT_D):
+            exp_num(half_exp, den)  # reject off-lattice square roots
+            return gen(n, order, den)
 
-    def beta(n, order=None, den=DEFAULT_D):
-        order = _need(order)
-        exp_num(half_exp, den)
-        tq = _inv_qq(n, order, den)
-        acc = _zero(order, den)
-        for r in range(n + 1):
-            acc = acc + p.beta(r, order, den) * \
-                poch_finite(num_arg, 1, r, order, den) * tq[n - r] * mono(r)
-        return acc * _inv_table(den_arg, Fraction(1), n, order, den)[n]
+        return checked
 
-    return a, alpha, beta
+    a, alpha, beta = _poch_ratio_transform(p, Monomial(-1, half_exp + 1),
+                                           Monomial(-1, half_exp), mono)
+    return a, lattice_checked(alpha), lattice_checked(beta)
 
 
 def _transform_general(p: BaileyPair, rho1: Monomial,
@@ -558,19 +542,6 @@ class GeneralReport:
         return self.mismatch is None
 
 
-def _with_depth(build: Callable[[Fraction], QSeries], order: Fraction,
-                den: int) -> QSeries:
-    """Re-run `build` deeper until the result is valid through `order`."""
-    onum = exp_num(order, den)
-    depth = order
-    for _ in range(4):
-        s = build(depth)
-        if s.order_num is None or s.order_num >= onum:
-            return s
-        depth += Fraction(onum - s.order_num, den)
-    raise TruncationError("could not reach the requested order")
-
-
 def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
                          n: int, order: ExpLike,
                          den: int = DEFAULT_D) -> GeneralReport:
@@ -617,8 +588,8 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
                 tail1 * tail2 * tq[n - r] * taq[n + r] * _mpow(c12, r)
         return acc
 
-    lhs = _with_depth(build_lhs, order, den)
-    rhs = _with_depth(build_rhs, order, den)
+    lhs = deepen_until_valid(build_lhs, order, den)
+    rhs = deepen_until_valid(build_rhs, order, den)
     return GeneralReport(lhs.truncated(order), rhs.truncated(order),
                          compare_up_to(lhs, rhs, order))
 
@@ -675,8 +646,8 @@ def limit_identity(p: BaileyPair, order: ExpLike,
             acc = acc + term * mono(nn)
         return acc * invert_unit(poch_infinite(aq, 1, depth, den), depth)
 
-    lhs = _with_depth(build_lhs, order, den)
-    rhs = _with_depth(build_rhs, order, den)
+    lhs = deepen_until_valid(build_lhs, order, den)
+    rhs = deepen_until_valid(build_rhs, order, den)
     return lhs.truncated(order), rhs.truncated(order)
 
 

@@ -54,6 +54,7 @@ from qident.nahm import (
     MultiSumSpec,
     NahmQuadruple,
     PochFactor,
+    check_symmetrizable,
     eval_reduction,
     lattice_bound,
     multi_sum,
@@ -486,12 +487,10 @@ class Identity:
     """
 
     id: str
-    kind: str  # "nahm" | "multisum"
     spec: MultiSumSpec
     rhs: tuple[ProductExpr, ...]
     tags: tuple[str, ...] = ()
     base_substitution: int = 1
-    provenance: str = ""
     quadruple: Optional[NahmQuadruple] = None
 
     @property
@@ -546,7 +545,6 @@ def _build_record(rec: dict[str, str]) -> Identity:
     tags = tuple(s.strip() for s in rec.get("tags", "").split(",") if s.strip())
     base = int(rec.get("base_substitution", "1"))
     rhs = parse_rhs(_unquote(rec["rhs"]))
-    provenance = tags[0] if tags else ""
     if kind == "nahm":
         A = _parse_matrix(rec["A"])
         d_raw = _parse_vector(rec["d"])
@@ -556,8 +554,10 @@ def _build_record(rec: dict[str, str]) -> Identity:
         b = _parse_vector(rec["b"])
         c = Fraction(rec.get("c", "0"))
         quad = NahmQuadruple(A, b, c, d)
-        return Identity(rid, "nahm", quadruple_spec(quad), rhs, tags, base,
-                        provenance, quad)
+        if not check_symmetrizable(quad.A, quad.d):
+            raise ValueError(f"record {rid}: A*diag(d) is not symmetric "
+                             f"positive definite")
+        return Identity(rid, quadruple_spec(quad), rhs, tags, base, quad)
     if kind == "multisum":
         names = tuple(s.strip() for s in rec["vars"].split(","))
         qm, lin, const = parse_exponent(_unquote(rec["exponent"]), names)
@@ -572,7 +572,7 @@ def _build_record(rec: dict[str, str]) -> Identity:
             if "extra" in rec else ()
         spec = MultiSumSpec(names=names, quad=qm, lin=lin, denoms=denoms,
                             const=const, extra=extra, prefactor=pf)
-        return Identity(rid, "multisum", spec, rhs, tags, base, provenance)
+        return Identity(rid, spec, rhs, tags, base)
     raise ValueError(f"record {rid}: lhs.kind must be nahm or multisum")
 
 
@@ -754,8 +754,8 @@ class FamilyGenerator:
 def _family_identity(name: str, label: str, spec: MultiSumSpec,
                      rhs) -> Identity:
     rhs_t = rhs if isinstance(rhs, tuple) else (rhs,)
-    return Identity(id=label, kind="multisum", spec=spec, rhs=rhs_t,
-                    tags=(name,), base_substitution=1, provenance=name)
+    return Identity(id=label, spec=spec, rhs=rhs_t, tags=(name,),
+                    base_substitution=1)
 
 
 def _build_ag(k: int, i: int) -> Identity:
@@ -1138,10 +1138,7 @@ class Catalog:
         ident = target if isinstance(target, Identity) else self.resolve(target)
         order = Fraction(order)
         start = time.perf_counter()
-        if ident.quadruple is not None:
-            lhs = nahm_sum(ident.quadruple, order, den=den)
-        else:
-            lhs = multi_sum(ident.spec, order, den)
+        lhs = multi_sum(ident.spec, order, den)
         rhs = eval_product_sum(ident.rhs, order, den)
         mismatch = compare_up_to(lhs, rhs, order)
         wall = time.perf_counter() - start

@@ -7,7 +7,8 @@ by tag), and ``bailey`` (pair verification and transform chains).
 Machine output is one tab-separated line per item, ``id  PASS|FAIL  order
 ms``, stably sorted by id so runs diff cleanly; only the millisecond column
 may vary between runs.  Exit status: 0 all checks passed, 1 at least one
-mismatch, 2 usage errors such as unknown ids or malformed chains.
+mismatch, 2 any error (unknown ids, malformed chains or catalogs, inputs that
+cannot be evaluated), reported as one ``qident: error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -20,18 +21,11 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from qident.series import (
-    DEFAULT_D,
-    LatticeError,
-    QSeries,
-    TruncationError,
-    dump,
-    exp_num,
-)
-from qident.nahm import multi_sum, nahm_sum
+from qident.series import DEFAULT_D, deepen_until_valid, dump
+from qident.nahm import multi_sum
 from qident.products import eval_product_sum
 from qident.catalog import Catalog, Identity, VerificationReport, load_catalog
-from qident.bailey import BaileyPair, pairs_equal, run_chain, verify_pair
+from qident.bailey import pairs_equal, run_chain, verify_pair
 
 
 def _fmt_exp(x: Fraction) -> str:
@@ -170,7 +164,7 @@ def cmd_verify(args) -> int:
         else:
             with ThreadPoolExecutor(max_workers=args.threads) as pool:
                 reports = list(pool.map(run, targets))
-    except (LatticeError, TruncationError, ValueError) as exc:
+    except ValueError as exc:
         return _usage_error(exc)
     for rep in reports:
         _emit_report(rep, args)
@@ -188,13 +182,10 @@ def cmd_expand(args) -> int:
         return _usage_error(exc)
     try:
         if args.side == "lhs":
-            if ident.quadruple is not None:
-                series = nahm_sum(ident.quadruple, order, den=args.d_lattice)
-            else:
-                series = multi_sum(ident.spec, order, args.d_lattice)
+            series = multi_sum(ident.spec, order, args.d_lattice)
         else:
             series = eval_product_sum(ident.rhs, order, args.d_lattice)
-    except (LatticeError, TruncationError) as exc:
+    except ValueError as exc:
         return _usage_error(exc)
     sys.stdout.write(dump(series, order))
     return 0
@@ -214,19 +205,6 @@ def cmd_list(args) -> int:
 
 # -- bailey ---------------------------------------------------------------------
 
-def _series_at(gen, n: int, order: Fraction, den: int) -> QSeries:
-    # Raise the requested validity until the generator's own cutoff clears
-    # the print order; negative-valuation entries need the extra headroom.
-    want = exp_num(order, den)
-    req = order
-    for _ in range(8):
-        s = gen(n, req, den)
-        if s.order_num is None or s.order_num >= want:
-            return s
-        req = req + (order - Fraction(s.order_num, den)) + 1
-    raise TruncationError(f"cannot expand index {n} to order {_fmt_exp(order)}")
-
-
 def cmd_bailey(args) -> int:
     order = None
     try:
@@ -240,7 +218,7 @@ def cmd_bailey(args) -> int:
         start = time.perf_counter()
         try:
             report = verify_pair(pair, args.n, order, args.d_lattice)
-        except (LatticeError, TruncationError) as exc:
+        except ValueError as exc:
             return _usage_error(exc)
         ms = int(round((time.perf_counter() - start) * 1000))
         status = "PASS" if report.ok else "FAIL"
@@ -249,7 +227,9 @@ def cmd_bailey(args) -> int:
         else:
             print(f"{status}  {args.target}  n <= {args.n}  "
                   f"order {_fmt_exp(order)}  {ms} ms")
-            for n, mism in report.failures:
+            for n, mism in report.results:
+                if mism is None:
+                    continue
                 print(f"      index {n}: first mismatch at "
                       f"q^{_fmt_exp(mism.exponent)}")
         return 0 if report.ok else 1
@@ -264,7 +244,7 @@ def cmd_bailey(args) -> int:
         start = time.perf_counter()
         try:
             diff = pairs_equal(pair, other, args.n, order, args.d_lattice)
-        except (LatticeError, TruncationError) as exc:
+        except ValueError as exc:
             return _usage_error(exc)
         ms = int(round((time.perf_counter() - start) * 1000))
         status = "PASS" if diff is None else "FAIL"
@@ -289,10 +269,12 @@ def cmd_bailey(args) -> int:
             for n in range(args.n + 1):
                 for part in parts:
                     gen = pair.alpha if part == "alpha" else pair.beta
-                    series = _series_at(gen, n, order, args.d_lattice)
+                    series = deepen_until_valid(
+                        lambda d: gen(n, d, args.d_lattice), order,
+                        args.d_lattice)
                     print(f"{part}_{n}:")
                     sys.stdout.write(dump(series, order))
-        except (LatticeError, TruncationError) as exc:
+        except ValueError as exc:
             return _usage_error(exc)
     if args.equals is None and args.show is None:
         print(pair.name or args.expr)
@@ -301,6 +283,8 @@ def cmd_bailey(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.d_lattice < 1:
+        return _usage_error(ValueError("--d-lattice must be at least 1"))
     if args.cmd == "verify":
         return cmd_verify(args)
     if args.cmd == "expand":

@@ -369,47 +369,14 @@ def _accumulate(acc: dict[int, Scalar], prod: QSeries, shift: int,
 
 def nahm_sum(spec: NahmQuadruple, order: ExpLike, include_c: bool = False,
              den: int = DEFAULT_D) -> QSeries:
-    """Direct evaluation of the quadruple's sum, truncated at order.
+    """The quadruple's sum truncated at order, evaluated as its generic spec.
 
-    Deliberately independent of :func:`multi_sum`; the test suite holds the
-    two routes equal on shared inputs.
+    The independent oracle for this evaluator is the test suite's brute-force
+    ``brute_sum`` (tests/helpers.py).
     """
     if not check_symmetrizable(spec.A, spec.d):
         raise ValueError("quadruple is not symmetrizable positive definite")
-    onum = exp_num(order, den)
-    m, lin = spec.ad, spec.b
-    const = spec.c if include_c else Fraction(0)
-    r = spec.rank
-    bounds = lattice_bound(quadruple_spec(spec, include_c), order)
-    tabs = [inv_poch_table(qmono(spec.d[i]), spec.d[i], bounds[i], order, den)
-            for i in range(r)]
-    nonneg = all(x >= 0 for row in m for x in row)
-    mins = [_min_pure_contrib(Fraction(m[i][i], 2), lin[i], bounds[i])
-            for i in range(r)]
-    tail_min = [Fraction(0)] * (r + 1)
-    for i in range(r - 1, -1, -1):
-        tail_min[i] = tail_min[i + 1] + min(mins[i], 0)
-    acc: dict[int, Scalar] = {}
-    point = [0] * r
-    top = Fraction(order)
-
-    def rec(i: int, expo: Fraction, prod: QSeries) -> None:
-        if i == r:
-            if expo <= top:
-                _accumulate(acc, prod, exp_num(expo, den), 1, onum)
-            return
-        for v in range(bounds[i] + 1):
-            point[i] = v
-            e2 = expo + Fraction(m[i][i] * v * v, 2) + lin[i] * v
-            for j in range(i):
-                e2 += m[i][j] * v * point[j]
-            if nonneg and e2 + tail_min[i + 1] > top:
-                continue
-            rec(i + 1, e2, prod * tabs[i][v] if v else prod)
-        point[i] = 0
-
-    rec(0, const, QSeries(den, {0: 1}, onum))
-    return QSeries(den, acc, onum)
+    return multi_sum(quadruple_spec(spec, include_c), order, den)
 
 
 def multi_sum(spec: MultiSumSpec, order: ExpLike,

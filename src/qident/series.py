@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
 ExpLike = Union[int, Fraction]
@@ -422,6 +422,28 @@ def compare_up_to(a: QSeries, b: QSeries,
 
 def equal_up_to(a: QSeries, b: QSeries, order: ExpLike) -> bool:
     return compare_up_to(a, b, order) is None
+
+
+DEEPEN_ATTEMPTS = 4
+
+
+def deepen_until_valid(build: Callable[[Fraction], QSeries], order: ExpLike,
+                       den: int) -> QSeries:
+    """First ``build(depth)`` that is valid through `order`.
+
+    The depth starts at `order` and grows by each result's shortfall, for at
+    most DEEPEN_ATTEMPTS calls; negative-valuation factors make a result
+    valid below its requested depth.
+    """
+    order = Fraction(order)
+    onum = exp_num(order, den)
+    depth = order
+    for _ in range(DEEPEN_ATTEMPTS):
+        s = build(depth)
+        if s.order_num is None or s.order_num >= onum:
+            return s
+        depth += Fraction(onum - s.order_num, den)
+    raise TruncationError(f"could not reach order {order}")
 
 
 def coefficient(a: QSeries, e: ExpLike) -> Scalar:

@@ -184,7 +184,7 @@ def test_list_and_get(cat):
 
 def test_nahm_record_golden(cat):
     ident = cat.get("table2.11.2")
-    assert ident.kind == "nahm"
+    assert ident.quadruple is not None
     q = ident.quadruple
     assert q.d == (1, 1, 2)
     assert q.A == ((2, 2, 1), (2, 4, 2), (2, 4, 3))

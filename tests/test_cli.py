@@ -1,10 +1,13 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
+from qident.bailey import PairReport
 from qident.cli import main
+from qident.series import Mismatch
 
 BROKEN_CATALOG = """\
 [identity broken.1]
@@ -26,6 +29,16 @@ lhs.kind = multisum
 vars = n
 exponent = "n^2"
 denoms = [q]
+rhs = "1 / ( P(1;5) * P(4;5) )"
+"""
+
+
+INDEFINITE_CATALOG = """\
+[identity indefinite.1]
+lhs.kind = nahm
+A = [[1, 2], [2, 1]]
+b = [0, 0]
+d = [1, 1]
 rhs = "1 / ( P(1;5) * P(4;5) )"
 """
 
@@ -201,3 +214,39 @@ def test_bailey_chain_show_and_errors(capsys):
     assert rc == 2 and "alpha" in err
     rc, _, err = run(capsys, "bailey", "chain", "G1 |> NOPE", "--order", "6")
     assert rc == 2 and "unknown transform" in err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["bailey", "verify", "G1|>GENERAL(q,q)", "--n", "3", "--order", "10"],
+     "vanishing Pochhammer factor"),
+    (["expand", "R.R.1", "--order", "10", "--d-lattice", "0"],
+     "--d-lattice"),
+    (["bailey", "chain", "G1", "--show", "beta", "--n", "1", "--order", "4",
+      "--d-lattice", "0"], "--d-lattice"),
+    (["verify", "R.R.1", "--d-lattice", "0"], "--d-lattice"),
+    (["expand", "indefinite.1", "--side", "lhs", "--order", "10",
+      "--catalog", "INDEFINITE"], "positive definite"),
+], ids=["general-vanishing", "expand-d0", "chain-show-d0", "verify-d0",
+        "indefinite-nahm-record"])
+def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
+    path = tmp_path / "indefinite.cat"
+    path.write_text(INDEFINITE_CATALOG)
+    argv = [str(path) if a == "INDEFINITE" else a for a in argv]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("qident: error: ") and needle in err
+
+
+def test_bailey_verify_human_mode_lists_failing_indices(capsys, monkeypatch):
+    def failing(pair, n_max, order, den):
+        return PairReport(pair.name, pair.a, Fraction(order),
+                          ((0, None), (1, Mismatch(Fraction(3, 2), 1, 0))))
+
+    monkeypatch.setattr("qident.cli.verify_pair", failing)
+    rc, out, err = run(capsys, "bailey", "verify", "G1", "--n", "1",
+                       "--order", "10")
+    assert rc == 1
+    assert out.startswith("FAIL  G1")
+    assert out.splitlines()[1:] == ["      index 1: first mismatch at q^3/2"]
+    assert err == ""

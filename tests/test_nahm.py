@@ -115,7 +115,22 @@ TABLE_SHAPED = [
 ])
 def test_two_evaluation_routes_agree(quad):
     order = 16
-    assert nahm_sum(quad, order) == multi_sum(quadruple_spec(quad), order)
+    m, lin, d = quad.ad, quad.b, quad.d
+    box = [b + 2 for b in lattice_bound(quad, order)]
+
+    def term(pt):
+        e = sum(Fraction(m[i][j], 2) * pt[i] * pt[j]
+                for i in range(quad.rank) for j in range(quad.rank)) + \
+            sum(x * v for x, v in zip(lin, pt))
+        if e > order:
+            return None
+        out = QSeries.one(4)
+        for di, v in zip(d, pt):
+            out = out * invert_unit(poch_finite(qmono(di), di, v, order),
+                                    order)
+        return (out * Monomial(1, e)).truncated(order)
+
+    assert nahm_sum(quad, order) == brute_sum(order, 4, box, term)
 
 
 def test_lattice_bound_diagonal():

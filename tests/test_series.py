@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qident.series import (
+    DEEPEN_ATTEMPTS,
     LatticeError,
     Mismatch,
     Monomial,
@@ -13,6 +14,7 @@ from qident.series import (
     TruncationError,
     coefficient,
     compare_up_to,
+    deepen_until_valid,
     dump,
     equal_up_to,
     invert_unit,
@@ -201,3 +203,31 @@ def test_dump_format_and_roundtrip():
     with pytest.raises(ValueError):
         dump(QSeries.one())
     assert dump(QSeries.one(), order=2).splitlines()[0] == "order 8/4"
+
+
+def _scripted(valid_to):
+    """Generator whose k-th result is valid to valid_to[k], whatever depth."""
+    calls = []
+
+    def build(depth):
+        calls.append(depth)
+        return S([(0, len(calls))], order=valid_to[len(calls) - 1])
+
+    return build, calls
+
+
+def test_deepen_returns_first_valid_result():
+    build, calls = _scripted([8, Fraction(19, 2), 10, 10])
+    s = deepen_until_valid(build, 10, 4)
+    assert s.coeff_num(0) == 3
+    assert calls == [10, 12, Fraction(25, 2)]
+
+
+def test_deepen_checks_every_attempt_and_stops_at_the_limit():
+    # the last permitted attempt is valid, so it must have been checked
+    build, calls = _scripted([4] * (DEEPEN_ATTEMPTS - 1) + [5])
+    assert deepen_until_valid(build, 5, 4).coeff_num(0) == DEEPEN_ATTEMPTS
+    build, calls = _scripted([4] * (DEEPEN_ATTEMPTS + 1))
+    with pytest.raises(TruncationError):
+        deepen_until_valid(build, 5, 4)
+    assert len(calls) == DEEPEN_ATTEMPTS
