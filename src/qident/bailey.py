@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from typing import Callable, Optional
 
 from qident.series import (
@@ -40,6 +39,7 @@ from qident.series import (
     qmono,
 )
 from qident.products import inv_poch_table, poch_finite, poch_infinite
+from qident.nahm import _ceil_sqrt
 
 HALF = Fraction(1, 2)
 
@@ -594,15 +594,6 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
                          compare_up_to(lhs, rhs, order))
 
 
-def _ceil_sqrt_int(x: Fraction) -> int:
-    if x <= 0:
-        return 0
-    k = isqrt(int(x))
-    while k * k < x:
-        k += 1
-    return k
-
-
 def limit_identity(p: BaileyPair, order: ExpLike,
                    den: int = DEFAULT_D) -> tuple[QSeries, QSeries]:
     """(sum a^n q^(n^2) beta_n, inverse (aq;q)_inf times the alpha sum).
@@ -612,7 +603,7 @@ def limit_identity(p: BaileyPair, order: ExpLike,
     """
     order = Fraction(order)
     a = p.a
-    n_cut = _ceil_sqrt_int(order) + 4
+    n_cut = _ceil_sqrt(order) + 4
     if p.n_max_hint is not None and n_cut + 2 > p.n_max_hint:
         raise ValueError("pair generators not defined far enough")
 

@@ -37,7 +37,6 @@ from qident.series import (
     QSeries,
     compare_up_to,
     dump,
-    parse_monomial,
     substitute_power,
 )
 from qident.products import (
@@ -70,7 +69,7 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
-# -- expression parsers --------------------------------------------------------
+# -- the reader ----------------------------------------------------------------
 
 def _symbol_table(names: Sequence[str]) -> dict[str, Vector]:
     """Each declared name maps to its unit vector; when the declared names
@@ -101,263 +100,43 @@ def _symbol_table(names: Sequence[str]) -> dict[str, Vector]:
     return sym
 
 
-def _tokenize_names(text: str, i: int, symbols: Sequence[str]):
-    for nm in symbols:
-        if text.startswith(nm, i):
-            return nm
-    return None
+# Whitespace separates tokens and is otherwise skipped; the last alternative
+# catches any character no rule accepts.
+_TOKEN_RE = re.compile(
+    r'(\d+)|([A-Za-z][A-Za-z0-9]*)|"([^"]*)"|([][(),;*/^+-])|(\S)')
+_TOKEN_KINDS = (None, "num", "name", "str", "sym", "bad")
 
 
-def parse_exponent(text: str, names: Sequence[str]) -> tuple[Matrix, Vector, Fraction]:
-    """Quadratic-affine expression over the declared names.
+def _tokenize(text: str) -> list[tuple]:
+    toks: list[tuple] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = _TOKEN_KINDS[m.lastindex]
+        val = m.group(m.lastindex)
+        if kind == "bad":
+            raise ValueError(f"unexpected character {val!r}")
+        toks.append((kind, int(val) if kind == "num" else val))
+    return toks
 
-    Terms are joined by + or -; each term is an optional coefficient (an
-    integer, or a parenthesized rational like (1/2)) followed by up to two
-    name factors, juxtaposition meaning product and ^2 meaning the square.
-    Returns (quad, lin, const) with the symmetric-matrix convention
-    exponent(x) = (1/2) x^T quad x + lin.x + const.
+
+_SIGNS = (("sym", "+"), ("sym", "-"))
+
+
+class _Reader:
+    """Recursive descent over one token stream.
+
+    Every catalog field value, and every expression inside a quoted field, is
+    read by these rules; ``names`` are the summation variables that
+    polynomial terms may use.
     """
-    sym = _symbol_table(names)
-    ordered = sorted(sym, key=len, reverse=True)
-    k = len(names)
 
-    tokens: list[tuple] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-":
-            tokens.append(("sign", ch))
-            i += 1
-        elif ch == "(":
-            j = text.find(")", i)
-            if j < 0:
-                raise ValueError("unbalanced parenthesis in exponent")
-            tokens.append(("coeff", Fraction(text[i + 1:j].strip())))
-            i = j + 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("coeff", Fraction(text[i:j])))
-            i = j
-        else:
-            nm = _tokenize_names(text, i, ordered)
-            if nm is None:
-                raise ValueError(f"unexpected character {ch!r} in exponent")
-            i += len(nm)
-            power = 1
-            if text.startswith("^2", i):
-                power = 2
-                i += 2
-            elif text.startswith("^", i):
-                raise ValueError("only squares are allowed in exponents")
-            tokens.append(("name", nm, power))
-
-    quad = [[Fraction(0)] * k for _ in range(k)]
-    lin = [Fraction(0)] * k
-    const = Fraction(0)
-    pos = 0
-    first = True
-    while pos < len(tokens):
-        sign = Fraction(1)
-        saw_sign = False
-        while pos < len(tokens) and tokens[pos][0] == "sign":
-            if tokens[pos][1] == "-":
-                sign = -sign
-            saw_sign = True
-            pos += 1
-        if pos >= len(tokens):
-            raise ValueError("dangling sign in exponent")
-        if not first and not saw_sign:
-            raise ValueError("missing + or - between exponent terms")
-        first = False
-        coeff = sign
-        if tokens[pos][0] == "coeff":
-            coeff *= tokens[pos][1]
-            pos += 1
-        vecs: list[Vector] = []
-        while pos < len(tokens) and tokens[pos][0] == "name":
-            _, nm, power = tokens[pos]
-            vecs.extend([sym[nm]] * power)
-            pos += 1
-        if len(vecs) > 2:
-            raise ValueError("exponent term of degree above 2")
-        if not vecs:
-            const += coeff
-        elif len(vecs) == 1:
-            lin = [l + coeff * v for l, v in zip(lin, vecs[0])]
-        else:
-            u, v = vecs
-            for a in range(k):
-                for b in range(k):
-                    quad[a][b] += coeff * (u[a] * v[b] + v[a] * u[b])
-    return tuple(tuple(row) for row in quad), tuple(lin), const
-
-
-_RAT_RE = re.compile(r"\d+(?:/\d+)?")
-
-
-def parse_affine(text: str, names: Sequence[str]) -> AffineForm:
-    """Degree-1 expression: terms rational, name, or rational*name (the *
-    is optional), joined by + or -.  Partial-sum names Nj are resolved."""
-    sym = _symbol_table(names)
-    ordered = sorted(sym, key=len, reverse=True)
-    k = len(names)
-    const = Fraction(0)
-    coeffs = [Fraction(0)] * k
-    i = 0
-    first = True
-    while i < len(text):
-        while i < len(text) and text[i].isspace():
-            i += 1
-        if i >= len(text):
-            break
-        sign = Fraction(1)
-        saw_sign = False
-        while i < len(text) and text[i] in "+-":
-            if text[i] == "-":
-                sign = -sign
-            saw_sign = True
-            i += 1
-            while i < len(text) and text[i].isspace():
-                i += 1
-        if not first and not saw_sign:
-            raise ValueError("missing + or - between affine terms")
-        first = False
-        m = _RAT_RE.match(text, i)
-        coeff = sign
-        if m:
-            coeff *= Fraction(m.group(0))
-            i = m.end()
-            if i < len(text) and text[i] == "*":
-                i += 1
-        while i < len(text) and text[i].isspace():
-            i += 1
-        nm = _tokenize_names(text, i, ordered) if i < len(text) else None
-        if nm is not None:
-            i += len(nm)
-            vec = sym[nm]
-            for a in range(k):
-                coeffs[a] += coeff * vec[a]
-        elif m:
-            const += coeff
-        else:
-            raise ValueError(f"cannot parse affine term near {text[i:]!r}")
-    return AffineForm(const, coeffs)
-
-
-def parse_prefactor(text: str, names: Sequence[str]
-                    ) -> tuple[tuple[Union[int, Fraction], AffineForm], ...]:
-    """Sum of monomials c, q^(affine) or c*q^(affine), joined by +."""
-    k = len(names)
-    entries = []
-    i = 0
-    n = len(text)
-    while True:
-        while i < n and text[i].isspace():
-            i += 1
-        coeff: Union[int, Fraction] = 1
-        m = _RAT_RE.match(text, i)
-        saw_coeff = False
-        if m:
-            c = Fraction(m.group(0))
-            coeff = c.numerator if c.denominator == 1 else c
-            i = m.end()
-            saw_coeff = True
-            while i < n and text[i].isspace():
-                i += 1
-            if i < n and text[i] == "*":
-                i += 1
-                while i < n and text[i].isspace():
-                    i += 1
-        if i < n and text[i] == "q":
-            i += 1
-            if not text.startswith("^(", i):
-                raise ValueError("prefactor powers must be written q^(...)")
-            j = text.find(")", i + 2)
-            if j < 0:
-                raise ValueError("unbalanced parenthesis in prefactor")
-            form = parse_affine(text[i + 2:j], names)
-            i = j + 1
-        elif saw_coeff:
-            form = AffineForm(0, [0] * k)
-        else:
-            raise ValueError(f"cannot parse prefactor near {text[i:]!r}")
-        entries.append((coeff, form))
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        if text[i] != "+":
-            raise ValueError("prefactor monomials are joined by +")
-        i += 1
-    return tuple(entries)
-
-
-_QPOW_RE = re.compile(r"^q(?:\^(\d+))?$")
-
-
-def _parse_qpower(text: str) -> Fraction:
-    m = _QPOW_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"expected a power of q, got {text!r}")
-    return Fraction(m.group(1) or 1)
-
-
-def parse_extra(text: str, names: Sequence[str]) -> PochFactor:
-    """pochf(arg; q^base; length) or 1/pochf(...) for the inverted factor."""
-    t = text.strip()
-    power = 1
-    if t.startswith("1/"):
-        power = -1
-        t = t[2:].strip()
-    m = re.fullmatch(r"pochf\((.*)\)", t, re.S)
-    if not m:
-        raise ValueError(f"cannot parse extra factor {text!r}")
-    parts = m.group(1).split(";")
-    if len(parts) != 3:
-        raise ValueError("extra factors take arg; base; length")
-    arg = parse_monomial(parts[0])
-    base = _parse_qpower(parts[1])
-    length = parse_affine(parts[2], names)
-    return PochFactor(arg, base, length, power)
-
-
-def _tokenize_rhs(text: str) -> list[tuple]:
-    out: list[tuple] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(("num", int(text[i:j])))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            out.append(("name", text[i:j]))
-            i = j
-        elif ch in "[](),;*/^+-":
-            out.append(("sym", ch))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in product expression")
-    return out
-
-
-class _RhsParser:
-    """Recursive descent over product quotients of infinite Pochhammer atoms."""
-
-    def __init__(self, text: str):
-        self.toks = _tokenize_rhs(text)
+    def __init__(self, text: str, names: Sequence[str] = ()):
+        self.toks = _tokenize(text)
         self.i = 0
+        self.k = len(names)
+        self.sym = _symbol_table(names)
+        self.longest_first = sorted(self.sym, key=len, reverse=True)
+
+    # -- tokens ----------------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> tuple:
         j = self.i + ahead
@@ -369,39 +148,219 @@ class _RhsParser:
             self.i += 1
         return t
 
+    def fail(self, wanted: str) -> ValueError:
+        t = self.peek()
+        got = "the end" if t[0] == "end" else repr(t[1])
+        return ValueError(f"expected {wanted}, got {got}")
+
+    def accept(self, ch: str) -> bool:
+        if self.peek() == ("sym", ch):
+            self.i += 1
+            return True
+        return False
+
     def expect(self, ch: str) -> None:
-        t = self.advance()
-        if t != ("sym", ch):
-            raise ValueError(f"expected {ch!r}, got {t[1]!r}")
+        if not self.accept(ch):
+            raise self.fail(repr(ch))
+
+    def take(self, kind: str, wanted: str):
+        t = self.peek()
+        if t[0] != kind:
+            raise self.fail(wanted)
+        self.i += 1
+        return t[1]
+
+    def word(self, w: str) -> None:
+        if self.peek() != ("name", w):
+            raise self.fail(repr(w))
+        self.i += 1
+
+    def end(self) -> None:
+        if self.peek()[0] != "end":
+            raise self.fail("the end")
+
+    # -- shared rules ----------------------------------------------------------
+
+    def integer(self) -> int:
+        return self.take("num", "an integer")
+
+    def name(self) -> str:
+        return self.take("name", "a name")
+
+    def string(self) -> str:
+        return self.take("str", "a quoted string")
+
+    def ratio(self) -> Fraction:
+        """int or int/int."""
+        val = Fraction(self.integer())
+        if self.accept("/"):
+            den = self.integer()
+            if den == 0:
+                raise ValueError("zero denominator")
+            val /= den
+        return val
 
     def rational(self) -> Fraction:
-        neg = False
-        if self.peek() == ("sym", "-"):
-            self.advance()
-            neg = True
-        t = self.advance()
-        if t[0] != "num":
-            raise ValueError("expected a number")
-        val = Fraction(t[1])
-        if self.peek() == ("sym", "/") and self.peek(1)[0] == "num":
-            self.advance()
-            val /= Fraction(self.advance()[1])
-        return -val if neg else val
+        """A ratio with an optional leading minus."""
+        return -self.ratio() if self.accept("-") else self.ratio()
 
-    def value(self) -> tuple[ProductExpr, ...]:
+    def qpower(self) -> Fraction:
+        """The exponent of q, q^k, q^-k or q^(rational)."""
+        self.word("q")
+        if not self.accept("^"):
+            return Fraction(1)
+        if self.accept("("):
+            e = self.rational()
+            self.expect(")")
+            return e
+        return Fraction(-self.integer() if self.accept("-") else self.integer())
+
+    def monomial(self) -> Monomial:
+        """[-] [ratio [*]] q-power, or [-] ratio."""
+        sign = -1 if self.accept("-") else 1
+        if self.peek()[0] != "num":
+            return Monomial(sign, self.qpower())
+        coeff = sign * self.ratio()
+        self.accept("*")
+        if self.peek() != ("name", "q"):
+            return Monomial(coeff, 0)
+        return Monomial(coeff, self.qpower())
+
+    def items(self, rule: Callable[[], object]) -> tuple:
+        out = [rule()]
+        while self.accept(","):
+            out.append(rule())
+        return tuple(out)
+
+    def bracketed(self, rule: Callable[[], object]) -> tuple:
+        self.expect("[")
+        out = self.items(rule)
+        self.expect("]")
+        return out
+
+    def names(self) -> tuple[str, ...]:
+        """A comma list of names, possibly empty."""
+        return () if self.peek()[0] == "end" else self.items(self.name)
+
+    # -- polynomials -----------------------------------------------------------
+
+    def signs(self) -> int:
+        sign = 1
+        while self.peek() in _SIGNS:
+            if self.advance()[1] == "-":
+                sign = -sign
+        return sign
+
+    def factors(self, word: str) -> list[Vector]:
+        """A run of juxtaposed declared names, longest name first."""
+        out, i = [], 0
+        while i < len(word):
+            nm = next((s for s in self.longest_first
+                       if word.startswith(s, i)), None)
+            if nm is None:
+                raise ValueError(f"unknown name {word[i:]!r}")
+            out.append(self.sym[nm])
+            i += len(nm)
+        return out
+
+    def term(self, cap: int) -> tuple[Fraction, list[Vector]]:
+        """[coeff [*]] {name [^2]} of degree at most cap; coeff is an int,
+        int/int or a parenthesized rational."""
+        coeff = None
+        if self.accept("("):
+            coeff = self.rational()
+            self.expect(")")
+        elif self.peek()[0] == "num":
+            coeff = self.ratio()
+        if coeff is not None:
+            self.accept("*")
+        vecs: list[Vector] = []
+        while self.peek()[0] == "name":
+            vecs.extend(self.factors(self.advance()[1]))
+            if self.accept("^"):
+                if self.integer() != 2:
+                    raise ValueError("only squares are allowed in terms")
+                vecs.append(vecs[-1])
+        if coeff is None and not vecs:
+            raise self.fail("a term")
+        if len(vecs) > cap:
+            raise ValueError(f"term of degree above {cap}")
+        return (Fraction(1) if coeff is None else coeff), vecs
+
+    def poly(self, cap: int) -> tuple[list[list[Fraction]], list[Fraction],
+                                      Fraction]:
+        """Signed terms of degree at most cap, as (quad, lin, const) with
+        value(x) = (1/2) x^T quad x + lin.x + const."""
+        k = self.k
+        quad = [[Fraction(0)] * k for _ in range(k)]
+        lin = [Fraction(0)] * k
+        const = Fraction(0)
+        while True:
+            sign = self.signs()
+            coeff, vecs = self.term(cap)
+            coeff *= sign
+            if not vecs:
+                const += coeff
+            elif len(vecs) == 1:
+                lin = [l + coeff * v for l, v in zip(lin, vecs[0])]
+            else:
+                u, v = vecs
+                for a, x in enumerate(u):
+                    for b, y in enumerate(v):
+                        if x and y:
+                            quad[a][b] += coeff * x * y
+                            quad[b][a] += coeff * x * y
+            if self.peek() not in _SIGNS:
+                return quad, lin, const
+
+    def affine(self) -> AffineForm:
+        _, lin, const = self.poly(1)
+        return AffineForm(const, lin)
+
+    def prefactor(self) -> tuple[tuple[Union[int, Fraction], AffineForm], ...]:
+        """Monomials c, q^(affine) or c*q^(affine), joined by +."""
+        entries = []
+        while True:
+            coeff: Union[int, Fraction] = 1
+            form = None
+            if self.peek()[0] == "num":
+                c = self.ratio()
+                coeff = c.numerator if c.denominator == 1 else c
+                self.accept("*")
+                if self.peek() != ("name", "q"):
+                    form = AffineForm(0, [0] * self.k)
+            if form is None:
+                self.word("q")
+                self.expect("^")
+                self.expect("(")
+                form = self.affine()
+                self.expect(")")
+            entries.append((coeff, form))
+            if not self.accept("+"):
+                return tuple(entries)
+
+    def extra(self) -> PochFactor:
+        """pochf(arg; q-power; affine), or 1/pochf(...) for the inverse."""
+        power = 1
+        if self.peek() == ("num", 1) and self.peek(1) == ("sym", "/"):
+            self.i += 2
+            power = -1
+        self.word("pochf")
+        self.expect("(")
+        arg = self.monomial()
+        self.expect(";")
+        base = self.qpower()
+        self.expect(";")
+        length = self.affine()
+        self.expect(")")
+        return PochFactor(arg, base, length, power)
+
+    # -- product quotients -----------------------------------------------------
+
+    def rhs(self) -> tuple[ProductExpr, ...]:
         if self.peek() == ("sym", "["):
-            self.advance()
-            out = [self.expr()]
-            while self.peek() == ("sym", ","):
-                self.advance()
-                out.append(self.expr())
-            self.expect("]")
-            result = tuple(out)
-        else:
-            result = (self.expr(),)
-        if self.peek()[0] != "end":
-            raise ValueError(f"trailing tokens after product expression")
-        return result
+            return self.bracketed(self.expr)
+        return (self.expr(),)
 
     def expr(self) -> ProductExpr:
         node = self.factor()
@@ -414,48 +373,31 @@ class _RhsParser:
     def factor(self) -> ProductExpr:
         t = self.peek()
         if t[0] == "num":
-            self.advance()
+            self.i += 1
             node = ProductExpr((), (Monomial(t[1], 0),))
-        elif t == ("sym", "("):
-            if self.peek(1) == ("num", 1) and self.peek(2) == ("sym", "+"):
-                node = self._one_plus()
-            else:
-                self.advance()
-                node = self.expr()
-                self.expect(")")
+        elif t == ("sym", "(") and self.peek(1) == ("num", 1) \
+                and self.peek(2) == ("sym", "+"):
+            # (1 + q-power) as a polynomial prefactor
+            self.i += 3
+            node = ProductExpr((), (Monomial(1, 0),
+                                    Monomial(1, self.qpower())))
+            self.expect(")")
+        elif self.accept("("):
+            node = self.expr()
+            self.expect(")")
         elif t[0] == "name":
-            node = self._atom()
+            node = self.atom()
         else:
-            raise ValueError(f"unexpected token {t[1]!r} in product expression")
-        while self.peek() == ("sym", "^"):
-            self.advance()
-            p = self.advance()
-            if p[0] != "num":
-                raise ValueError("powers take a plain integer")
-            node = node ** p[1]
+            raise self.fail("a product factor")
+        while self.accept("^"):
+            node = node ** self.integer()
         return node
 
-    def _one_plus(self) -> ProductExpr:
-        # (1 + q^(r)) as a polynomial prefactor
-        self.expect("(")
-        if self.advance() != ("num", 1):
-            raise ValueError("polynomial prefactors start with 1 +")
-        self.expect("+")
-        if self.advance() != ("name", "q"):
-            raise ValueError("polynomial prefactors are of the form (1 + q^(r))")
-        self.expect("^")
-        self.expect("(")
-        r = self.rational()
-        self.expect(")")
-        self.expect(")")
-        return ProductExpr((), (Monomial(1, 0), Monomial(1, r)))
-
-    def _atom(self) -> ProductExpr:
-        name = self.advance()[1]
+    def atom(self) -> ProductExpr:
+        name = self.name()
         self.expect("(")
         args = [self.rational()]
-        while self.peek() in (("sym", ","), ("sym", ";")):
-            self.advance()
+        while self.accept(",") or self.accept(";"):
             args.append(self.rational())
         self.expect(")")
         if name == "P" and len(args) == 2:
@@ -469,9 +411,49 @@ class _RhsParser:
         raise ValueError(f"unknown product atom {name} with {len(args)} argument(s)")
 
 
+def _read(text: str, rule: Callable[[_Reader], object],
+          names: Sequence[str] = ()):
+    """Apply one rule to the whole of text."""
+    reader = _Reader(text, names)
+    out = rule(reader)
+    reader.end()
+    return out
+
+
+def parse_exponent(text: str, names: Sequence[str]) -> tuple[Matrix, Vector, Fraction]:
+    """Quadratic-affine expression over the declared names.
+
+    Terms are joined by + or -; each term is an optional coefficient (an
+    integer, a ratio like 1/2, or a parenthesized rational like (1/2),
+    optionally followed by *) and up to two name factors, juxtaposition
+    meaning product and ^2 meaning the square.  Returns (quad, lin, const)
+    with the symmetric-matrix convention
+    exponent(x) = (1/2) x^T quad x + lin.x + const.
+    """
+    quad, lin, const = _read(text, lambda r: r.poly(2), names)
+    return tuple(tuple(row) for row in quad), tuple(lin), const
+
+
+def parse_affine(text: str, names: Sequence[str]) -> AffineForm:
+    """Degree-1 expression in the same term grammar as exponents.
+    Partial-sum names Nj are resolved."""
+    return _read(text, _Reader.affine, names)
+
+
+def parse_prefactor(text: str, names: Sequence[str]
+                    ) -> tuple[tuple[Union[int, Fraction], AffineForm], ...]:
+    """Sum of monomials c, q^(affine) or c*q^(affine), joined by +."""
+    return _read(text, _Reader.prefactor, names)
+
+
+def parse_extra(text: str, names: Sequence[str]) -> PochFactor:
+    """pochf(arg; q^base; length) or 1/pochf(...) for the inverted factor."""
+    return _read(text, _Reader.extra, names)
+
+
 def parse_rhs(text: str) -> tuple[ProductExpr, ...]:
     """One product quotient, or a bracketed list summed term by term."""
-    return _RhsParser(text).value()
+    return _read(text, _Reader.rhs)
 
 
 # -- identity records ----------------------------------------------------------
@@ -493,91 +475,73 @@ class Identity:
     base_substitution: int = 1
     quadruple: Optional[NahmQuadruple] = None
 
-    @property
-    def lhs(self) -> Union[NahmQuadruple, MultiSumSpec]:
-        return self.quadruple if self.quadruple is not None else self.spec
-
 
 _HEADER_RE = re.compile(r"^\[identity\s+(.+?)\]$")
 
+_COMMON_KEYS = {"lhs.kind": True, "rhs": True, "tags": False,
+                "base_substitution": False}
 
-def _unquote(value: str) -> str:
-    v = value.strip()
-    if len(v) < 2 or v[0] != '"' or v[-1] != '"':
-        raise ValueError(f"expected a quoted string, got {value!r}")
-    return v[1:-1]
-
-
-def _parse_vector(value: str) -> Vector:
-    v = value.strip()
-    if not (v.startswith("[") and v.endswith("]")):
-        raise ValueError(f"expected a bracketed vector, got {value!r}")
-    return tuple(Fraction(x.strip()) for x in v[1:-1].split(","))
+# The keys a record of each lhs.kind accepts, each marked required or not.
+RECORD_KEYS: dict[str, dict[str, bool]] = {
+    "nahm": {**_COMMON_KEYS, "A": True, "b": True, "c": False, "d": True},
+    "multisum": {**_COMMON_KEYS, "vars": True, "exponent": True,
+                 "denoms": True, "prefactor": False, "extra": False},
+}
 
 
-def _parse_matrix(value: str) -> Matrix:
-    v = value.strip()
-    if not (v.startswith("[") and v.endswith("]")):
-        raise ValueError(f"expected a bracketed matrix, got {value!r}")
-    rows = re.findall(r"\[([^\[\]]*)\]", v[1:-1])
-    if not rows:
-        raise ValueError(f"empty matrix in {value!r}")
-    return tuple(tuple(Fraction(x.strip()) for x in row.split(",")) for row in rows)
+def _build_record(rid: str, rec: dict[str, str]) -> Identity:
+    kind = rec.get("lhs.kind")
+    keys = RECORD_KEYS.get(kind)
+    if keys is None:
+        raise ValueError("lhs.kind must be nahm or multisum")
+    for key in rec:
+        if key not in keys:
+            if any(key in ks for ks in RECORD_KEYS.values()):
+                raise ValueError(f"key {key!r} does not apply to "
+                                 f"lhs.kind = {kind}")
+            raise ValueError(f"unknown key {key!r}")
+    for key, required in keys.items():
+        if required and key not in rec:
+            raise ValueError(f"missing key {key!r}")
 
+    def field(key: str, rule: Callable[[_Reader], object], default=None):
+        if key not in rec:
+            return default
+        try:
+            return _read(rec[key], rule)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
 
-def _parse_denoms(value: str) -> tuple[Fraction, ...]:
-    v = value.strip()
-    if not (v.startswith("[") and v.endswith("]")):
-        raise ValueError(f"expected bracketed denominators, got {value!r}")
-    return tuple(_parse_qpower(x) for x in v[1:-1].split(","))
-
-
-def _quoted_list(value: str) -> tuple[str, ...]:
-    v = value.strip()
-    if not (v.startswith("[") and v.endswith("]")):
-        raise ValueError(f"expected a bracketed list, got {value!r}")
-    return tuple(re.findall(r'"([^"]*)"', v))
-
-
-def _build_record(rec: dict[str, str]) -> Identity:
-    rid = rec["id"]
-    kind = rec.get("lhs.kind", "")
-    tags = tuple(s.strip() for s in rec.get("tags", "").split(",") if s.strip())
-    base = int(rec.get("base_substitution", "1"))
-    rhs = parse_rhs(_unquote(rec["rhs"]))
+    tags = field("tags", _Reader.names, ())
+    base = field("base_substitution", _Reader.integer, 1)
+    rhs = field("rhs", lambda r: parse_rhs(r.string()))
     if kind == "nahm":
-        A = _parse_matrix(rec["A"])
-        d_raw = _parse_vector(rec["d"])
-        if any(x.denominator != 1 for x in d_raw):
-            raise ValueError(f"record {rid}: d must be integral")
-        d = tuple(int(x) for x in d_raw)
-        b = _parse_vector(rec["b"])
-        c = Fraction(rec.get("c", "0"))
-        quad = NahmQuadruple(A, b, c, d)
+        quad = NahmQuadruple(
+            field("A", lambda r: r.bracketed(lambda: r.bracketed(r.rational))),
+            field("b", lambda r: r.bracketed(r.rational)),
+            field("c", _Reader.rational, 0),
+            field("d", lambda r: r.bracketed(r.integer)))
         if not check_symmetrizable(quad.A, quad.d):
-            raise ValueError(f"record {rid}: A*diag(d) is not symmetric "
-                             f"positive definite")
+            raise ValueError("A*diag(d) is not symmetric positive definite")
         return Identity(rid, quadruple_spec(quad), rhs, tags, base, quad)
-    if kind == "multisum":
-        names = tuple(s.strip() for s in rec["vars"].split(","))
-        qm, lin, const = parse_exponent(_unquote(rec["exponent"]), names)
-        denoms = _parse_denoms(rec["denoms"])
-        if len(denoms) != len(names):
-            raise ValueError(f"record {rid}: {len(names)} vars but "
-                             f"{len(denoms)} denominators")
-        pf = parse_prefactor(_unquote(rec["prefactor"]), names) \
-            if "prefactor" in rec else ()
-        extra = tuple(parse_extra(s, names)
-                      for s in _quoted_list(rec["extra"])) \
-            if "extra" in rec else ()
-        spec = MultiSumSpec(names=names, quad=qm, lin=lin, denoms=denoms,
-                            const=const, extra=extra, prefactor=pf)
-        return Identity(rid, spec, rhs, tags, base)
-    raise ValueError(f"record {rid}: lhs.kind must be nahm or multisum")
+    names = field("vars", _Reader.names)
+    qm, lin, const = field(
+        "exponent", lambda r: parse_exponent(r.string(), names))
+    denoms = field("denoms", lambda r: r.bracketed(r.qpower))
+    if any(x <= 0 or x.denominator != 1 for x in denoms):
+        raise ValueError("denoms: bases must be positive integer powers of q")
+    if len(denoms) != len(names):
+        raise ValueError(f"{len(names)} vars but {len(denoms)} denominators")
+    pf = field("prefactor", lambda r: parse_prefactor(r.string(), names), ())
+    extra = field("extra", lambda r: tuple(parse_extra(s, names)
+                                           for s in r.bracketed(r.string)), ())
+    spec = MultiSumSpec(names=names, quad=qm, lin=lin, denoms=denoms,
+                        const=const, extra=extra, prefactor=pf)
+    return Identity(rid, spec, rhs, tags, base)
 
 
 def parse_catalog_text(text: str) -> dict[str, Identity]:
-    records: list[dict[str, str]] = []
+    records: list[tuple[str, dict[str, str]]] = []
     cur: Optional[dict[str, str]] = None
     for raw in text.splitlines():
         line = raw.strip()
@@ -585,21 +549,25 @@ def parse_catalog_text(text: str) -> dict[str, Identity]:
             continue
         m = _HEADER_RE.match(line)
         if m:
-            cur = {"id": m.group(1).strip()}
-            records.append(cur)
+            cur = {}
+            records.append((m.group(1).strip(), cur))
             continue
         if cur is None:
             raise ValueError(f"field outside any [identity] section: {line!r}")
         if "=" not in line:
             raise ValueError(f"cannot parse catalog line {line!r}")
-        key, val = line.split("=", 1)
-        cur[key.strip()] = val.strip()
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key in cur:
+            raise ValueError(f"record {records[-1][0]}: repeated key {key!r}")
+        cur[key] = val
     out: dict[str, Identity] = {}
-    for rec in records:
-        ident = _build_record(rec)
-        if ident.id in out:
-            raise ValueError(f"duplicate identity id {ident.id!r}")
-        out[ident.id] = ident
+    for rid, rec in records:
+        if rid in out:
+            raise ValueError(f"duplicate identity id {rid!r}")
+        try:
+            out[rid] = _build_record(rid, rec)
+        except ValueError as exc:
+            raise ValueError(f"record {rid}: {exc}") from None
     return out
 
 
@@ -719,66 +687,72 @@ def _last_unit(k: int) -> tuple[int, ...]:
     return tuple(int(t == k - 1) for t in range(k))
 
 
+# What a family builder returns: the sum side and one product quotient or a
+# tuple of them summed term by term.
+_Built = tuple[MultiSumSpec, Union[ProductExpr, tuple[ProductExpr, ...]]]
+
+
 @dataclass(frozen=True)
 class FamilyGenerator:
-    """A parameterized identity family with an explicit parameter domain."""
+    """A parameterized identity family with an explicit parameter domain.
+
+    ``i_values(k)`` lists the allowed second parameters, or is ``(None,)``
+    for a family that takes only k; ``build(k, i)`` returns (spec, rhs).
+    """
 
     name: str
-    takes_i: bool
     k_min: int
     domain: str
     i_values: Callable[[int], tuple[Optional[int], ...]]
-    build: Callable[[int, Optional[int]], Identity]
+    build: Callable[[int, Optional[int]], _Built]
 
     def instantiate(self, k: int, i: Optional[int] = None) -> Identity:
         k = int(k)
         if k < self.k_min:
             raise ValueError(
                 f"{self.name}: k must be at least {self.k_min} ({self.domain})")
-        if self.takes_i:
+        allowed = self.i_values(k)
+        if None in allowed:
+            if i is not None:
+                raise ValueError(f"{self.name} takes only k ({self.domain})")
+            label = f"{self.name}({k})"
+        else:
             if i is None:
                 raise ValueError(f"{self.name} takes two parameters "
                                  f"({self.domain})")
             i = int(i)
-            allowed = self.i_values(k)
             if i not in allowed:
                 raise ValueError(
                     f"{self.name}: second parameter {i} is outside the "
                     f"stated range for k={k} ({self.domain})")
-            return self.build(k, i)
-        if i is not None:
-            raise ValueError(f"{self.name} takes only k ({self.domain})")
-        return self.build(k, None)
+            label = f"{self.name}({k},{i})"
+        spec, rhs = self.build(k, i)
+        return Identity(id=label, spec=spec,
+                        rhs=rhs if isinstance(rhs, tuple) else (rhs,),
+                        tags=(self.name,))
 
 
-def _family_identity(name: str, label: str, spec: MultiSumSpec,
-                     rhs) -> Identity:
-    rhs_t = rhs if isinstance(rhs, tuple) else (rhs,)
-    return Identity(id=label, spec=spec, rhs=rhs_t, tags=(name,),
-                    base_substitution=1)
-
-
-def _build_ag(k: int, i: int) -> Identity:
+def _build_ag(k: int, i: int) -> _Built:
     def fn(p):
         N = _nsuffix(p)
         return _sq(N) + sum(N[i - 1:])
 
     spec = _spec_from_fn(_nvars(k - 1), fn, (1,) * (k - 1))
     rhs = TP(i, 2 * k + 1 - i, 2 * k + 1, 2 * k + 1) / P(1, 1)
-    return _family_identity("AG", f"AG({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_bressoud(k: int, i: int) -> Identity:
+def _build_bressoud(k: int, i: int) -> _Built:
     def fn(p):
         N = _nsuffix(p)
         return _sq(N) + sum(N[i - 1:])
 
     spec = _spec_from_fn(_nvars(k - 1), fn, (1,) * (k - 2) + (2,))
     rhs = TP(i, 2 * k - i, 2 * k, 2 * k) / P(1, 1)
-    return _family_identity("Bressoud", f"Bressoud({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_warnaar(k: int, i: int) -> Identity:
+def _build_warnaar(k: int, i: int) -> _Built:
     def fn(p):
         N = _nsuffix(p)
         return HALF * _sq(N) + sum(N[j - 1] for j in range(i, k + 1, 2))
@@ -786,10 +760,10 @@ def _build_warnaar(k: int, i: int) -> Identity:
     spec = _spec_from_fn(_nvars(k), fn, (1,) * (k - 1) + (2,))
     m = Fraction(2 * k + 3, 2)
     rhs = NP(HALF, 1) * TP(Fraction(i, 2), m - Fraction(i, 2), m, m) / P(1, 1)
-    return _family_identity("Warnaar", f"Warnaar({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_thm11(k: int, i: int) -> Identity:
+def _build_thm11(k: int, i: int) -> _Built:
     def fn(p):
         N = _nsuffix(p)
         return _sq(N) + sum(N[i - 1:])
@@ -799,10 +773,10 @@ def _build_thm11(k: int, i: int) -> Identity:
     spec = _spec_from_fn(_nvars(k), fn, (1,) * (k - 1) + (2,), extra=extra)
     m = Fraction(3, 2) + 2 * k
     rhs = TP(i, m - i, m, m) / P(1, 1)
-    return _family_identity("thm1.1", f"thm1.1({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_thm12(k: int, _i) -> Identity:
+def _build_thm12(k: int, _i) -> _Built:
     def fn(p):
         N = _nsuffix(p)
         return _sq(N) + sum(N)
@@ -812,10 +786,10 @@ def _build_thm12(k: int, _i) -> Identity:
     spec = _spec_from_fn(_nvars(k), fn, (1,) * (k - 1) + (2,), extra=extra)
     m = Fraction(3, 2) + 2 * k
     rhs = TP(HALF, 1 + 2 * k, m, m) / P(1, 1)
-    return _family_identity("thm1.2", f"thm1.2({k})", spec, rhs)
+    return spec, rhs
 
 
-def _build_corgen13(k: int, i: int) -> Identity:
+def _build_corgen13(k: int, i: int) -> _Built:
     def fn(p):
         m, nv = p[0], p[1:]
         N = _nsuffix(nv)
@@ -824,10 +798,10 @@ def _build_corgen13(k: int, i: int) -> Identity:
     spec = _spec_from_fn(("m",) + _nvars(k), fn, (1,) * k + (2,))
     mod = Fraction(3, 2) + 2 * k
     rhs = NP(HALF, 1) * TP(i, mod - i, mod, mod) / P(1, 1)
-    return _family_identity("corgen13", f"corgen13({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_corgen13last(k: int, _i) -> Identity:
+def _build_corgen13last(k: int, _i) -> _Built:
     def fn(p):
         m, nv = p[0], p[1:]
         N = _nsuffix(nv)
@@ -836,10 +810,10 @@ def _build_corgen13last(k: int, _i) -> Identity:
     spec = _spec_from_fn(("m",) + _nvars(k), fn, (1,) * k + (2,))
     mod = Fraction(3, 2) + 2 * k
     rhs = NP(HALF, 1) * TP(HALF, 1 + 2 * k, mod, mod) / P(1, 1)
-    return _family_identity("corgen13last", f"corgen13last({k})", spec, rhs)
+    return spec, rhs
 
 
-def _build_gen58a(k: int, i: int) -> Identity:
+def _build_gen58a(k: int, i: int) -> _Built:
     def fn(p):
         m, nv = p[0], p[1:]
         N = _nsuffix(nv)
@@ -847,10 +821,10 @@ def _build_gen58a(k: int, i: int) -> Identity:
 
     spec = _spec_from_fn(("m",) + _nvars(k), fn, (1, 1) + (2,) * (k - 1))
     rhs = TP(2 * i, 4 * k + 6 - 2 * i, 4 * k + 6, 4 * k + 6) / P(1, 1)
-    return _family_identity("gen5-8a", f"gen5-8a({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_gen58b(k: int, i: int) -> Identity:
+def _build_gen58b(k: int, i: int) -> _Built:
     def fn(p):
         m, nv = p[0], p[1:]
         N = _nsuffix(nv)
@@ -858,10 +832,10 @@ def _build_gen58b(k: int, i: int) -> Identity:
 
     spec = _spec_from_fn(("m",) + _nvars(k), fn, (1,) + (2,) * (k - 1) + (1,))
     rhs = TP(2 * i, 4 * k + 6 - 2 * i, 4 * k + 6, 4 * k + 6) / P(1, 1)
-    return _family_identity("gen5-8b", f"gen5-8b({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_gen1(k: int, i: int) -> Identity:
+def _build_gen1(k: int, i: int) -> _Built:
     def fn(p):
         m1, m2, nv = p[0], p[1], p[2:]
         N = _nsuffix(nv)
@@ -871,10 +845,10 @@ def _build_gen1(k: int, i: int) -> Identity:
     spec = _spec_from_fn(("m1", "m2") + _nvars(k), fn,
                          (1, 1, 2) + (4,) * (k - 1))
     rhs = TP(4 * i, 8 * k + 12 - 4 * i, 8 * k + 12, 8 * k + 12) / P(1, 1)
-    return _family_identity("gen1", f"gen1({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_gen6(k: int, i: int) -> Identity:
+def _build_gen6(k: int, i: int) -> _Built:
     def fn(p):
         m, n11, n12 = p[0], p[1], p[2]
         n1 = n11 + 2 * n12
@@ -884,10 +858,10 @@ def _build_gen6(k: int, i: int) -> Identity:
     names = ("m", "n11", "n12") + _nvars(k, start=2)
     spec = _spec_from_fn(names, fn, (1, 1, 2) + (2,) * (k - 1))
     rhs = TP(2 * i, 4 * k + 6 - 2 * i, 4 * k + 6, 4 * k + 6) / P(1, 1)
-    return _family_identity("gen6", f"gen6({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_gen7(k: int, i: int) -> Identity:
+def _build_gen7(k: int, i: int) -> _Built:
     def fn(p):
         m1, m2, nv = p[0], p[1], p[2:]
         N = _nsuffix(nv)
@@ -897,10 +871,10 @@ def _build_gen7(k: int, i: int) -> Identity:
     spec = _spec_from_fn(("m1", "m2") + _nvars(k), fn,
                          (1, 2, 1) + (4,) * (k - 1))
     rhs = TP(4 * i, 8 * k + 12 - 4 * i, 8 * k + 12, 8 * k + 12) / P(1, 1)
-    return _family_identity("gen7", f"gen7({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_gen10(k: int, i: int) -> Identity:
+def _build_gen10(k: int, i: int) -> _Built:
     def fn(p):
         m1, m2, nv = p[0], p[1], p[2:]
         N = _nsuffix(nv)
@@ -910,10 +884,10 @@ def _build_gen10(k: int, i: int) -> Identity:
     spec = _spec_from_fn(("m1", "m2") + _nvars(k), fn,
                          (1, 2, 1) + (2,) * (k - 1))
     rhs = TP(2 * i, 4 * k + 6 - 2 * i, 4 * k + 6, 4 * k + 6) / P(1, 1)
-    return _family_identity("gen10", f"gen10({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_gen14(k: int, i: int) -> Identity:
+def _build_gen14(k: int, i: int) -> _Built:
     def fn(p):
         nk1, nk2 = p[k - 1], p[k]
         nk = nk1 + 2 * nk2
@@ -923,10 +897,10 @@ def _build_gen14(k: int, i: int) -> Identity:
     names = _nvars(k - 1) + ("nk1", "nk2")
     spec = _spec_from_fn(names, fn, (1,) * (k - 1) + (1, 2))
     rhs = TP(i, 2 * k + 3 - i, 2 * k + 3, 2 * k + 3) / P(1, 1)
-    return _family_identity("gen14", f"gen14({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_gen17(k: int, i: int) -> Identity:
+def _build_gen17(k: int, i: int) -> _Built:
     def fn(p):
         n11, n12 = p[0], p[1]
         n1 = n11 + 2 * n12
@@ -936,10 +910,10 @@ def _build_gen17(k: int, i: int) -> Identity:
     names = ("n11", "n12") + _nvars(k, start=2)
     spec = _spec_from_fn(names, fn, (1, 2) + (1,) * (k - 1))
     rhs = TP(i, 2 * k + 3 - i, 2 * k + 3, 2 * k + 3) / P(1, 1)
-    return _family_identity("gen17", f"gen17({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_gen15(which: str, k: int, i: int) -> Identity:
+def _build_gen15(which: str, k: int, i: int) -> _Built:
     def fn(p):
         m, n11, n12 = p[0], p[1], p[2]
         n1 = n11 + n12
@@ -951,11 +925,10 @@ def _build_gen15(which: str, k: int, i: int) -> Identity:
     names = ("m", "n11", "n12") + _nvars(k, start=2)
     spec = _spec_from_fn(names, fn, (1, 1, 2) + (1,) * (k - 1))
     rhs = NP(1, 1) * TP(i, 2 * k + 3 - i, 2 * k + 3, 2 * k + 3) / P(1, 1)
-    name = f"gen15{which}"
-    return _family_identity(name, f"{name}({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_bressoud1980(k: int, i: int) -> Identity:
+def _build_bressoud1980(k: int, i: int) -> _Built:
     def fn(p):
         N = _nsuffix(p)
         return _sq(N) - sum(N[:i])
@@ -963,20 +936,20 @@ def _build_bressoud1980(k: int, i: int) -> Identity:
     spec = _spec_from_fn(_nvars(k - 1), fn, (1,) * (k - 2) + (2,))
     rhs = tuple(TP(2 * k, k - i + 2 * m, k + i - 2 * m, 2 * k) / P(1, 1)
                 for m in range(i + 1))
-    return _family_identity("Bressoud1980", f"Bressoud1980({k},{i})", spec, rhs)
+    return spec, rhs
 
 
-def _build_and1(k: int, a: int) -> Identity:
+def _build_and1(k: int, a: int) -> _Built:
     def fn(p):
         N = _nsuffix(p)
         return _sq(N) + 2 * sum(N[j - 1] for j in range(a, k - 1, 2))
 
     spec = _spec_from_fn(_nvars(k - 1), fn, (2,) * (k - 1))
     rhs = NP(1, 2) * TP(a, 2 * k + 2 - a, 2 * k + 2, 2 * k + 2) / P(2, 2)
-    return _family_identity("And1", f"And1({k},{a})", spec, rhs)
+    return spec, rhs
 
 
-def _build_and2(k: int, a: int) -> Identity:
+def _build_and2(k: int, a: int) -> _Built:
     def fn(p):
         N = _nsuffix(p)
         return _sq(N) + sum(p[j - 1] for j in range(1, a - 2, 2)) + \
@@ -984,10 +957,10 @@ def _build_and2(k: int, a: int) -> Identity:
 
     spec = _spec_from_fn(_nvars(k - 1), fn, (2,) * (k - 1))
     rhs = NP(2, 2) * TP(a, 2 * k + 2 - a, 2 * k + 2, 2 * k + 2) / P(2, 2)
-    return _family_identity("And2", f"And2({k},{a})", spec, rhs)
+    return spec, rhs
 
 
-def _build_exam9gen(k: int, a: int) -> Identity:
+def _build_exam9gen(k: int, a: int) -> _Built:
     even_branch = a % 2 == k % 2
 
     def fn(p):
@@ -1006,7 +979,7 @@ def _build_exam9gen(k: int, a: int) -> Identity:
     spec = _spec_from_fn(names, fn, (2, 4) + (2,) * (k - 2))
     head = NP(1, 2) if even_branch else NP(2, 2)
     rhs = head * TP(a, 2 * k + 2 - a, 2 * k + 2, 2 * k + 2) / P(2, 2)
-    return _family_identity("exam9gen", f"exam9gen({k},{a})", spec, rhs)
+    return spec, rhs
 
 
 def _range1(hi_of: Callable[[int], int]):
@@ -1015,53 +988,53 @@ def _range1(hi_of: Callable[[int], int]):
 
 FAMILIES: dict[str, FamilyGenerator] = {
     g.name: g for g in (
-        FamilyGenerator("AG", True, 2, "k >= 2, 1 <= i <= k",
+        FamilyGenerator("AG", 2, "k >= 2, 1 <= i <= k",
                         _range1(lambda k: k), _build_ag),
-        FamilyGenerator("Bressoud", True, 2, "k >= 2, 1 <= i <= k",
+        FamilyGenerator("Bressoud", 2, "k >= 2, 1 <= i <= k",
                         _range1(lambda k: k), _build_bressoud),
-        FamilyGenerator("Warnaar", True, 2, "k >= 2, 1 <= i <= k",
+        FamilyGenerator("Warnaar", 2, "k >= 2, 1 <= i <= k",
                         _range1(lambda k: k), _build_warnaar),
-        FamilyGenerator("thm1.1", True, 1, "k >= 1, 1 <= i <= k+1",
+        FamilyGenerator("thm1.1", 1, "k >= 1, 1 <= i <= k+1",
                         _range1(lambda k: k + 1), _build_thm11),
-        FamilyGenerator("thm1.2", False, 1, "k >= 1",
+        FamilyGenerator("thm1.2", 1, "k >= 1",
                         lambda k: (None,), _build_thm12),
-        FamilyGenerator("corgen13", True, 1, "k >= 1, 1 <= i <= k+1",
+        FamilyGenerator("corgen13", 1, "k >= 1, 1 <= i <= k+1",
                         _range1(lambda k: k + 1), _build_corgen13),
-        FamilyGenerator("corgen13last", False, 1, "k >= 1",
+        FamilyGenerator("corgen13last", 1, "k >= 1",
                         lambda k: (None,), _build_corgen13last),
-        FamilyGenerator("gen5-8a", True, 1, "k >= 1, 1 <= i <= k+1",
+        FamilyGenerator("gen5-8a", 1, "k >= 1, 1 <= i <= k+1",
                         _range1(lambda k: k + 1), _build_gen58a),
-        FamilyGenerator("gen5-8b", True, 1, "k >= 1, 1 <= i <= k+1",
+        FamilyGenerator("gen5-8b", 1, "k >= 1, 1 <= i <= k+1",
                         _range1(lambda k: k + 1), _build_gen58b),
-        FamilyGenerator("gen1", True, 1, "k >= 1, 1 <= i <= k+1",
+        FamilyGenerator("gen1", 1, "k >= 1, 1 <= i <= k+1",
                         _range1(lambda k: k + 1), _build_gen1),
-        FamilyGenerator("gen6", True, 1, "k >= 1, 1 <= i <= k+1",
+        FamilyGenerator("gen6", 1, "k >= 1, 1 <= i <= k+1",
                         _range1(lambda k: k + 1), _build_gen6),
-        FamilyGenerator("gen7", True, 1, "k >= 1, 1 <= i <= k+1",
+        FamilyGenerator("gen7", 1, "k >= 1, 1 <= i <= k+1",
                         _range1(lambda k: k + 1), _build_gen7),
-        FamilyGenerator("gen10", True, 1, "k >= 1, 1 <= i <= k+1",
+        FamilyGenerator("gen10", 1, "k >= 1, 1 <= i <= k+1",
                         _range1(lambda k: k + 1), _build_gen10),
-        FamilyGenerator("gen14", True, 1, "k >= 1, 1 <= i <= k+1",
+        FamilyGenerator("gen14", 1, "k >= 1, 1 <= i <= k+1",
                         _range1(lambda k: k + 1), _build_gen14),
-        FamilyGenerator("gen17", True, 1, "k >= 1, 1 <= i <= k+1",
+        FamilyGenerator("gen17", 1, "k >= 1, 1 <= i <= k+1",
                         _range1(lambda k: k + 1), _build_gen17),
-        FamilyGenerator("gen15a", True, 1, "k >= 1, 1 <= i <= k+1",
+        FamilyGenerator("gen15a", 1, "k >= 1, 1 <= i <= k+1",
                         _range1(lambda k: k + 1),
                         lambda k, i: _build_gen15("a", k, i)),
-        FamilyGenerator("gen15b", True, 1, "k >= 1, 1 <= i <= k+1",
+        FamilyGenerator("gen15b", 1, "k >= 1, 1 <= i <= k+1",
                         _range1(lambda k: k + 1),
                         lambda k, i: _build_gen15("b", k, i)),
-        FamilyGenerator("Bressoud1980", True, 2, "k >= 2, 1 <= i <= k-1",
+        FamilyGenerator("Bressoud1980", 2, "k >= 2, 1 <= i <= k-1",
                         _range1(lambda k: k - 1), _build_bressoud1980),
-        FamilyGenerator("And1", True, 2,
+        FamilyGenerator("And1", 2,
                         "k >= 2, 1 <= a <= k, a and k of equal parity",
                         lambda k: tuple(a for a in range(1, k + 1)
                                         if a % 2 == k % 2), _build_and1),
-        FamilyGenerator("And2", True, 3,
+        FamilyGenerator("And2", 3,
                         "k odd >= 3, a even, 2 <= a <= k",
                         lambda k: tuple(range(2, k + 1, 2)) if k % 2 else (),
                         _build_and2),
-        FamilyGenerator("exam9gen", True, 2,
+        FamilyGenerator("exam9gen", 2,
                         "k >= 2, 1 <= a <= k, a = k mod 2 or (k odd, a even)",
                         lambda k: tuple(a for a in range(1, k + 1)
                                         if a % 2 == k % 2

@@ -385,6 +385,13 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     onum = exp_num(order, den)
     bounds = lattice_bound(spec, order)
     r = spec.rank
+    # The box certifies only the quadratic exponent, so every other factor
+    # must add no negative power of q: prefactor forms and extra-factor
+    # arguments and bases are nonnegative.
+    for _, form in spec.prefactor:
+        if form.const < 0 or any(c < 0 for c in form.coeffs):
+            raise ValueError("prefactor exponents must have a nonnegative "
+                             "constant and coefficients")
     tabs = [inv_poch_table(qmono(spec.denoms[i]), spec.denoms[i], bounds[i],
                            order, den) for i in range(r)]
     extra_tabs = []
@@ -393,6 +400,9 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
                 or f.length.const.denominator != 1 or f.length.const < 0:
             raise ValueError("extra factor lengths must be nonnegative "
                              "integer forms")
+        if f.arg.exp < 0 or f.base < 0:
+            raise ValueError("extra factors need a nonnegative argument "
+                             "exponent and base")
         hi = int(f.length.value(bounds))
         if f.power == 1:
             extra_tabs.append(poch_table(f.arg, f.base, hi, order, den))
@@ -408,9 +418,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     for i in range(r - 1, -1, -1):
         tail_min[i] = tail_min[i + 1] + min(mins[i], 0)
     pref = spec.prefactor or ((1, AffineForm(0, [0] * r)),)
-    pref_min = min(f.const + sum((min(c, 0) * bv
-                                  for c, bv in zip(f.coeffs, bounds)),
-                                 Fraction(0)) for _, f in pref)
+    pref_min = min(f.const for _, f in pref)
     acc: dict[int, Scalar] = {}
     point = [0] * r
     top = Fraction(order)

@@ -3,11 +3,13 @@
 import random
 import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from qident.catalog import (
     FAMILIES,
+    RECORD_KEYS,
     load_catalog,
     parse_affine,
     parse_catalog_text,
@@ -16,7 +18,7 @@ from qident.catalog import (
     parse_prefactor,
     parse_rhs,
 )
-from qident.nahm import AffineForm, lattice_bound, multi_sum
+from qident.nahm import AffineForm, PochFactor, lattice_bound, multi_sum
 from qident.products import (
     NP,
     P,
@@ -157,6 +159,127 @@ def test_parse_rhs_errors():
         parse_rhs("J(0,5)")  # atom constraint: 0 < a < m
 
 
+# Declared names for the differential test; juxtaposed names must split back
+# uniquely, and the n1..nk blocks bring the partial-sum names N1..Nk.
+NAME_SETS = [("i", "j"), ("i", "j", "k"), ("a", "b", "c", "d"),
+             ("n1", "n2"), ("n1", "n2", "n3"), ("m", "n1", "n2"),
+             ("n1", "n2", "n3", "n4")]
+
+
+def _symbols(names):
+    """Declared names as unit vectors plus Nj = nj + ... + nk, computed
+    independently of the parser."""
+    k = len(names)
+    vecs = {nm: tuple(int(t == a) for t in range(k))
+            for a, nm in enumerate(names)}
+    block = [nm for nm in names if re.fullmatch(r"n\d", nm)]
+    for j in range(1, len(block) + 1):
+        vecs[f"N{j}"] = tuple(int(nm in block[j - 1:]) for nm in names)
+    return vecs
+
+
+def _random_poly(rng, names, cap):
+    """Random nonzero rational terms of degree <= cap and their (quad, lin,
+    const) with value(x) = (1/2) x^T quad x + lin.x + const."""
+    vecs = _symbols(names)
+    k = len(names)
+    quad = [[Fraction(0)] * k for _ in range(k)]
+    lin = [Fraction(0)] * k
+    const = Fraction(0)
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        coeff = Fraction(rng.choice([1, 1, 2, 3, 7]), rng.choice([1, 1, 2, 3]))
+        coeff *= rng.choice([1, -1])
+        factors = tuple(rng.choice(sorted(vecs)) for _ in range(rng.randint(0, cap)))
+        terms.append((coeff, factors))
+        if not factors:
+            const += coeff
+        elif len(factors) == 1:
+            lin = [l + coeff * v for l, v in zip(lin, vecs[factors[0]])]
+        else:
+            u, v = (vecs[f] for f in factors)
+            for a in range(k):
+                for b in range(k):
+                    quad[a][b] += coeff * (u[a] * v[b] + v[a] * u[b])
+    return terms, (tuple(map(tuple, quad)), tuple(lin), const)
+
+
+def _spell_ratio(rng, x):
+    text = str(x.numerator) if x.denominator == 1 else \
+        f"{x.numerator}/{x.denominator}"
+    return rng.choice([text, f"({text})"])
+
+
+def _spell_poly(rng, terms):
+    """Render terms in a random choice of every accepted spelling."""
+    out = []
+    for n, (coeff, factors) in enumerate(terms):
+        sp = rng.choice(["", " "])
+        if coeff < 0 and rng.random() < 0.3:
+            sign, mag = "+", f"(-{abs(coeff)})"
+        else:
+            sign = "-" if coeff < 0 else rng.choice(["+", "+", ""] if n == 0
+                                                     else ["+"])
+            mag = _spell_ratio(rng, abs(coeff))
+            if abs(coeff) == 1 and factors and rng.random() < 0.6:
+                mag = ""
+        if mag and factors:
+            mag += rng.choice(["", " ", "*", " * "])
+        if len(factors) == 2 and factors[0] == factors[1]:
+            body = rng.choice([f"{factors[0]}^2", factors[0] * 2,
+                               f"{factors[0]} {factors[0]}"])
+        else:
+            body = rng.choice(["", " "]).join(factors)
+        out.append(f"{sign}{sp}{mag}{body}" if n == 0 or sign else mag + body)
+    return "".join(t if n == 0 else rng.choice([" ", ""]) + t
+                   for n, t in enumerate(out))
+
+
+def test_term_grammar_differential():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        names = rng.choice(NAME_SETS)
+        terms, (quad, lin, const) = _random_poly(rng, names, 2)
+        text = _spell_poly(rng, terms)
+        assert parse_exponent(text, names) == (quad, lin, const), text
+        terms, (_, lin, const) = _random_poly(rng, names, 1)
+        text = _spell_poly(rng, terms)
+        assert parse_affine(text, names) == AffineForm(const, lin), text
+
+
+def test_prefactor_and_extra_round_trip():
+    rng = random.Random(7)
+    for _ in range(200):
+        names = rng.choice(NAME_SETS)
+        monos, expected = [], []
+        for _ in range(rng.randint(1, 3)):
+            c = Fraction(rng.choice([1, 2, 5]), rng.choice([1, 1, 3]))
+            terms, (_, lin, const) = _random_poly(rng, names, 1)
+            mag = str(c) if c != 1 or rng.random() < 0.5 else ""
+            if mag:
+                mag += rng.choice(["", "*", " * "])
+            monos.append(f"{mag}q^({_spell_poly(rng, terms)})")
+            expected.append((int(c) if c.denominator == 1 else c,
+                             AffineForm(const, lin)))
+        text = rng.choice([" + ", "+"]).join(monos)
+        assert parse_prefactor(text, names) == tuple(expected), text
+
+        coeff = rng.choice([1, -1]) * Fraction(rng.choice([1, 2]),
+                                                rng.choice([1, 3]))
+        exp = Fraction(rng.randint(-3, 5), rng.choice([1, 2]))
+        base = rng.randint(1, 4)
+        terms, (_, lin, const) = _random_poly(rng, names, 1)
+        power = rng.choice([1, -1])
+        arg = ("-" if coeff < 0 else "") + \
+            ("" if abs(coeff) == 1 else f"{abs(coeff)}*") + "q" + \
+            ("" if exp == 1 else f"^({exp})")
+        text = (f"{'1/' if power < 0 else ''}pochf({arg}; "
+                f"q{'' if base == 1 else f'^{base}'}; {_spell_poly(rng, terms)})")
+        assert parse_extra(text, names) == PochFactor(
+            Monomial(coeff, exp), Fraction(base), AffineForm(const, lin),
+            power), text
+
+
 # -- record parsing --------------------------------------------------------
 
 def test_catalog_counts_and_tags(cat):
@@ -209,6 +332,45 @@ def test_catalog_text_errors():
            "exponent = \"n^2\"\ndenoms = [q]\nrhs = \"P(1;1)\"\n")
     with pytest.raises(ValueError):
         parse_catalog_text(dup + dup)
+
+
+@pytest.mark.parametrize("field", [
+    "A = [[1,2] junk [3,4]]",
+    "A = [[2,2,1],[2,4,2],[2,4,3]",
+    "b = [0, 0,]",
+    "d = [1, 1/2, 2]",
+])
+def test_nahm_record_brackets_rejected(field):
+    key = field.split()[0]
+    fields = {"A": "A = [[2,2,1],[2,4,2],[2,4,3]]", "b": "b = [0, 0, 0]",
+              "d": "d = [1, 1, 2]"}
+    fields[key] = field
+    text = ("[identity x]\nlhs.kind = nahm\n" + "\n".join(fields.values()) +
+            "\nrhs = \"P(1;1)\"\n")
+    with pytest.raises(ValueError, match=f"record x: {key}: "):
+        parse_catalog_text(text)
+
+
+@pytest.mark.parametrize("extra", [
+    '["pochf(-q; q; n)" junk]',
+    '["pochf(-q; q; n)", junk "1/pochf(-q; q; n)"]',
+    '["pochf(-q; q; n)" "1/pochf(-q; q; n)"]',
+    '"pochf(-q; q; n)"',
+])
+def test_extra_list_junk_rejected(extra):
+    text = ("[identity x]\nlhs.kind = multisum\nvars = n\n"
+            "exponent = \"n^2\"\ndenoms = [q]\n"
+            f"extra = {extra}\nrhs = \"P(1;1)\"\n")
+    with pytest.raises(ValueError, match="record x: extra: "):
+        parse_catalog_text(text)
+
+
+def test_grammar_key_production_matches_key_table():
+    ebnf = resources.files("qident").joinpath(
+        "data", "catalog-grammar.ebnf").read_text(encoding="utf-8")
+    production = re.search(r"^key\s*=(.*?);", ebnf, re.M | re.S).group(1)
+    documented = set(re.findall(r'"([^"]+)"', production))
+    assert documented == set().union(*RECORD_KEYS.values())
 
 
 def test_load_catalog_from_path(tmp_path):

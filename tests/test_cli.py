@@ -42,6 +42,29 @@ d = [1, 1]
 rhs = "1 / ( P(1;5) * P(4;5) )"
 """
 
+RR1_RECORD = """\
+[identity t]
+lhs.kind = multisum
+vars = i
+exponent = "i^2"
+denoms = [q]
+rhs = "1/(P(1;5)*P(4;5))"
+"""
+
+# Catalog files for the error-path cases, written where "@name" appears
+BAD_CATALOGS = {
+    "indefinite": INDEFINITE_CATALOG,
+    "unknown-key": RR1_RECORD + 'prefator = "q^(i)"\n',
+    "kind-key": RR1_RECORD + "A = [[2]]\n",
+    "repeated-key": RR1_RECORD + 'exponent = "i^2 + i"\n',
+    "id-key": RR1_RECORD + "id = other\n",
+    "missing-key": RR1_RECORD.replace('exponent = "i^2"\n', ""),
+    "matrix-junk": INDEFINITE_CATALOG.replace("[[1, 2], [2, 1]]",
+                                              "[[1,2] junk [3,4]]"),
+    "extra-junk": RR1_RECORD + 'extra = ["pochf(-q; q; i)" junk]\n',
+    "negative-prefactor": RR1_RECORD + 'prefactor = "q^(-i)"\n',
+}
+
 
 def _norm_ms(text):
     return re.sub(r"\t\d+$", "\tMS", text, flags=re.M)
@@ -225,13 +248,31 @@ def test_bailey_chain_show_and_errors(capsys):
       "--d-lattice", "0"], "--d-lattice"),
     (["verify", "R.R.1", "--d-lattice", "0"], "--d-lattice"),
     (["expand", "indefinite.1", "--side", "lhs", "--order", "10",
-      "--catalog", "INDEFINITE"], "positive definite"),
+      "--catalog", "@indefinite"], "positive definite"),
+    (["verify", "t", "--order", "20", "--catalog", "@unknown-key"],
+     "record t: unknown key 'prefator'"),
+    (["verify", "t", "--order", "20", "--catalog", "@kind-key"],
+     "record t: key 'A' does not apply to lhs.kind = multisum"),
+    (["verify", "t", "--order", "20", "--catalog", "@repeated-key"],
+     "record t: repeated key 'exponent'"),
+    (["verify", "t", "--order", "20", "--catalog", "@id-key"],
+     "record t: unknown key 'id'"),
+    (["list", "--catalog", "@missing-key"], "record t: missing key 'exponent'"),
+    (["list", "--catalog", "@matrix-junk"], "record indefinite.1: A: expected"),
+    (["list", "--catalog", "@extra-junk"], "record t: extra: expected"),
+    (["verify", "t", "--order", "12", "--catalog", "@negative-prefactor"],
+     "prefactor exponents must have a nonnegative"),
 ], ids=["general-vanishing", "expand-d0", "chain-show-d0", "verify-d0",
-        "indefinite-nahm-record"])
+        "indefinite-nahm-record", "unknown-key", "kind-key", "repeated-key",
+        "id-key", "missing-key", "matrix-junk", "extra-junk",
+        "negative-prefactor"])
 def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
-    path = tmp_path / "indefinite.cat"
-    path.write_text(INDEFINITE_CATALOG)
-    argv = [str(path) if a == "INDEFINITE" else a for a in argv]
+    def catalog(name):
+        path = tmp_path / f"{name}.cat"
+        path.write_text(BAD_CATALOGS[name])
+        return str(path)
+
+    argv = [catalog(a[1:]) if a.startswith("@") else a for a in argv]
     rc, _, err = run(capsys, *argv)
     assert rc == 2
     assert len(err.splitlines()) == 1

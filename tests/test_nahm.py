@@ -240,6 +240,24 @@ def test_multi_sum_inverse_extra():
     assert multi_sum(spec, order) == brute_sum(order, 4, [6], term)
 
 
+@pytest.mark.parametrize("order, extra, prefactor", [
+    # q^(-i) lets i = 4 reach q^12 from outside the box [3]
+    (12, (), ((1, AffineForm(0, [-1])),)),
+    (12, (), ((1, AffineForm(-1, [1])),)),
+    # (q^(-5); q)_i reaches q^-5..q^3 and still claimed O(q^10)
+    (10, (PochFactor(Monomial(1, -5), Fraction(1), AffineForm(0, [1]), 1),),
+     ()),
+    (10, (PochFactor(Monomial(-1, 1), Fraction(-1), AffineForm(0, [1]), -1),),
+     ()),
+], ids=["prefactor-coeff", "prefactor-const", "extra-arg", "extra-base"])
+def test_multi_sum_rejects_negative_factor_powers(order, extra, prefactor):
+    spec = MultiSumSpec(names=("i",), quad=((Fraction(2),),),
+                        lin=(Fraction(0),), denoms=(Fraction(1),),
+                        extra=extra, prefactor=prefactor)
+    with pytest.raises(ValueError, match="nonnegative"):
+        multi_sum(spec, order)
+
+
 def test_partial_sum_basis_matches_direct():
     quad_n, lin_n = partial_sum_basis(3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
                                       [0, 1, 0])
