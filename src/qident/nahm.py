@@ -20,15 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional, Sequence, Union
 
 from qident.series import (
     DEFAULT_D,
     ExpLike,
+    LatticeError,
     Monomial,
     QSeries,
     Scalar,
+    _normal,
     exp_num,
     qmono,
 )
@@ -358,13 +360,8 @@ def _accumulate(acc: dict[int, Scalar], prod: QSeries, shift: int,
                 coeff: Scalar, onum: int) -> None:
     for e, c in prod.terms.items():
         t = e + shift
-        if t > onum:
-            continue
-        s = acc.get(t, 0) + c * coeff
-        if s:
-            acc[t] = s
-        else:
-            acc.pop(t, None)
+        if t <= onum:
+            acc[t] = acc.get(t, 0) + c * coeff
 
 
 def nahm_sum(spec: NahmQuadruple, order: ExpLike, include_c: bool = False,
@@ -412,42 +409,65 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
             raise ValueError("extra factor powers are +1 or -1 only")
     m, lin = spec.quad, spec.lin
     nonneg = all(x >= 0 for row in m for x in row)
-    mins = [_min_pure_contrib(Fraction(m[i][i], 2), lin[i], bounds[i])
-            for i in range(r)]
-    tail_min = [Fraction(0)] * (r + 1)
-    for i in range(r - 1, -1, -1):
-        tail_min[i] = tail_min[i + 1] + min(mins[i], 0)
     pref = spec.prefactor or ((1, AffineForm(0, [0] * r)),)
-    pref_min = min(f.const for _, f in pref)
+    # Exponents are kept as ints in units of 1/L, where L is a multiple of
+    # den that clears every coefficient of the quadratic form and of the
+    # prefactor forms; a point lands on the (1/den)-lattice iff its
+    # exponent is a multiple of L/den.
+    halves = [Fraction(m[i][i], 2) for i in range(r)]
+    coeffs = (halves + [m[i][j] for i in range(r) for j in range(i)]
+              + list(lin) + [spec.const]
+              + [x for _, f in pref for x in (f.const, *f.coeffs)])
+    L = den * lcm(*(x.denominator for x in coeffs))
+    step = L // den
+    half = [int(h * L) for h in halves]
+    cross = [[int(m[i][j] * L) for j in range(i)] for i in range(r)]
+    lin_l = [int(x * L) for x in lin]
+    pref_l = [(coeff, int(f.const * L), [int(c * L) for c in f.coeffs])
+              for coeff, f in pref]
+    lengths = [(int(f.length.const), [int(c) for c in f.length.coeffs])
+               for f in spec.extra]
+    mins = [_min_pure_contrib(halves[i], lin[i], bounds[i])
+            for i in range(r)]
+    # each min is half*c^2 + lin*c at an integer c, so min * L is integral
+    tail_min = [0] * (r + 1)
+    for i in range(r - 1, -1, -1):
+        tail_min[i] = tail_min[i + 1] + int(min(mins[i], 0) * L)
+    pref_min = min(c0 for _, c0, _ in pref_l)
     acc: dict[int, Scalar] = {}
     point = [0] * r
-    top = Fraction(order)
+    top = onum * step
 
-    def emit(expo: Fraction, prod: QSeries) -> None:
-        for fi, f in enumerate(spec.extra):
-            prod = prod * extra_tabs[fi][int(f.length.value(point))]
-        for coeff, form in pref:
-            e = expo + form.value(point)
+    def emit(expo: int, prod: QSeries) -> None:
+        for fi, (c0, cs) in enumerate(lengths):
+            n = c0 + sum(c * v for c, v in zip(cs, point))
+            prod = prod * extra_tabs[fi][n]
+        for coeff, c0, cs in pref_l:
+            e = expo + c0 + sum(c * v for c, v in zip(cs, point))
             if e <= top:
-                _accumulate(acc, prod, exp_num(e, den), coeff, onum)
+                if e % step:
+                    raise LatticeError(f"exponent {Fraction(e, L)} is not "
+                                       f"on the (1/{den})-lattice")
+                _accumulate(acc, prod, e // step, coeff, onum)
 
-    def rec(i: int, expo: Fraction, prod: QSeries) -> None:
+    def rec(i: int, expo: int, prod: QSeries) -> None:
         if i == r:
             if expo + pref_min <= top:
                 emit(expo, prod)
             return
+        hq, lq, cq = half[i], lin_l[i], cross[i]
         for v in range(bounds[i] + 1):
             point[i] = v
-            e2 = expo + Fraction(m[i][i] * v * v, 2) + lin[i] * v
+            e2 = expo + (hq * v + lq) * v
             for j in range(i):
-                e2 += m[i][j] * v * point[j]
+                e2 += cq[j] * v * point[j]
             if nonneg and e2 + tail_min[i + 1] + pref_min > top:
                 continue
             rec(i + 1, e2, prod * tabs[i][v] if v else prod)
         point[i] = 0
 
-    rec(0, spec.const, QSeries(den, {0: 1}, onum))
-    return QSeries(den, acc, onum)
+    rec(0, int(spec.const * L), QSeries(den, {0: 1}, onum))
+    return QSeries(den, _normal(acc), onum)
 
 
 # -- rank reduction -----------------------------------------------------------

@@ -52,6 +52,19 @@ def _clean(c: Scalar) -> Scalar:
     return c
 
 
+def _normal(terms: dict[int, Scalar],
+            onum: Optional[int] = None) -> dict[int, Scalar]:
+    """The stored form of accumulated coefficients, up to `onum` if given.
+
+    Kernel loops add with Python's own int/Fraction operators and call this
+    once at the end: zero coefficients are dropped and integral Fractions
+    become ints (an int's denominator is 1 and its numerator is itself).
+    """
+    return {n: c.numerator if c.denominator == 1 else c
+            for n, c in terms.items()
+            if c and (onum is None or n <= onum)}
+
+
 class Mismatch(NamedTuple):
     """Smallest exponent where two series disagree, with both coefficients."""
 
@@ -96,8 +109,9 @@ class QSeries:
     """Sparse truncated series; immutable by convention after construction.
 
     ``terms`` maps exponent numerators (units of 1/den) to nonzero rational
-    coefficients.  ``order_num`` is the largest exponent numerator at which
-    the coefficients are guaranteed, or None for an exact polynomial.
+    coefficients, each an int or, when not integral, a Fraction.
+    ``order_num`` is the largest exponent numerator at which the
+    coefficients are guaranteed, or None for an exact polynomial.
     """
 
     __slots__ = ("den", "order_num", "terms")
@@ -127,14 +141,8 @@ class QSeries:
         terms: dict[int, Scalar] = {}
         for e, c in pairs:
             n = exp_num(e, den)
-            if onum is not None and n > onum:
-                continue
-            c = _clean(Fraction(c) + Fraction(terms.get(n, 0)))
-            if c == 0:
-                terms.pop(n, None)
-            else:
-                terms[n] = c
-        return cls(den, terms, onum)
+            terms[n] = terms.get(n, 0) + c
+        return cls(den, _normal(terms, onum), onum)
 
     # -- inspection ----------------------------------------------------------
 
@@ -190,15 +198,10 @@ class QSeries:
         self._check(other)
         onum = _min_order(self.order_num, other.order_num)
         terms = dict(self.terms)
+        get = terms.get
         for n, c in other.terms.items():
-            s = _clean(Fraction(terms.get(n, 0)) + Fraction(c))
-            if s == 0:
-                terms.pop(n, None)
-            else:
-                terms[n] = s
-        if onum is not None:
-            terms = {n: c for n, c in terms.items() if n <= onum}
-        return QSeries(self.den, terms, onum)
+            terms[n] = get(n, 0) + c
+        return QSeries(self.den, _normal(terms, onum), onum)
 
     __radd__ = __add__
 
@@ -224,17 +227,18 @@ class QSeries:
         b = sorted(other.terms.items())
         if len(a) > len(b):
             a, b = b, a
-        for n1, c1 in a:
-            for n2, c2 in b:
-                n = n1 + n2
-                if onum is not None and n > onum:
-                    break
-                s = _clean(Fraction(out.get(n, 0)) + Fraction(c1) * c2)
-                if s == 0:
-                    out.pop(n, None)
-                else:
-                    out[n] = s
-        return QSeries(self.den, out, onum)
+        if a:
+            # each row stops at the first exponent sum beyond the order
+            top = a[-1][0] + b[-1][0] if onum is None else onum
+            get = out.get
+            for n1, c1 in a:
+                lim = top - n1
+                for n2, c2 in b:
+                    if n2 > lim:
+                        break
+                    n = n1 + n2
+                    out[n] = get(n, 0) + c1 * c2
+        return QSeries(self.den, _normal(out), onum)
 
     def __rmul__(self, other) -> "QSeries":
         return self.__mul__(other)
@@ -242,10 +246,8 @@ class QSeries:
     def scale(self, c: Scalar) -> "QSeries":
         if c == 0:
             return QSeries(self.den, {}, self.order_num)
-        c = _clean(Fraction(c))
         return QSeries(self.den,
-                       {n: _clean(Fraction(v) * c)
-                        for n, v in self.terms.items()},
+                       _normal({n: v * c for n, v in self.terms.items()}),
                        self.order_num)
 
     def shift(self, num: int) -> "QSeries":
@@ -337,16 +339,17 @@ def mul_inv_one_minus(a: QSeries, m: Monomial,
     if a.order_num is not None:
         onum = min(onum, a.order_num)
     c = m.coeff
+    get = a.terms.get
     out: dict[int, Scalar] = {}
-    residues = {n % step for n in a.terms}
-    for r in residues:
+    starts: dict[int, int] = {}  # lowest exponent in each residue class
+    for n in sorted(a.terms, reverse=True):
+        starts[n % step] = n
+    for start in starts.values():
         prev: Scalar = 0
-        for n in range(r, onum + 1, step):
-            v = _clean(Fraction(a.terms.get(n, 0)) + Fraction(c) * prev)
-            prev = v
-            if v != 0:
-                out[n] = v
-    return QSeries(den, out, onum)
+        for n in range(start, onum + 1, step):
+            prev = get(n, 0) + c * prev
+            out[n] = prev
+    return QSeries(den, _normal(out), onum)
 
 
 def invert_unit(a: QSeries, order: ExpLike) -> QSeries:
@@ -361,26 +364,24 @@ def invert_unit(a: QSeries, order: ExpLike) -> QSeries:
         raise TruncationError(
             "operand is not valid far enough to invert to the requested order")
     # u = a / (c0 q^low) has constant term 1; invert by the usual recurrence.
-    u = {n - low: _clean(Fraction(v) / Fraction(c0))
-         for n, v in a.terms.items() if n != low}
-    span = onum + low
+    r0 = _clean(1 / Fraction(c0))
+    u_items = sorted(_normal({n - low: v * r0 for n, v in a.terms.items()
+                              if n != low}).items())
     inv: dict[int, Scalar] = {0: 1}
-    if u:
-        u_items = sorted(u.items())
-        known = [0]
-        for n in range(1, span + 1):
-            s = Fraction(0)
+    if u_items:
+        get = inv.get
+        for n in range(1, onum + low + 1):
+            s: Scalar = 0
             for un, uc in u_items:
                 if un > n:
                     break
-                prev = inv.get(n - un)
+                prev = get(n - un)
                 if prev is not None:
-                    s += Fraction(uc) * prev
+                    s += uc * prev
             if s:
-                inv[n] = _clean(-s)
-    terms = {n - low: _clean(Fraction(v) / Fraction(c0))
-             for n, v in inv.items() if n - low <= onum}
-    return QSeries(den, terms, onum)
+                inv[n] = -s
+    return QSeries(den, _normal({n - low: v * r0 for n, v in inv.items()},
+                                onum), onum)
 
 
 def substitute_power(a: QSeries, k: ExpLike) -> QSeries:

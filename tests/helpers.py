@@ -69,3 +69,46 @@ def brute_sum(order, den, ranges, term):
 
     rec(0)
     return total.truncated(Fraction(order))
+
+
+# -- dense kernel reference ----------------------------------------------------
+#
+# Plain lists of Fractions indexed from a window's lower end; nothing below
+# touches QSeries arithmetic, so the kernel can be checked against it.
+
+def dense(s: QSeries, lo, hi):
+    """Stored coefficients of s at numerators lo..hi as a list of Fractions."""
+    return [Fraction(s.terms.get(n, 0)) for n in range(lo, hi + 1)]
+
+
+def dense_add(x, y):
+    """Termwise sum of two coefficient lists on the same window."""
+    return [a + b for a, b in zip(x, y)]
+
+
+def dense_mul(x, y):
+    """Cauchy product; the result's window starts at the sum of the starts."""
+    out = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
+
+
+def dense_geometric(x, c, step):
+    """x / (1 - c q^step) for a list that is zero below its window."""
+    out = list(x)
+    for k in range(step, len(out)):
+        out[k] += c * out[k - step]
+    return out
+
+
+def dense_inverse(x, length):
+    """The first `length` coefficients of 1/x, where x[0] != 0."""
+    inv = []
+    for k in range(length):
+        s = Fraction(int(k == 0))
+        for j in range(1, min(k, len(x) - 1) + 1):
+            s -= x[j] * inv[k - j]
+        inv.append(s / x[0])
+    return inv

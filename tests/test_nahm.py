@@ -1,5 +1,6 @@
 """Lattice-sum evaluators, enumeration bounds and rank reduction."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -312,3 +313,109 @@ def test_reduce_rank_none():
     # euler shape but with a nonpositive shift s
     stuck = NahmQuadruple(A=[[1]], b=[-H], c=0, d=[1])
     assert reduce_rank(stuck) is None
+
+
+# -- seeded differential test of multi_sum against brute_sum -----------------
+
+RATS = [Fraction(k, d) for d in (1, 2, 3, 4) for k in range(1, 2 * d + 1)]
+
+
+def _random_form(rng, r):
+    """An affine form with the nonnegative rational constant and
+    coefficients that the grammar admits for prefactor powers."""
+    return AffineForm(rng.choice([0, 0] + RATS),
+                      [rng.choice([0, 0] + RATS) for _ in range(r)])
+
+
+def _random_spec(rng, r, nonneg):
+    """A rank-r spec whose quadratic form is positive definite; nonneg
+    selects the exact per-variable box, otherwise some cross entry is
+    negative and the eigenvalue radius bounds the box."""
+    while True:
+        quad = [[Fraction(0)] * r for _ in range(r)]
+        for i in range(r):
+            quad[i][i] = rng.choice(RATS)
+            for j in range(i):
+                x = rng.choice([0] + RATS[:6])
+                if not nonneg and rng.random() < 0.6:
+                    x = -x
+                quad[i][j] = quad[j][i] = Fraction(x)
+        has_neg = any(x < 0 for row in quad for x in row)
+        if has_neg != nonneg and check_symmetrizable(quad, [1] * r):
+            break
+    lin = [rng.choice([-1, -Fraction(1, 2), -Fraction(1, 3), 0] + RATS[:8])
+           for _ in range(r)]
+    extra = []
+    for _ in range(rng.randint(0, 2)):
+        power = rng.choice([1, -1])
+        exp = rng.choice([Fraction(1, 2), 1, Fraction(4, 3)] +
+                         ([0] if power == 1 else []))
+        coeff = rng.choice([1, -1, 2, -Fraction(1, 2), Fraction(2, 3)])
+        length = AffineForm(rng.randint(0, 1),
+                            [rng.randint(0, 1) for _ in range(r)])
+        extra.append(PochFactor(Monomial(coeff, exp),
+                                Fraction(rng.choice([1, 2, 3])), length,
+                                power))
+    prefactor = tuple((rng.choice([1, 2, Fraction(1, 3)]),
+                       _random_form(rng, r))
+                      for _ in range(rng.randint(0, 2)))
+    return MultiSumSpec(names=tuple(f"n{i}" for i in range(r)),
+                        quad=tuple(map(tuple, quad)), lin=tuple(lin),
+                        denoms=tuple(Fraction(rng.choice([1, 2]))
+                                     for _ in range(r)),
+                        const=rng.choice([0, Fraction(1, 3), Fraction(3, 4)]),
+                        extra=tuple(extra), prefactor=prefactor)
+
+
+def _brute_multi_sum(spec, order, den):
+    """brute_sum over the box plus a margin, each term built from its
+    Pochhammer factors with the exponent computed here."""
+    r = spec.rank
+    box = [b + 2 for b in lattice_bound(spec, order)]
+    pref = spec.prefactor or ((1, AffineForm(0, [0] * r)),)
+
+    def term(pt):
+        e = spec.const + sum(
+            Fraction(spec.quad[i][j], 2) * pt[i] * pt[j]
+            for i in range(r) for j in range(r)) + \
+            sum(x * v for x, v in zip(spec.lin, pt))
+        if e > order:
+            return None
+        out = QSeries.from_terms(
+            [(e + f.value(pt), c) for c, f in pref], den=den)
+        for d, v in zip(spec.denoms, pt):
+            out = out * invert_unit(poch_finite(qmono(d), d, v, order, den),
+                                    order)
+        for f in spec.extra:
+            p = poch_finite(f.arg, f.base, int(f.length.value(pt)), order,
+                            den)
+            out = out * (p if f.power == 1 else invert_unit(p, order))
+        return out.truncated(order)
+
+    return brute_sum(order, den, box, term)
+
+
+@pytest.mark.parametrize("nonneg", [True, False], ids=["exact", "eigen"])
+def test_multi_sum_matches_brute_force_on_random_specs(nonneg):
+    # den 24 holds every exponent: quad/2 has denominators up to 8, the
+    # other coefficients up to 4
+    rng = random.Random(6 + nonneg)
+    den = 24
+    for _ in range(12):
+        r = rng.randint(1, 2) if nonneg else 2
+        spec = _random_spec(rng, r, nonneg)
+        order = Fraction(rng.randint(8, 16), 2)
+        got = multi_sum(spec, order, den)
+        assert got == _brute_multi_sum(spec, order, den), spec
+        # the kernel's normal form: no zeros, no integral Fractions
+        for c in got.terms.values():
+            assert c != 0
+            assert not (isinstance(c, Fraction) and c.denominator == 1)
+
+
+def test_multi_sum_linear_coefficient_off_lattice():
+    # q^(i^2 + i/3): only the linear coefficient leaves the 1/4-lattice
+    spec = MultiSumSpec(names=("i",), quad=((Fraction(2),),),
+                        lin=(Fraction(1, 3),), denoms=(Fraction(1),))
+    with pytest.raises(LatticeError):
+        multi_sum(spec, 10, 4)

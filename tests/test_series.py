@@ -25,7 +25,14 @@ from qident.series import (
     substitute_power,
 )
 
-from helpers import count_partitions
+from helpers import (
+    count_partitions,
+    dense,
+    dense_add,
+    dense_geometric,
+    dense_inverse,
+    dense_mul,
+)
 
 
 def S(pairs, order=None, den=4):
@@ -231,3 +238,109 @@ def test_deepen_checks_every_attempt_and_stops_at_the_limit():
     with pytest.raises(TruncationError):
         deepen_until_valid(build, 5, 4)
     assert len(calls) == DEEPEN_ATTEMPTS
+
+
+# -- differential test against the dense reference in tests/helpers.py ----
+
+def _draw_pairs(rng, den, rational):
+    """(exponent, coefficient) pairs from q^-2 to q^8, with repeats and
+    cancelling pairs, so accumulation and zero-dropping are exercised."""
+    pairs = []
+    for _ in range(rng.randint(0, 8)):
+        e = Fraction(rng.randint(-2 * den, 8 * den), den)
+        if rational:
+            c = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4]))
+        else:
+            c = rng.randint(-3, 3)
+        pairs.append((e, c))
+        if rng.random() < 0.2:
+            pairs.append((e, -c))
+    return pairs
+
+
+def _draw_series(rng, den, rational):
+    order = None if rng.random() < 0.3 else \
+        Fraction(rng.randint(0, 10 * den), den)
+    return QSeries.from_terms(_draw_pairs(rng, den, rational), den=den,
+                              order=order)
+
+
+def _check_against(res, ref, lo, order_num):
+    """res has the expected validity, stores nothing outside the reference
+    window or past its order, agrees with ref through its order, and keeps
+    every coefficient in normal form: nonzero, and an int when integral."""
+    assert res.order_num == order_num
+    top = lo + len(ref) - 1 if order_num is None else order_num
+    assert all(lo <= n <= top for n in res.terms)
+    for n in range(lo, top + 1):
+        assert res.coeff_num(n) == ref[n - lo]
+    for c in res.terms.values():
+        assert c != 0
+        assert not (isinstance(c, Fraction) and c.denominator == 1)
+
+
+def _valuation(s):
+    return min(s.terms) if s.terms else s.order_num
+
+
+def _min_or_none(*xs):
+    xs = [x for x in xs if x is not None]
+    return min(xs) if xs else None
+
+
+@pytest.mark.parametrize("den", [1, 4])
+def test_kernel_matches_dense_reference(den):
+    rng = random.Random(20261018 + den)
+    lo, hi = -2 * den, 12 * den
+    scalars = [0, 1, -1, 3, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 3)]
+    for trial in range(150):
+        # int operands, rational operands and mixed pairs
+        rational = trial % 2 == 1
+        a = _draw_series(rng, den, rational)
+        b = _draw_series(rng, den, trial % 3 == 1)
+        x, y = dense(a, lo, hi), dense(b, lo, hi)
+        oab = _min_or_none(a.order_num, b.order_num)
+
+        _check_against(a + b, dense_add(x, y), lo, oab)
+        _check_against(a - b, dense_add(x, [-v for v in y]), lo, oab)
+        mul_order = _min_or_none(
+            None if a.order_num is None or _valuation(b) is None
+            else a.order_num + _valuation(b),
+            None if b.order_num is None or _valuation(a) is None
+            else b.order_num + _valuation(a))
+        _check_against(a * b, dense_mul(x, y), 2 * lo, mul_order)
+
+        c = rng.choice(scalars)
+        _check_against(a.scale(c), [v * c for v in x], lo, a.order_num)
+
+        pairs = _draw_pairs(rng, den, rational)
+        order = rng.choice([None, Fraction(rng.randint(0, 10 * den), den)])
+        onum = None if order is None else int(order * den)
+        ref = [Fraction(0)] * (hi - lo + 1)
+        for e, v in pairs:
+            if onum is None or e * den <= onum:
+                ref[int(e * den) - lo] += v
+        _check_against(QSeries.from_terms(pairs, den=den, order=order),
+                       ref, lo, onum)
+
+        step = rng.randint(1, 2 * den)
+        coeff = rng.choice(scalars[1:])
+        order = Fraction(rng.randint(0, 10 * den), den)
+        _check_against(
+            mul_inv_one_minus(a, Monomial(coeff, Fraction(step, den)), order),
+            dense_geometric(x, coeff, step), lo,
+            _min_or_none(int(order * den), a.order_num))
+
+        if a.is_zero:
+            continue
+        low = a.min_num
+        order = Fraction(rng.randint(0, 6 * den), den)
+        onum = int(order * den)
+        if a.order_num is not None and a.order_num - 2 * low < onum:
+            with pytest.raises(TruncationError):
+                invert_unit(a, order)
+            continue
+        span = onum + low + 1
+        ref = dense_inverse(dense(a, low, low + max(span, 1) - 1), span) \
+            if span > 0 else []
+        _check_against(invert_unit(a, order), ref, -low, onum)
