@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -62,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exponent lattice denominator (default %(default)s)")
     common.add_argument("--output", choices=("human", "machine"),
                         default="human", help="report style")
-    common.add_argument("--threads", type=int, default=1,
-                        help="parallel verification workers")
     common.add_argument("--fail-fast", dest="fail_fast", action="store_true",
                         help="stop at the first failing identity")
 
@@ -150,20 +147,13 @@ def cmd_verify(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         return _usage_error(exc)
 
-    def run(ident: Identity) -> VerificationReport:
-        return cat.verify(ident, order, den=args.d_lattice)
-
     try:
         reports: list[VerificationReport] = []
-        if args.fail_fast or args.threads <= 1:
-            for ident in targets:
-                rep = run(ident)
-                reports.append(rep)
-                if args.fail_fast and not rep.equal:
-                    break
-        else:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                reports = list(pool.map(run, targets))
+        for ident in targets:
+            rep = cat.verify(ident, order, den=args.d_lattice)
+            reports.append(rep)
+            if args.fail_fast and not rep.equal:
+                break
     except ValueError as exc:
         return _usage_error(exc)
     for rep in reports:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import accumulate
+from math import floor, isqrt, lcm
 from typing import Optional, Sequence, Union
 
 from qident.series import (
@@ -31,8 +32,8 @@ from qident.series import (
     QSeries,
     Scalar,
     _normal,
+    div_one_minus,
     exp_num,
-    qmono,
 )
 from qident.products import inv_poch_table, poch_table
 
@@ -357,11 +358,15 @@ def lattice_bound(spec: Union[NahmQuadruple, MultiSumSpec],
 # -- evaluation ---------------------------------------------------------------
 
 def _accumulate(acc: dict[int, Scalar], prod: QSeries, shift: int,
-                coeff: Scalar, onum: int) -> None:
+                coeff: Scalar, onum: int) -> Optional[int]:
+    """Add coeff * q^shift * prod into acc through onum; return the
+    contribution's validity, or None when it is exact."""
+    get = acc.get
     for e, c in prod.terms.items():
         t = e + shift
         if t <= onum:
-            acc[t] = acc.get(t, 0) + c * coeff
+            acc[t] = get(t, 0) + c * coeff
+    return None if prod.order_num is None else prod.order_num + shift
 
 
 def nahm_sum(spec: NahmQuadruple, order: ExpLike, include_c: bool = False,
@@ -378,7 +383,13 @@ def nahm_sum(spec: NahmQuadruple, order: ExpLike, include_c: bool = False,
 
 def multi_sum(spec: MultiSumSpec, order: ExpLike,
               den: int = DEFAULT_D) -> QSeries:
-    """Evaluate the generic spec exactly to the given order."""
+    """Evaluate the generic spec exactly to the given order.
+
+    Index i keeps one running series, divided by (1 - q^(d_i v)) as v steps
+    up and cut to the deepest coefficient a point below it can still use, so
+    no Pochhammer table is convolved per point.  The result is valid to the
+    least validity of its contributions, which the cuts keep at the order.
+    """
     onum = exp_num(order, den)
     bounds = lattice_bound(spec, order)
     r = spec.rank
@@ -389,9 +400,6 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
         if form.const < 0 or any(c < 0 for c in form.coeffs):
             raise ValueError("prefactor exponents must have a nonnegative "
                              "constant and coefficients")
-    tabs = [inv_poch_table(qmono(spec.denoms[i]), spec.denoms[i], bounds[i],
-                           order, den) for i in range(r)]
-    extra_tabs = []
     for f in spec.extra:
         if any(c < 0 or c.denominator != 1 for c in f.length.coeffs) \
                 or f.length.const.denominator != 1 or f.length.const < 0:
@@ -400,12 +408,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
         if f.arg.exp < 0 or f.base < 0:
             raise ValueError("extra factors need a nonnegative argument "
                              "exponent and base")
-        hi = int(f.length.value(bounds))
-        if f.power == 1:
-            extra_tabs.append(poch_table(f.arg, f.base, hi, order, den))
-        elif f.power == -1:
-            extra_tabs.append(inv_poch_table(f.arg, f.base, hi, order, den))
-        else:
+        if f.power not in (1, -1):
             raise ValueError("extra factor powers are +1 or -1 only")
     m, lin = spec.quad, spec.lin
     nonneg = all(x >= 0 for row in m for x in row)
@@ -423,10 +426,12 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     half = [int(h * L) for h in halves]
     cross = [[int(m[i][j] * L) for j in range(i)] for i in range(r)]
     lin_l = [int(x * L) for x in lin]
+    const_l = int(spec.const * L)
     pref_l = [(coeff, int(f.const * L), [int(c * L) for c in f.coeffs])
               for coeff, f in pref]
     lengths = [(int(f.length.const), [int(c) for c in f.length.coeffs])
                for f in spec.extra]
+    denom_num = [exp_num(d, den) for d in spec.denoms]
     mins = [_min_pure_contrib(halves[i], lin[i], bounds[i])
             for i in range(r)]
     # each min is half*c^2 + lin*c at an integer c, so min * L is integral
@@ -434,11 +439,28 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     for i in range(r - 1, -1, -1):
         tail_min[i] = tail_min[i + 1] + int(min(mins[i], 0) * L)
     pref_min = min(c0 for _, c0, _ in pref_l)
-    acc: dict[int, Scalar] = {}
-    point = [0] * r
     top = onum * step
+    # With a nonnegative form a point below a node with partial exponent e2
+    # has exponent >= e2 + tail_min; otherwise only a box-wide floor is
+    # known, (lam/2)|n|^2 - |lin||n| + const >= const - |lin|^2/(2 lam).
+    if nonneg:
+        lowest = const_l + tail_min[0]
+    else:
+        lam = smallest_eigenvalue_lower_bound(m)
+        blin = _ceil_sqrt(sum((x * x for x in lin), Fraction(0)))
+        lowest = floor((spec.const - Fraction(blin * blin) / (2 * lam)) * L)
+    # coefficients past this depth reach no exponent <= the order
+    root = (top - lowest - pref_min) // step
+    depth = Fraction(root, den)
+    extra_tabs = [(poch_table if f.power == 1 else inv_poch_table)(
+        f.arg, f.base, int(f.length.value(bounds)), depth, den)
+        for f in spec.extra]
+    acc: dict[int, Scalar] = {}
+    valid = onum
+    point = [0] * r
 
     def emit(expo: int, prod: QSeries) -> None:
+        nonlocal valid
         for fi, (c0, cs) in enumerate(lengths):
             n = c0 + sum(c * v for c, v in zip(cs, point))
             prod = prod * extra_tabs[fi][n]
@@ -448,26 +470,37 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
                 if e % step:
                     raise LatticeError(f"exponent {Fraction(e, L)} is not "
                                        f"on the (1/{den})-lattice")
-                _accumulate(acc, prod, e // step, coeff, onum)
+                got = _accumulate(acc, prod, e // step, coeff, onum)
+                if got is not None and got < valid:
+                    valid = got
 
     def rec(i: int, expo: int, prod: QSeries) -> None:
         if i == r:
             if expo + pref_min <= top:
                 emit(expo, prod)
             return
-        hq, lq, cq = half[i], lin_l[i], cross[i]
-        for v in range(bounds[i] + 1):
-            point[i] = v
-            e2 = expo + (hq * v + lq) * v
-            for j in range(i):
-                e2 += cq[j] * v * point[j]
-            if nonneg and e2 + tail_min[i + 1] + pref_min > top:
-                continue
-            rec(i + 1, e2, prod * tabs[i][v] if v else prod)
+        lq = lin_l[i] + sum(c * v for c, v in zip(cross[i], point))
+        exps = [expo + (half[i] * v + lq) * v for v in range(bounds[i] + 1)]
+        if nonneg:
+            needs = [(top - e2 - tail_min[i + 1] - pref_min) // step
+                     for e2 in exps]
+        else:
+            needs = [root] * len(exps)
+        # the series at v feeds every later v, and the exponent need not
+        # grow with v, so it is cut at the most any of them can use
+        cuts = list(accumulate(reversed(needs), max))[::-1]
+        for v, e2 in enumerate(exps):
+            if cuts[v] < 0:
+                break
+            if v:
+                prod = div_one_minus(prod, 1, denom_num[i] * v, cuts[v])
+            if needs[v] >= 0:
+                point[i] = v
+                rec(i + 1, e2, prod)
         point[i] = 0
 
-    rec(0, int(spec.const * L), QSeries(den, {0: 1}, onum))
-    return QSeries(den, _normal(acc), onum)
+    rec(0, const_l, QSeries.one(den))
+    return QSeries(den, _normal(acc), valid)
 
 
 # -- rank reduction -----------------------------------------------------------

@@ -27,6 +27,7 @@ from qident.series import (
     exp_num,
     invert_unit,
     mul_inv_one_minus,
+    mul_one_minus,
 )
 
 
@@ -43,8 +44,7 @@ def poch_finite(a: Monomial, base: ExpLike, n: int,
         onum = None if order is None else exp_num(order, den)
         out = QSeries.one(den)
         for k in range(n):
-            f = Monomial(a.coeff, a.exp + base * k)
-            out = out - out * f
+            out = mul_one_minus(out, a.coeff, exp_num(a.exp + base * k, den))
             if onum is not None and (out.order_num is None
                                      or out.order_num > onum):
                 out = out.truncated(Fraction(order))
@@ -67,11 +67,10 @@ def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
         raise ValueError("infinite product needs a positive base")
     onum = exp_num(order, den)
     out = QSeries(den, {0: 1}, onum)
-    k = 0
-    while exp_num(a.exp + base * k, den) <= onum:
-        f = Monomial(a.coeff, a.exp + base * k)
-        out = out - out * f
-        k += 1
+    first = exp_num(a.exp, den)
+    if first <= onum:  # the base must be on the lattice only from here on
+        for num in range(first, onum + 1, exp_num(base, den)):
+            out = mul_one_minus(out, a.coeff, num)
     return out
 
 
@@ -274,8 +273,8 @@ def poch_table(arg: Monomial, base: ExpLike, n_max: int,
     base = Fraction(base)
     out = [QSeries.one(den)]
     for n in range(1, n_max + 1):
-        f = Monomial(arg.coeff, arg.exp + base * (n - 1))
-        nxt = out[-1] - out[-1] * f
+        nxt = mul_one_minus(out[-1], arg.coeff,
+                            exp_num(arg.exp + base * (n - 1), den))
         if order is not None and nxt.order_num is None:
             hi = exp_num(order, den)
             if any(e > hi for e in nxt.terms):

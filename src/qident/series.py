@@ -323,22 +323,32 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     return a * b
 
 
-def mul_inv_one_minus(a: QSeries, m: Monomial,
-                      order: ExpLike) -> QSeries:
-    """a / (1 - m), i.e. multiply by the geometric series of monomial m.
+def mul_one_minus(a: QSeries, c: Scalar, num: int) -> QSeries:
+    """a * (1 - c q^(num/den)) in one pass over a's terms.
 
-    The cumulative recurrence out[e] = a[e] + c * out[e - step] runs in
-    O(order/step) per populated residue class, which keeps Pochhammer tables
-    cheap; m must have positive exponent.
+    The exponent numerator `num` may have any sign.  Unknown terms of a
+    first pollute the product at a's order + min(num, 0); an exact a gives
+    an exact product.
     """
-    den = a.den
-    step = exp_num(m.exp, den)
+    onum = None if a.order_num is None else a.order_num + min(num, 0)
+    out = dict(a.terms)
+    get = out.get
+    for n, v in a.terms.items():
+        t = n + num
+        out[t] = get(t, 0) - c * v
+    return QSeries(a.den, _normal(out, onum), onum)
+
+
+def div_one_minus(a: QSeries, c: Scalar, step: int, onum: int) -> QSeries:
+    """a / (1 - c q^(step/den)) through numerator onum (or a's order).
+
+    The cumulative recurrence out[n] = a[n] + c * out[n - step] runs in
+    O(onum/step) per populated residue class; step must be positive.
+    """
     if step <= 0:
         raise ValueError("geometric factor needs a positive exponent")
-    onum = exp_num(order, den)
     if a.order_num is not None:
         onum = min(onum, a.order_num)
-    c = m.coeff
     get = a.terms.get
     out: dict[int, Scalar] = {}
     starts: dict[int, int] = {}  # lowest exponent in each residue class
@@ -349,7 +359,18 @@ def mul_inv_one_minus(a: QSeries, m: Monomial,
         for n in range(start, onum + 1, step):
             prev = get(n, 0) + c * prev
             out[n] = prev
-    return QSeries(den, _normal(out), onum)
+    return QSeries(a.den, _normal(out), onum)
+
+
+def mul_inv_one_minus(a: QSeries, m: Monomial,
+                      order: ExpLike) -> QSeries:
+    """a / (1 - m) to `order`, i.e. a times the geometric series of m.
+
+    The q-unit form of :func:`div_one_minus`, which keeps Pochhammer
+    tables cheap; m must have positive exponent.
+    """
+    return div_one_minus(a, m.coeff, exp_num(m.exp, a.den),
+                         exp_num(order, a.den))
 
 
 def invert_unit(a: QSeries, order: ExpLike) -> QSeries:

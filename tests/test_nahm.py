@@ -1,10 +1,13 @@
 """Lattice-sum evaluators, enumeration bounds and rank reduction."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from qident import nahm
+from qident.catalog import load_catalog
 from qident.nahm import (
     AffineForm,
     MultiSumSpec,
@@ -26,6 +29,7 @@ from qident.series import (
     Monomial,
     QSeries,
     equal_up_to,
+    exp_num,
     invert_unit,
     qmono,
 )
@@ -419,3 +423,77 @@ def test_multi_sum_linear_coefficient_off_lattice():
                         lin=(Fraction(1, 3),), denoms=(Fraction(1),))
     with pytest.raises(LatticeError):
         multi_sum(spec, 10, 4)
+
+
+# -- negative exponents and the validity of the enumeration accumulator ------
+
+# sum q^(n(n-3)/2) / (q; q)_n: n = 1 and 2 sit at q^-1, so their terms are
+# needed one power deeper than the order
+NEG_SPEC = MultiSumSpec(names=("n",), quad=((Fraction(1),),),
+                        lin=(Fraction(-3, 2),), denoms=(Fraction(1),))
+INV_EXTRA = PochFactor(Monomial(-1, H), Fraction(1), AffineForm(0, [1]), -1)
+
+
+def _deep_brute_multi_sum(spec, order, den):
+    """brute_sum over the box plus a margin, each term's factors built to
+    depth order - e for the term's exponent e before the shift by q^e, so
+    a term at a negative power keeps every coefficient through the order
+    (_brute_multi_sum cuts at the order before it shifts)."""
+    r = spec.rank
+    box = [b + 2 for b in lattice_bound(spec, order)]
+    pref = spec.prefactor or ((1, AffineForm(0, [0] * r)),)
+
+    def term(pt):
+        e = spec.const + sum(
+            Fraction(spec.quad[i][j], 2) * pt[i] * pt[j]
+            for i in range(r) for j in range(r)) + \
+            sum(x * v for x, v in zip(spec.lin, pt))
+        if e > order:
+            return None
+        depth = order - e
+        out = QSeries.from_terms([(f.value(pt), c) for c, f in pref], den=den)
+        for d, v in zip(spec.denoms, pt):
+            out = out * invert_unit(poch_finite(qmono(d), d, v, depth, den),
+                                    depth)
+        for f in spec.extra:
+            p = poch_finite(f.arg, f.base, int(f.length.value(pt)), depth,
+                            den)
+            out = out * (p if f.power == 1 else invert_unit(p, depth))
+        return (out.truncated(depth) * Monomial(1, e)).truncated(order)
+
+    return brute_sum(order, den, box, term)
+
+
+@pytest.mark.parametrize("extra", [(), (INV_EXTRA,)], ids=["plain", "extra"])
+def test_multi_sum_keeps_coefficients_below_negative_exponents(extra):
+    # with lin -5/2 the exponent falls from q^-2 at n = 1 to q^-3 at n = 2,
+    # so the series at n = 1 must already reach what n = 2 needs
+    for lin in (Fraction(-3, 2), Fraction(-5, 2)):
+        spec = dataclasses.replace(NEG_SPEC, lin=(lin,), extra=extra)
+        for order in (2, Fraction(19, 2)):
+            assert multi_sum(spec, order) == \
+                _deep_brute_multi_sum(spec, order, 4)
+    if not extra:
+        # the catalog repro printed 8/4 3 at order 2
+        assert multi_sum(NEG_SPEC, 2).coeff_num(8) == 6
+
+
+def test_multi_sum_validity_follows_its_contributions(monkeypatch):
+    # extra tables cut two powers short: the n = 0 term is then known only
+    # to order - 2, and the result must say so
+    cut = nahm.inv_poch_table
+    monkeypatch.setattr(
+        nahm, "inv_poch_table",
+        lambda arg, base, n, order, den: cut(arg, base, n, order - 2, den))
+    spec = dataclasses.replace(NEG_SPEC, lin=(Fraction(0),),
+                               extra=(INV_EXTRA,))
+    got = multi_sum(spec, 10)
+    assert got.order_num == exp_num(8, 4)
+    assert equal_up_to(got, _deep_brute_multi_sum(spec, 10, 4), 8)
+
+
+def test_multi_sum_is_valid_to_the_order_it_was_asked_for():
+    cat = load_catalog()
+    for rid in cat.ids():
+        assert multi_sum(cat.get(rid).spec, 60).order_num == 240, rid
+    assert multi_sum(NEG_SPEC, 2).order_num == 8

@@ -21,6 +21,7 @@ from qident.series import (
     load_dump,
     monomial_series,
     mul_inv_one_minus,
+    mul_one_minus,
     qmono,
     substitute_power,
 )
@@ -291,6 +292,9 @@ def _min_or_none(*xs):
 @pytest.mark.parametrize("den", [1, 4])
 def test_kernel_matches_dense_reference(den):
     rng = random.Random(20261018 + den)
+    # mul_one_minus draws from its own generator, which leaves the other
+    # checks' operands untouched
+    one_rng = random.Random(20261118 + den)
     lo, hi = -2 * den, 12 * den
     scalars = [0, 1, -1, 3, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 3)]
     for trial in range(150):
@@ -309,6 +313,17 @@ def test_kernel_matches_dense_reference(den):
             None if b.order_num is None or _valuation(a) is None
             else b.order_num + _valuation(a))
         _check_against(a * b, dense_mul(x, y), 2 * lo, mul_order)
+
+        # a * (1 - c q^num) with num negative, zero or positive
+        num = one_rng.randint(-2 * den, 2 * den)
+        coeff = one_rng.choice(scalars[1:])
+        low = min(num, 0)
+        two = [Fraction(0)] * (abs(num) + 1)
+        two[-low] += 1
+        two[num - low] -= coeff
+        _check_against(mul_one_minus(a, coeff, num), dense_mul(x, two),
+                       lo + low,
+                       None if a.order_num is None else a.order_num + low)
 
         c = rng.choice(scalars)
         _check_against(a.scale(c), [v * c for v in x], lo, a.order_num)
