@@ -5,10 +5,13 @@ A pair relative to the monomial a is two sequences alpha_n, beta_n tied by
     beta_n = sum_{k=0}^n alpha_k / ((q;q)_{n-k} (aq;q)_{n+k}).
 
 This module verifies that relation term by term, builds the classical pairs
-G1, G2, G3 and G1*, applies the standard transforms (the two-parameter lemma
-plus its S1/S3/S5 limits, the a -> a/q shift with parameter b, and that
-shift's b -> infinity limit), sums pairs into sum-equals-product limit
-identities, and parses "SEED |> STEP |> STEP(arg)" chain expressions.
+G1, G2, G3 and G1*, applies the transforms of :data:`TRANSFORMS` and sums
+pairs into sum-equals-product limit identities.  S1, S3, S5 and GENERAL are
+one Bailey lemma, :func:`_lemma`: GENERAL is the two-parameter lemma and
+S1, S3 and S5 are its limits.  The other two rows are the a -> a/q shift DJK
+with parameter b and that shift's b -> infinity limit DJK_LIMIT.  Chain
+expressions "SEED |> STEP |> STEP(arg)" are read by
+:func:`qident.catalog.parse_chain`.
 
 Generators take (n, order, den) and return a QSeries valid at least to
 order + min(0, valuation); callers that need more depth re-request through
@@ -18,7 +21,6 @@ Pairs are immutable and generator calls are memoized per pair.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +37,7 @@ from qident.series import (
     deepen_until_valid,
     exp_num,
     invert_unit,
-    parse_monomial,
+    mul_one_minus,
     qmono,
 )
 from qident.products import inv_poch_table, poch_finite, poch_infinite
@@ -44,14 +46,11 @@ from qident.nahm import _ceil_sqrt
 HALF = Fraction(1, 2)
 
 Gen = Callable[..., QSeries]
+Transformed = tuple[Monomial, Gen, Gen]  # new relative parameter, alpha, beta
 
 
 def _binom2(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def _mpow(m: Monomial, k: int) -> Monomial:
-    return Monomial(Fraction(m.coeff) ** k, m.exp * k)
 
 
 def _mdiv(x: Monomial, y: Monomial) -> Monomial:
@@ -161,8 +160,8 @@ def _slater_beta(shift_n: bool, comp_exp: Fraction) -> Gen:
     return beta
 
 
-def _geometric_alpha(u_exp: Fraction, c: Fraction) -> Gen:
-    """alpha_n = (-1)^n q^(u_exp*C(n+1,2)) (q^(-cn) - q^(cn+c))/(1 - q^c).
+def _geometric_alpha(u: Monomial, c: Fraction) -> Gen:
+    """alpha_n = (-1)^n u^C(n+1,2) (q^(-cn) - q^(cn+c))/(1 - q^c).
 
     The quotient is expanded as the exact geometric polynomial
     q^(-cn) * (1 + q^c + ... + q^(2nc)); the division is exact because the
@@ -173,49 +172,48 @@ def _geometric_alpha(u_exp: Fraction, c: Fraction) -> Gen:
         if n == 0:
             return QSeries.one(den)
         sign = -1 if n % 2 else 1
-        base = u_exp * _binom2(n + 1) - c * n
+        coeff = sign * Fraction(u.coeff) ** _binom2(n + 1)
+        base = u.exp * _binom2(n + 1) - c * n
         return QSeries.from_terms(
-            [(base + c * j, sign) for j in range(2 * n + 1)], den=den)
+            [(base + c * j, coeff) for j in range(2 * n + 1)], den=den)
+
+    return alpha
+
+
+def _theta_alpha(u: Monomial, ell: Fraction) -> Gen:
+    """alpha_0 = 1 and alpha_n = (-1)^n u^C(n,2) q^(ell n^2) (1 + u^n)."""
+
+    def alpha(n, order=None, den=DEFAULT_D):
+        if n == 0:
+            return QSeries.one(den)
+        sign = -1 if n % 2 else 1
+        coeff = sign * Fraction(u.coeff) ** _binom2(n)
+        base = u.exp * _binom2(n) + ell * n * n
+        return QSeries.from_terms(
+            [(base, coeff),
+             (base + n * u.exp, coeff * Fraction(u.coeff) ** n)], den=den)
 
     return alpha
 
 
 def builtin_pair(name: str) -> BaileyPair:
-    """The pairs G1, G2, G3 (Slater's list) and G1star."""
+    """The pairs G1, G2, G3 (Slater's list) and G1star (also spelled G1*)."""
     key = name.replace("*", "star")
-    if key == "G1":
-        def alpha(n, order=None, den=DEFAULT_D):
-            if n == 0:
-                return QSeries.one(den)
-            sign = -1 if n % 2 else 1
-            e = Fraction(n * n, 2) + Fraction(_binom2(n), 2)
-            return QSeries.from_terms(
-                [(e, sign), (e + Fraction(n, 2), sign)], den=den)
-
-        return BaileyPair(Monomial(1, 0), _memo(alpha),
-                          _memo(_slater_beta(False, HALF)), name="G1")
-    if key == "G2":
-        return BaileyPair(Monomial(1, 1),
-                          _memo(_geometric_alpha(Fraction(3, 2), HALF)),
-                          _memo(_slater_beta(False, Fraction(3, 2))),
-                          name="G2")
-    if key == "G3":
-        def alpha(n, order=None, den=DEFAULT_D):
-            if n == 0:
-                return QSeries.one(den)
-            sign = -1 if n % 2 else 1
-            e = Fraction(3, 2) * _binom2(n)
-            return QSeries.from_terms(
-                [(e, sign), (e + Fraction(3 * n, 2), sign)], den=den)
-
-        return BaileyPair(Monomial(1, 0), _memo(alpha),
-                          _memo(_slater_beta(True, HALF)), name="G3")
-    if key == "G1star":
-        return BaileyPair(Monomial(1, 1),
-                          _memo(_geometric_alpha(Fraction(3, 2),
-                                                 Fraction(1))),
-                          _memo(_slater_beta(False, HALF)), name="G1star")
-    raise ValueError(f"unknown built-in pair {name!r}")
+    u = qmono(Fraction(3, 2))
+    rows = {
+        "G1": (qmono(0), _theta_alpha(qmono(HALF), HALF),
+               _slater_beta(False, HALF)),
+        "G2": (qmono(1), _geometric_alpha(u, HALF),
+               _slater_beta(False, Fraction(3, 2))),
+        "G3": (qmono(0), _theta_alpha(u, Fraction(0)),
+               _slater_beta(True, HALF)),
+        "G1star": (qmono(1), _geometric_alpha(u, Fraction(1)),
+                   _slater_beta(False, HALF)),
+    }
+    if key not in rows:
+        raise ValueError(f"unknown built-in pair {name!r}")
+    a, alpha, beta = rows[key]
+    return BaileyPair(a, _memo(alpha), _memo(beta), name=key)
 
 
 BUILTIN_NAMES = ("G1", "G2", "G3", "G1star")
@@ -297,81 +295,106 @@ def pairs_equal(p1: BaileyPair, p2: BaileyPair, n_max: int, order: ExpLike,
 
 # -- transforms ---------------------------------------------------------------
 
+def _spell(m: Monomial) -> str:
+    """m as the chain reader spells a monomial: 2, q, -q^(1/2), 1/3*q^-1."""
+    e = m.exp
+    if e == 0:
+        return str(m.coeff)
+    q = "q" if e == 1 else f"q^{e}" if e.denominator == 1 else f"q^({e})"
+    if m.coeff in (1, -1):
+        return q if m.coeff == 1 else "-" + q
+    return f"{m.coeff}*{q}"
+
+
 def _derived_name(p: BaileyPair, t: TransformStep) -> str:
     tag = t.kind
     if t.params:
-        tag += "(" + ",".join(f"{m.coeff}*q^{m.exp}" for m in t.params) + ")"
+        tag += "(" + ", ".join(_spell(m) for m in t.params) + ")"
     return f"{p.name} |> {tag}" if p.name else tag
 
 
-def _transform_s1(p: BaileyPair) -> tuple[Monomial, Gen, Gen]:
-    a = p.a
-
-    def alpha(n, order=None, den=DEFAULT_D):
-        return p.alpha(n, order, den) * Monomial(Fraction(a.coeff) ** n,
-                                                 n * a.exp + n * n)
-
-    def beta(n, order=None, den=DEFAULT_D):
-        order = _need(order)
-        tq = _inv_qq(n, order, den)
-        out = _zero(order, den)
-        for r in range(n + 1):
-            term = p.beta(r, order, den) * tq[n - r]
-            out = out + term * Monomial(Fraction(a.coeff) ** r,
-                                        r * a.exp + r * r)
-        return out
-
-    return a, alpha, beta
+def _power(m: Monomial, k: Fraction) -> Callable[[int], Monomial]:
+    """r -> m^r q^(k r^2)."""
+    return lambda r: Monomial(Fraction(m.coeff) ** r, m.exp * r + k * r * r)
 
 
-def _poch_ratio_transform(p: BaileyPair, num_arg: Monomial,
-                          den_arg: Monomial,
-                          mono: Callable[[int], Monomial]
-                          ) -> tuple[Monomial, Gen, Gen]:
-    """alpha'_n = alpha_n (num_arg;q)_n mono(n) / (den_arg;q)_n and
-    beta'_n = sum_r beta_r (num_arg;q)_r mono(r) / ((q;q)_{n-r} (den_arg;q)_n).
+def _heads(xs: tuple[Monomial, ...], n: int, order: Optional[Fraction],
+           den: int) -> list[QSeries]:
+    """[prod_x (x;q)_r for r <= n], one factor at a time.
 
-    S3 and S5 are this transform with different (num_arg, den_arg, mono).
+    Each entry is cut at the order, if one is given, as soon as it stops
+    being exact, which is where poch_finite cuts a single symbol.
+    """
+    out = [QSeries.one(den)]
+    for k in range(n):
+        s = out[-1]
+        for x in xs:
+            s = mul_one_minus(s, x.coeff, exp_num(x.exp + k, den))
+            if s.order_num is None and order is not None:
+                s = s.truncated(order)
+        out.append(s)
+    return out
+
+
+def _r_sum(beta: Gen, nums: tuple[Monomial, ...], tail: tuple[Monomial, ...],
+           mono: Callable[[int], Monomial], n: int, order: Fraction,
+           den: int) -> QSeries:
+    """sum_r beta_r mono(r) prod_x (x;q)_r (tail;q)_{n-r} / (q;q)_{n-r}."""
+    heads = _heads(nums, n, order, den)
+    tails = _heads(tail, n, order, den)
+    tq = _inv_qq(n, order, den)
+    acc = _zero(order, den)
+    for r in range(n + 1):
+        acc = acc + beta(r, order, den) * heads[r] * \
+            (tails[n - r] * tq[n - r]) * mono(r)
+    return acc
+
+
+def _lemma(p: BaileyPair, nums: tuple[Monomial, ...],
+           dens: tuple[Monomial, ...], tail: tuple[Monomial, ...],
+           mono: Callable[[int], Monomial]) -> Transformed:
+    """The Bailey lemma with numerator parameters nums, denominator
+    parameters dens and at most one tail parameter; a stays the same.
+
+        alpha'_n = alpha_n mono(n) prod_x (x;q)_n / prod_y (y;q)_n
+        beta'_n  = prod_y (y;q)_n^-1 sum_r beta_r mono(r) prod_x (x;q)_r
+                   (tail;q)_{n-r} / (q;q)_{n-r}
     """
 
+    def divide(s: QSeries, n: int, order: Optional[ExpLike],
+               den: int) -> QSeries:
+        for y in dens:
+            s = s * _inv_table(y, Fraction(1), n, _need(order), den)[n]
+        return s
+
     def alpha(n, order=None, den=DEFAULT_D):
-        order = _need(order)
-        inv = _inv_table(den_arg, Fraction(1), n, order, den)[n]
-        return p.alpha(n, order, den) * \
-            poch_finite(num_arg, 1, n, order, den) * inv * mono(n)
+        head = _heads(nums, n, order, den)[n]
+        return divide(p.alpha(n, order, den) * head, n, order, den) * mono(n)
 
     def beta(n, order=None, den=DEFAULT_D):
         order = _need(order)
-        tq = _inv_qq(n, order, den)
-        acc = _zero(order, den)
-        for r in range(n + 1):
-            acc = acc + p.beta(r, order, den) * \
-                poch_finite(num_arg, 1, r, order, den) * tq[n - r] * mono(r)
-        return acc * _inv_table(den_arg, Fraction(1), n, order, den)[n]
+        return divide(_r_sum(p.beta, nums, tail, mono, n, order, den),
+                      n, order, den)
 
     return p.a, alpha, beta
 
 
-def _transform_s3(p: BaileyPair) -> tuple[Monomial, Gen, Gen]:
+def _transform_s1(p: BaileyPair) -> Transformed:
+    return _lemma(p, (), (), (), _power(p.a, Fraction(1)))
+
+
+def _transform_s3(p: BaileyPair) -> Transformed:
     a = p.a
-
-    def mono(r: int) -> Monomial:
-        return Monomial(Fraction(a.coeff) ** r,
-                        r * a.exp + Fraction(r * r, 2))
-
-    return _poch_ratio_transform(p, Monomial(-1, HALF),
-                                 Monomial(-a.coeff, a.exp + HALF), mono)
+    return _lemma(p, (Monomial(-1, HALF),),
+                  (Monomial(-a.coeff, a.exp + HALF),), (), _power(a, HALF))
 
 
-def _transform_s5(p: BaileyPair) -> tuple[Monomial, Gen, Gen]:
+def _transform_s5(p: BaileyPair) -> Transformed:
     a = p.a
     if a.coeff != 1:
         raise ValueError("S5 needs a = q^e with coefficient 1")
     half_exp = a.exp / 2
     exp_num(half_exp, DEFAULT_D)  # a must be an even lattice power
-
-    def mono(r: int) -> Monomial:
-        return Monomial(1, r * half_exp + Fraction(r * r - r, 2))
 
     def lattice_checked(gen: Gen) -> Gen:
         def checked(n, order=None, den=DEFAULT_D):
@@ -380,45 +403,21 @@ def _transform_s5(p: BaileyPair) -> tuple[Monomial, Gen, Gen]:
 
         return checked
 
-    a, alpha, beta = _poch_ratio_transform(p, Monomial(-1, half_exp + 1),
-                                           Monomial(-1, half_exp), mono)
+    a, alpha, beta = _lemma(p, (Monomial(-1, half_exp + 1),),
+                            (Monomial(-1, half_exp),), (),
+                            _power(Monomial(1, half_exp - HALF), HALF))
     return a, lattice_checked(alpha), lattice_checked(beta)
 
 
 def _transform_general(p: BaileyPair, rho1: Monomial,
-                       rho2: Monomial) -> tuple[Monomial, Gen, Gen]:
-    a = p.a
-    aq = Monomial(a.coeff, a.exp + 1)
-    c1 = _mdiv(aq, rho1)
-    c2 = _mdiv(aq, rho2)
+                       rho2: Monomial) -> Transformed:
+    aq = Monomial(p.a.coeff, p.a.exp + 1)
     c12 = _mdiv(aq, rho1 * rho2)
-
-    def alpha(n, order=None, den=DEFAULT_D):
-        order = _need(order)
-        i1 = _inv_table(c1, Fraction(1), n, order, den)[n]
-        i2 = _inv_table(c2, Fraction(1), n, order, den)[n]
-        return p.alpha(n, order, den) * \
-            poch_finite(rho1, 1, n, order, den) * \
-            poch_finite(rho2, 1, n, order, den) * i1 * i2 * _mpow(c12, n)
-
-    def beta(n, order=None, den=DEFAULT_D):
-        order = _need(order)
-        tq = _inv_qq(n, order, den)
-        acc = _zero(order, den)
-        for r in range(n + 1):
-            acc = acc + p.beta(r, order, den) * \
-                poch_finite(rho1, 1, r, order, den) * \
-                poch_finite(rho2, 1, r, order, den) * \
-                poch_finite(c12, 1, n - r, order, den) * \
-                tq[n - r] * _mpow(c12, r)
-        i1 = _inv_table(c1, Fraction(1), n, order, den)[n]
-        i2 = _inv_table(c2, Fraction(1), n, order, den)[n]
-        return acc * i1 * i2
-
-    return a, alpha, beta
+    return _lemma(p, (rho1, rho2), (_mdiv(aq, rho1), _mdiv(aq, rho2)),
+                  (c12,), _power(c12, Fraction(0)))
 
 
-def _transform_djk(p: BaileyPair, b: Monomial) -> tuple[Monomial, Gen, Gen]:
+def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:
     if b.coeff == 1 and b.exp == 0:
         raise ValueError("the shift parameter b = 1 is singular")
     a = p.a
@@ -456,25 +455,14 @@ def _transform_djk(p: BaileyPair, b: Monomial) -> tuple[Monomial, Gen, Gen]:
     return a_new, alpha, beta
 
 
-def _shape_alpha(u: Monomial, n: int, den: int) -> QSeries:
-    """(-1)^n u^C(n+1,2) (q^-n - q^(n+1))/(1-q), expanded exactly."""
-    if n == 0:
-        return QSeries.one(den)
-    sign = -1 if n % 2 else 1
-    c = Fraction(u.coeff) ** _binom2(n + 1)
-    base = u.exp * _binom2(n + 1) - n
-    return QSeries.from_terms(
-        [(base + j, sign * c) for j in range(2 * n + 1)], den=den)
-
-
-def _transform_djk_limit(p: BaileyPair,
-                         u: Monomial) -> tuple[Monomial, Gen, Gen]:
+def _transform_djk_limit(p: BaileyPair, u: Monomial) -> Transformed:
     if p.a != Monomial(1, 1):
         raise ValueError("the b -> infinity shift needs a pair relative to q")
     probe = Fraction(20)
+    shape = _geometric_alpha(u, Fraction(1))
     check_n = min(p.n_max_hint, 6) if p.n_max_hint is not None else 6
     for n in range(check_n + 1):
-        want = _shape_alpha(u, n, DEFAULT_D)
+        want = shape(n, None, DEFAULT_D)
         got = p.alpha(n, probe + n + 1, DEFAULT_D)
         try:
             m = compare_up_to(want, got, probe)
@@ -485,38 +473,29 @@ def _transform_djk_limit(p: BaileyPair,
                 f"alpha_{n} does not have the required u-shape "
                 f"(first difference near q^{m.exponent})")
 
-    def alpha(n, order=None, den=DEFAULT_D):
-        if n == 0:
-            return QSeries.one(den)
-        sign = -1 if n % 2 else 1
-        c = Fraction(u.coeff) ** _binom2(n)
-        base = u.exp * _binom2(n)
-        return QSeries.from_terms(
-            [(base, sign * c),
-             (base + n * u.exp, sign * c * Fraction(u.coeff) ** n)], den=den)
-
     def beta(n, order=None, den=DEFAULT_D):
         return p.beta(n, order, den) * Monomial(1, n)
 
-    return Monomial(1, 0), alpha, beta
+    return Monomial(1, 0), _theta_alpha(u, Fraction(0)), beta
+
+
+# kind -> (parameter count, builder); a builder takes the pair and the
+# parameters and returns the new relative parameter, alpha and beta
+TRANSFORMS: dict[str, tuple[int, Callable[..., Transformed]]] = {
+    "S1": (0, _transform_s1),
+    "S3": (0, _transform_s3),
+    "S5": (0, _transform_s5),
+    "GENERAL": (2, _transform_general),
+    "DJK": (1, _transform_djk),
+    "DJK_LIMIT": (1, _transform_djk_limit),
+}
 
 
 def apply_transform(p: BaileyPair, t: TransformStep) -> BaileyPair:
     """A new pair per the displayed formulas; relative parameter may move."""
-    if t.kind == "S1":
-        a, alpha, beta = _transform_s1(p)
-    elif t.kind == "S3":
-        a, alpha, beta = _transform_s3(p)
-    elif t.kind == "S5":
-        a, alpha, beta = _transform_s5(p)
-    elif t.kind == "GENERAL":
-        a, alpha, beta = _transform_general(p, *t.params)
-    elif t.kind == "DJK":
-        a, alpha, beta = _transform_djk(p, *t.params)
-    elif t.kind == "DJK_LIMIT":
-        a, alpha, beta = _transform_djk_limit(p, *t.params)
-    else:
+    if t.kind not in TRANSFORMS:
         raise ValueError(f"unknown transform kind {t.kind!r}")
+    a, alpha, beta = TRANSFORMS[t.kind][1](p, *t.params)
     return BaileyPair(a, _memo(alpha), _memo(beta),
                       name=_derived_name(p, t), n_max_hint=p.n_max_hint)
 
@@ -559,33 +538,30 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
     c2 = _mdiv(aq, rho2)
     c12 = _mdiv(aq, rho1 * rho2)
 
+    c12_pow = _power(c12, Fraction(0))
+
     def build_lhs(depth: Fraction) -> QSeries:
-        tq = _inv_qq(n, depth, den)
-        acc = _zero(depth, den)
-        for j in range(n + 1):
-            acc = acc + p.beta(j, depth, den) * \
-                poch_finite(rho1, 1, j, depth, den) * \
-                poch_finite(rho2, 1, j, depth, den) * \
-                poch_finite(c12, 1, n - j, depth, den) * \
-                tq[n - j] * _mpow(c12, j)
-        return acc
+        return _r_sum(p.beta, (rho1, rho2), (c12,), c12_pow, n, depth, den)
 
     def build_rhs(depth: Fraction) -> QSeries:
         alphas, d2 = _alpha_depth(p, n, depth, den)
+        heads = _heads((rho1, rho2), n, d2, den)
         tq = _inv_qq(n, d2, den)
         taq = _inv_table(aq, Fraction(1), 2 * n, d2, den)
+        # (c1 q^r, c2 q^r; q)_{n-r} as exact polynomials, r stepping down
+        tails = [QSeries.one(den)]
+        for r in range(n - 1, -1, -1):
+            t = tails[-1]
+            for c in (c1, c2):
+                t = mul_one_minus(t, c.coeff, exp_num(c.exp + r, den))
+            tails.append(t)
+        tails.reverse()
         acc = _zero(d2, den)
         for r in range(n + 1):
             if alphas[r].is_zero:
                 continue
-            tail1 = poch_finite(Monomial(c1.coeff, c1.exp + r), 1, n - r,
-                                d2, den)
-            tail2 = poch_finite(Monomial(c2.coeff, c2.exp + r), 1, n - r,
-                                d2, den)
-            acc = acc + alphas[r] * \
-                poch_finite(rho1, 1, r, d2, den) * \
-                poch_finite(rho2, 1, r, d2, den) * \
-                tail1 * tail2 * tq[n - r] * taq[n + r] * _mpow(c12, r)
+            acc = acc + alphas[r] * heads[r] * tails[r] * tq[n - r] * \
+                taq[n + r] * c12_pow(r)
         return acc
 
     lhs = deepen_until_valid(build_lhs, order, den)
@@ -607,9 +583,7 @@ def limit_identity(p: BaileyPair, order: ExpLike,
     if p.n_max_hint is not None and n_cut + 2 > p.n_max_hint:
         raise ValueError("pair generators not defined far enough")
 
-    def mono(nn: int) -> Monomial:
-        return Monomial(Fraction(a.coeff) ** nn, nn * a.exp + nn * nn)
-
+    mono = _power(a, Fraction(1))  # the S1 weight a^n q^(n^2)
     for nn in (n_cut + 1, n_cut + 2):
         for gen, side in ((p.beta, "beta"), (p.alpha, "alpha")):
             s = gen(nn, order, den)
@@ -640,41 +614,3 @@ def limit_identity(p: BaileyPair, order: ExpLike,
     lhs = deepen_until_valid(build_lhs, order, den)
     rhs = deepen_until_valid(build_rhs, order, den)
     return lhs.truncated(order), rhs.truncated(order)
-
-
-# -- chain expressions --------------------------------------------------------
-
-_STEP_ARITY = {"S1": 0, "S3": 0, "S5": 0, "GENERAL": 2, "DJK": 1,
-               "DJKLIM": 1, "DJK_LIMIT": 1}
-_STEP_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?$")
-
-
-def parse_chain(text: str) -> tuple[str, tuple[TransformStep, ...]]:
-    """Grammar: NAME (|> STEP[(params)])*; params are monomials."""
-    parts = [s.strip() for s in text.split("|>")]
-    if not parts[0]:
-        raise ValueError("chain expression needs a seed pair name")
-    steps = []
-    for tok in parts[1:]:
-        m = _STEP_RE.match(tok)
-        if not m:
-            raise ValueError(f"cannot parse chain step {tok!r}")
-        name = m.group(1).upper()
-        if name not in _STEP_ARITY:
-            raise ValueError(f"unknown transform {m.group(1)!r}")
-        raw = m.group(2)
-        params = tuple(parse_monomial(s)
-                       for s in raw.split(",")) if raw else ()
-        if len(params) != _STEP_ARITY[name]:
-            raise ValueError(
-                f"{name} takes {_STEP_ARITY[name]} parameter(s), "
-                f"got {len(params)}")
-        kind = "DJK_LIMIT" if name == "DJKLIM" else name
-        steps.append(TransformStep(kind, params))
-    return parts[0], tuple(steps)
-
-
-def run_chain(text: str) -> BaileyPair:
-    """Parse a chain expression and fold it from its built-in seed."""
-    seed, steps = parse_chain(text)
-    return chain(builtin_pair(seed), steps)

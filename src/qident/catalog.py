@@ -11,6 +11,10 @@ code: a :class:`FamilyGenerator` turns (k, i) into a concrete
 exponent function by exact finite differences, with randomized probes that
 reject any non-quadratic function loudly.
 
+The same reader parses the transform chains of ``qident bailey``,
+"SEED |> STEP |> STEP(params)" (:func:`parse_chain`, :func:`run_chain`),
+so step parameters are spelled exactly like catalog monomials.
+
 Verification is truncation-sound: both sides are evaluated exactly to the
 requested order and compared coefficient by coefficient.  A reduction
 cross-check re-derives an identity's sum side through an independent
@@ -61,7 +65,15 @@ from qident.nahm import (
     quadruple_spec,
     reduce_rank,
 )
-from qident.bailey import S3, builtin_pair, chain as _bailey_chain, limit_identity
+from qident.bailey import (
+    S3,
+    TRANSFORMS,
+    BaileyPair,
+    TransformStep,
+    builtin_pair,
+    chain as _bailey_chain,
+    limit_identity,
+)
 
 HALF = Fraction(1, 2)
 
@@ -103,7 +115,7 @@ def _symbol_table(names: Sequence[str]) -> dict[str, Vector]:
 # Whitespace separates tokens and is otherwise skipped; the last alternative
 # catches any character no rule accepts.
 _TOKEN_RE = re.compile(
-    r'(\d+)|([A-Za-z][A-Za-z0-9]*)|"([^"]*)"|([][(),;*/^+-])|(\S)')
+    r'(\d+)|([A-Za-z][A-Za-z0-9_]*)|"([^"]*)"|(\|>|[][(),;*/^+-])|(\S)')
 _TOKEN_KINDS = (None, "num", "name", "str", "sym", "bad")
 
 
@@ -410,6 +422,32 @@ class _Reader:
             return J(*args)
         raise ValueError(f"unknown product atom {name} with {len(args)} argument(s)")
 
+    # -- transform chains ------------------------------------------------------
+
+    def chain(self) -> tuple[str, tuple[TransformStep, ...]]:
+        """seed {|> step}; a step is a transform name, in any case, with an
+        optional parenthesized list of monomials."""
+        seed = self.name()
+        if self.accept("*"):
+            seed += "*"
+        steps = []
+        while self.accept("|>"):
+            word = self.name()
+            kind = word.upper()
+            kind = "DJK_LIMIT" if kind == "DJKLIM" else kind
+            if kind not in TRANSFORMS:
+                raise ValueError(f"unknown transform {word!r}")
+            params: tuple[Monomial, ...] = ()
+            if self.accept("(") and not self.accept(")"):
+                params = self.items(self.monomial)
+                self.expect(")")
+            arity = TRANSFORMS[kind][0]
+            if len(params) != arity:
+                raise ValueError(f"{word.upper()} takes {arity} parameter(s), "
+                                 f"got {len(params)}")
+            steps.append(TransformStep(kind, params))
+        return seed, tuple(steps)
+
 
 def _read(text: str, rule: Callable[[_Reader], object],
           names: Sequence[str] = ()):
@@ -454,6 +492,18 @@ def parse_extra(text: str, names: Sequence[str]) -> PochFactor:
 def parse_rhs(text: str) -> tuple[ProductExpr, ...]:
     """One product quotient, or a bracketed list summed term by term."""
     return _read(text, _Reader.rhs)
+
+
+def parse_chain(text: str) -> tuple[str, tuple[TransformStep, ...]]:
+    """A chain expression "SEED |> STEP |> STEP(params)"; the seed is not
+    looked up here, and step parameters are monomials."""
+    return _read(text, _Reader.chain)
+
+
+def run_chain(text: str) -> BaileyPair:
+    """Parse a chain expression and fold it from its built-in seed."""
+    seed, steps = parse_chain(text)
+    return _bailey_chain(builtin_pair(seed), steps)
 
 
 # -- identity records ----------------------------------------------------------

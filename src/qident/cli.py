@@ -23,8 +23,14 @@ from typing import Optional, Sequence
 from qident.series import DEFAULT_D, deepen_until_valid, dump
 from qident.nahm import multi_sum
 from qident.products import eval_product_sum
-from qident.catalog import Catalog, Identity, VerificationReport, load_catalog
-from qident.bailey import pairs_equal, run_chain, verify_pair
+from qident.catalog import (
+    Catalog,
+    Identity,
+    VerificationReport,
+    load_catalog,
+    run_chain,
+)
+from qident.bailey import pairs_equal, verify_pair
 
 
 def _fmt_exp(x: Fraction) -> str:

@@ -514,27 +514,3 @@ def load_dump(text: str, den: int = DEFAULT_D) -> QSeries:
         terms[int(n_s)] = _clean(c)
     return QSeries(den, terms, int(onum_s))
 
-
-_MONOMIAL_RE = None
-
-
-def parse_monomial(text: str) -> Monomial:
-    """Parse "q", "q^2", "q^(3/2)", "-q^(1/2)", "3*q^2", "2", "-1/2"."""
-    global _MONOMIAL_RE
-    if _MONOMIAL_RE is None:
-        import re
-        _MONOMIAL_RE = re.compile(
-            r"^(?P<sign>[+-])?\s*"
-            r"(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?"
-            r"(?:(?P<q>q)(?:\^(?P<exp>-?\d+|\(-?\d+(?:/\d+)?\)))?)?$")
-    m = _MONOMIAL_RE.match(text.strip())
-    if not m or (m.group("coeff") is None and m.group("q") is None):
-        raise ValueError(f"cannot parse monomial {text!r}")
-    coeff = Fraction(m.group("coeff") or 1)
-    if m.group("sign") == "-":
-        coeff = -coeff
-    exp = Fraction(0)
-    if m.group("q"):
-        raw = m.group("exp")
-        exp = Fraction(raw.strip("()")) if raw else Fraction(1)
-    return Monomial(coeff, exp)

@@ -20,10 +20,9 @@ from qident.bailey import (
     apply_transform,
     builtin_pair,
     pairs_equal,
-    run_chain,
     verify_pair,
 )
-from qident.catalog import FAMILIES, load_catalog, parse_rhs
+from qident.catalog import FAMILIES, load_catalog, parse_rhs, run_chain
 from qident.nahm import multi_sum
 from qident.products import (
     eval_product_sum,

@@ -1,5 +1,6 @@
 """Pair verification, transforms, limit identities, and chain parsing."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from qident.bailey import (
     DJK,
+    TRANSFORMS,
     DJK_LIMIT,
     GENERAL,
     S1,
@@ -14,17 +16,17 @@ from qident.bailey import (
     S5,
     BUILTIN_NAMES,
     BaileyPair,
+    TransformStep,
     apply_transform,
     builtin_pair,
     chain,
     general_bailey_check,
     limit_identity,
     pairs_equal,
-    parse_chain,
-    run_chain,
     unit_pair,
     verify_pair,
 )
+from qident.catalog import parse_chain, run_chain
 from qident.products import (
     J,
     eval_product,
@@ -35,6 +37,7 @@ from qident.series import (
     Monomial,
     QSeries,
     compare_up_to,
+    dump,
     equal_up_to,
     exp_num,
     invert_unit,
@@ -248,6 +251,57 @@ def test_random_chains_stay_bailey_pairs():
         done += 1
 
 
+# The chains of BENCH_6.json, and SHA-256 digests of their generators: for
+# alpha_n and beta_n, n <= 5, asked for at order 12, the order_num line and
+# the dump.  The digests pin the exact terms and validity of every transform.
+GOLDEN_CHAINS = {
+    "G1 |> S1":
+        "240883f1097e31ec02499f60cb76e12f1ebf4de7ce385e4cad27985a14663f3e",
+    "G2 |> S3":
+        "df2093f5ee50c53e50364ade388d3cc4a537ebba7baf6bc29f7ae364af9f1d73",
+    "G3 |> S5":
+        "0a91f327a3fc51f9543dfa0b4b9fb29ca53748055b020ad933d4c678ebc730a9",
+    "G1star |> S3 |> S5":
+        "1269be0c1417697e056185f0cf1fc3a7cc06cd339dbe2441d87a9a8198be9aa1",
+    "G1 |> GENERAL(-q^(1/2), q^(3/2))":
+        "9f4150537a45f6a2d5da46b54b6f2368bc225eb49bedfa047608aef81ab4403e",
+    "G1star |> DJKLIM(q^(3/2))":
+        "d771426702f9bf38c8a570f4ae06d1e140a35ee6fc538a6e53d9cab83dc4b9be",
+    "G1 |> GENERAL(1/3*q^2, -q)":
+        "4c29d0b1f6836125d6f44c60a2bc3eed73f0d4f5632a22ccc5a08f4824b4c8d3",
+    "G2 |> GENERAL(1/2*q, -q)":
+        "c7717158c95ead1b065685659fb5747b7d29b2ec5e21fab94a9d5b31256e6dae",
+}
+
+
+def _generators_digest(p: BaileyPair) -> str:
+    h = hashlib.sha256()
+    for n in range(6):
+        for gen in (p.alpha, p.beta):
+            s = gen(n, Fraction(12), D)
+            h.update(f"{s.order_num}\n".encode())
+            h.update(dump(s, 12 if s.order_num is None else None).encode())
+    return h.hexdigest()
+
+
+def test_transform_generators_golden():
+    for text, want in GOLDEN_CHAINS.items():
+        assert _generators_digest(run_chain(text)) == want, text
+    # SHA-256 of the lhs dump followed by the rhs dump
+    for args, want in (
+            ((unit_pair(qmono(1)), qmono(1), qmono(1), 3, 30),
+             "45fda3869409f71b2f899c334704ba4438b7a98244db282c460a1d35d6c3df00"),
+            ((builtin_pair("G1"), qmono(2), qmono(3), 5, 40),
+             "10acabe2187e8dabc75a2ac1f9859c6c305b21a58fe05db700ec446c4fff5f87"),
+            ((builtin_pair("G1"), Monomial(-1, HALF),
+              Monomial(-1, Fraction(3, 2)), 4, 30),
+             "4b3cd860e96b5999f3d40f2c7c95be6a10c140b647db430d9bebb6a4f6ad56d7")):
+        rep = general_bailey_check(*args)
+        assert rep.ok
+        text = dump(rep.lhs) + dump(rep.rhs)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, args[1:]
+
+
 # -- the two-parameter finite identity ------------------------------------------
 
 
@@ -386,3 +440,69 @@ def test_run_chain_folds_from_builtin_seed():
 def test_empty_chain_returns_seed():
     p = builtin_pair("G2")
     assert chain(p, []) is p
+
+
+STEP_SPELLINGS = {
+    "S1": ("S1", "s1"), "S3": ("S3", "s3"), "S5": ("S5", "s5"),
+    "GENERAL": ("GENERAL", "general", "General"),
+    "DJK": ("DJK", "djk"),
+    "DJK_LIMIT": ("DJK_LIMIT", "djk_limit", "DJKLIM", "djklim"),
+}
+
+
+def _spell_monomial(rng: random.Random) -> tuple[str, Monomial]:
+    """A random monomial, spelled in one of the forms a step accepts."""
+    coeff = rng.choice([1, -1]) * Fraction(rng.randint(1, 4),
+                                           rng.choice([1, 1, 2, 3]))
+    exp = rng.choice([Fraction(0), Fraction(1), Fraction(rng.randint(-3, 4)),
+                      Fraction(rng.randint(-5, 5), 2)])
+    sign = rng.choice(["-", "- "]) if coeff < 0 else ""
+    mag = str(abs(coeff))
+    if exp == 0 and rng.random() < 0.7:
+        return sign + mag, Monomial(coeff, exp)
+    forms = [f"q^({exp})"]
+    if exp.denominator == 1:
+        forms.append(f"q^{exp}")
+    if exp == 1:
+        forms.append("q")
+    qs = rng.choice(forms)
+    if abs(coeff) != 1 or rng.random() < 0.5:
+        qs = mag + rng.choice(["", "*", " * ", " "]) + qs
+    return sign + qs, Monomial(coeff, exp)
+
+
+def test_parse_chain_spellings_differential():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        seed = rng.choice(["G1", "G2", "G3", "G1star", "G1*"])
+        parts, steps = [seed], []
+        for _ in range(rng.randrange(4)):
+            kind = rng.choice(sorted(STEP_SPELLINGS))
+            arity = TRANSFORMS[kind][0]
+            monos = [_spell_monomial(rng) for _ in range(arity)]
+            text = rng.choice(STEP_SPELLINGS[kind])
+            if arity or rng.random() < 0.3:
+                text += rng.choice(["", " "]) + "(" + \
+                    rng.choice([",", ", "]).join(m for m, _ in monos) + ")"
+            parts.append(text)
+            steps.append(TransformStep(kind, tuple(m for _, m in monos)))
+        text = rng.choice([" |> ", "|>"]).join(parts)
+        assert parse_chain(text) == (seed, tuple(steps)), text
+
+
+@pytest.mark.parametrize("text", [
+    "G1 |> DJK(+q^2)",
+    "G1 |> GENERAL(q, +2)",
+    "G1 |> DJKLIM(q^3/2)",
+    "G1 |> S1 |>",
+])
+def test_parse_chain_rejects_other_spellings(text):
+    with pytest.raises(ValueError):
+        parse_chain(text)
+
+
+def test_chain_names_round_trip():
+    for text in GOLDEN_CHAINS:
+        seed, steps = parse_chain(text)
+        name = run_chain(text).name
+        assert parse_chain(name) == (seed, steps), name

@@ -279,3 +279,18 @@ def test_bailey_verify_human_mode_lists_failing_indices(capsys, monkeypatch):
     assert out.startswith("FAIL  G1")
     assert out.splitlines()[1:] == ["      index 1: first mismatch at q^3/2"]
     assert err == ""
+
+
+def test_bailey_chain_name_is_accepted_as_input(capsys):
+    rc, name, _ = run(capsys, "bailey", "chain",
+                      "G1 |> GENERAL(-q^(1/2), q^(3/2))")
+    assert rc == 0
+    assert name == "G1 |> GENERAL(-q^(1/2), q^(3/2))\n"
+    rc, again, _ = run(capsys, "bailey", "chain", name.strip())
+    assert rc == 0 and again == name
+
+
+def test_bailey_chain_rejects_leading_plus(capsys):
+    rc, _, err = run(capsys, "bailey", "chain", "G1 |> DJK(+q^2)")
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("qident: error: ")
