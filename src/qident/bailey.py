@@ -252,9 +252,15 @@ def _alpha_depth(p: BaileyPair, n_max: int, order: Fraction,
     return alphas, order
 
 
+def _check_n_max(n_max: int) -> None:
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+
+
 def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
                 den: int = DEFAULT_D) -> PairReport:
     """Check the defining relation for every n <= n_max up to order."""
+    _check_n_max(n_max)
     if p.n_max_hint is not None and n_max > p.n_max_hint:
         raise ValueError(f"pair only defined up to n = {p.n_max_hint}")
     order = Fraction(order)
@@ -278,6 +284,7 @@ def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
 def pairs_equal(p1: BaileyPair, p2: BaileyPair, n_max: int, order: ExpLike,
                 den: int = DEFAULT_D) -> Optional[tuple[int, str, Mismatch]]:
     """First (n, side, mismatch) where the pairs differ, else None."""
+    _check_n_max(n_max)
     order = Fraction(order)
     if p1.a != p2.a:
         return (0, "a", Mismatch(p1.a.exp, p1.a.coeff, p2.a.coeff))

@@ -281,6 +281,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.d_lattice < 1:
         return _usage_error(ValueError("--d-lattice must be at least 1"))
+    if getattr(args, "n", 0) < 0:
+        return _usage_error(ValueError("--n must be at least 0"))
     if args.cmd == "verify":
         return cmd_verify(args)
     if args.cmd == "expand":

@@ -14,6 +14,13 @@ sound truncation, so exactness survives polynomial arithmetic and decays only
 when a genuinely truncated object (an infinite product, a Nahm sum, ...)
 enters the computation.
 
+Coefficients are stored as ints, or as Fractions when not integral.  Kernel
+loops use Python's own int/Fraction operators and normalize once at the end.
+A product brings each operand over one common denominator, the lcm of its
+coefficients' denominators, convolves the integer numerators and divides
+each output coefficient once; an all-int operand has denominator 1 and is
+used as it is.
+
 No floating point is used anywhere in this module.
 """
 
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -52,17 +60,36 @@ def _clean(c: Scalar) -> Scalar:
     return c
 
 
-def _normal(terms: dict[int, Scalar],
-            onum: Optional[int] = None) -> dict[int, Scalar]:
+def _normal(terms: dict[int, Scalar], onum: Optional[int] = None,
+            div: int = 1) -> dict[int, Scalar]:
     """The stored form of accumulated coefficients, up to `onum` if given.
 
     Kernel loops add with Python's own int/Fraction operators and call this
     once at the end: zero coefficients are dropped and integral Fractions
     become ints (an int's denominator is 1 and its numerator is itself).
+    With `div`, the coefficients are integer numerators and each is divided
+    by `div` here, once.
     """
+    if div != 1:
+        return {n: c // div if not c % div else Fraction(c, div)
+                for n, c in terms.items()
+                if c and (onum is None or n <= onum)}
     return {n: c.numerator if c.denominator == 1 else c
             for n, c in terms.items()
             if c and (onum is None or n <= onum)}
+
+
+def _over_common_den(terms: dict[int, Scalar]) -> tuple[int, list]:
+    """(d, ascending (n, d*c) pairs) with every d*c an int.
+
+    d is the lcm of the coefficients' denominators, so an all-int series has
+    d = 1 and keeps its pairs.
+    """
+    d = lcm(*{c.denominator for c in terms.values()})
+    items = sorted(terms.items())
+    if d == 1:
+        return 1, items
+    return d, [(n, c.numerator * (d // c.denominator)) for n, c in items]
 
 
 class Mismatch(NamedTuple):
@@ -222,9 +249,10 @@ class QSeries:
             return self.scale(other.coeff).shift(exp_num(other.exp, self.den))
         self._check(other)
         onum = _mul_order(self, other)
-        out: dict[int, Scalar] = {}
-        a = sorted(self.terms.items())
-        b = sorted(other.terms.items())
+        # convolve integer numerators; _normal divides by da * db once
+        out: dict[int, int] = {}
+        da, a = _over_common_den(self.terms)
+        db, b = _over_common_den(other.terms)
         if len(a) > len(b):
             a, b = b, a
         if a:
@@ -238,7 +266,7 @@ class QSeries:
                         break
                     n = n1 + n2
                     out[n] = get(n, 0) + c1 * c2
-        return QSeries(self.den, _normal(out), onum)
+        return QSeries(self.den, _normal(out, div=da * db), onum)
 
     def __rmul__(self, other) -> "QSeries":
         return self.__mul__(other)

@@ -122,6 +122,14 @@ def test_verify_pair_nonunit_relative_parameter():
         verify_pair(unit_pair(Monomial(1, -1)), 3, 10)
 
 
+def test_negative_index_bound_is_rejected():
+    g1 = builtin_pair("G1")
+    with pytest.raises(ValueError, match="n_max"):
+        verify_pair(g1, -1, 5)
+    with pytest.raises(ValueError, match="n_max"):
+        pairs_equal(g1, g1, -2, 5)
+
+
 def test_pairs_equal_and_mismatch():
     lim = chain(builtin_pair("G1star"), [DJK_LIMIT(Monomial(1, Fraction(3, 2)))])
     assert pairs_equal(lim, builtin_pair("G3"), 20, 50) is None

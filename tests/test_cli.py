@@ -235,6 +235,8 @@ def test_bailey_chain_show_and_errors(capsys):
     (["bailey", "chain", "G1", "--show", "beta", "--n", "1", "--order", "4",
       "--d-lattice", "0"], "--d-lattice"),
     (["verify", "R.R.1", "--d-lattice", "0"], "--d-lattice"),
+    (["bailey", "verify", "G1", "--n", "-1", "--order", "5"], "--n"),
+    (["bailey", "chain", "G1", "--show", "alpha", "--n", "-2"], "--n"),
     (["expand", "indefinite.1", "--side", "lhs", "--order", "10",
       "--catalog", "@indefinite"], "positive definite"),
     (["verify", "t", "--order", "20", "--catalog", "@unknown-key"],
@@ -251,6 +253,7 @@ def test_bailey_chain_show_and_errors(capsys):
     (["verify", "t", "--order", "12", "--catalog", "@negative-prefactor"],
      "prefactor exponents must have a nonnegative"),
 ], ids=["general-vanishing", "expand-d0", "chain-show-d0", "verify-d0",
+        "bailey-verify-negative-n", "chain-show-negative-n",
         "indefinite-nahm-record", "unknown-key", "kind-key", "repeated-key",
         "id-key", "missing-key", "matrix-junk", "extra-junk",
         "negative-prefactor"])

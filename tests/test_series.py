@@ -289,6 +289,14 @@ def _min_or_none(*xs):
     return min(xs) if xs else None
 
 
+def _product_order(a, b):
+    return _min_or_none(
+        None if a.order_num is None or _valuation(b) is None
+        else a.order_num + _valuation(b),
+        None if b.order_num is None or _valuation(a) is None
+        else b.order_num + _valuation(a))
+
+
 @pytest.mark.parametrize("den", [1, 4])
 def test_kernel_matches_dense_reference(den):
     rng = random.Random(20261018 + den)
@@ -307,12 +315,7 @@ def test_kernel_matches_dense_reference(den):
 
         _check_against(a + b, dense_add(x, y), lo, oab)
         _check_against(a - b, dense_add(x, [-v for v in y]), lo, oab)
-        mul_order = _min_or_none(
-            None if a.order_num is None or _valuation(b) is None
-            else a.order_num + _valuation(b),
-            None if b.order_num is None or _valuation(a) is None
-            else b.order_num + _valuation(a))
-        _check_against(a * b, dense_mul(x, y), 2 * lo, mul_order)
+        _check_against(a * b, dense_mul(x, y), 2 * lo, _product_order(a, b))
 
         # a * (1 - c q^num) with num negative, zero or positive
         num = one_rng.randint(-2 * den, 2 * den)
@@ -359,3 +362,60 @@ def test_kernel_matches_dense_reference(den):
         ref = dense_inverse(dense(a, low, low + max(span, 1) - 1), span) \
             if span > 0 else []
         _check_against(invert_unit(a, order), ref, -low, onum)
+
+
+def test_mul_over_common_denominators():
+    """Products convolved on integer numerators over each operand's common
+    denominator match the dense reference: pairwise-coprime and large
+    denominators, int x Fraction and Fraction x Fraction operands, exact and
+    truncated, and products that cancel to integers and to zero."""
+    # its own generator, so no other check's operands change
+    rng = random.Random(20261019)
+    den, lo, hi = 4, -8, 48
+    dens = [3, 7, 9, 11, 2**40 + 1]
+    coprime = [3, 7, 11, 2**40 + 1]
+    nums = [-5, -4, -2, -1, 1, 2, 4, 5]  # prime to every denominator above
+
+    def draw(coeff):
+        """1 to 8 terms, each coefficient coeff(s) for s drawn from nums."""
+        pairs = [(Fraction(rng.randint(-2 * den, 8 * den), den),
+                  coeff(rng.choice(nums))) for _ in range(rng.randint(1, 8))]
+        order = rng.choice([None, Fraction(rng.randint(0, 10 * den), den)])
+        return QSeries.from_terms(pairs, den=den, order=order)
+
+    def frac(s):
+        return Fraction(s, rng.choice(dens))
+
+    for trial in range(200):
+        kind = trial % 5
+        if kind == 0:  # int x Fraction
+            a, b = draw(int), draw(frac)
+        elif kind == 1:  # Fraction x Fraction
+            a, b = draw(frac), draw(frac)
+        elif kind == 2:  # Fraction x Fraction with integer coefficients
+            d1, d2 = rng.sample(coprime, 2)
+            a = draw(lambda s: Fraction(s * d2, d1))
+            b = draw(lambda s: Fraction(s * d1, d2))
+        elif kind == 3:  # c (1 + q^e) times c' (1 - q^e): the middle cancels
+            c1, c2 = frac(rng.choice(nums)), frac(rng.choice(nums))
+            e = Fraction(rng.randint(1, 4 * den), den)
+            a = QSeries.from_terms([(0, c1), (e, c1)], den=den)
+            b = QSeries.from_terms([(0, c2), (e, -c2)], den=den,
+                                   order=rng.choice([None, e, 3 * e]))
+        else:  # an operand whose Fraction terms cancel to zero
+            c = frac(rng.choice(nums))
+            e = Fraction(rng.randint(0, 8 * den), den)
+            a = QSeries.from_terms([(e, c), (e, -c)], den=den,
+                                   order=rng.choice([None, e]))
+            b = draw(frac)
+        if rng.random() < 0.5:
+            a, b = b, a
+        ref = dense_mul(dense(a, lo, hi), dense(b, lo, hi))
+        res = a * b
+        _check_against(res, ref, 2 * lo, _product_order(a, b))
+        if kind == 2:
+            assert all(type(c) is int for c in res.terms.values())
+        if kind == 3:
+            assert res.terms[0] == c1 * c2 and int(e * den) not in res.terms
+        if kind == 4:
+            assert res.is_zero
