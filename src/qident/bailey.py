@@ -40,7 +40,12 @@ from qident.series import (
     mul_one_minus,
     qmono,
 )
-from qident.products import inv_poch_table, poch_finite, poch_infinite
+from qident.products import (
+    ProductExpr,
+    eval_product,
+    inv_poch_table,
+    poch_finite,
+)
 from qident.nahm import _ceil_sqrt
 
 HALF = Fraction(1, 2)
@@ -616,7 +621,8 @@ def limit_identity(p: BaileyPair, order: ExpLike,
             if term.is_zero:
                 continue
             acc = acc + term * mono(nn)
-        return acc * invert_unit(poch_infinite(aq, 1, depth, den), depth)
+        return acc * eval_product(
+            ProductExpr(((aq, Fraction(1), -1),)), depth, den)
 
     lhs = deepen_until_valid(build_lhs, order, den)
     rhs = deepen_until_valid(build_rhs, order, den)

@@ -10,12 +10,22 @@ polynomial prefactor times a signed multiset of infinite products.  The
 bilateral theta sum :func:`triple_product_oracle` gives an independent route
 to the same values and is cross-checked against the product form in the
 test suite.
+
+:func:`eval_product` multiplies numerators in one factor at a time.  The
+denominators with a positive first exponent are unit series, and it builds
+their whole product F in one pass of the log-derivative (Euler-transform)
+recurrence n f_n = sum_k G_k f_(n-k), G = q d/dq log F, on integers
+(:func:`_unit_product`), in place of a product, an O(N^2) inversion and an
+O(N^2) convolution per factor.  The docstring of :func:`eval_product` says
+why the split keeps every coefficient and the validity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Union
 
 from qident.series import (
@@ -24,6 +34,7 @@ from qident.series import (
     Monomial,
     QSeries,
     Scalar,
+    _normal,
     exp_num,
     invert_unit,
     mul_inv_one_minus,
@@ -62,16 +73,70 @@ def poch_finite(a: Monomial, base: ExpLike, n: int,
 def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
                   den: int = DEFAULT_D) -> QSeries:
     """(a; q^base)_infinity truncated at order."""
-    base = Fraction(base)
-    if base <= 0:
+    nums = _factor_nums(a, base, order, den)
+    out = QSeries(den, {0: 1}, exp_num(order, den))
+    for num in nums:
+        out = mul_one_minus(out, a.coeff, num)
+    return out
+
+
+def _factor_nums(a: Monomial, base: ExpLike, order: ExpLike,
+                 den: int) -> range:
+    """Exponent numerators of the factors (1 - a q^(base*k)) through order.
+
+    The range starts at a's exponent numerator even when it is empty.
+    """
+    if Fraction(base) <= 0:
         raise ValueError("infinite product needs a positive base")
     onum = exp_num(order, den)
-    out = QSeries(den, {0: 1}, onum)
     first = exp_num(a.exp, den)
-    if first <= onum:  # the base must be on the lattice only from here on
-        for num in range(first, onum + 1, exp_num(base, den)):
-            out = mul_one_minus(out, a.coeff, num)
-    return out
+    if first > onum:  # the base must be on the lattice only from here on
+        return range(first, first)
+    return range(first, onum + 1, exp_num(base, den))
+
+
+def _unit_product(factors: list[tuple[Scalar, range, int]],
+                  onum: int, den: int) -> QSeries:
+    """prod (1 - c q^(e/den))^p over every e in nums, for (c, nums, p) in
+    factors, to numerator onum; every e must be positive.
+
+    Only multiples of the gcd g of all e occur, so n below counts units of
+    g/den.  With F = sum f_n q^n the product, q dF/dq = G F for
+    G = q d/dq log F = -sum p (e/g) c^j q^(j e/g), and comparing
+    coefficients gives n f_n = sum_(k=1..n) G_k f_(n-k) from f_0 = 1: one
+    pass, each coefficient read off the ones below it.
+
+    Each f_n is a polynomial with integer coefficients in the c, of degree
+    at most n.  So with B the lcm of the c's denominators, F_n = B^n f_n and
+    H_k = B^k G_k are integers, and n F_n = sum H_k F_(n-k) is the same
+    recurrence on integers: its division by n is exact, and B^n is divided
+    out once per coefficient at the end.  H_k is G_k with every c replaced
+    by the integer c B^(e/g).
+    """
+    g = 0
+    for _, nums, _ in factors:
+        g = gcd(g, *nums[:2])  # a progression's gcd is its first two terms'
+    if not g:
+        return QSeries(den, {0: 1}, onum)
+    size = onum // g
+    B = lcm(*(c.denominator for c, _, _ in factors))
+    H = [0] * (size + 1)
+    for c, nums, p in factors:
+        for e in nums:
+            u = e // g
+            cu = c.numerator * (B // c.denominator) * B ** (u - 1)
+            w = -p * u * cu
+            for n in range(u, size + 1, u):
+                H[n] += w
+                w *= cu
+    F = [1]
+    for n in range(1, size + 1):
+        F.append(sum(map(mul, H[1:n + 1], reversed(F))) // n)
+    if B == 1:
+        terms = {n * g: v for n, v in enumerate(F)}
+    else:
+        terms = {n * g: Fraction(v, B ** n) for n, v in enumerate(F)}
+    return QSeries(den, _normal(terms), onum)
 
 
 def triple_product_oracle(z: Monomial, base: ExpLike, order: ExpLike,
@@ -217,14 +282,36 @@ def J(a: ExpLike, m: Optional[ExpLike] = None) -> ProductExpr:
 
 def eval_product(expr: ProductExpr, order: ExpLike,
                  den: int = DEFAULT_D) -> QSeries:
-    """Evaluate a product expression exactly to the given order."""
-    out = QSeries(den, {0: 1}, exp_num(order, den))
+    """Evaluate a product expression exactly to the given order.
+
+    Numerators are built by :func:`poch_infinite`, and denominators whose
+    first exponent is <= 0 by :func:`poch_infinite` and ``invert_unit``;
+    each is multiplied in where it stands.  Every other denominator is a
+    unit series (constant term 1), and all of them are built in one pass of
+    :func:`_unit_product` and joined with one multiplication at the end.
+
+    Why the split changes nothing: a product is valid to the least over its
+    operands of one's validity plus the other's valuation.  Every partial
+    product here is valid to at most `order` plus its valuation (for a
+    nonnegative order), so a unit, valid to `order` with valuation 0, never
+    lowers it, wherever it is multiplied in.  The validity and the terms
+    through it are therefore those of the factor-by-factor evaluation.
+    """
+    onum = exp_num(order, den)
+    out = QSeries(den, {0: 1}, onum)
+    units = []
     for (m, base, power) in expr.factors:
+        nums = _factor_nums(m, base, order, den)
+        if power < 0 and nums.start > 0:
+            units.append((m.coeff, nums, power))
+            continue
         s = poch_infinite(m, base, order, den)
         if power < 0:
             s = invert_unit(s, order)
         for _ in range(abs(power)):
             out = out * s
+    if units:
+        out = out * _unit_product(units, onum, den)
     pf = QSeries.from_terms(((mo.exp, mo.coeff) for mo in expr.prefactor),
                             den=den)
     return out * pf

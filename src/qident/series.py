@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -418,8 +418,10 @@ def invert_unit(a: QSeries, order: ExpLike) -> QSeries:
                               if n != low}).items())
     inv: dict[int, Scalar] = {0: 1}
     if u_items:
+        # 1/u lives on the lattice of u's exponents; step over it
+        step = gcd(*(un for un, _ in u_items))
         get = inv.get
-        for n in range(1, onum + low + 1):
+        for n in range(step, onum + low + 1, step):
             s: Scalar = 0
             for un, uc in u_items:
                 if un > n:

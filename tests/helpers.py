@@ -86,11 +86,15 @@ def dense_add(x, y):
     return [a + b for a, b in zip(x, y)]
 
 
-def dense_mul(x, y):
-    """Cauchy product; the result's window starts at the sum of the starts."""
-    out = [Fraction(0)] * (len(x) + len(y) - 1)
-    for i, a in enumerate(x):
-        for j, b in enumerate(y):
+def dense_mul(x, y, length=None):
+    """Cauchy product; the result's window starts at the sum of the starts.
+
+    With `length`, only the product's first `length` coefficients."""
+    if length is None:
+        length = len(x) + len(y) - 1
+    out = [Fraction(0)] * length
+    for i, a in enumerate(x[:length]):
+        for j, b in enumerate(y[:length - i]):
             out[i + j] += a * b
     return out
 
@@ -112,3 +116,31 @@ def dense_inverse(x, length):
             s -= x[j] * inv[k - j]
         inv.append(s / x[0])
     return inv
+
+
+def dense_factors(c, exps, length):
+    """The first `length` coefficients of prod (1 - c q^e) over the integers
+    e in exps, from the exponent sum(e for e in exps if e < 0) up."""
+    out = [1] + [0] * (length - 1)
+    for e in exps:
+        if e >= 0:
+            out = [out[i] - (c * out[i - e] if i >= e else 0)
+                   for i in range(length)]
+        else:  # q^e (q^-e - c): the window moves down by -e
+            out = [(out[i + e] if i >= -e else 0) - c * out[i]
+                   for i in range(length)]
+    return [Fraction(v) for v in out]
+
+
+def check_against(res, ref, lo, order_num):
+    """res has the expected validity, stores nothing outside the reference
+    window or past its order, agrees with ref through its order, and keeps
+    every coefficient in normal form: nonzero, and an int when integral."""
+    assert res.order_num == order_num
+    top = lo + len(ref) - 1 if order_num is None else order_num
+    assert all(lo <= n <= top for n in res.terms)
+    for n in range(lo, top + 1):
+        assert res.coeff_num(n) == ref[n - lo]
+    for c in res.terms.values():
+        assert c != 0
+        assert not (isinstance(c, Fraction) and c.denominator == 1)

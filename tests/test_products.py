@@ -1,14 +1,19 @@
 """Pochhammer/theta layer: symbols, oracle cross-checks, classical identities."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qident.catalog import load_catalog
 from qident.series import (
     Monomial,
     QSeries,
     coefficient,
+    dump,
     equal_up_to,
     invert_unit,
     qmono,
@@ -29,7 +34,14 @@ from qident.products import (
     triple_product_oracle,
 )
 
-from helpers import count_partitions, series_coeffs
+from helpers import (
+    check_against,
+    count_partitions,
+    dense_factors,
+    dense_inverse,
+    dense_mul,
+    series_coeffs,
+)
 
 
 def S(pairs, order=None, den=4):
@@ -207,6 +219,161 @@ def test_NP_factor():
             table[m] += table[m - part]
     for n in range(10):
         assert coefficient(s, n) == table[n]
+
+
+# -- differential test against the dense reference in tests/helpers.py ----
+
+def _elementary(m, base, den, top):
+    """Exponent numerators first + k*step of (m; q^base)_inf up to top."""
+    first, step = int(m.exp * den), int(base * den)
+    return list(range(first, top + 1, step))
+
+
+def _starts(expr, den):
+    """Lowest exponent numerator of each factor's series and of the
+    prefactor: sum of a product's negative exponents, negated for a
+    denominator."""
+    starts = []
+    for m, base, power in expr.factors:
+        low = sum(e for e in _elementary(m, base, den, 0) if e < 0)
+        starts.append(low if power > 0 else -low)
+    return starts, int(min(mo.exp for mo in expr.prefactor) * den)
+
+
+def _dense_product(expr, den, top):
+    """(lo, coefficients at numerators lo..top) of the true, untruncated
+    value of expr, built only from dense lists."""
+    starts, pf_lo = _starts(expr, den)
+    lo = pf_lo + sum(abs(p) * s for s, (_, _, p) in zip(starts, expr.factors))
+    length = top - lo + 1
+    if length <= 0:
+        return lo, []
+    # every partial product keeps `length` terms from its own start; an
+    # elementary factor at e moves every term it touches to >= lo + e
+    total = [Fraction(0)] * length
+    for mo in expr.prefactor:
+        if int(mo.exp * den) - pf_lo < length:
+            total[int(mo.exp * den) - pf_lo] += mo.coeff
+    for m, base, power in expr.factors:
+        x = dense_factors(m.coeff, _elementary(m, base, den, top - lo),
+                          length)
+        if power < 0:
+            x = dense_inverse(x, length)
+        for _ in range(abs(power)):
+            total = dense_mul(total, x, length)
+    return lo, total
+
+
+def _expected_validity(expr, onum, den):
+    """The validity eval_product promises: the order, plus the valuation of
+    every factor and of the prefactor, less the most negative exponent sum
+    of a denominator (its inverse is only built to the order)."""
+    starts, pf_lo = _starts(expr, den)
+    out = onum + pf_lo
+    for s, (_, _, power) in zip(starts, expr.factors):
+        out += abs(power) * s
+    return out + min([0] + [-s for s, (_, _, p) in zip(starts, expr.factors)
+                            if p < 0])
+
+
+def test_eval_product_matches_dense_oracle():
+    """eval_product on random product expressions matches a dense product of
+    its factors built from tests/helpers.py lists: one to eight factors with
+    coefficients +-1 and rational, first exponents -2..4 (0 included), bases
+    1/2..5 and powers +-1..+-3, polynomial prefactors, lattices 1/1, 1/2 and
+    1/4.  The validity is the one the truncation rules promise, the terms
+    agree through it and are in normal form, and a denominator that vanishes
+    is refused."""
+    # its own generator, so no other check's operands change
+    rng = random.Random(20261021)
+    coeffs = [1, -1, 1, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)]
+    kinds = {"nonzero": 0, "zero": 0, "refused": 0}
+    for trial in range(200):
+        den = rng.choice([1, 2, 4])
+        factors = tuple(
+            (Monomial(rng.choice(coeffs),
+                      Fraction(rng.randint(-2 * den, 4 * den), den)),
+             Fraction(rng.randint((den + 1) // 2, 5 * den), den),
+             rng.choice([-3, -2, -1, 1, 2, 3]))
+            for _ in range(rng.randint(1, 8)))
+        exps = sorted(rng.sample(range(-2 * den, 3 * den + 1),
+                                 rng.randint(1, 3)))
+        prefactor = tuple(
+            Monomial(rng.choice([1, -2, Fraction(1, 3)]), Fraction(e, den))
+            for e in exps)
+        expr = ProductExpr(factors, prefactor)
+        order = Fraction(rng.randint(0, 40), den)
+        onum = int(order * den)
+        if any(p < 0 and m.coeff == 1
+               and 0 in _elementary(m, b, den, 0)
+               for m, b, p in factors):
+            with pytest.raises(ValueError):
+                eval_product(expr, order, den)
+            kinds["refused"] += 1
+            continue
+        res = eval_product(expr, order, den)
+        want = _expected_validity(expr, onum, den)
+        lo, ref = _dense_product(expr, den, max(want, res.order_num))
+        if any(ref[:max(want - lo + 1, 0)]):
+            check_against(res, ref[:want - lo + 1], lo, want)
+            kinds["nonzero"] += 1
+        else:
+            # zero through the promised validity, where any validity at
+            # which the value is still zero is sound
+            assert res.is_zero
+            assert not any(ref[:max(res.order_num - lo + 1, 0)])
+            kinds["zero"] += 1
+    assert kinds["nonzero"] >= 150 and kinds["zero"] and kinds["refused"]
+
+
+GOLDEN = Path(__file__).parent / "data" / "eval_product_golden.json"
+
+
+def _digest(s):
+    return hashlib.sha256(f"{s.order_num}\n{dump(s)}".encode()).hexdigest()
+
+
+def test_eval_product_outputs_are_pinned():
+    """Every packaged right side at order 120 and 32 family instances at
+    order 30 keep the validity and dump they had before the one-pass
+    denominator product."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    cat = load_catalog()
+    assert set(golden["records"]) == set(cat.ids())
+    for kind, order in (("records", golden["records_order"]),
+                        ("family", golden["family_order"])):
+        for rid, want in golden[kind].items():
+            s = eval_product_sum(cat.resolve(rid).rhs, order)
+            assert _digest(s) == want, rid
+
+
+def test_eval_product_edge_probes_are_pinned():
+    """Zero, negative and zero-exponent factors, alone, powered, inverted
+    and mixed, keep their terms and validity, or their exception."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    one = ProductExpr()
+    probes = {"P(0,1)": P(0, 1), "NP(0,1)": NP(0, 1), "P(-1,2)": P(-1, 2),
+              "NP(-1,2)": NP(-1, 2), "1/NP(0,2)": one / NP(0, 2),
+              "1/NP(-1,2)": one / NP(-1, 2),
+              "NP(-1,2)*P(1,1)": NP(-1, 2) * P(1, 1),
+              "P(1,1)/NP(-3,2)": P(1, 1) / NP(-3, 2),
+              "NP(-1,2)^2": NP(-1, 2) ** 2, "1/P(0,1)": one / P(0, 1)}
+    assert set(probes) == set(golden["probes"])
+    for name, expr in probes.items():
+        want = golden["probes"][name]
+        if isinstance(want, str):
+            with pytest.raises(Exception) as err:
+                eval_product(expr, golden["probe_order"])
+            assert type(err.value).__name__ == want, name
+            continue
+        s = eval_product(expr, golden["probe_order"])
+        assert s.order_num == want["order_num"], name
+        assert [[n, str(c)] for n, c in sorted(s.terms.items())] == \
+            want["terms"], name
+    # the two the truncation rules are easiest to get wrong
+    assert golden["probes"]["P(-1,2)"]["order_num"] == 5 * 4
+    assert series_coeffs(eval_product(one / NP(-1, 2), 6), 6) == \
+        [0, 1, -2, 3, -5, 7, -10]
 
 
 def test_poch_table_matches_finite():

@@ -27,6 +27,7 @@ from qident.series import (
 )
 
 from helpers import (
+    check_against,
     count_partitions,
     dense,
     dense_add,
@@ -266,20 +267,6 @@ def _draw_series(rng, den, rational):
                               order=order)
 
 
-def _check_against(res, ref, lo, order_num):
-    """res has the expected validity, stores nothing outside the reference
-    window or past its order, agrees with ref through its order, and keeps
-    every coefficient in normal form: nonzero, and an int when integral."""
-    assert res.order_num == order_num
-    top = lo + len(ref) - 1 if order_num is None else order_num
-    assert all(lo <= n <= top for n in res.terms)
-    for n in range(lo, top + 1):
-        assert res.coeff_num(n) == ref[n - lo]
-    for c in res.terms.values():
-        assert c != 0
-        assert not (isinstance(c, Fraction) and c.denominator == 1)
-
-
 def _valuation(s):
     return min(s.terms) if s.terms else s.order_num
 
@@ -313,9 +300,9 @@ def test_kernel_matches_dense_reference(den):
         x, y = dense(a, lo, hi), dense(b, lo, hi)
         oab = _min_or_none(a.order_num, b.order_num)
 
-        _check_against(a + b, dense_add(x, y), lo, oab)
-        _check_against(a - b, dense_add(x, [-v for v in y]), lo, oab)
-        _check_against(a * b, dense_mul(x, y), 2 * lo, _product_order(a, b))
+        check_against(a + b, dense_add(x, y), lo, oab)
+        check_against(a - b, dense_add(x, [-v for v in y]), lo, oab)
+        check_against(a * b, dense_mul(x, y), 2 * lo, _product_order(a, b))
 
         # a * (1 - c q^num) with num negative, zero or positive
         num = one_rng.randint(-2 * den, 2 * den)
@@ -324,12 +311,12 @@ def test_kernel_matches_dense_reference(den):
         two = [Fraction(0)] * (abs(num) + 1)
         two[-low] += 1
         two[num - low] -= coeff
-        _check_against(mul_one_minus(a, coeff, num), dense_mul(x, two),
+        check_against(mul_one_minus(a, coeff, num), dense_mul(x, two),
                        lo + low,
                        None if a.order_num is None else a.order_num + low)
 
         c = rng.choice(scalars)
-        _check_against(a.scale(c), [v * c for v in x], lo, a.order_num)
+        check_against(a.scale(c), [v * c for v in x], lo, a.order_num)
 
         pairs = _draw_pairs(rng, den, rational)
         order = rng.choice([None, Fraction(rng.randint(0, 10 * den), den)])
@@ -338,13 +325,13 @@ def test_kernel_matches_dense_reference(den):
         for e, v in pairs:
             if onum is None or e * den <= onum:
                 ref[int(e * den) - lo] += v
-        _check_against(QSeries.from_terms(pairs, den=den, order=order),
+        check_against(QSeries.from_terms(pairs, den=den, order=order),
                        ref, lo, onum)
 
         step = rng.randint(1, 2 * den)
         coeff = rng.choice(scalars[1:])
         order = Fraction(rng.randint(0, 10 * den), den)
-        _check_against(
+        check_against(
             mul_inv_one_minus(a, Monomial(coeff, Fraction(step, den)), order),
             dense_geometric(x, coeff, step), lo,
             _min_or_none(int(order * den), a.order_num))
@@ -361,7 +348,34 @@ def test_kernel_matches_dense_reference(den):
         span = onum + low + 1
         ref = dense_inverse(dense(a, low, low + max(span, 1) - 1), span) \
             if span > 0 else []
-        _check_against(invert_unit(a, order), ref, -low, onum)
+        check_against(invert_unit(a, order), ref, -low, onum)
+
+
+def test_invert_unit_on_coarse_lattices():
+    """Units whose exponents above the lowest lie on a coarser lattice than
+    1/den (steps of 2/4 to 3 at den 4, shifted by any lowest exponent) invert
+    as the dense reference does, so stepping over that lattice skips only
+    coefficients that are zero."""
+    # its own generator, so no other check's operands change
+    rng = random.Random(20261020)
+    den = 4
+    for trial in range(150):
+        step = rng.choice([2, 3, 4, 6, 8, 12])
+        low = rng.randint(-2 * den, 2 * den)
+        c0 = rng.choice([1, -1, 2, Fraction(-1, 3)])
+        pairs = [(Fraction(low, den), c0)]
+        for _ in range(rng.randint(1, 6)):
+            c = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+            pairs.append((Fraction(low + step * rng.randint(1, 10), den), c))
+        top = rng.randint(0, 10 * den)
+        a = QSeries.from_terms(pairs, den=den, order=rng.choice(
+            [None, Fraction(2 * max(low, 0) + top + rng.randint(0, 8), den)]))
+        order = Fraction(rng.randint(0, top), den)
+        onum = int(order * den)
+        span = onum + low + 1
+        ref = dense_inverse(dense(a, low, low + max(span, 1) - 1), span) \
+            if span > 0 else []
+        check_against(invert_unit(a, order), ref, -low, onum)
 
 
 def test_mul_over_common_denominators():
@@ -412,7 +426,7 @@ def test_mul_over_common_denominators():
             a, b = b, a
         ref = dense_mul(dense(a, lo, hi), dense(b, lo, hi))
         res = a * b
-        _check_against(res, ref, 2 * lo, _product_order(a, b))
+        check_against(res, ref, 2 * lo, _product_order(a, b))
         if kind == 2:
             assert all(type(c) is int for c in res.terms.values())
         if kind == 3:
