@@ -17,6 +17,10 @@ Generators take (n, order, den) and return a QSeries valid at least to
 order + min(0, valuation); callers that need more depth re-request through
 :func:`qident.series.deepen_until_valid`, the one deepen-until-valid loop.
 Pairs are immutable and generator calls are memoized per pair.
+
+Nothing free of n is built per n: 1/(x;q)_n tables grow a factor per new n in
+the bounded cache :func:`_inv_table`, and each lemma pair owns a :class:`_Row`
+per (order, den), so beta'_n = sum_r u_r w_(n-r) costs n+1 products.
 """
 
 from __future__ import annotations
@@ -40,12 +44,7 @@ from qident.series import (
     mul_one_minus,
     qmono,
 )
-from qident.products import (
-    ProductExpr,
-    eval_product,
-    inv_poch_table,
-    poch_finite,
-)
+from qident.products import InvPochRow, ProductExpr, eval_product, poch_finite
 from qident.nahm import _ceil_sqrt
 
 HALF = Fraction(1, 2)
@@ -78,13 +77,9 @@ def _need(order: Optional[ExpLike]) -> Fraction:
 
 
 @lru_cache(maxsize=1024)
-def _inv_table(arg: Monomial, base: Fraction, n: int, order: Fraction,
-               den: int) -> tuple[QSeries, ...]:
-    return tuple(inv_poch_table(arg, base, n, order, den))
-
-
-def _inv_qq(n: int, order: Fraction, den: int) -> tuple[QSeries, ...]:
-    return _inv_table(Monomial(1, 1), Fraction(1), n, order, den)
+def _inv_table(arg: Monomial, base: Fraction, order: Fraction,
+               den: int) -> InvPochRow:
+    return InvPochRow(arg, base, order, den)
 
 
 def _memo(fn: Gen) -> Gen:
@@ -144,9 +139,8 @@ def unit_pair(a: Monomial) -> BaileyPair:
 
     def beta(n, order=None, den=DEFAULT_D):
         order = _need(order)
-        prod = poch_finite(qmono(1), 1, n, order, den) * \
-            poch_finite(aq, 1, n, order, den)
-        return invert_unit(prod, order)
+        return _inv_table(qmono(1), Fraction(1), order, den)[n] * \
+            _inv_table(aq, Fraction(1), order, den)[n]
 
     return BaileyPair(a, _memo(alpha), _memo(beta), name="unit")
 
@@ -157,9 +151,8 @@ def _slater_beta(shift_n: bool, comp_exp: Fraction) -> Gen:
 
     def beta(n, order=None, den=DEFAULT_D):
         order = _need(order)
-        prod = poch_finite(qmono(2), 2, n, order, den) * \
-            poch_finite(comp, 1, n, order, den)
-        out = invert_unit(prod, order)
+        out = _inv_table(qmono(2), Fraction(2), order, den)[n] * \
+            _inv_table(comp, Fraction(1), order, den)[n]
         return out * Monomial(1, n) if shift_n else out
 
     return beta
@@ -271,16 +264,13 @@ def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
     order = Fraction(order)
     alphas, depth = _alpha_depth(p, n_max, order, den)
     aq = Monomial(p.a.coeff, p.a.exp + 1)
-    t_q = _inv_qq(n_max, depth, den)
-    t_aq = _inv_table(aq, Fraction(1), 2 * n_max, depth, den)
+    t_q = _inv_table(qmono(1), Fraction(1), depth, den)
+    t_aq = _inv_table(aq, Fraction(1), depth, den)
     results = []
     for n in range(n_max + 1):
-        rhs = _zero(depth, den)
-        for k in range(n + 1):
-            term = alphas[k]
-            if term.is_zero:
-                continue
-            rhs = rhs + term * t_q[n - k] * t_aq[n + k]
+        rhs = sum((a * t_q[n - k] * t_aq[n + k]
+                   for k, a in enumerate(alphas[:n + 1]) if not a.is_zero),
+                  _zero(depth, den))
         lhs = deepen_until_valid(lambda d: p.beta(n, d, den), order, den)
         results.append((n, compare_up_to(lhs, rhs, order)))
     return PairReport(p.name, p.a, order, tuple(results))
@@ -330,36 +320,45 @@ def _power(m: Monomial, k: Fraction) -> Callable[[int], Monomial]:
     return lambda r: Monomial(Fraction(m.coeff) ** r, m.exp * r + k * r * r)
 
 
-def _heads(xs: tuple[Monomial, ...], n: int, order: Optional[Fraction],
-           den: int) -> list[QSeries]:
-    """[prod_x (x;q)_r for r <= n], one factor at a time.
-
-    Each entry is cut at the order, if one is given, as soon as it stops
-    being exact, which is where poch_finite cuts a single symbol.
+class _Row:
+    """A lemma's r-sum pieces that do not depend on n, at one (order, den),
+    grown as higher n are asked for: the heads prod_x (x;q)_r, which alpha
+    shares, u and w.  Heads and tails are cut at the order, if one is given,
+    as soon as they stop being exact, where poch_finite cuts one symbol.
     """
-    out = [QSeries.one(den)]
-    for k in range(n):
-        s = out[-1]
-        for x in xs:
-            s = mul_one_minus(s, x.coeff, exp_num(x.exp + k, den))
-            if s.order_num is None and order is not None:
-                s = s.truncated(order)
-        out.append(s)
-    return out
 
+    def __init__(self, beta: Gen, nums: tuple[Monomial, ...],
+                 tail: tuple[Monomial, ...], mono: Callable[[int], Monomial],
+                 order: Optional[Fraction], den: int):
+        self.beta, self.nums, self.tail, self.mono = beta, nums, tail, mono
+        self.order, self.den = order, den
+        self.prods: dict[tuple[Monomial, ...], list[QSeries]] = {}
+        # u[r] = beta_r heads[r] mono(r) and w[k] = tails[k] / (q;q)_k
+        self.u, self.w = [], []
 
-def _r_sum(beta: Gen, nums: tuple[Monomial, ...], tail: tuple[Monomial, ...],
-           mono: Callable[[int], Monomial], n: int, order: Fraction,
-           den: int) -> QSeries:
-    """sum_r beta_r mono(r) prod_x (x;q)_r (tail;q)_{n-r} / (q;q)_{n-r}."""
-    heads = _heads(nums, n, order, den)
-    tails = _heads(tail, n, order, den)
-    tq = _inv_qq(n, order, den)
-    acc = _zero(order, den)
-    for r in range(n + 1):
-        acc = acc + beta(r, order, den) * heads[r] * \
-            (tails[n - r] * tq[n - r]) * mono(r)
-    return acc
+    def poch(self, xs: tuple[Monomial, ...], n: int) -> list[QSeries]:
+        """[prod_x (x;q)_k for k <= n], one factor at a time."""
+        out = self.prods.setdefault(xs, [QSeries.one(self.den)])
+        while len(out) <= n:
+            s = out[-1]
+            for x in xs:
+                s = mul_one_minus(s, x.coeff,
+                                  exp_num(x.exp + len(out) - 1, self.den))
+                if s.order_num is None and self.order is not None:
+                    s = s.truncated(self.order)
+            out.append(s)
+        return out
+
+    def r_sum(self, n: int) -> QSeries:
+        """sum_r beta_r mono(r) prod_x (x;q)_r (tail;q)_{n-r} / (q;q)_{n-r}."""
+        order, den = self.order, self.den
+        heads, tails = self.poch(self.nums, n), self.poch(self.tail, n)
+        tq = _inv_table(qmono(1), Fraction(1), order, den)
+        for k in range(len(self.u), n + 1):
+            self.u.append(self.beta(k, order, den) * heads[k] * self.mono(k))
+            self.w.append(tails[k] * tq[k])
+        return sum((self.u[r] * self.w[n - r] for r in range(n + 1)),
+                   _zero(order, den))
 
 
 def _lemma(p: BaileyPair, nums: tuple[Monomial, ...],
@@ -372,21 +371,22 @@ def _lemma(p: BaileyPair, nums: tuple[Monomial, ...],
         beta'_n  = prod_y (y;q)_n^-1 sum_r beta_r mono(r) prod_x (x;q)_r
                    (tail;q)_{n-r} / (q;q)_{n-r}
     """
+    row = lru_cache(maxsize=None)(
+        lambda order, den: _Row(p.beta, nums, tail, mono, order, den))
 
     def divide(s: QSeries, n: int, order: Optional[ExpLike],
                den: int) -> QSeries:
         for y in dens:
-            s = s * _inv_table(y, Fraction(1), n, _need(order), den)[n]
+            s = s * _inv_table(y, Fraction(1), _need(order), den)[n]
         return s
 
     def alpha(n, order=None, den=DEFAULT_D):
-        head = _heads(nums, n, order, den)[n]
+        head = row(order, den).poch(nums, n)[n]
         return divide(p.alpha(n, order, den) * head, n, order, den) * mono(n)
 
     def beta(n, order=None, den=DEFAULT_D):
         order = _need(order)
-        return divide(_r_sum(p.beta, nums, tail, mono, n, order, den),
-                      n, order, den)
+        return divide(row(order, den).r_sum(n), n, order, den)
 
     return p.a, alpha, beta
 
@@ -462,7 +462,7 @@ def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:
         order = _need(order)
         bq = Monomial(b.coeff, b.exp + 1)
         return p.beta(n, order, den) * poch_finite(bq, 1, n, order, den) * \
-            _inv_table(b, Fraction(1), n, order, den)[n]
+            _inv_table(b, Fraction(1), order, den)[n]
 
     return a_new, alpha, beta
 
@@ -551,15 +551,17 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
     c12 = _mdiv(aq, rho1 * rho2)
 
     c12_pow = _power(c12, Fraction(0))
+    row = lru_cache(maxsize=None)(
+        lambda depth: _Row(p.beta, (rho1, rho2), (c12,), c12_pow, depth, den))
 
     def build_lhs(depth: Fraction) -> QSeries:
-        return _r_sum(p.beta, (rho1, rho2), (c12,), c12_pow, n, depth, den)
+        return row(depth).r_sum(n)
 
     def build_rhs(depth: Fraction) -> QSeries:
         alphas, d2 = _alpha_depth(p, n, depth, den)
-        heads = _heads((rho1, rho2), n, d2, den)
-        tq = _inv_qq(n, d2, den)
-        taq = _inv_table(aq, Fraction(1), 2 * n, d2, den)
+        heads = row(d2).poch((rho1, rho2), n)
+        tq = _inv_table(qmono(1), Fraction(1), d2, den)
+        taq = _inv_table(aq, Fraction(1), d2, den)
         # (c1 q^r, c2 q^r; q)_{n-r} as exact polynomials, r stepping down
         tails = [QSeries.one(den)]
         for r in range(n - 1, -1, -1):
@@ -568,13 +570,10 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
                 t = mul_one_minus(t, c.coeff, exp_num(c.exp + r, den))
             tails.append(t)
         tails.reverse()
-        acc = _zero(d2, den)
-        for r in range(n + 1):
-            if alphas[r].is_zero:
-                continue
-            acc = acc + alphas[r] * heads[r] * tails[r] * tq[n - r] * \
-                taq[n + r] * c12_pow(r)
-        return acc
+        return sum((alphas[r] * heads[r] * tails[r] * tq[n - r] *
+                    taq[n + r] * c12_pow(r)
+                    for r in range(n + 1) if not alphas[r].is_zero),
+                   _zero(d2, den))
 
     lhs = deepen_until_valid(build_lhs, order, den)
     rhs = deepen_until_valid(build_rhs, order, den)

@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from qident.series import DEFAULT_D, deepen_until_valid, dump
+from qident.series import DEFAULT_D, deepen_until_valid, dump, nonneg_order
 from qident.nahm import multi_sum
 from qident.products import eval_product_sum
 from qident.catalog import (
@@ -37,13 +37,6 @@ def _fmt_exp(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else \
         f"{x.numerator}/{x.denominator}"
-
-
-def _order_of(args) -> Fraction:
-    order = Fraction(args.order)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return order
 
 
 def _load(args) -> Catalog:
@@ -148,7 +141,7 @@ def _emit_report(rep: VerificationReport, args) -> None:
 def cmd_verify(args) -> int:
     try:
         cat = _load(args)
-        order = _order_of(args)
+        order = nonneg_order(args.order)
         targets = _resolve_targets(cat, args)
     except (OSError, KeyError, ValueError) as exc:
         return _usage_error(exc)
@@ -172,7 +165,7 @@ def cmd_verify(args) -> int:
 def cmd_expand(args) -> int:
     try:
         cat = _load(args)
-        order = _order_of(args)
+        order = nonneg_order(args.order)
         ident = cat.resolve(args.id, k=args.k, i=args.i)
     except (OSError, KeyError, ValueError) as exc:
         return _usage_error(exc)
@@ -204,7 +197,7 @@ def cmd_list(args) -> int:
 def cmd_bailey(args) -> int:
     order = None
     try:
-        order = _order_of(args)
+        order = nonneg_order(args.order)
         pair = run_chain(args.target if args.bailey_cmd == "verify"
                          else args.expr)
     except ValueError as exc:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import floor, isqrt, lcm
 from typing import Optional, Sequence, Union
@@ -34,6 +35,7 @@ from qident.series import (
     _normal,
     div_one_minus,
     exp_num,
+    nonneg_order,
 )
 from qident.products import inv_poch_table, poch_table
 
@@ -336,23 +338,28 @@ def lattice_bound(spec: Union[NahmQuadruple, MultiSumSpec],
     """
     if isinstance(spec, NahmQuadruple):
         spec = quadruple_spec(spec)
+    return list(_box(spec, Fraction(order)))
+
+
+@lru_cache(maxsize=256)  # a report restates the box its enumeration used
+def _box(spec: MultiSumSpec, order: Fraction) -> tuple[int, ...]:
     m, lin = spec.quad, spec.lin
     r = spec.rank
-    budget0 = Fraction(order) - spec.const
+    budget0 = order - spec.const
     if any(m[i][i] <= 0 for i in range(r)):
         raise ValueError("unbounded enumeration: nonpositive diagonal")
     if all(x >= 0 for row in m for x in row):
         mins = [_min_pure_contrib(Fraction(m[i][i], 2), lin[i])
                 for i in range(r)]
         total_min = sum(mins, Fraction(0))
-        return [max(_max_n_quadratic(Fraction(m[i][i], 2), lin[i],
-                                     budget0 - (total_min - mins[i])), 0)
-                for i in range(r)]
+        return tuple(max(_max_n_quadratic(Fraction(m[i][i], 2), lin[i],
+                                          budget0 - (total_min - mins[i])), 0)
+                     for i in range(r))
     lam = smallest_eigenvalue_lower_bound(m)
     # E >= (lam/2)|n|^2 - |lin| |n| + const
     blin = _ceil_sqrt(sum((x * x for x in lin), Fraction(0)))
     radius = _max_n_quadratic(lam / 2, Fraction(-blin), budget0)
-    return [max(radius, 0)] * r
+    return (max(radius, 0),) * r
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -390,7 +397,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     no Pochhammer table is convolved per point.  The result is valid to the
     least validity of its contributions, which the cuts keep at the order.
     """
-    onum = exp_num(order, den)
+    onum = exp_num(nonneg_order(order), den)
     bounds = lattice_bound(spec, order)
     r = spec.rank
     # The box certifies only the quadratic exponent, so every other factor

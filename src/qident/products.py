@@ -39,6 +39,7 @@ from qident.series import (
     invert_unit,
     mul_inv_one_minus,
     mul_one_minus,
+    nonneg_order,
 )
 
 
@@ -73,6 +74,7 @@ def poch_finite(a: Monomial, base: ExpLike, n: int,
 def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
                   den: int = DEFAULT_D) -> QSeries:
     """(a; q^base)_infinity truncated at order."""
+    nonneg_order(order)
     nums = _factor_nums(a, base, order, den)
     out = QSeries(den, {0: 1}, exp_num(order, den))
     for num in nums:
@@ -297,7 +299,7 @@ def eval_product(expr: ProductExpr, order: ExpLike,
     lowers it, wherever it is multiplied in.  The validity and the terms
     through it are therefore those of the factor-by-factor evaluation.
     """
-    onum = exp_num(order, den)
+    onum = exp_num(nonneg_order(order), den)
     out = QSeries(den, {0: 1}, onum)
     units = []
     for (m, base, power) in expr.factors:
@@ -327,30 +329,42 @@ def eval_product_sum(exprs, order: ExpLike, den: int = DEFAULT_D) -> QSeries:
 
 # -- shared Pochhammer tables ------------------------------------------------
 
+class InvPochRow:
+    """1/(arg; q^base)_n for n = 0, 1, ..., each truncated at order, made
+    when first read: entry n is the untruncated entry n-1, which the row
+    keeps, divided by the single factor (1 - arg q^(base*(n-1))).
+    """
+
+    def __init__(self, arg: Monomial, base: ExpLike, order: ExpLike,
+                 den: int = DEFAULT_D):
+        self.arg, self.base, self.order = arg, Fraction(base), Fraction(order)
+        self._last = QSeries(den, {0: 1}, exp_num(order, den))
+        self.entries = [self._last]
+
+    def __getitem__(self, n: int) -> QSeries:
+        while len(self.entries) <= n:
+            f = Monomial(self.arg.coeff,
+                         self.arg.exp + self.base * (len(self.entries) - 1))
+            if f.exp > 0:
+                last = mul_inv_one_minus(self._last, f, self.order)
+            elif f.exp == 0:
+                if f.coeff == 1:
+                    raise ValueError("vanishing Pochhammer factor")
+                last = self._last.scale(1 / (1 - Fraction(f.coeff)))
+            else:
+                last = self._last * invert_unit(QSeries.from_terms(
+                    [(0, 1), (f.exp, -f.coeff)], den=self._last.den),
+                    self.order - 2 * f.exp)
+            self._last = last
+            self.entries.append(last.truncated(self.order))
+        return self.entries[n]
+
+
 def inv_poch_table(arg: Monomial, base: ExpLike, n_max: int, order: ExpLike,
                    den: int = DEFAULT_D) -> list[QSeries]:
-    """[1/(arg; q^base)_n for n in 0..n_max], each truncated at order.
-
-    Built incrementally: entry n is entry n-1 divided by the single factor
-    (1 - arg q^(base*(n-1))), which keeps the whole table at O(n_max * order)
-    coefficient operations.
-    """
-    base = Fraction(base)
-    out = [QSeries(den, {0: 1}, exp_num(order, den))]
-    for n in range(1, n_max + 1):
-        f = Monomial(arg.coeff, arg.exp + base * (n - 1))
-        prev = out[-1]
-        if f.exp > 0:
-            out.append(mul_inv_one_minus(prev, f, order))
-        elif f.exp == 0:
-            if f.coeff == 1:
-                raise ValueError("vanishing Pochhammer factor")
-            out.append(prev.scale(Fraction(1, 1) / (1 - Fraction(f.coeff))))
-        else:
-            out.append(prev * invert_unit(
-                QSeries.from_terms([(0, 1), (f.exp, -f.coeff)], den=den),
-                Fraction(order) - min(f.exp, 0) * 2))
-    return [s.truncated(Fraction(order)) for s in out]
+    """[1/(arg; q^base)_n for n in 0..n_max], each truncated at order."""
+    row = InvPochRow(arg, base, order, den)
+    return [row[n] for n in range(n_max + 1)]
 
 
 def poch_table(arg: Monomial, base: ExpLike, n_max: int,

@@ -53,6 +53,13 @@ def exp_num(e: ExpLike, den: int) -> int:
     return scaled.numerator
 
 
+def nonneg_order(order: ExpLike) -> Fraction:
+    """order as a Fraction; a negative order is a ValueError."""
+    if Fraction(order) < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    return Fraction(order)
+
+
 def _clean(c: Scalar) -> Scalar:
     """Collapse integral Fractions to int so coefficient dicts stay cheap."""
     if isinstance(c, Fraction) and c.denominator == 1:

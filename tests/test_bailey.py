@@ -3,10 +3,12 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from qident.bailey import (
+    _inv_table,
     DJK,
     TRANSFORMS,
     DJK_LIMIT,
@@ -28,6 +30,7 @@ from qident.bailey import (
 )
 from qident.catalog import parse_chain, run_chain
 from qident.products import (
+    InvPochRow,
     J,
     eval_product,
     inv_poch_table,
@@ -308,6 +311,173 @@ def test_transform_generators_golden():
         assert rep.ok
         text = dump(rep.lhs) + dump(rep.rhs)
         assert hashlib.sha256(text.encode()).hexdigest() == want, args[1:]
+
+
+# -- shared rows and tables -----------------------------------------------------
+
+
+def _lemma_oracle(a, alpha, beta, step):
+    """The step's alpha and beta with every n evaluated from scratch: each
+    Pochhammer symbol by poch_finite and each 1/(x;q)_n by a fresh
+    inv_poch_table to n.  Parameters are the lemma's as bailey states them;
+    the rho exponents drawn below are positive, where a product of
+    poch_finite heads cuts as the lemma's heads do."""
+    aq = Monomial(a.coeff, a.exp + 1)
+
+    def over(x, y):
+        return Monomial(Fraction(x.coeff) / y.coeff, x.exp - y.exp)
+
+    def power(m, k):
+        return lambda r: Monomial(Fraction(m.coeff) ** r, m.exp * r + k * r * r)
+
+    half_a = a.exp / 2
+    nums, dens, tail, mono = {
+        "S1": lambda: ((), (), (), power(a, 1)),
+        "S3": lambda: ((Monomial(-1, HALF),),
+                       (Monomial(-a.coeff, a.exp + HALF),), (), power(a, HALF)),
+        "S5": lambda: ((Monomial(-1, half_a + 1),), (Monomial(-1, half_a),),
+                       (), power(Monomial(1, half_a - HALF), HALF)),
+        "GENERAL": lambda: (
+            step.params, tuple(over(aq, rho) for rho in step.params),
+            (over(aq, step.params[0] * step.params[1]),),
+            power(over(aq, step.params[0] * step.params[1]), 0)),
+    }[step.kind]()
+
+    def head(r, order, den):
+        out = QSeries.one(den)
+        for x in nums:
+            out = out * poch_finite(x, 1, r, order, den)
+        return out
+
+    def divide(s, n, order, den):
+        for y in dens:
+            s = s * inv_poch_table(y, 1, n, order, den)[n]
+        return s
+
+    def new_alpha(n, order, den):
+        return divide(alpha(n, order, den) * head(n, order, den),
+                      n, order, den) * mono(n)
+
+    def new_beta(n, order, den):
+        tq = inv_poch_table(qmono(1), 1, n, order, den)
+        acc = QSeries(den, {}, exp_num(order, den))
+        for r in range(n + 1):
+            t = poch_finite(tail[0], 1, n - r, order, den) if tail \
+                else QSeries.one(den)
+            acc = acc + beta(r, order, den) * head(r, order, den) * \
+                (t * tq[n - r]) * mono(r)
+        return divide(acc, n, order, den)
+
+    return a, new_alpha, new_beta
+
+
+def _chain_oracle(seed, steps):
+    """(alpha, beta) of the chain, memoized per (n, order, den) only."""
+    comp = Monomial(-1, Fraction(3, 2) if seed == "G2" else HALF)
+
+    def seed_beta(n, order, den):
+        out = invert_unit(poch_finite(qmono(2), 2, n, order, den) *
+                          poch_finite(comp, 1, n, order, den), order)
+        return out * Monomial(1, n) if seed == "G3" else out
+
+    seed_pair = builtin_pair(seed)
+    a, alpha, beta = seed_pair.a, seed_pair.alpha, seed_beta
+    for step in steps:
+        if step.kind == "DJK":
+            (b,) = step.params
+
+            def djk_beta(n, order, den, inner=beta, b=b):
+                bq = Monomial(b.coeff, b.exp + 1)
+                return inner(n, order, den) * \
+                    poch_finite(bq, 1, n, order, den) * \
+                    inv_poch_table(b, 1, n, order, den)[n]
+
+            # DJK's alpha reads no table or row, so the oracle borrows it
+            a, alpha, _ = TRANSFORMS["DJK"][1](BaileyPair(a, alpha, beta), b)
+            beta = djk_beta
+        else:
+            a, alpha, beta = _lemma_oracle(a, alpha, beta, step)
+        alpha, beta = lru_cache(maxsize=None)(alpha), \
+            lru_cache(maxsize=None)(beta)
+    return alpha, beta
+
+
+def _outcome(gen, n, order, den):
+    try:
+        s = gen(n, order, den)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return sorted(s.terms.items()), s.order_num
+
+
+def test_rows_match_a_from_scratch_oracle_in_any_request_order():
+    rng = random.Random(20261101)
+    coeffs = [Fraction(c) for c in ("-1", "2", "-2", "1/2", "-1/3")]
+    exps = [HALF, Fraction(1), Fraction(3, 2), Fraction(2)]
+    kinds = set()
+    for _ in range(8):
+        seed = rng.choice(sorted(BUILTIN_NAMES))
+        p = builtin_pair(seed)
+        steps = []
+        for _ in range(rng.randrange(1, 4)):
+            pool = [S1, S3, S5]
+            if rng.random() < 0.4:
+                pool = [GENERAL(Monomial(rng.choice(coeffs), rng.choice(exps)),
+                                Monomial(rng.choice(coeffs), rng.choice(exps)))]
+            if p.a == qmono(1):
+                pool.append(DJK(qmono(2)))
+            steps.append(rng.choice(pool))
+            p = apply_transform(p, steps[-1])
+        kinds.update(st.kind for st in steps)
+        alpha, beta = _chain_oracle(seed, steps)
+        requests = [(n, order, den, side)
+                    for order, n_top in ((Fraction(7, 2), 6), (Fraction(16), 6),
+                                         (Fraction(30), 4))
+                    for n in range(n_top + 1) for den in (4, 8)
+                    for side in ("alpha", "beta")]
+        rng.shuffle(requests)
+        for n, order, den, side in requests:
+            got = _outcome(getattr(p, side), n, order, den)
+            want = _outcome(alpha if side == "alpha" else beta, n, order, den)
+            assert got == want, (p.name, side, n, order, den)
+    assert {"GENERAL", "DJK", "S1", "S3", "S5"} <= kinds
+
+
+def test_inv_table_entries_do_not_depend_on_the_first_request():
+    for arg, base in ((qmono(1), 1), (Monomial(-1, HALF), 1), (qmono(2), 2),
+                      (Monomial(2, 0), 1), (Monomial(3, -2), 1),
+                      (Monomial(Fraction(1, 3), -1), HALF)):
+        for order, den in ((Fraction(7, 2), 4), (Fraction(16), 8)):
+            up = InvPochRow(arg, base, order, den)
+            rows = [[up[n] for n in range(8)]]
+            _inv_table.cache_clear()
+            shared = _inv_table(arg, Fraction(base), order, den)
+            shared[7]
+            rows.append([shared[n] for n in range(8)])
+            _inv_table.cache_clear()
+            shared = _inv_table(arg, Fraction(base), order, den)
+            read = {n: shared[n] for n in (3, 0, 7, 5, 1, 2, 6, 4)}
+            rows.append([read[n] for n in range(8)])
+            rows.append([inv_poch_table(arg, base, n, order, den)[n]
+                         for n in range(8)])
+            if arg.exp > 0:  # unit series: the inverse of the polynomial
+                rows.append([invert_unit(poch_finite(arg, base, n, order, den),
+                                         order) for n in range(8)])
+            want = [(s.terms, s.order_num) for s in rows[0]]
+            for row in rows[1:]:
+                assert [(s.terms, s.order_num) for s in row] == want, arg
+
+
+def test_inv_table_cache_is_bounded_and_counts_hits():
+    # perfbench's traced runs (--trace 1) read and reset these counters
+    _inv_table.cache_clear()
+    assert _inv_table.cache_info().currsize == 0
+    verify_pair(builtin_pair("G1"), 3, 10)
+    info = _inv_table.cache_info()
+    assert info.maxsize == 1024
+    assert info.misses > 0 and info.hits > 0
+    _inv_table.cache_clear()
+    assert _inv_table.cache_info().hits == 0
 
 
 # -- the two-parameter finite identity ------------------------------------------

@@ -252,11 +252,12 @@ def test_bailey_chain_show_and_errors(capsys):
     (["list", "--catalog", "@extra-junk"], "record t: extra: expected"),
     (["verify", "t", "--order", "12", "--catalog", "@negative-prefactor"],
      "prefactor exponents must have a nonnegative"),
+    (["verify", "R.R.1", "--order=-1/4"], "order must be nonnegative"),
 ], ids=["general-vanishing", "expand-d0", "chain-show-d0", "verify-d0",
         "bailey-verify-negative-n", "chain-show-negative-n",
         "indefinite-nahm-record", "unknown-key", "kind-key", "repeated-key",
         "id-key", "missing-key", "matrix-junk", "extra-junk",
-        "negative-prefactor"])
+        "negative-prefactor", "verify-negative-order"])
 def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
     def catalog(name):
         path = tmp_path / f"{name}.cat"

@@ -144,6 +144,32 @@ def test_lattice_bound_diagonal():
     assert lattice_bound(rr_quadruple(shift=-1), 10) == [3]
 
 
+def test_lattice_bound_hands_out_a_fresh_box_each_call():
+    # boxes are memoized; a caller's edits must not reach the next caller
+    q = NahmQuadruple(A=[[2, 0], [0, 2]], b=[0, 0], c=0, d=[1, 1])
+    box = lattice_bound(q, 25)
+    box.append(99)
+    assert lattice_bound(q, 25) == [5, 5]
+    assert lattice_bound(q, Fraction(25)) == [5, 5]
+
+
+def test_verify_reports_the_box_its_enumeration_used():
+    cat = load_catalog()
+    for rid in ("R.R.1", "table2.15.4"):
+        spec = cat.get(rid).spec
+        assert cat.verify(rid, 40).box == tuple(lattice_bound(spec, 40))
+
+
+@pytest.mark.parametrize("order", [-2, Fraction(-1, 4)])
+def test_multi_sum_refuses_a_negative_order(order):
+    spec = MultiSumSpec(names=("i",), quad=((Fraction(2),),),
+                        lin=(Fraction(0),), denoms=(Fraction(1),))
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        multi_sum(spec, order)
+    zero = multi_sum(spec, 0)
+    assert zero.terms == {0: 1} and zero.order_num == 0
+
+
 def test_lattice_bound_covers_shell():
     # no point just outside the box may have exponent <= order
     q = TABLE_SHAPED[0]

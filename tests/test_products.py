@@ -380,3 +380,20 @@ def test_poch_table_matches_finite():
     tab = poch_table(Monomial(-1, Fraction(1, 2)), 1, 6)
     for n in range(7):
         assert tab[n] == poch_finite(Monomial(-1, Fraction(1, 2)), 1, n)
+
+
+@pytest.mark.parametrize("order", [-2, Fraction(-1, 4)])
+def test_negative_order_is_refused(order):
+    # at a negative order the result was an empty series whose validity
+    # depended on the factor count (-4 for this quotient at -2)
+    for evaluate in (lambda: eval_product(NP(1, 1) / P(1, 1), order),
+                     lambda: eval_product(ProductExpr(), order),
+                     lambda: poch_infinite(qmono(1), 1, order)):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            evaluate()
+
+
+def test_order_zero_still_evaluates():
+    for s in (eval_product(NP(1, 1) / P(1, 1), 0),
+              poch_infinite(qmono(1), 1, 0)):
+        assert s.terms == {0: 1} and s.order_num == 0
