@@ -11,9 +11,11 @@ Two kinds of sums are evaluated exactly over Z_{>=0}^r:
 Truncation is sound: :func:`lattice_bound` produces a box that provably
 contains every lattice point whose exponent is <= the requested order.  When
 the symmetrized matrix has only nonnegative entries the per-variable bound is
-solved exactly; otherwise an exact rational lower bound on the smallest
-eigenvalue is found by Sturm-chain bisection on the characteristic
-polynomial.  No floating point anywhere.
+solved exactly on the orthant; otherwise the form's square is completed
+exactly (a rational LDL^T, :func:`_squares`), which gives each variable its
+real ellipsoid extent and the enumerator a floor at every node (Fincke-Pohst
+row bounds).  The same completion decides positive definiteness.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -51,32 +53,45 @@ def _vec(xs: Sequence[ExpLike]) -> Vector:
     return tuple(Fraction(x) for x in xs)
 
 
-def _det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination over Fraction."""
-    n = len(m)
-    work = [list(row) for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = Fraction(1) / work[col][col]
-        for r in range(col + 1, n):
-            f = work[r][col] * inv
-            if f:
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return det
+def _squares(m: Sequence[Sequence[Fraction]], lin: Sequence[Fraction],
+             const: ExpLike) -> tuple[list[Fraction],
+                                      list[tuple[Fraction, Vector]], Fraction]:
+    """Complete the square of (1/2) n^T m n + lin.n + const, last index first.
+
+    Returns (piv, centres, low) with
+    form(n) = low + sum_k piv[k]/2 * (n_k - centre_k(n))^2, where
+    centres[k] = (c, cs) and centre_k(n) = c + sum_{j<k} cs[j] n_j, so the
+    least real value of the form over n_(k+1).. given n_0..n_k is low plus
+    the first k+1 squares (the Fincke-Pohst row bound).  m must be
+    symmetric; a pivot <= 0 means it is not positive definite.
+    """
+    a = [list(row) for row in m]
+    b = list(lin)
+    low = Fraction(const)
+    r = len(a)
+    piv: list[Fraction] = [Fraction(0)] * r
+    centres: list[tuple[Fraction, Vector]] = [(Fraction(0), ())] * r
+    for k in range(r - 1, -1, -1):
+        p = Fraction(a[k][k])
+        if p <= 0:
+            raise ValueError("matrix is not positive definite")
+        piv[k] = p
+        centres[k] = (-b[k] / p, tuple(-a[k][j] / p for j in range(k)))
+        for i in range(k):
+            f = a[i][k] / p
+            b[i] -= f * b[k]
+            for j in range(k):
+                a[i][j] -= f * a[k][j]
+        low -= b[k] * b[k] / (2 * p)
+    return piv, centres, low
 
 
 def is_positive_definite(m: Matrix) -> bool:
-    """All leading principal minors > 0, computed exactly."""
-    for k in range(1, len(m) + 1):
-        if _det([row[:k] for row in m[:k]]) <= 0:
-            return False
+    """Every pivot of the exact square completion of symmetric m is > 0."""
+    try:
+        _squares(m, [Fraction(0)] * len(m), 0)
+    except ValueError:
+        return False
     return True
 
 
@@ -264,77 +279,16 @@ def _max_n_quadratic(half_m: Fraction, lin: Fraction,
     return n
 
 
-def _charpoly(m: Matrix) -> list[Fraction]:
-    """det(xI - m) coefficients, highest power first (Faddeev-LeVerrier)."""
-    n = len(m)
-    coeffs = [Fraction(1)]
-    mk = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        step = [[mk[i][j] + (coeffs[-1] if i == j else 0) for j in range(n)]
-                for i in range(n)]
-        mk = [[sum(m[i][t] * step[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        coeffs.append(-Fraction(sum(mk[i][i] for i in range(n)), k))
-    return coeffs
-
-
-def _polymod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    while len(a) >= len(b):
-        if a[0] != 0:
-            f = a[0] / b[0]
-            for i in range(1, len(b)):
-                a[i] -= f * b[i]
-        a.pop(0)
-    while len(a) > 1 and a[0] == 0:
-        a.pop(0)
-    return a or [Fraction(0)]
-
-
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    deg = len(p) - 1
-    dp = [p[i] * (deg - i) for i in range(deg)] or [Fraction(0)]
-    chain = [list(p), dp]
-    while len(chain[-1]) > 1:
-        rem = _polymod(chain[-2], chain[-1])
-        if len(rem) == 1 and rem[0] == 0:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _sign_changes(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = Fraction(0)
-        for c in poly:
-            v = v * x + c
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def smallest_eigenvalue_lower_bound(m: Matrix) -> Fraction:
-    """Exact rational 0 < L <= lambda_min(m) for symmetric PD m."""
-    if not is_positive_definite(m):
-        raise ValueError("matrix is not positive definite")
-    chain = _sturm_chain(_charpoly(m))
-    t = min(m[i][i] for i in range(len(m)))  # Rayleigh: lambda_min <= min diag
-    for _ in range(128):
-        if _sign_changes(chain, Fraction(0)) - _sign_changes(chain, t) == 0:
-            return t
-        t = t / 2
-    raise ValueError("failed to bound the smallest eigenvalue")
-
-
 def lattice_bound(spec: Union[NahmQuadruple, MultiSumSpec],
                   order: ExpLike) -> list[int]:
     """Box [0..M_1] x ... x [0..M_r] holding all points with exponent <= order.
 
     With a nonnegative matrix, cross terms are dropped and each variable's
     quadratic is solved exactly against the budget left after the other
-    variables' (possibly negative) pure minima.  Otherwise a single radius
-    from the smallest-eigenvalue bound applies to every variable.
+    variables' (possibly negative) pure minima.  Otherwise each variable
+    gets the exact extent of the real ellipsoid {form <= order}: completing
+    the square with that variable first leaves its quadratic over the least
+    value of the rest.
     """
     if isinstance(spec, NahmQuadruple):
         spec = quadruple_spec(spec)
@@ -355,11 +309,16 @@ def _box(spec: MultiSumSpec, order: Fraction) -> tuple[int, ...]:
         return tuple(max(_max_n_quadratic(Fraction(m[i][i], 2), lin[i],
                                           budget0 - (total_min - mins[i])), 0)
                      for i in range(r))
-    lam = smallest_eigenvalue_lower_bound(m)
-    # E >= (lam/2)|n|^2 - |lin| |n| + const
-    blin = _ceil_sqrt(sum((x * x for x in lin), Fraction(0)))
-    radius = _max_n_quadratic(lam / 2, Fraction(-blin), budget0)
-    return (max(radius, 0),) * r
+    box = []
+    for i in range(r):
+        idx = [i] + [j for j in range(r) if j != i]
+        piv, centres, low = _squares([[m[a][b] for b in idx] for a in idx],
+                                     [lin[a] for a in idx], spec.const)
+        # form >= low + piv/2 (n_i - c)^2, with equality for some real rest
+        p, c = piv[0], centres[0][0]
+        box.append(max(_max_n_quadratic(p / 2, -p * c,
+                                        order - low - p * c * c / 2), 0))
+    return tuple(box)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -439,23 +398,24 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     lengths = [(int(f.length.const), [int(c) for c in f.length.coeffs])
                for f in spec.extra]
     denom_num = [exp_num(d, den) for d in spec.denoms]
-    mins = [_min_pure_contrib(halves[i], lin[i], bounds[i])
-            for i in range(r)]
-    # each min is half*c^2 + lin*c at an integer c, so min * L is integral
-    tail_min = [0] * (r + 1)
-    for i in range(r - 1, -1, -1):
-        tail_min[i] = tail_min[i + 1] + int(min(mins[i], 0) * L)
     pref_min = min(c0 for _, c0, _ in pref_l)
     top = onum * step
-    # With a nonnegative form a point below a node with partial exponent e2
-    # has exponent >= e2 + tail_min; otherwise only a box-wide floor is
-    # known, (lam/2)|n|^2 - |lin||n| + const >= const - |lin|^2/(2 lam).
+    # A point below a node has exponent >= the node's floor.  With a
+    # nonnegative form that is the partial exponent e2 plus the later
+    # variables' pure minima; otherwise it is the least real value of the
+    # form given the prefix, one completed square per fixed index.
     if nonneg:
+        mins = [_min_pure_contrib(halves[i], lin[i], bounds[i])
+                for i in range(r)]
+        # each min is half*c^2 + lin*c at an integer c, so min * L is integral
+        tail_min = [0] * (r + 1)
+        for i in range(r - 1, -1, -1):
+            tail_min[i] = tail_min[i + 1] + int(min(mins[i], 0) * L)
         lowest = const_l + tail_min[0]
     else:
-        lam = smallest_eigenvalue_lower_bound(m)
-        blin = _ceil_sqrt(sum((x * x for x in lin), Fraction(0)))
-        lowest = floor((spec.const - Fraction(blin * blin) / (2 * lam)) * L)
+        piv, centres, low = _squares(m, lin, spec.const)
+        floors = [low] * (r + 1)  # floors[i]: the floor of the node at i
+        lowest = floor(low * L)
     # coefficients past this depth reach no exponent <= the order
     root = (top - lowest - pref_min) // step
     depth = Fraction(root, den)
@@ -492,7 +452,11 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
             needs = [(top - e2 - tail_min[i + 1] - pref_min) // step
                      for e2 in exps]
         else:
-            needs = [root] * len(exps)
+            c0, cs = centres[i]
+            c = c0 + sum((x * v for x, v in zip(cs, point)), Fraction(0))
+            fls = [floors[i] + piv[i] * (v - c) ** 2 / 2
+                   for v in range(len(exps))]
+            needs = [(top - floor(f * L) - pref_min) // step for f in fls]
         # the series at v feeds every later v, and the exponent need not
         # grow with v, so it is cut at the most any of them can use
         cuts = list(accumulate(reversed(needs), max))[::-1]
@@ -503,6 +467,8 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
                 prod = div_one_minus(prod, 1, denom_num[i] * v, cuts[v])
             if needs[v] >= 0:
                 point[i] = v
+                if not nonneg:
+                    floors[i + 1] = fls[v]
                 rec(i + 1, e2, prod)
         point[i] = 0
 

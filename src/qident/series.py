@@ -54,10 +54,15 @@ def exp_num(e: ExpLike, den: int) -> int:
 
 
 def nonneg_order(order: ExpLike) -> Fraction:
-    """order as a Fraction; a negative order is a ValueError."""
-    if Fraction(order) < 0:
+    """order as a Fraction; a negative order or a zero denominator is a
+    ValueError."""
+    try:
+        value = Fraction(order)
+    except ZeroDivisionError:
+        raise ValueError(f"order has a zero denominator: {order}") from None
+    if value < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    return Fraction(order)
+    return value
 
 
 def _clean(c: Scalar) -> Scalar:

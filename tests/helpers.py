@@ -7,6 +7,7 @@ its own expected values.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import floor, isqrt
 
 from qident.series import QSeries, exp_num
 
@@ -69,6 +70,56 @@ def brute_sum(order, den, ranges, term):
 
     rec(0)
     return total.truncated(Fraction(order))
+
+
+# -- quadratic forms by cofactor expansion -------------------------------------
+#
+# Determinants and inverses by Laplace expansion over Fraction, with no
+# elimination, so they share no step with the square completion in qident.nahm.
+
+def det(m):
+    """Determinant of a small square matrix by cofactor expansion."""
+    if not m:
+        return Fraction(1)
+    return sum(((-1) ** j * Fraction(m[0][j]) * det(minor(m, 0, j))
+                for j in range(len(m))), Fraction(0))
+
+
+def minor(m, i, j):
+    """m without row i and column j."""
+    return [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+
+
+def leading_minors(m):
+    """The determinants of the leading k x k blocks, k = 1..rank."""
+    return [det([list(row[:k]) for row in m[:k]]) for k in range(1, len(m) + 1)]
+
+
+def real_extent(quad, lin, const, order):
+    """Per index i, the largest integer v >= 0 with v <= x_i for some real
+    x where (1/2) x^T quad x + lin.x + const <= order; 0 when there is none.
+
+    quad must be symmetric positive definite (ranks 1-3 in the tests).  By
+    Cramer's rule, inv = adj(quad) / det(quad); the form's least value is
+    const - lin^T inv lin / 2 at x* = -inv lin, and with x_i = t fixed its
+    least value rises by (t - x*_i)^2 / (2 inv_ii).
+    """
+    r = len(quad)
+    d = det(quad)
+    inv = [[(-1) ** (i + j) * det(minor(quad, j, i)) / d for j in range(r)]
+           for i in range(r)]
+    centre = [-sum(inv[i][j] * lin[j] for j in range(r)) for i in range(r)]
+    slack = order - (const + sum(x * c for x, c in zip(lin, centre)) / 2)
+    if slack < 0:
+        return [0] * r
+    out = []
+    for i in range(r):
+        rad2 = 2 * slack * inv[i][i]  # |t - x*_i| <= sqrt(rad2)
+        v = floor(centre[i]) + isqrt(floor(rad2)) + 2
+        while v > centre[i] and (v - centre[i]) ** 2 > rad2:
+            v -= 1
+        out.append(max(v, 0))
+    return out
 
 
 # -- dense kernel reference ----------------------------------------------------

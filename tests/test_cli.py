@@ -63,6 +63,8 @@ BAD_CATALOGS = {
                                               "[[1,2] junk [3,4]]"),
     "extra-junk": RR1_RECORD + 'extra = ["pochf(-q; q; i)" junk]\n',
     "negative-prefactor": RR1_RECORD + 'prefactor = "q^(-i)"\n',
+    "indefinite-multisum": RR1_RECORD.replace("vars = i", "vars = i, j")
+    .replace('"i^2"', '"i^2 + j^2 - 3ij"').replace("[q]", "[q, q]"),
 }
 
 
@@ -252,12 +254,18 @@ def test_bailey_chain_show_and_errors(capsys):
     (["list", "--catalog", "@extra-junk"], "record t: extra: expected"),
     (["verify", "t", "--order", "12", "--catalog", "@negative-prefactor"],
      "prefactor exponents must have a nonnegative"),
+    (["verify", "t", "--order", "10", "--catalog", "@indefinite-multisum"],
+     "positive definite"),
     (["verify", "R.R.1", "--order=-1/4"], "order must be nonnegative"),
+    (["verify", "R.R.1", "--order", "1/0"], "zero denominator"),
+    (["bailey", "verify", "G1", "--n", "2", "--order", "0/0"],
+     "zero denominator"),
 ], ids=["general-vanishing", "expand-d0", "chain-show-d0", "verify-d0",
         "bailey-verify-negative-n", "chain-show-negative-n",
         "indefinite-nahm-record", "unknown-key", "kind-key", "repeated-key",
         "id-key", "missing-key", "matrix-junk", "extra-junk",
-        "negative-prefactor", "verify-negative-order"])
+        "negative-prefactor", "indefinite-multisum", "verify-negative-order",
+        "verify-zero-denominator-order", "bailey-zero-denominator-order"])
 def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
     def catalog(name):
         path = tmp_path / f"{name}.cat"

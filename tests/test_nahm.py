@@ -15,13 +15,13 @@ from qident.nahm import (
     PochFactor,
     check_symmetrizable,
     eval_reduction,
+    is_positive_definite,
     lattice_bound,
     multi_sum,
     nahm_sum,
     partial_sum_basis,
     quadruple_spec,
     reduce_rank,
-    smallest_eigenvalue_lower_bound,
 )
 from qident.products import poch_finite
 from qident.series import (
@@ -33,7 +33,14 @@ from qident.series import (
     invert_unit,
     qmono,
 )
-from helpers import brute_sum, count_gap2, series_coeffs
+from helpers import (
+    brute_sum,
+    count_gap2,
+    det,
+    leading_minors,
+    real_extent,
+    series_coeffs,
+)
 
 H = Fraction(1, 2)
 
@@ -184,38 +191,83 @@ def test_lattice_bound_covers_shell():
                 assert spec.exponent((a, b, c)) > order
 
 
+def _oracle_box(spec, order):
+    """The real extent of {exponent <= order} from tests/helpers.py, after
+    checking lattice_bound against it: with a negative entry the box is that
+    extent exactly; with none it is the orthant bound, which may stick out
+    of the real extent but must still hold every point it admits."""
+    box = real_extent(spec.quad, spec.lin, spec.const, order)
+    bound = lattice_bound(spec, order)
+    if any(x < 0 for row in spec.quad for x in row):
+        assert bound == box, spec
+    return box, bound
+
+
+def _within(point, box):
+    return all(v <= b for v, b in zip(point, box))
+
+
 def test_lattice_bound_negative_entries():
     q = NahmQuadruple(A=[[2, -1], [-1, 2]], b=[0, 0], c=0, d=[1, 1])
     order = 18
     spec = quadruple_spec(q)
-    box = lattice_bound(q, order)
-    for a in range(box[0] + 5):
-        for b in range(box[1] + 5):
+    box, bound = _oracle_box(spec, order)
+    assert bound == [4, 4]
+    for a in range(box[0] + 1):
+        for b in range(box[1] + 1):
             if spec.exponent((a, b)) <= order:
-                assert a <= box[0] and b <= box[1]
+                assert _within((a, b), bound)
 
 
-def test_eigenvalue_lower_bound():
-    m = tuple(tuple(Fraction(x) for x in row)
-              for row in [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
-    lam = smallest_eigenvalue_lower_bound(m)
-    # true smallest eigenvalue is 2 - sqrt(2)
-    assert 0 < lam
-    assert (2 - lam) ** 2 >= 2
-    with pytest.raises(ValueError):
-        smallest_eigenvalue_lower_bound(((Fraction(0),),))
+def _random_symmetric(rng, r, kind):
+    """P^T D P for a random integer P and a diagonal D that is positive
+    ("definite"), has a zero ("singular") or a negative entry
+    ("indefinite"); with that, it is positive definite iff det P != 0 and
+    kind is "definite" (Sylvester's law of inertia)."""
+    p = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+    d = [rng.choice(RATS) for _ in range(r)]
+    if kind != "definite":
+        d[rng.randrange(r)] = 0 if kind == "singular" else -rng.choice(RATS)
+    m = [[sum(p[k][i] * d[k] * p[k][j] for k in range(r)) for j in range(r)]
+         for i in range(r)]
+    return m, kind == "definite" and det(p) != 0
+
+
+def test_positive_definite_matches_leading_minors():
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(120):
+        r = rng.randint(1, 4)
+        kind = rng.choice(["definite", "singular", "indefinite"])
+        m, expected = _random_symmetric(rng, r, kind)
+        by_minors = all(x > 0 for x in leading_minors(m))
+        assert by_minors == expected, m
+        mat = tuple(tuple(Fraction(x) for x in row) for row in m)
+        assert is_positive_definite(mat) == by_minors, m
+        # A = m diag(d)^-1 is symmetrized by d back to m
+        d = [rng.randint(1, 3) for _ in range(r)]
+        a = [[Fraction(x, d[j]) for j, x in enumerate(row)] for row in m]
+        assert check_symmetrizable(a, d) == by_minors, (a, d)
+        if r > 1 and by_minors:
+            a[0][1] += 1
+            assert not check_symmetrizable(a, d)
+        seen.add((r, kind, by_minors))
+    for r in range(1, 5):
+        for kind in ("definite", "singular", "indefinite"):
+            assert (r, kind, kind == "definite") in seen
 
 
 def test_negative_entry_sum_matches_brute_force():
     q = NahmQuadruple(A=[[2, -1], [-1, 2]], b=[1, 1], c=0, d=[1, 1])
     order = 14
-    box = [b + 3 for b in lattice_bound(q, order)]
+    box, bound = _oracle_box(quadruple_spec(q), order)
 
     def term(pt):
         n1, n2 = pt
         e = n1 * n1 + n2 * n2 - n1 * n2 + n1 + n2
         if e > order:
             return None
+        assert _within(pt, bound)
         den1 = invert_unit(poch_finite(qmono(1), 1, n1, order), order)
         den2 = invert_unit(poch_finite(qmono(1), 1, n2, order), order)
         return (den1 * den2 * Monomial(1, e)).truncated(order)
@@ -359,8 +411,8 @@ def _random_form(rng, r):
 
 def _random_spec(rng, r, nonneg):
     """A rank-r spec whose quadratic form is positive definite; nonneg
-    selects the exact per-variable box, otherwise some cross entry is
-    negative and the eigenvalue radius bounds the box."""
+    selects the orthant box, otherwise some cross entry is negative and the
+    exact square completion gives the box and the per-node floors."""
     while True:
         quad = [[Fraction(0)] * r for _ in range(r)]
         for i in range(r):
@@ -398,10 +450,12 @@ def _random_spec(rng, r, nonneg):
 
 
 def _brute_multi_sum(spec, order, den):
-    """brute_sum over the box plus a margin, each term built from its
-    Pochhammer factors with the exponent computed here."""
+    """brute_sum over the real extent of the form, each term built from its
+    Pochhammer factors with the exponent computed here, to depth order - e
+    for the term's exponent e before the shift by q^e, so a term at a
+    negative power keeps every coefficient through the order."""
     r = spec.rank
-    box = [b + 2 for b in lattice_bound(spec, order)]
+    box, bound = _oracle_box(spec, order)
     pref = spec.prefactor or ((1, AffineForm(0, [0] * r)),)
 
     def term(pt):
@@ -411,16 +465,17 @@ def _brute_multi_sum(spec, order, den):
             sum(x * v for x, v in zip(spec.lin, pt))
         if e > order:
             return None
-        out = QSeries.from_terms(
-            [(e + f.value(pt), c) for c, f in pref], den=den)
+        assert _within(pt, bound), (spec, pt)
+        depth = order - e
+        out = QSeries.from_terms([(f.value(pt), c) for c, f in pref], den=den)
         for d, v in zip(spec.denoms, pt):
-            out = out * invert_unit(poch_finite(qmono(d), d, v, order, den),
-                                    order)
+            out = out * invert_unit(poch_finite(qmono(d), d, v, depth, den),
+                                    depth)
         for f in spec.extra:
-            p = poch_finite(f.arg, f.base, int(f.length.value(pt)), order,
+            p = poch_finite(f.arg, f.base, int(f.length.value(pt)), depth,
                             den)
-            out = out * (p if f.power == 1 else invert_unit(p, order))
-        return out.truncated(order)
+            out = out * (p if f.power == 1 else invert_unit(p, depth))
+        return (out.truncated(depth) * Monomial(1, e)).truncated(order)
 
     return brute_sum(order, den, box, term)
 
@@ -428,11 +483,12 @@ def _brute_multi_sum(spec, order, den):
 @pytest.mark.parametrize("nonneg", [True, False], ids=["exact", "eigen"])
 def test_multi_sum_matches_brute_force_on_random_specs(nonneg):
     # den 24 holds every exponent: quad/2 has denominators up to 8, the
-    # other coefficients up to 4
+    # other coefficients up to 4; at rank 3 each centre of the square
+    # completion has two cross coefficients
     rng = random.Random(6 + nonneg)
     den = 24
     for _ in range(12):
-        r = rng.randint(1, 2) if nonneg else 2
+        r = rng.randint(1, 2) if nonneg else rng.randint(2, 3)
         spec = _random_spec(rng, r, nonneg)
         order = Fraction(rng.randint(8, 16), 2)
         got = multi_sum(spec, order, den)
@@ -441,6 +497,25 @@ def test_multi_sum_matches_brute_force_on_random_specs(nonneg):
         for c in got.terms.values():
             assert c != 0
             assert not (isinstance(c, Fraction) and c.denominator == 1)
+
+
+def test_negative_entry_enumeration_stays_in_the_ellipsoid(monkeypatch):
+    # A single eigenvalue radius gave this spec the box [145, 145] and walked
+    # all of it (21315 divisions); no point past (1, 3) has exponent <= 11/2
+    spec = MultiSumSpec(names=("a", "b"),
+                        quad=((Fraction(5, 3), Fraction(-1)),
+                              (Fraction(-1), Fraction(2, 3))),
+                        lin=(Fraction(2), H), denoms=(Fraction(1),) * 2,
+                        const=Fraction(3, 4))
+    order = Fraction(11, 2)
+    assert lattice_bound(spec, order) == [1, 3]
+    calls = []
+    real = nahm.div_one_minus
+    monkeypatch.setattr(nahm, "div_one_minus",
+                        lambda *args: calls.append(args) or real(*args))
+    got = multi_sum(spec, order, 12)
+    assert len(calls) <= 10
+    assert got == _brute_multi_sum(spec, order, 12)
 
 
 def test_multi_sum_linear_coefficient_off_lattice():
@@ -460,36 +535,6 @@ NEG_SPEC = MultiSumSpec(names=("n",), quad=((Fraction(1),),),
 INV_EXTRA = PochFactor(Monomial(-1, H), Fraction(1), AffineForm(0, [1]), -1)
 
 
-def _deep_brute_multi_sum(spec, order, den):
-    """brute_sum over the box plus a margin, each term's factors built to
-    depth order - e for the term's exponent e before the shift by q^e, so
-    a term at a negative power keeps every coefficient through the order
-    (_brute_multi_sum cuts at the order before it shifts)."""
-    r = spec.rank
-    box = [b + 2 for b in lattice_bound(spec, order)]
-    pref = spec.prefactor or ((1, AffineForm(0, [0] * r)),)
-
-    def term(pt):
-        e = spec.const + sum(
-            Fraction(spec.quad[i][j], 2) * pt[i] * pt[j]
-            for i in range(r) for j in range(r)) + \
-            sum(x * v for x, v in zip(spec.lin, pt))
-        if e > order:
-            return None
-        depth = order - e
-        out = QSeries.from_terms([(f.value(pt), c) for c, f in pref], den=den)
-        for d, v in zip(spec.denoms, pt):
-            out = out * invert_unit(poch_finite(qmono(d), d, v, depth, den),
-                                    depth)
-        for f in spec.extra:
-            p = poch_finite(f.arg, f.base, int(f.length.value(pt)), depth,
-                            den)
-            out = out * (p if f.power == 1 else invert_unit(p, depth))
-        return (out.truncated(depth) * Monomial(1, e)).truncated(order)
-
-    return brute_sum(order, den, box, term)
-
-
 @pytest.mark.parametrize("extra", [(), (INV_EXTRA,)], ids=["plain", "extra"])
 def test_multi_sum_keeps_coefficients_below_negative_exponents(extra):
     # with lin -5/2 the exponent falls from q^-2 at n = 1 to q^-3 at n = 2,
@@ -498,7 +543,7 @@ def test_multi_sum_keeps_coefficients_below_negative_exponents(extra):
         spec = dataclasses.replace(NEG_SPEC, lin=(lin,), extra=extra)
         for order in (2, Fraction(19, 2)):
             assert multi_sum(spec, order) == \
-                _deep_brute_multi_sum(spec, order, 4)
+                _brute_multi_sum(spec, order, 4)
     if not extra:
         # the catalog repro printed 8/4 3 at order 2
         assert multi_sum(NEG_SPEC, 2).coeff_num(8) == 6
@@ -515,7 +560,7 @@ def test_multi_sum_validity_follows_its_contributions(monkeypatch):
                                extra=(INV_EXTRA,))
     got = multi_sum(spec, 10)
     assert got.order_num == exp_num(8, 4)
-    assert equal_up_to(got, _deep_brute_multi_sum(spec, 10, 4), 8)
+    assert equal_up_to(got, _brute_multi_sum(spec, 10, 4), 8)
 
 
 def test_multi_sum_is_valid_to_the_order_it_was_asked_for():
