@@ -5,11 +5,17 @@ Fixed records live in a small text format (documented next to the data in
 quadruple (A, b, d, optional c) or a generic multi-sum description (vars, a
 quadratic exponent expression, per-index Pochhammer bases, optional per-point
 prefactor polynomial, optional finite Pochhammer factors), plus a
-product-quotient right-hand side.  Parameterized families are generated in
-code: a :class:`FamilyGenerator` turns (k, i) into a concrete
-:class:`Identity` whose quadratic form is extracted from a plain Python
-exponent function by exact finite differences, with randomized probes that
-reject any non-quadratic function loudly.
+product-quotient right-hand side.  Both forms load as one
+:class:`MultiSumSpec`, and a form no enumeration box can bound is rejected
+when the catalog loads.
+
+Parameterized families are generated in code.  Each builder registers
+itself in :data:`FAMILIES` where it is written (``@_family(name, domain)``,
+over a shared parameter domain where one fits) and turns (k, i) into a
+concrete :class:`Identity`; families that differ only by a parameter share
+one builder.  Its quadratic form is extracted from a plain Python exponent
+function by exact finite differences, with randomized probes that reject
+any non-quadratic function loudly.
 
 The same reader parses the transform chains of ``qident bailey``,
 "SEED |> STEP |> STEP(params)" (:func:`parse_chain`, :func:`run_chain`),
@@ -18,8 +24,9 @@ so step parameters are spelled exactly like catalog monomials.
 Verification is truncation-sound: both sides are evaluated exactly to the
 requested order and compared coefficient by coefficient.  A reduction
 cross-check re-derives an identity's sum side through an independent
-lower-rank route (index merge, index summation, or a transform-chain limit)
-and demands three-way agreement.
+lower-rank route (index merge or index summation, found by
+:func:`reduce_rank` on the record's spec, or a transform-chain limit) and
+demands three-way agreement.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from typing import Callable, Optional, Sequence, Union
 
@@ -57,11 +65,11 @@ from qident.nahm import (
     MultiSumSpec,
     NahmQuadruple,
     PochFactor,
+    check_bounded,
     check_symmetrizable,
     eval_reduction,
     lattice_bound,
     multi_sum,
-    nahm_sum,
     quadruple_spec,
     reduce_rank,
 )
@@ -512,8 +520,7 @@ def run_chain(text: str) -> BaileyPair:
 class Identity:
     """One verifiable sum-equals-product statement.
 
-    ``spec`` always holds the generic multi-sum view; ``quadruple`` is set in
-    addition when the record was given in (A, b, c, d) form.
+    ``spec`` is the sum side, whichever form the record was given in.
     ``base_substitution`` records that the stored display lives in q**k of a
     finer-base statement; it is metadata only, evaluation happens as stored.
     """
@@ -523,7 +530,6 @@ class Identity:
     rhs: tuple[ProductExpr, ...]
     tags: tuple[str, ...] = ()
     base_substitution: int = 1
-    quadruple: Optional[NahmQuadruple] = None
 
 
 _HEADER_RE = re.compile(r"^\[identity\s+(.+?)\]$")
@@ -573,7 +579,7 @@ def _build_record(rid: str, rec: dict[str, str]) -> Identity:
             field("d", lambda r: r.bracketed(r.integer)))
         if not check_symmetrizable(quad.A, quad.d):
             raise ValueError("A*diag(d) is not symmetric positive definite")
-        return Identity(rid, quadruple_spec(quad), rhs, tags, base, quad)
+        return Identity(rid, quadruple_spec(quad), rhs, tags, base)
     names = field("vars", _Reader.names)
     qm, lin, const = field(
         "exponent", lambda r: parse_exponent(r.string(), names))
@@ -587,6 +593,7 @@ def _build_record(rid: str, rec: dict[str, str]) -> Identity:
                                            for s in r.bracketed(r.string)), ())
     spec = MultiSumSpec(names=names, quad=qm, lin=lin, denoms=denoms,
                         const=const, extra=extra, prefactor=pf)
+    check_bounded(spec)
     return Identity(rid, spec, rhs, tags, base)
 
 
@@ -737,6 +744,19 @@ def _last_unit(k: int) -> tuple[int, ...]:
     return tuple(int(t == k - 1) for t in range(k))
 
 
+def _ag(nv: Sequence[int], i: int, c: int = 1) -> int:
+    """The Andrews-Gordon tail c * (sum_j N_j^2 + sum_{j >= i} N_j) over the
+    suffix sums N of nv."""
+    N = _nsuffix(nv)
+    return c * (_sq(N) + sum(N[i - 1:]))
+
+
+def _theta(ci: ExpLike, mod: ExpLike, head: ProductExpr = ProductExpr(),
+           base: int = 1) -> ProductExpr:
+    """head * (q^ci, q^(mod-ci), q^mod; q^mod)_inf / (q^base; q^base)_inf."""
+    return head * TP(ci, mod - ci, mod, mod) / P(base, base)
+
+
 # What a family builder returns: the sum side and one product quotient or a
 # tuple of them summed term by term.
 _Built = tuple[MultiSumSpec, Union[ProductExpr, tuple[ProductExpr, ...]]]
@@ -782,202 +802,182 @@ class FamilyGenerator:
                         tags=(self.name,))
 
 
+FAMILIES: dict[str, FamilyGenerator] = {}
+
+# A parameter domain: (least k, its statement, the allowed i for each k).
+_Domain = tuple[int, str, Callable[[int], tuple[Optional[int], ...]]]
+_I_TO_K: _Domain = (2, "k >= 2, 1 <= i <= k",
+                    lambda k: tuple(range(1, k + 1)))
+_I_TO_K1: _Domain = (1, "k >= 1, 1 <= i <= k+1",
+                     lambda k: tuple(range(1, k + 2)))
+_K_ONLY: _Domain = (1, "k >= 1", lambda k: (None,))
+
+
+def _family(name: str, domain: _Domain):
+    """Register the decorated builder as family `name` over `domain`.
+    Stacked registrations run bottom-up: the lowest is listed first."""
+    def register(build):
+        FAMILIES[name] = FamilyGenerator(name, *domain, build)
+        return build
+    return register
+
+
+@_family("AG", _I_TO_K)
 def _build_ag(k: int, i: int) -> _Built:
-    def fn(p):
-        N = _nsuffix(p)
-        return _sq(N) + sum(N[i - 1:])
-
-    spec = _spec_from_fn(_nvars(k - 1), fn, (1,) * (k - 1))
-    rhs = TP(i, 2 * k + 1 - i, 2 * k + 1, 2 * k + 1) / P(1, 1)
-    return spec, rhs
+    spec = _spec_from_fn(_nvars(k - 1), lambda p: _ag(p, i), (1,) * (k - 1))
+    return spec, _theta(i, 2 * k + 1)
 
 
+@_family("Bressoud", _I_TO_K)
 def _build_bressoud(k: int, i: int) -> _Built:
-    def fn(p):
-        N = _nsuffix(p)
-        return _sq(N) + sum(N[i - 1:])
-
-    spec = _spec_from_fn(_nvars(k - 1), fn, (1,) * (k - 2) + (2,))
-    rhs = TP(i, 2 * k - i, 2 * k, 2 * k) / P(1, 1)
-    return spec, rhs
+    spec = _spec_from_fn(_nvars(k - 1), lambda p: _ag(p, i),
+                         (1,) * (k - 2) + (2,))
+    return spec, _theta(i, 2 * k)
 
 
+@_family("Warnaar", _I_TO_K)
 def _build_warnaar(k: int, i: int) -> _Built:
     def fn(p):
         N = _nsuffix(p)
-        return HALF * _sq(N) + sum(N[j - 1] for j in range(i, k + 1, 2))
+        return HALF * _sq(N) + sum(N[i - 1::2])
 
     spec = _spec_from_fn(_nvars(k), fn, (1,) * (k - 1) + (2,))
-    m = Fraction(2 * k + 3, 2)
-    rhs = NP(HALF, 1) * TP(Fraction(i, 2), m - Fraction(i, 2), m, m) / P(1, 1)
-    return spec, rhs
+    return spec, _theta(Fraction(i, 2), Fraction(2 * k + 3, 2), NP(HALF, 1))
 
 
-def _build_thm11(k: int, i: int) -> _Built:
-    def fn(p):
-        N = _nsuffix(p)
-        return _sq(N) + sum(N[i - 1:])
+# thm1.2 and corgen13last take no i: each is its family's i = 1 sum, changed
+# as noted, against the product at i = 1/2.
 
+@_family("thm1.2", _K_ONLY)
+@_family("thm1.1", _I_TO_K1)
+def _build_thm1(k: int, i: Optional[int]) -> _Built:
+    # thm1.2's extra factor is one longer
     extra = (PochFactor(Monomial(-1, HALF), Fraction(1),
-                        AffineForm(0, _last_unit(k)), -1),)
-    spec = _spec_from_fn(_nvars(k), fn, (1,) * (k - 1) + (2,), extra=extra)
-    m = Fraction(3, 2) + 2 * k
-    rhs = TP(i, m - i, m, m) / P(1, 1)
-    return spec, rhs
+                        AffineForm(int(i is None), _last_unit(k)), -1),)
+    spec = _spec_from_fn(_nvars(k), lambda p: _ag(p, i or 1),
+                         (1,) * (k - 1) + (2,), extra=extra)
+    return spec, _theta(i or HALF, Fraction(3, 2) + 2 * k)
 
 
-def _build_thm12(k: int, _i) -> _Built:
-    def fn(p):
-        N = _nsuffix(p)
-        return _sq(N) + sum(N)
-
-    extra = (PochFactor(Monomial(-1, HALF), Fraction(1),
-                        AffineForm(1, _last_unit(k)), -1),)
-    spec = _spec_from_fn(_nvars(k), fn, (1,) * (k - 1) + (2,), extra=extra)
-    m = Fraction(3, 2) + 2 * k
-    rhs = TP(HALF, 1 + 2 * k, m, m) / P(1, 1)
-    return spec, rhs
-
-
-def _build_corgen13(k: int, i: int) -> _Built:
+@_family("corgen13last", _K_ONLY)
+@_family("corgen13", _I_TO_K1)
+def _build_corgen13(k: int, i: Optional[int]) -> _Built:
     def fn(p):
         m, nv = p[0], p[1:]
-        N = _nsuffix(nv)
-        return Fraction(m * m, 2) + m * nv[-1] + _sq(N) + sum(N[i - 1:])
+        # corgen13last adds m
+        return Fraction(m * m, 2) + m * nv[-1] + (i is None) * m + \
+            _ag(nv, i or 1)
 
     spec = _spec_from_fn(("m",) + _nvars(k), fn, (1,) * k + (2,))
-    mod = Fraction(3, 2) + 2 * k
-    rhs = NP(HALF, 1) * TP(i, mod - i, mod, mod) / P(1, 1)
-    return spec, rhs
+    return spec, _theta(i or HALF, Fraction(3, 2) + 2 * k, NP(HALF, 1))
 
 
-def _build_corgen13last(k: int, _i) -> _Built:
-    def fn(p):
-        m, nv = p[0], p[1:]
-        N = _nsuffix(nv)
-        return Fraction(m * m, 2) + m * nv[-1] + _sq(N) + m + sum(N)
-
-    spec = _spec_from_fn(("m",) + _nvars(k), fn, (1,) * k + (2,))
-    mod = Fraction(3, 2) + 2 * k
-    rhs = NP(HALF, 1) * TP(HALF, 1 + 2 * k, mod, mod) / P(1, 1)
-    return spec, rhs
-
-
+@_family("gen5-8a", _I_TO_K1)
 def _build_gen58a(k: int, i: int) -> _Built:
     def fn(p):
-        m, nv = p[0], p[1:]
-        N = _nsuffix(nv)
-        return _tri1(m) + m * nv[0] + 2 * _sq(N) + 2 * sum(N[i - 1:])
+        return _tri1(p[0]) + p[0] * p[1] + _ag(p[1:], i, 2)
 
     spec = _spec_from_fn(("m",) + _nvars(k), fn, (1, 1) + (2,) * (k - 1))
-    rhs = TP(2 * i, 4 * k + 6 - 2 * i, 4 * k + 6, 4 * k + 6) / P(1, 1)
-    return spec, rhs
+    return spec, _theta(2 * i, 4 * k + 6)
 
 
+@_family("gen5-8b", _I_TO_K1)
 def _build_gen58b(k: int, i: int) -> _Built:
     def fn(p):
-        m, nv = p[0], p[1:]
-        N = _nsuffix(nv)
-        return _tri1(m) + m * nv[-1] + 2 * _sq(N) + 2 * sum(N[i - 1:])
+        return _tri1(p[0]) + p[0] * p[-1] + _ag(p[1:], i, 2)
 
-    spec = _spec_from_fn(("m",) + _nvars(k), fn, (1,) + (2,) * (k - 1) + (1,))
-    rhs = TP(2 * i, 4 * k + 6 - 2 * i, 4 * k + 6, 4 * k + 6) / P(1, 1)
-    return spec, rhs
+    spec = _spec_from_fn(("m",) + _nvars(k), fn,
+                         (1,) + (2,) * (k - 1) + (1,))
+    return spec, _theta(2 * i, 4 * k + 6)
 
 
+@_family("gen1", _I_TO_K1)
 def _build_gen1(k: int, i: int) -> _Built:
     def fn(p):
         m1, m2, nv = p[0], p[1], p[2:]
-        N = _nsuffix(nv)
         return _tri1(m1) + m1 * m2 + 2 * _tri1(m2) + 2 * m2 * nv[0] + \
-            4 * _sq(N) + 4 * sum(N[i - 1:])
+            _ag(nv, i, 4)
 
     spec = _spec_from_fn(("m1", "m2") + _nvars(k), fn,
                          (1, 1, 2) + (4,) * (k - 1))
-    rhs = TP(4 * i, 8 * k + 12 - 4 * i, 8 * k + 12, 8 * k + 12) / P(1, 1)
-    return spec, rhs
+    return spec, _theta(4 * i, 8 * k + 12)
 
 
+@_family("gen6", _I_TO_K1)
 def _build_gen6(k: int, i: int) -> _Built:
     def fn(p):
-        m, n11, n12 = p[0], p[1], p[2]
+        m, n11, n12 = p[:3]
         n1 = n11 + 2 * n12
-        N = _nsuffix((n1,) + p[3:])
-        return _tri1(m) + m * n1 + _tri(n11) + 2 * _sq(N) + 2 * sum(N[i - 1:])
+        return _tri1(m) + m * n1 + _tri(n11) + _ag((n1,) + p[3:], i, 2)
 
     names = ("m", "n11", "n12") + _nvars(k, start=2)
     spec = _spec_from_fn(names, fn, (1, 1, 2) + (2,) * (k - 1))
-    rhs = TP(2 * i, 4 * k + 6 - 2 * i, 4 * k + 6, 4 * k + 6) / P(1, 1)
-    return spec, rhs
+    return spec, _theta(2 * i, 4 * k + 6)
 
 
+@_family("gen7", _I_TO_K1)
 def _build_gen7(k: int, i: int) -> _Built:
     def fn(p):
         m1, m2, nv = p[0], p[1], p[2:]
-        N = _nsuffix(nv)
         return _tri1(m1) + m1 * nv[0] + 2 * _tri1(m2) + 2 * m2 * nv[0] + \
-            4 * _sq(N) + 4 * sum(N[i - 1:])
+            _ag(nv, i, 4)
 
     spec = _spec_from_fn(("m1", "m2") + _nvars(k), fn,
                          (1, 2, 1) + (4,) * (k - 1))
-    rhs = TP(4 * i, 8 * k + 12 - 4 * i, 8 * k + 12, 8 * k + 12) / P(1, 1)
-    return spec, rhs
+    return spec, _theta(4 * i, 8 * k + 12)
 
 
+@_family("gen10", _I_TO_K1)
 def _build_gen10(k: int, i: int) -> _Built:
     def fn(p):
         m1, m2, nv = p[0], p[1], p[2:]
-        N = _nsuffix(nv)
         return _tri(m1) + _tri1(m1 + 2 * m2) + (m1 + 2 * m2) * nv[0] + \
-            2 * _sq(N) + 2 * sum(N[i - 1:])
+            _ag(nv, i, 2)
 
     spec = _spec_from_fn(("m1", "m2") + _nvars(k), fn,
                          (1, 2, 1) + (2,) * (k - 1))
-    rhs = TP(2 * i, 4 * k + 6 - 2 * i, 4 * k + 6, 4 * k + 6) / P(1, 1)
-    return spec, rhs
+    return spec, _theta(2 * i, 4 * k + 6)
 
 
+@_family("gen14", _I_TO_K1)
 def _build_gen14(k: int, i: int) -> _Built:
     def fn(p):
         nk1, nk2 = p[k - 1], p[k]
-        nk = nk1 + 2 * nk2
-        N = _nsuffix(p[:k - 1] + (nk,))
-        return _tri(nk1) + _sq(N) + sum(N[i - 1:])
+        return _tri(nk1) + _ag(p[:k - 1] + (nk1 + 2 * nk2,), i)
 
     names = _nvars(k - 1) + ("nk1", "nk2")
-    spec = _spec_from_fn(names, fn, (1,) * (k - 1) + (1, 2))
-    rhs = TP(i, 2 * k + 3 - i, 2 * k + 3, 2 * k + 3) / P(1, 1)
-    return spec, rhs
+    spec = _spec_from_fn(names, fn, (1,) * k + (2,))
+    return spec, _theta(i, 2 * k + 3)
 
 
+@_family("gen17", _I_TO_K1)
 def _build_gen17(k: int, i: int) -> _Built:
-    def fn(p):
-        n11, n12 = p[0], p[1]
-        n1 = n11 + 2 * n12
-        N = _nsuffix((n1,) + p[2:])
-        return _tri(n11) + _sq(N) + sum(N[i - 1:])
-
     names = ("n11", "n12") + _nvars(k, start=2)
-    spec = _spec_from_fn(names, fn, (1, 2) + (1,) * (k - 1))
-    rhs = TP(i, 2 * k + 3 - i, 2 * k + 3, 2 * k + 3) / P(1, 1)
-    return spec, rhs
+    spec = _spec_from_fn(
+        names, lambda p: _tri(p[0]) + _ag((p[0] + 2 * p[1],) + p[2:], i),
+        (1, 2) + (1,) * (k - 1))
+    return spec, _theta(i, 2 * k + 3)
 
 
-def _build_gen15(which: str, k: int, i: int) -> _Built:
+def _build_gen15(k: int, i: int, minus: int) -> _Built:
     def fn(p):
-        m, n11, n12 = p[0], p[1], p[2]
+        m, n11, n12 = p[:3]
         n1 = n11 + n12
-        minus = n11 if which == "a" else n12
-        N = _nsuffix((n1,) + p[3:])
-        return _tri1(m) + m * n11 + n11 * n11 + n12 * n12 - minus - \
-            _tri(n1) + _sq(N) + sum(N[i - 1:])
+        return _tri1(m) + m * n11 + n11 * n11 + n12 * n12 - p[minus] - \
+            _tri(n1) + _ag((n1,) + p[3:], i)
 
     names = ("m", "n11", "n12") + _nvars(k, start=2)
     spec = _spec_from_fn(names, fn, (1, 1, 2) + (1,) * (k - 1))
-    rhs = NP(1, 1) * TP(i, 2 * k + 3 - i, 2 * k + 3, 2 * k + 3) / P(1, 1)
-    return spec, rhs
+    return spec, _theta(i, 2 * k + 3, NP(1, 1))
 
 
+# gen15a subtracts n11, gen15b n12
+_family("gen15a", _I_TO_K1)(partial(_build_gen15, minus=1))
+_family("gen15b", _I_TO_K1)(partial(_build_gen15, minus=2))
+
+
+@_family("Bressoud1980", (2, "k >= 2, 1 <= i <= k-1",
+                          lambda k: tuple(range(1, k))))
 def _build_bressoud1980(k: int, i: int) -> _Built:
     def fn(p):
         N = _nsuffix(p)
@@ -989,109 +989,43 @@ def _build_bressoud1980(k: int, i: int) -> _Built:
     return spec, rhs
 
 
-def _build_and1(k: int, a: int) -> _Built:
-    def fn(p):
-        N = _nsuffix(p)
-        return _sq(N) + 2 * sum(N[j - 1] for j in range(a, k - 1, 2))
-
-    spec = _spec_from_fn(_nvars(k - 1), fn, (2,) * (k - 1))
-    rhs = NP(1, 2) * TP(a, 2 * k + 2 - a, 2 * k + 2, 2 * k + 2) / P(2, 2)
-    return spec, rhs
-
-
-def _build_and2(k: int, a: int) -> _Built:
-    def fn(p):
-        N = _nsuffix(p)
-        return _sq(N) + sum(p[j - 1] for j in range(1, a - 2, 2)) + \
-            sum(N[j - 1] for j in range(a - 1, k))
-
-    spec = _spec_from_fn(_nvars(k - 1), fn, (2,) * (k - 1))
-    rhs = NP(2, 2) * TP(a, 2 * k + 2 - a, 2 * k + 2, 2 * k + 2) / P(2, 2)
-    return spec, rhs
+def _and_exp(k: int, a: int, nv: Sequence[int]) -> int:
+    """Andrews' exponent over nv = (n1, ..., n(k-1)); the first branch
+    holds when a and k have the same parity."""
+    N = _nsuffix(nv)
+    if a % 2 == k % 2:
+        return _sq(N) + 2 * sum(N[a - 1:k - 2:2])
+    return _sq(N) + sum(nv[j - 1] for j in range(1, a - 2, 2)) + \
+        sum(N[a - 2:])
 
 
+def _and_rhs(k: int, a: int) -> ProductExpr:
+    return _theta(a, 2 * k + 2, NP(1 if a % 2 == k % 2 else 2, 2), 2)
+
+
+# And1's domain takes the first branch of _and_exp, And2's the second.
+@_family("And2", (3, "k odd >= 3, a even, 2 <= a <= k",
+                  lambda k: tuple(range(2, k + 1, 2)) if k % 2 else ()))
+@_family("And1", (2, "k >= 2, 1 <= a <= k, a and k of equal parity",
+                  lambda k: tuple(a for a in range(1, k + 1)
+                                  if a % 2 == k % 2)))
+def _build_and(k: int, a: int) -> _Built:
+    spec = _spec_from_fn(_nvars(k - 1), lambda p: _and_exp(k, a, p),
+                         (2,) * (k - 1))
+    return spec, _and_rhs(k, a)
+
+
+@_family("exam9gen", (2, "k >= 2, 1 <= a <= k, a = k mod 2 or (k odd, a even)",
+                      lambda k: tuple(a for a in range(1, k + 1)
+                                      if a % 2 == k % 2
+                                      or (k % 2 == 1 and a % 2 == 0))))
 def _build_exam9gen(k: int, a: int) -> _Built:
-    even_branch = a % 2 == k % 2
-
-    def fn(p):
-        n11, n12 = p[0], p[1]
-        n1 = n11 + 2 * n12
-        nv = (n1,) + p[2:]
-        N = _nsuffix(nv)
-        if even_branch:
-            return 2 * _tri(n11) + _sq(N) + \
-                2 * sum(N[j - 1] for j in range(a, k - 1, 2))
-        return 2 * _tri(n11) + _sq(N) + \
-            sum(nv[j - 1] for j in range(1, a - 2, 2)) + \
-            sum(N[j - 1] for j in range(a - 1, k))
+    def fn(p):  # Andrews' sum with n1 = n11 + 2 n12
+        return 2 * _tri(p[0]) + _and_exp(k, a, (p[0] + 2 * p[1],) + p[2:])
 
     names = ("n11", "n12") + _nvars(k - 1, start=2)
     spec = _spec_from_fn(names, fn, (2, 4) + (2,) * (k - 2))
-    head = NP(1, 2) if even_branch else NP(2, 2)
-    rhs = head * TP(a, 2 * k + 2 - a, 2 * k + 2, 2 * k + 2) / P(2, 2)
-    return spec, rhs
-
-
-def _range1(hi_of: Callable[[int], int]):
-    return lambda k: tuple(range(1, hi_of(k) + 1))
-
-
-FAMILIES: dict[str, FamilyGenerator] = {
-    g.name: g for g in (
-        FamilyGenerator("AG", 2, "k >= 2, 1 <= i <= k",
-                        _range1(lambda k: k), _build_ag),
-        FamilyGenerator("Bressoud", 2, "k >= 2, 1 <= i <= k",
-                        _range1(lambda k: k), _build_bressoud),
-        FamilyGenerator("Warnaar", 2, "k >= 2, 1 <= i <= k",
-                        _range1(lambda k: k), _build_warnaar),
-        FamilyGenerator("thm1.1", 1, "k >= 1, 1 <= i <= k+1",
-                        _range1(lambda k: k + 1), _build_thm11),
-        FamilyGenerator("thm1.2", 1, "k >= 1",
-                        lambda k: (None,), _build_thm12),
-        FamilyGenerator("corgen13", 1, "k >= 1, 1 <= i <= k+1",
-                        _range1(lambda k: k + 1), _build_corgen13),
-        FamilyGenerator("corgen13last", 1, "k >= 1",
-                        lambda k: (None,), _build_corgen13last),
-        FamilyGenerator("gen5-8a", 1, "k >= 1, 1 <= i <= k+1",
-                        _range1(lambda k: k + 1), _build_gen58a),
-        FamilyGenerator("gen5-8b", 1, "k >= 1, 1 <= i <= k+1",
-                        _range1(lambda k: k + 1), _build_gen58b),
-        FamilyGenerator("gen1", 1, "k >= 1, 1 <= i <= k+1",
-                        _range1(lambda k: k + 1), _build_gen1),
-        FamilyGenerator("gen6", 1, "k >= 1, 1 <= i <= k+1",
-                        _range1(lambda k: k + 1), _build_gen6),
-        FamilyGenerator("gen7", 1, "k >= 1, 1 <= i <= k+1",
-                        _range1(lambda k: k + 1), _build_gen7),
-        FamilyGenerator("gen10", 1, "k >= 1, 1 <= i <= k+1",
-                        _range1(lambda k: k + 1), _build_gen10),
-        FamilyGenerator("gen14", 1, "k >= 1, 1 <= i <= k+1",
-                        _range1(lambda k: k + 1), _build_gen14),
-        FamilyGenerator("gen17", 1, "k >= 1, 1 <= i <= k+1",
-                        _range1(lambda k: k + 1), _build_gen17),
-        FamilyGenerator("gen15a", 1, "k >= 1, 1 <= i <= k+1",
-                        _range1(lambda k: k + 1),
-                        lambda k, i: _build_gen15("a", k, i)),
-        FamilyGenerator("gen15b", 1, "k >= 1, 1 <= i <= k+1",
-                        _range1(lambda k: k + 1),
-                        lambda k, i: _build_gen15("b", k, i)),
-        FamilyGenerator("Bressoud1980", 2, "k >= 2, 1 <= i <= k-1",
-                        _range1(lambda k: k - 1), _build_bressoud1980),
-        FamilyGenerator("And1", 2,
-                        "k >= 2, 1 <= a <= k, a and k of equal parity",
-                        lambda k: tuple(a for a in range(1, k + 1)
-                                        if a % 2 == k % 2), _build_and1),
-        FamilyGenerator("And2", 3,
-                        "k odd >= 3, a even, 2 <= a <= k",
-                        lambda k: tuple(range(2, k + 1, 2)) if k % 2 else (),
-                        _build_and2),
-        FamilyGenerator("exam9gen", 2,
-                        "k >= 2, 1 <= a <= k, a = k mod 2 or (k odd, a even)",
-                        lambda k: tuple(a for a in range(1, k + 1)
-                                        if a % 2 == k % 2
-                                        or (k % 2 == 1 and a % 2 == 0)),
-                        _build_exam9gen),
-    )
-}
+    return spec, _and_rhs(k, a)
 
 
 # -- the catalog ---------------------------------------------------------------
@@ -1102,10 +1036,9 @@ _INSTANCE_RE = re.compile(r"(.+?)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)\s*$")
 class Catalog:
     """Read-only identity store: fixed records plus family generators."""
 
-    def __init__(self, identities: dict[str, Identity],
-                 families: Optional[dict[str, FamilyGenerator]] = None):
+    def __init__(self, identities: dict[str, Identity]):
         self.identities = dict(identities)
-        self.families = dict(FAMILIES if families is None else families)
+        self.families = FAMILIES
 
     def ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.identities))
@@ -1184,32 +1117,18 @@ class Catalog:
                               den: int = DEFAULT_D) -> ReductionReport:
         """Re-verify one identity through an independent lower-rank route.
 
-        Most records admit an index merge or an index summation on their
-        quadruple view; exam12-1 instead goes through a transform-chain limit
-        in the halved base.  Raises LookupError when no route exists.
+        Most records admit an index merge or an index summation
+        (:func:`reduce_rank`); exam12-1 instead goes through a transform-chain
+        limit in the halved base.  Raises LookupError when no route exists.
         """
         ident = target if isinstance(target, Identity) else self.resolve(target)
         order = Fraction(order)
         if ident.id == "exam12-1":
             return self._bailey_route(ident, order, den)
-        spec = ident.spec
-        if spec.prefactor or spec.extra:
-            raise LookupError(f"no reduction route for {ident.id!r}")
-        if ident.quadruple is not None:
-            quad = ident.quadruple
-        else:
-            d = []
-            for x in spec.denoms:
-                if x.denominator != 1:
-                    raise LookupError(f"no reduction route for {ident.id!r}")
-                d.append(int(x))
-            A = tuple(tuple(spec.quad[a][b] / d[b] for b in range(spec.rank))
-                      for a in range(spec.rank))
-            quad = NahmQuadruple(A, spec.lin, spec.const, d)
-        red = reduce_rank(quad)
+        red = reduce_rank(ident.spec)
         if red is None:
             raise LookupError(f"no reduction route for {ident.id!r}")
-        direct = nahm_sum(quad, order, include_c=True, den=den)
+        direct = multi_sum(ident.spec, order, den)
         reduced = eval_reduction(red, order, den)
         product = eval_product_sum(ident.rhs, order, den)
         m1 = compare_up_to(direct, reduced, order)

@@ -139,22 +139,14 @@ def _emit_report(rep: VerificationReport, args) -> None:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cat = _load(args)
-        order = nonneg_order(args.order)
-        targets = _resolve_targets(cat, args)
-    except (OSError, KeyError, ValueError) as exc:
-        return _usage_error(exc)
-
-    try:
-        reports: list[VerificationReport] = []
-        for ident in targets:
-            rep = cat.verify(ident, order, den=args.d_lattice)
-            reports.append(rep)
-            if args.fail_fast and not rep.equal:
-                break
-    except ValueError as exc:
-        return _usage_error(exc)
+    cat = _load(args)
+    order = nonneg_order(args.order)
+    reports: list[VerificationReport] = []
+    for ident in _resolve_targets(cat, args):
+        rep = cat.verify(ident, order, den=args.d_lattice)
+        reports.append(rep)
+        if args.fail_fast and not rep.equal:
+            break
     for rep in reports:
         _emit_report(rep, args)
     return 0 if all(r.equal for r in reports) else 1
@@ -163,19 +155,13 @@ def cmd_verify(args) -> int:
 # -- expand ---------------------------------------------------------------------
 
 def cmd_expand(args) -> int:
-    try:
-        cat = _load(args)
-        order = nonneg_order(args.order)
-        ident = cat.resolve(args.id, k=args.k, i=args.i)
-    except (OSError, KeyError, ValueError) as exc:
-        return _usage_error(exc)
-    try:
-        if args.side == "lhs":
-            series = multi_sum(ident.spec, order, args.d_lattice)
-        else:
-            series = eval_product_sum(ident.rhs, order, args.d_lattice)
-    except ValueError as exc:
-        return _usage_error(exc)
+    cat = _load(args)
+    order = nonneg_order(args.order)
+    ident = cat.resolve(args.id, k=args.k, i=args.i)
+    if args.side == "lhs":
+        series = multi_sum(ident.spec, order, args.d_lattice)
+    else:
+        series = eval_product_sum(ident.rhs, order, args.d_lattice)
     sys.stdout.write(dump(series, order))
     return 0
 
@@ -183,11 +169,7 @@ def cmd_expand(args) -> int:
 # -- list -----------------------------------------------------------------------
 
 def cmd_list(args) -> int:
-    try:
-        cat = _load(args)
-    except (OSError, ValueError) as exc:
-        return _usage_error(exc)
-    for rid in cat.list(args.tag):
+    for rid in _load(args).list(args.tag):
         print(rid)
     return 0
 
@@ -195,20 +177,12 @@ def cmd_list(args) -> int:
 # -- bailey ---------------------------------------------------------------------
 
 def cmd_bailey(args) -> int:
-    order = None
-    try:
-        order = nonneg_order(args.order)
-        pair = run_chain(args.target if args.bailey_cmd == "verify"
-                         else args.expr)
-    except ValueError as exc:
-        return _usage_error(exc)
+    order = nonneg_order(args.order)
+    pair = run_chain(args.target if args.bailey_cmd == "verify" else args.expr)
 
     if args.bailey_cmd == "verify":
         start = time.perf_counter()
-        try:
-            report = verify_pair(pair, args.n, order, args.d_lattice)
-        except ValueError as exc:
-            return _usage_error(exc)
+        report = verify_pair(pair, args.n, order, args.d_lattice)
         ms = int(round((time.perf_counter() - start) * 1000))
         status = "PASS" if report.ok else "FAIL"
         if args.output == "machine":
@@ -226,15 +200,9 @@ def cmd_bailey(args) -> int:
     # chain
     rc = 0
     if args.equals is not None:
-        try:
-            other = run_chain(args.equals)
-        except ValueError as exc:
-            return _usage_error(exc)
+        other = run_chain(args.equals)
         start = time.perf_counter()
-        try:
-            diff = pairs_equal(pair, other, args.n, order, args.d_lattice)
-        except ValueError as exc:
-            return _usage_error(exc)
+        diff = pairs_equal(pair, other, args.n, order, args.d_lattice)
         ms = int(round((time.perf_counter() - start) * 1000))
         status = "PASS" if diff is None else "FAIL"
         if args.output == "machine":
@@ -252,19 +220,16 @@ def cmd_bailey(args) -> int:
         parts = [s.strip() for s in args.show.split(",") if s.strip()]
         for part in parts:
             if part not in ("alpha", "beta"):
-                return _usage_error(ValueError(
-                    f"--show takes alpha and/or beta, not {part!r}"))
-        try:
-            for n in range(args.n + 1):
-                for part in parts:
-                    gen = pair.alpha if part == "alpha" else pair.beta
-                    series = deepen_until_valid(
-                        lambda d: gen(n, d, args.d_lattice), order,
-                        args.d_lattice)
-                    print(f"{part}_{n}:")
-                    sys.stdout.write(dump(series, order))
-        except ValueError as exc:
-            return _usage_error(exc)
+                raise ValueError(
+                    f"--show takes alpha and/or beta, not {part!r}")
+        for n in range(args.n + 1):
+            for part in parts:
+                gen = pair.alpha if part == "alpha" else pair.beta
+                series = deepen_until_valid(
+                    lambda d: gen(n, d, args.d_lattice), order,
+                    args.d_lattice)
+                print(f"{part}_{n}:")
+                sys.stdout.write(dump(series, order))
     if args.equals is None and args.show is None:
         print(pair.name or args.expr)
     return rc
@@ -272,17 +237,16 @@ def cmd_bailey(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.d_lattice < 1:
-        return _usage_error(ValueError("--d-lattice must be at least 1"))
-    if getattr(args, "n", 0) < 0:
-        return _usage_error(ValueError("--n must be at least 0"))
-    if args.cmd == "verify":
-        return cmd_verify(args)
-    if args.cmd == "expand":
-        return cmd_expand(args)
-    if args.cmd == "list":
-        return cmd_list(args)
-    return cmd_bailey(args)
+    commands = {"verify": cmd_verify, "expand": cmd_expand, "list": cmd_list,
+                "bailey": cmd_bailey}
+    try:
+        if args.d_lattice < 1:
+            raise ValueError("--d-lattice must be at least 1")
+        if getattr(args, "n", 0) < 0:
+            raise ValueError("--n must be at least 0")
+        return commands[args.cmd](args)
+    except (OSError, KeyError, ValueError) as exc:
+        return _usage_error(exc)
 
 
 if __name__ == "__main__":

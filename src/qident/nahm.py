@@ -3,7 +3,7 @@
 Two kinds of sums are evaluated exactly over Z_{>=0}^r:
 
 * :class:`NahmQuadruple` -- (A, b, c, d) with exponent (1/2) n^T A D n + n.b
-  (+ c) and denominators (q^(d_i); q^(d_i))_{n_i},
+  + c and denominators (q^(d_i); q^(d_i))_{n_i},
 * :class:`MultiSumSpec` -- the generic shape: arbitrary rational quadratic +
   linear exponent, per-index Pochhammer denominators, optional extra
   Pochhammer factors of affine length and per-term monomial prefactors.
@@ -174,8 +174,6 @@ class MultiSumSpec:
     denominator (q^(denoms[i]); q^(denoms[i]))_{n_i}; `extra` multiplies in
     Pochhammer factors of affine length; `prefactor` is a per-point
     polynomial sum of coeff * q^form(n) (empty tuple means 1).
-    `from_partial_sums` records that the quadratic form was converted from
-    the cumulative-index basis.
     """
 
     names: tuple[str, ...]
@@ -185,7 +183,6 @@ class MultiSumSpec:
     const: Fraction = Fraction(0)
     extra: tuple[PochFactor, ...] = ()
     prefactor: tuple[tuple[Scalar, AffineForm], ...] = ()
-    from_partial_sums: bool = False
 
     def __post_init__(self):
         k = len(self.names)
@@ -212,28 +209,14 @@ class MultiSumSpec:
         return e
 
 
-def partial_sum_basis(k: int, quad_N: Sequence[Sequence[ExpLike]],
-                      lin_N: Sequence[ExpLike]) -> tuple[Matrix, Vector]:
-    """Rewrite a form in N_i = n_i + ... + n_k into the raw n-basis."""
-    # T[a][j] = 1 if j >= a; quad_n = T^T quad_N T, lin_n = T^T lin_N
-    qn = _mat(quad_N)
-    ln = _vec(lin_N)
-    t = [[Fraction(int(j >= a)) for j in range(k)] for a in range(k)]
-    quad = [[sum(t[a][i] * qn[a][b] * t[b][j]
-                 for a in range(k) for b in range(k))
-             for j in range(k)] for i in range(k)]
-    lin = [sum(t[a][i] * ln[a] for a in range(k)) for i in range(k)]
-    return _mat(quad), _vec(lin)
-
-
-def quadruple_spec(q: NahmQuadruple, include_c: bool = False) -> MultiSumSpec:
-    """View a quadruple as the equivalent generic spec."""
+def quadruple_spec(q: NahmQuadruple) -> MultiSumSpec:
+    """View a quadruple as the equivalent generic spec, c included."""
     return MultiSumSpec(
         names=tuple(f"n{i+1}" for i in range(q.rank)),
         quad=q.ad,
         lin=q.b,
         denoms=tuple(Fraction(x) for x in q.d),
-        const=q.c if include_c else Fraction(0),
+        const=q.c,
     )
 
 
@@ -279,6 +262,18 @@ def _max_n_quadratic(half_m: Fraction, lin: Fraction,
     return n
 
 
+def check_bounded(spec: MultiSumSpec) -> None:
+    """Raise ValueError unless a box can hold every point of the spec's form
+    below an order: each diagonal entry is positive, and a form with a
+    negative entry is positive definite (one with none is bounded on the
+    orthant, definite or not)."""
+    m = spec.quad
+    if any(m[i][i] <= 0 for i in range(spec.rank)):
+        raise ValueError("unbounded enumeration: nonpositive diagonal")
+    if any(x < 0 for row in m for x in row):
+        _squares(m, spec.lin, spec.const)
+
+
 def lattice_bound(spec: Union[NahmQuadruple, MultiSumSpec],
                   order: ExpLike) -> list[int]:
     """Box [0..M_1] x ... x [0..M_r] holding all points with exponent <= order.
@@ -300,8 +295,7 @@ def _box(spec: MultiSumSpec, order: Fraction) -> tuple[int, ...]:
     m, lin = spec.quad, spec.lin
     r = spec.rank
     budget0 = order - spec.const
-    if any(m[i][i] <= 0 for i in range(r)):
-        raise ValueError("unbounded enumeration: nonpositive diagonal")
+    check_bounded(spec)
     if all(x >= 0 for row in m for x in row):
         mins = [_min_pure_contrib(Fraction(m[i][i], 2), lin[i])
                 for i in range(r)]
@@ -335,7 +329,7 @@ def _accumulate(acc: dict[int, Scalar], prod: QSeries, shift: int,
     return None if prod.order_num is None else prod.order_num + shift
 
 
-def nahm_sum(spec: NahmQuadruple, order: ExpLike, include_c: bool = False,
+def nahm_sum(spec: NahmQuadruple, order: ExpLike,
              den: int = DEFAULT_D) -> QSeries:
     """The quadruple's sum truncated at order, evaluated as its generic spec.
 
@@ -344,7 +338,7 @@ def nahm_sum(spec: NahmQuadruple, order: ExpLike, include_c: bool = False,
     """
     if not check_symmetrizable(spec.A, spec.d):
         raise ValueError("quadruple is not symmetrizable positive definite")
-    return multi_sum(quadruple_spec(spec, include_c), order, den)
+    return multi_sum(quadruple_spec(spec), order, den)
 
 
 def multi_sum(spec: MultiSumSpec, order: ExpLike,
@@ -488,8 +482,12 @@ class Reduction:
     spec: MultiSumSpec
 
 
-def reduce_rank(q: NahmQuadruple) -> Optional[Reduction]:
-    """Collapse one summation index when the quadruple allows it.
+def reduce_rank(spec: MultiSumSpec) -> Optional[Reduction]:
+    """Collapse one summation index of a plain sum when its form allows it.
+
+    A plain sum has no prefactor, no extra factor and integer bases; for any
+    other spec there is no route.  M is the spec's quadratic form, indices
+    are named n1..nr by position, and the reduced spec keeps the constant.
 
     Pattern "merge": indices x (base b) and z (base 2b) couple so that the
     exponent splits as b*C(x,2) + G(x + 2z); the pair then telescopes to a
@@ -503,15 +501,17 @@ def reduce_rank(q: NahmQuadruple) -> Optional[Reduction]:
     (-q^s * q^(cross(n)); q^b)_inf: a global prefactor (-q^s; q^b)_inf over
     a finite Pochhammer of affine length cross(n)/b.
     """
-    m, lin, d = q.ad, q.b, q.d
-    r = q.rank
+    m, lin, d = spec.quad, spec.lin, spec.denoms
+    if spec.prefactor or spec.extra or any(x.denominator != 1 for x in d):
+        return None
+    r = spec.rank
     names = tuple(f"n{i+1}" for i in range(r))
 
     for x in range(r):
         for z in range(r):
             if x == z or d[z] != 2 * d[x]:
                 continue
-            b = Fraction(d[x])
+            b = d[x]
             gamma = m[x][x] - b
             if gamma <= 0:
                 continue
@@ -538,13 +538,13 @@ def reduce_rank(q: NahmQuadruple) -> Optional[Reduction]:
                     quad=tuple(tuple(entry(i, j) for j in idx) for i in idx),
                     lin=tuple((lin[x] + b / 2 if i == x else lin[i])
                               for i in idx),
-                    denoms=tuple((b if i == x else Fraction(d[i]))
-                                 for i in idx),
+                    denoms=tuple((b if i == x else d[i]) for i in idx),
+                    const=spec.const,
                 ),
             )
 
     for x in range(r):
-        b = Fraction(d[x])
+        b = d[x]
         if m[x][x] != b:
             continue
         s = b / 2 + lin[x]
@@ -569,7 +569,8 @@ def reduce_rank(q: NahmQuadruple) -> Optional[Reduction]:
                 names=tuple(names[j] for j in rest),
                 quad=tuple(tuple(m[i][j] for j in rest) for i in rest),
                 lin=tuple(lin[j] for j in rest),
-                denoms=tuple(Fraction(d[j]) for j in rest),
+                denoms=tuple(d[j] for j in rest),
+                const=spec.const,
                 extra=(PochFactor(arg, b, AffineForm(0, steps), -1),),
             ),
         )

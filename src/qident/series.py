@@ -135,9 +135,6 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.coeff * other.coeff, self.exp + other.exp)
 
-    def scaled_exp(self, k: ExpLike) -> "Monomial":
-        return Monomial(self.coeff, self.exp * Fraction(k))
-
 
 def qmono(e: ExpLike, coeff: Scalar = 1) -> Monomial:
     """Shorthand for coeff * q**e."""
@@ -353,14 +350,6 @@ def monomial_series(m: Monomial, order: Optional[ExpLike] = None,
     onum = None if order is None else exp_num(order, den)
     terms = {n: m.coeff} if (onum is None or n <= onum) else {}
     return QSeries(den, terms, onum)
-
-
-def add(a: QSeries, b: QSeries) -> QSeries:
-    return a + b
-
-
-def mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
 
 
 def mul_one_minus(a: QSeries, c: Scalar, num: int) -> QSeries:

@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,13 @@ from qident.catalog import (
     parse_prefactor,
     parse_rhs,
 )
-from qident.nahm import AffineForm, PochFactor, lattice_bound, multi_sum
+from qident.nahm import (
+    AffineForm,
+    NahmQuadruple,
+    PochFactor,
+    lattice_bound,
+    multi_sum,
+)
 from qident.products import (
     NP,
     P,
@@ -307,8 +314,9 @@ def test_list_and_get(cat):
 
 def test_nahm_record_golden(cat):
     ident = cat.get("table2.11.2")
-    assert ident.quadruple is not None
-    q = ident.quadruple
+    d = tuple(int(x) for x in ident.spec.denoms)
+    q = NahmQuadruple([[x / d[b] for b, x in enumerate(row)]
+                       for row in ident.spec.quad], ident.spec.lin, 0, d)
     assert q.d == (1, 1, 2)
     assert q.A == ((2, 2, 1), (2, 4, 2), (2, 4, 3))
     assert ident.spec.names == ("n1", "n2", "n3")
@@ -332,6 +340,22 @@ def test_catalog_text_errors():
            "exponent = \"n^2\"\ndenoms = [q]\nrhs = \"P(1;1)\"\n")
     with pytest.raises(ValueError):
         parse_catalog_text(dup + dup)
+
+
+@pytest.mark.parametrize("exponent, error", [
+    ("i^2 - j^2", "record indef: unbounded enumeration: nonpositive diagonal"),
+    ("1/2 i^2 + 1/2 j^2 + 2ij", None),
+])
+def test_multisum_form_checked_at_load(exponent, error):
+    text = ("[identity indef]\nlhs.kind = multisum\nvars = i, j\n"
+            f'exponent = "{exponent}"\ndenoms = [q, q]\nrhs = "P(1;1)"\n')
+    if error is not None:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            parse_catalog_text(text)
+        return
+    # not positive definite, but with no negative entry the orthant box holds
+    spec = parse_catalog_text(text)["indef"].spec
+    assert lattice_bound(spec, 6) == [3, 3]
 
 
 @pytest.mark.parametrize("field", [
@@ -455,6 +479,14 @@ def test_family_registry(cat):
     assert set(cat.families) == set(FAMILIES)
 
 
+def test_readme_family_table_names_every_family():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| family | parameters |")[1].split("\n\n")[0]
+    names = [name for line in table.splitlines()[2:]
+             for name in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    assert sorted(names) == sorted(FAMILIES)
+
+
 def test_family_domain_errors(cat):
     with pytest.raises(ValueError):
         cat.instantiate_family("AG", 1, 1)
@@ -552,6 +584,20 @@ def test_reduction_routes(cat):
     assert rep.equal and rep.route == "merge" and rep.removed == ("n1", "n3")
     rep = cat.cross_check_reduction("table2.9.6", 20)
     assert rep.equal and rep.route == "merge" and rep.removed == ("n2", "n3")
+
+
+def test_reduction_route_table(cat):
+    routes, unrouted = {}, []
+    for rid in cat.ids():
+        try:
+            route = cat.cross_check_reduction(rid, 12).route
+        except LookupError:
+            unrouted.append(rid)
+            continue
+        routes[route] = routes.get(route, 0) + 1
+    assert routes == {"euler": 32, "merge": 26, "bailey": 1}
+    assert unrouted == ["R.R.1", "R.R.2", "eq-13-sum"] + [
+        f"table2.11.{j}" for j in range(1, 6)]
 
 
 def test_reduction_route_missing(cat):

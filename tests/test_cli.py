@@ -42,6 +42,16 @@ d = [1, 1]
 rhs = "1 / ( P(1;5) * P(4;5) )"
 """
 
+SHIFTED_RR1_CATALOG = """\
+[identity shifted]
+lhs.kind = nahm
+A = [[2]]
+b = [0]
+d = [1]
+c = 1
+rhs = "1 / ( P(1;5) * P(4;5) )"
+"""
+
 RR1_RECORD = """\
 [identity t]
 lhs.kind = multisum
@@ -151,6 +161,21 @@ def test_catalog_env_fallback(tmp_path, capsys, monkeypatch):
     assert rc == 2
 
 
+def test_nahm_record_constant_is_verified(tmp_path, capsys):
+    # c = 1 shifts the Rogers-Ramanujan sum by q, so the product side no
+    # longer matches, first at q^0
+    path = tmp_path / "shifted.cat"
+    path.write_text(SHIFTED_RR1_CATALOG)
+    rc, out, _ = run(capsys, "verify", "shifted", "--order", "10",
+                     "--catalog", str(path))
+    assert rc == 1
+    assert "first mismatch at q^0: sum side 0, product side 1" in out
+    rc, out, _ = run(capsys, "expand", "shifted", "--side", "lhs",
+                     "--order", "4", "--catalog", str(path))
+    assert rc == 0
+    assert out.splitlines()[:3] == ["order 16/4", "4/4 1", "8/4 1"]
+
+
 def test_list_tag_filter(capsys):
     rc, out, _ = run(capsys, "list", "--tag", "example13")
     assert rc == 0
@@ -256,6 +281,8 @@ def test_bailey_chain_show_and_errors(capsys):
      "prefactor exponents must have a nonnegative"),
     (["verify", "t", "--order", "10", "--catalog", "@indefinite-multisum"],
      "positive definite"),
+    (["list", "--catalog", "@indefinite-multisum"],
+     "record t: matrix is not positive definite"),
     (["verify", "R.R.1", "--order=-1/4"], "order must be nonnegative"),
     (["verify", "R.R.1", "--order", "1/0"], "zero denominator"),
     (["bailey", "verify", "G1", "--n", "2", "--order", "0/0"],
@@ -264,7 +291,8 @@ def test_bailey_chain_show_and_errors(capsys):
         "bailey-verify-negative-n", "chain-show-negative-n",
         "indefinite-nahm-record", "unknown-key", "kind-key", "repeated-key",
         "id-key", "missing-key", "matrix-junk", "extra-junk",
-        "negative-prefactor", "indefinite-multisum", "verify-negative-order",
+        "negative-prefactor", "indefinite-multisum",
+        "list-indefinite-multisum", "verify-negative-order",
         "verify-zero-denominator-order", "bailey-zero-denominator-order"])
 def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
     def catalog(name):

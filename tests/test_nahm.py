@@ -19,7 +19,6 @@ from qident.nahm import (
     lattice_bound,
     multi_sum,
     nahm_sum,
-    partial_sum_basis,
     quadruple_spec,
     reduce_rank,
 )
@@ -84,12 +83,12 @@ def test_gap_two_partitions_min_part_two():
 
 def test_constant_offset():
     q = NahmQuadruple(A=[[2]], b=[0], c=H, d=[1])
-    with_c = nahm_sum(q, 10, include_c=True)
-    plain = nahm_sum(q, 10)
+    with_c = nahm_sum(q, 10)
+    plain = nahm_sum(rr_quadruple(), 10)
     assert with_c == (plain * qmono(H)).truncated(10)
     off = NahmQuadruple(A=[[2]], b=[0], c=Fraction(1, 3), d=[1])
     with pytest.raises(LatticeError):
-        nahm_sum(off, 10, include_c=True)
+        nahm_sum(off, 10)
 
 
 def test_order_zero():
@@ -341,20 +340,9 @@ def test_multi_sum_rejects_negative_factor_powers(order, extra, prefactor):
         multi_sum(spec, order)
 
 
-def test_partial_sum_basis_matches_direct():
-    quad_n, lin_n = partial_sum_basis(3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
-                                      [0, 1, 0])
-    spec = MultiSumSpec(names=("a", "b", "c"), quad=quad_n, lin=lin_n,
-                        denoms=(Fraction(1),) * 3)
-    for pt in [(0, 0, 0), (1, 0, 0), (0, 1, 2), (2, 1, 1), (1, 3, 2)]:
-        big = [pt[0] + pt[1] + pt[2], pt[1] + pt[2], pt[2]]
-        direct = sum(x * x for x in big) + big[1]
-        assert spec.exponent(pt) == direct
-
-
 def test_reduce_rank_merge_rank_two():
     q = NahmQuadruple(A=[[2, 1], [2, 2]], b=[-H, 0], c=0, d=[1, 2])
-    red = reduce_rank(q)
+    red = reduce_rank(quadruple_spec(q))
     assert red is not None and red.kind == "merge"
     assert red.removed == ("n1", "n2")
     assert red.spec.names == ("m",)
@@ -367,7 +355,7 @@ def test_reduce_rank_merge_rank_two():
 def test_reduce_rank_merge_rank_three():
     q = NahmQuadruple(A=[[2, 1, 1], [1, 2, 1], [2, 2, 2]], b=[0, 0, 1],
                       c=0, d=[1, 1, 2])
-    red = reduce_rank(q)
+    red = reduce_rank(quadruple_spec(q))
     assert red is not None and red.kind == "merge"
     assert red.removed == ("n1", "n3")
     assert red.spec.names == ("m", "n2")
@@ -379,7 +367,7 @@ def test_reduce_rank_merge_rank_three():
 
 def test_reduce_rank_euler():
     q = NahmQuadruple(A=[[1, 1], [1, 2]], b=[0, 0], c=0, d=[1, 1])
-    red = reduce_rank(q)
+    red = reduce_rank(quadruple_spec(q))
     assert red is not None and red.kind == "euler"
     assert red.removed == ("n1",)
     assert red.prefactor == ((Monomial(-1, H), Fraction(1), 1),)
@@ -389,12 +377,26 @@ def test_reduce_rank_euler():
 
 
 def test_reduce_rank_none():
-    assert reduce_rank(rr_quadruple()) is None
+    assert reduce_rank(quadruple_spec(rr_quadruple())) is None
     flat = NahmQuadruple(A=[[2, 0], [0, 2]], b=[0, 0], c=0, d=[1, 1])
-    assert reduce_rank(flat) is None
+    assert reduce_rank(quadruple_spec(flat)) is None
     # euler shape but with a nonpositive shift s
     stuck = NahmQuadruple(A=[[1]], b=[-H], c=0, d=[1])
-    assert reduce_rank(stuck) is None
+    assert reduce_rank(quadruple_spec(stuck)) is None
+
+
+def test_reduce_rank_reads_the_spec():
+    # only a plain sum has a route, and the reduced sum keeps the constant
+    q = NahmQuadruple(A=[[2, 1], [2, 2]], b=[-H, 0], c=1, d=[1, 2])
+    spec = quadruple_spec(q)
+    red = reduce_rank(spec)
+    assert red.spec.const == 1
+    assert eval_reduction(red, 15) == nahm_sum(q, 15)
+    one = ((1, AffineForm(0, [0, 0])),)
+    fac = (PochFactor(Monomial(-1, 1), Fraction(1), AffineForm(0, [1, 0])),)
+    halved = (Fraction(1, 2), Fraction(1))
+    for change in ({"prefactor": one}, {"extra": fac}, {"denoms": halved}):
+        assert reduce_rank(dataclasses.replace(spec, **change)) is None
 
 
 # -- seeded differential test of multi_sum against brute_sum -----------------
