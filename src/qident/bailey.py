@@ -18,9 +18,11 @@ order + min(0, valuation); callers that need more depth re-request through
 :func:`qident.series.deepen_until_valid`, the one deepen-until-valid loop.
 Pairs are immutable and generator calls are memoized per pair.
 
-Nothing free of n is built per n: 1/(x;q)_n tables grow a factor per new n in
-the bounded cache :func:`_inv_table`, and each lemma pair owns a :class:`_Row`
-per (order, den), so beta'_n = sum_r u_r w_(n-r) costs n+1 products.
+Nothing free of n is built per n: every finite symbol is a
+:class:`qident.products.PochRow` grown a factor per new n, the 1/(x;q)_n rows
+sit in the bounded cache :func:`_inv_table`, and each lemma pair owns a
+:class:`_Row` per (order, den), so beta'_n = sum_r u_r w_(n-r) costs n+1
+products.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from qident.series import (
     mul_one_minus,
     qmono,
 )
-from qident.products import InvPochRow, ProductExpr, eval_product, poch_finite
+from qident.products import PochRow, ProductExpr, eval_product
 from qident.nahm import _ceil_sqrt
 
 HALF = Fraction(1, 2)
@@ -70,24 +72,17 @@ def _zero(order: ExpLike, den: int) -> QSeries:
     return QSeries(den, {}, exp_num(order, den))
 
 
-def _need(order: Optional[ExpLike]) -> Fraction:
-    if order is None:
-        raise ValueError("this generator needs a truncation order")
-    return Fraction(order)
-
-
 @lru_cache(maxsize=1024)
 def _inv_table(arg: Monomial, base: Fraction, order: Fraction,
-               den: int) -> InvPochRow:
-    return InvPochRow(arg, base, order, den)
+               den: int) -> PochRow:
+    return PochRow((arg,), base, order, den, -1)
 
 
 def _memo(fn: Gen) -> Gen:
     cached = lru_cache(maxsize=None)(fn)
 
-    def wrapper(n: int, order: Optional[ExpLike] = None,
-                den: int = DEFAULT_D) -> QSeries:
-        return cached(n, None if order is None else Fraction(order), den)
+    def wrapper(n: int, order: ExpLike, den: int = DEFAULT_D) -> QSeries:
+        return cached(n, Fraction(order), den)
 
     return wrapper
 
@@ -100,7 +95,6 @@ class BaileyPair:
     alpha: Gen
     beta: Gen
     name: str = ""
-    n_max_hint: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -134,11 +128,10 @@ def unit_pair(a: Monomial) -> BaileyPair:
     """alpha = delta_{n,0}; beta_n = 1/((q;q)_n (aq;q)_n)."""
     aq = Monomial(a.coeff, a.exp + 1)
 
-    def alpha(n, order=None, den=DEFAULT_D):
+    def alpha(n, order, den=DEFAULT_D):
         return QSeries.one(den) if n == 0 else QSeries.zero(den)
 
-    def beta(n, order=None, den=DEFAULT_D):
-        order = _need(order)
+    def beta(n, order, den=DEFAULT_D):
         return _inv_table(qmono(1), Fraction(1), order, den)[n] * \
             _inv_table(aq, Fraction(1), order, den)[n]
 
@@ -149,8 +142,7 @@ def _slater_beta(shift_n: bool, comp_exp: Fraction) -> Gen:
     """beta_n = q^(n if shift_n) / ((q^2;q^2)_n (-q^comp_exp; q)_n)."""
     comp = Monomial(-1, comp_exp)
 
-    def beta(n, order=None, den=DEFAULT_D):
-        order = _need(order)
+    def beta(n, order, den=DEFAULT_D):
         out = _inv_table(qmono(2), Fraction(2), order, den)[n] * \
             _inv_table(comp, Fraction(1), order, den)[n]
         return out * Monomial(1, n) if shift_n else out
@@ -166,7 +158,7 @@ def _geometric_alpha(u: Monomial, c: Fraction) -> Gen:
     numerator vanishes at q^c = 1.
     """
 
-    def alpha(n, order=None, den=DEFAULT_D):
+    def alpha(n, order, den=DEFAULT_D):
         if n == 0:
             return QSeries.one(den)
         sign = -1 if n % 2 else 1
@@ -181,7 +173,7 @@ def _geometric_alpha(u: Monomial, c: Fraction) -> Gen:
 def _theta_alpha(u: Monomial, ell: Fraction) -> Gen:
     """alpha_0 = 1 and alpha_n = (-1)^n u^C(n,2) q^(ell n^2) (1 + u^n)."""
 
-    def alpha(n, order=None, den=DEFAULT_D):
+    def alpha(n, order, den=DEFAULT_D):
         if n == 0:
             return QSeries.one(den)
         sign = -1 if n % 2 else 1
@@ -259,8 +251,6 @@ def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
                 den: int = DEFAULT_D) -> PairReport:
     """Check the defining relation for every n <= n_max up to order."""
     _check_n_max(n_max)
-    if p.n_max_hint is not None and n_max > p.n_max_hint:
-        raise ValueError(f"pair only defined up to n = {p.n_max_hint}")
     order = Fraction(order)
     alphas, depth = _alpha_depth(p, n_max, order, den)
     aq = Monomial(p.a.coeff, p.a.exp + 1)
@@ -323,40 +313,26 @@ def _power(m: Monomial, k: Fraction) -> Callable[[int], Monomial]:
 class _Row:
     """A lemma's r-sum pieces that do not depend on n, at one (order, den),
     grown as higher n are asked for: the heads prod_x (x;q)_r, which alpha
-    shares, u and w.  Heads and tails are cut at the order, if one is given,
-    as soon as they stop being exact, where poch_finite cuts one symbol.
+    shares, the tails, u and w.
     """
 
     def __init__(self, beta: Gen, nums: tuple[Monomial, ...],
                  tail: tuple[Monomial, ...], mono: Callable[[int], Monomial],
-                 order: Optional[Fraction], den: int):
-        self.beta, self.nums, self.tail, self.mono = beta, nums, tail, mono
-        self.order, self.den = order, den
-        self.prods: dict[tuple[Monomial, ...], list[QSeries]] = {}
+                 order: Fraction, den: int):
+        self.beta, self.mono, self.order, self.den = beta, mono, order, den
+        self.heads = PochRow(nums, 1, order, den)
+        self.tails = PochRow(tail, 1, order, den)
         # u[r] = beta_r heads[r] mono(r) and w[k] = tails[k] / (q;q)_k
         self.u, self.w = [], []
-
-    def poch(self, xs: tuple[Monomial, ...], n: int) -> list[QSeries]:
-        """[prod_x (x;q)_k for k <= n], one factor at a time."""
-        out = self.prods.setdefault(xs, [QSeries.one(self.den)])
-        while len(out) <= n:
-            s = out[-1]
-            for x in xs:
-                s = mul_one_minus(s, x.coeff,
-                                  exp_num(x.exp + len(out) - 1, self.den))
-                if s.order_num is None and self.order is not None:
-                    s = s.truncated(self.order)
-            out.append(s)
-        return out
 
     def r_sum(self, n: int) -> QSeries:
         """sum_r beta_r mono(r) prod_x (x;q)_r (tail;q)_{n-r} / (q;q)_{n-r}."""
         order, den = self.order, self.den
-        heads, tails = self.poch(self.nums, n), self.poch(self.tail, n)
         tq = _inv_table(qmono(1), Fraction(1), order, den)
         for k in range(len(self.u), n + 1):
-            self.u.append(self.beta(k, order, den) * heads[k] * self.mono(k))
-            self.w.append(tails[k] * tq[k])
+            self.u.append(self.beta(k, order, den) * self.heads[k] *
+                          self.mono(k))
+            self.w.append(self.tails[k] * tq[k])
         return sum((self.u[r] * self.w[n - r] for r in range(n + 1)),
                    _zero(order, den))
 
@@ -374,18 +350,16 @@ def _lemma(p: BaileyPair, nums: tuple[Monomial, ...],
     row = lru_cache(maxsize=None)(
         lambda order, den: _Row(p.beta, nums, tail, mono, order, den))
 
-    def divide(s: QSeries, n: int, order: Optional[ExpLike],
-               den: int) -> QSeries:
+    def divide(s: QSeries, n: int, order: Fraction, den: int) -> QSeries:
         for y in dens:
-            s = s * _inv_table(y, Fraction(1), _need(order), den)[n]
+            s = s * _inv_table(y, Fraction(1), order, den)[n]
         return s
 
-    def alpha(n, order=None, den=DEFAULT_D):
-        head = row(order, den).poch(nums, n)[n]
+    def alpha(n, order, den=DEFAULT_D):
+        head = row(order, den).heads[n]
         return divide(p.alpha(n, order, den) * head, n, order, den) * mono(n)
 
-    def beta(n, order=None, den=DEFAULT_D):
-        order = _need(order)
+    def beta(n, order, den=DEFAULT_D):
         return divide(row(order, den).r_sum(n), n, order, den)
 
     return p.a, alpha, beta
@@ -409,7 +383,7 @@ def _transform_s5(p: BaileyPair) -> Transformed:
     exp_num(half_exp, DEFAULT_D)  # a must be an even lattice power
 
     def lattice_checked(gen: Gen) -> Gen:
-        def checked(n, order=None, den=DEFAULT_D):
+        def checked(n, order, den=DEFAULT_D):
             exp_num(half_exp, den)  # reject off-lattice square roots
             return gen(n, order, den)
 
@@ -441,8 +415,7 @@ def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:
             raise ValueError(f"singular factor 1 - {m.coeff}*q^{m.exp}")
         return invert_unit(s, order)
 
-    def alpha(n, order=None, den=DEFAULT_D):
-        order = _need(order)
+    def alpha(n, order, den=DEFAULT_D):
         one_a = _one_minus(a, den)
         if one_a.is_zero:
             return _zero(order, den)
@@ -458,10 +431,12 @@ def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:
                 _unit_inv(Monomial(a.coeff, a.exp + 2 * n - 2), order, den)
         return one_a * t
 
-    def beta(n, order=None, den=DEFAULT_D):
-        order = _need(order)
-        bq = Monomial(b.coeff, b.exp + 1)
-        return p.beta(n, order, den) * poch_finite(bq, 1, n, order, den) * \
+    bq = Monomial(b.coeff, b.exp + 1)
+    heads = lru_cache(maxsize=None)(
+        lambda order, den: PochRow((bq,), 1, order, den))
+
+    def beta(n, order, den=DEFAULT_D):
+        return p.beta(n, order, den) * heads(order, den)[n] * \
             _inv_table(b, Fraction(1), order, den)[n]
 
     return a_new, alpha, beta
@@ -472,9 +447,8 @@ def _transform_djk_limit(p: BaileyPair, u: Monomial) -> Transformed:
         raise ValueError("the b -> infinity shift needs a pair relative to q")
     probe = Fraction(20)
     shape = _geometric_alpha(u, Fraction(1))
-    check_n = min(p.n_max_hint, 6) if p.n_max_hint is not None else 6
-    for n in range(check_n + 1):
-        want = shape(n, None, DEFAULT_D)
+    for n in range(7):
+        want = shape(n, probe, DEFAULT_D)
         got = p.alpha(n, probe + n + 1, DEFAULT_D)
         try:
             m = compare_up_to(want, got, probe)
@@ -485,7 +459,7 @@ def _transform_djk_limit(p: BaileyPair, u: Monomial) -> Transformed:
                 f"alpha_{n} does not have the required u-shape "
                 f"(first difference near q^{m.exponent})")
 
-    def beta(n, order=None, den=DEFAULT_D):
+    def beta(n, order, den=DEFAULT_D):
         return p.beta(n, order, den) * Monomial(1, n)
 
     return Monomial(1, 0), _theta_alpha(u, Fraction(0)), beta
@@ -508,8 +482,7 @@ def apply_transform(p: BaileyPair, t: TransformStep) -> BaileyPair:
     if t.kind not in TRANSFORMS:
         raise ValueError(f"unknown transform kind {t.kind!r}")
     a, alpha, beta = TRANSFORMS[t.kind][1](p, *t.params)
-    return BaileyPair(a, _memo(alpha), _memo(beta),
-                      name=_derived_name(p, t), n_max_hint=p.n_max_hint)
+    return BaileyPair(a, _memo(alpha), _memo(beta), name=_derived_name(p, t))
 
 
 def chain(p0: BaileyPair, steps) -> BaileyPair:
@@ -559,7 +532,7 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
 
     def build_rhs(depth: Fraction) -> QSeries:
         alphas, d2 = _alpha_depth(p, n, depth, den)
-        heads = row(d2).poch((rho1, rho2), n)
+        heads = row(d2).heads
         tq = _inv_table(qmono(1), Fraction(1), d2, den)
         taq = _inv_table(aq, Fraction(1), d2, den)
         # (c1 q^r, c2 q^r; q)_{n-r} as exact polynomials, r stepping down
@@ -591,8 +564,6 @@ def limit_identity(p: BaileyPair, order: ExpLike,
     order = Fraction(order)
     a = p.a
     n_cut = _ceil_sqrt(order) + 4
-    if p.n_max_hint is not None and n_cut + 2 > p.n_max_hint:
-        raise ValueError("pair generators not defined far enough")
 
     mono = _power(a, Fraction(1))  # the S1 weight a^n q^(n^2)
     for nn in (n_cut + 1, n_cut + 2):

@@ -65,8 +65,6 @@ from qident.nahm import (
     MultiSumSpec,
     NahmQuadruple,
     PochFactor,
-    check_bounded,
-    check_symmetrizable,
     eval_reduction,
     lattice_bound,
     multi_sum,
@@ -577,8 +575,6 @@ def _build_record(rid: str, rec: dict[str, str]) -> Identity:
             field("b", lambda r: r.bracketed(r.rational)),
             field("c", _Reader.rational, 0),
             field("d", lambda r: r.bracketed(r.integer)))
-        if not check_symmetrizable(quad.A, quad.d):
-            raise ValueError("A*diag(d) is not symmetric positive definite")
         return Identity(rid, quadruple_spec(quad), rhs, tags, base)
     names = field("vars", _Reader.names)
     qm, lin, const = field(
@@ -593,7 +589,6 @@ def _build_record(rid: str, rec: dict[str, str]) -> Identity:
                                            for s in r.bracketed(r.string)), ())
     spec = MultiSumSpec(names=names, quad=qm, lin=lin, denoms=denoms,
                         const=const, extra=extra, prefactor=pf)
-    check_bounded(spec)
     return Identity(rid, spec, rhs, tags, base)
 
 
@@ -1124,41 +1119,30 @@ class Catalog:
         ident = target if isinstance(target, Identity) else self.resolve(target)
         order = Fraction(order)
         if ident.id == "exam12-1":
-            return self._bailey_route(ident, order, den)
-        red = reduce_rank(ident.spec)
-        if red is None:
-            raise LookupError(f"no reduction route for {ident.id!r}")
+            # After summing the first index with Euler's theorem, the
+            # remaining double sum in the halved base is the limit identity
+            # of the pair G1 |> S3; both limit sides are mapped back by
+            # q -> q^2.
+            pair = _bailey_chain(builtin_pair("G1"), [S3])
+            head = eval_product(NP(1, 2), order, den)
+            routes = [head * substitute_power(side, 2)
+                      for side in limit_identity(pair, order / 2, den)]
+            kind, removed = "bailey", (ident.spec.names[0],)
+        else:
+            red = reduce_rank(ident.spec)
+            if red is None:
+                raise LookupError(f"no reduction route for {ident.id!r}")
+            routes = [eval_reduction(red, order, den)]
+            kind, removed = red.kind, red.removed
         direct = multi_sum(ident.spec, order, den)
-        reduced = eval_reduction(red, order, den)
-        product = eval_product_sum(ident.rhs, order, den)
-        m1 = compare_up_to(direct, reduced, order)
-        m2 = compare_up_to(direct, product, order)
-        return ReductionReport(
-            id=ident.id, route=red.kind, removed=red.removed, order=order,
-            equal=m1 is None and m2 is None,
-            first_mismatch=m1 if m1 is not None else m2)
-
-    def _bailey_route(self, ident: Identity, order: Fraction,
-                      den: int) -> ReductionReport:
-        # After summing the first index with Euler's theorem, the remaining
-        # double sum in the halved base is the limit identity of the pair
-        # G1 |> S3; both limit sides are mapped back by q -> q^2 and must
-        # match the direct triple enumeration and the product side.
-        pair = _bailey_chain(builtin_pair("G1"), [S3])
-        lim_lhs, lim_rhs = limit_identity(pair, order / 2, den)
-        head = eval_product(NP(1, 2), order, den)
-        route_lhs = head * substitute_power(lim_lhs, 2)
-        route_rhs = head * substitute_power(lim_rhs, 2)
-        direct = multi_sum(ident.spec, order, den)
-        product = eval_product_sum(ident.rhs, order, den)
         mismatch = None
-        for other in (route_lhs, route_rhs, product):
+        for other in (*routes, eval_product_sum(ident.rhs, order, den)):
             mismatch = compare_up_to(direct, other, order)
             if mismatch is not None:
                 break
         return ReductionReport(
-            id=ident.id, route="bailey", removed=(ident.spec.names[0],),
-            order=order, equal=mismatch is None, first_mismatch=mismatch)
+            id=ident.id, route=kind, removed=removed, order=order,
+            equal=mismatch is None, first_mismatch=mismatch)
 
 
 def packaged_catalog_text() -> str:

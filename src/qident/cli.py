@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from qident.series import DEFAULT_D, deepen_until_valid, dump, nonneg_order
@@ -31,12 +30,6 @@ from qident.catalog import (
     run_chain,
 )
 from qident.bailey import pairs_equal, verify_pair
-
-
-def _fmt_exp(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else \
-        f"{x.numerator}/{x.denominator}"
 
 
 def _load(args) -> Catalog:
@@ -127,14 +120,14 @@ def _resolve_targets(cat: Catalog, args) -> list[Identity]:
 def _emit_report(rep: VerificationReport, args) -> None:
     ms = int(round(rep.wall_time * 1000))
     if args.output == "machine":
-        print(f"{rep.id}\t{rep.status}\t{_fmt_exp(rep.order)}\t{ms}")
+        print(f"{rep.id}\t{rep.status}\t{rep.order}\t{ms}")
         return
-    line = (f"{rep.status}  {rep.id}  order {_fmt_exp(rep.order)}"
+    line = (f"{rep.status}  {rep.id}  order {rep.order}"
             f"  box {list(rep.box)}  {ms} ms")
     print(line)
     if rep.first_mismatch is not None:
         m = rep.first_mismatch
-        print(f"      first mismatch at q^{_fmt_exp(m.exponent)}: "
+        print(f"      first mismatch at q^{m.exponent}: "
               f"sum side {m.left}, product side {m.right}")
 
 
@@ -186,15 +179,15 @@ def cmd_bailey(args) -> int:
         ms = int(round((time.perf_counter() - start) * 1000))
         status = "PASS" if report.ok else "FAIL"
         if args.output == "machine":
-            print(f"{args.target}\t{status}\t{_fmt_exp(order)}\t{ms}")
+            print(f"{args.target}\t{status}\t{order}\t{ms}")
         else:
             print(f"{status}  {args.target}  n <= {args.n}  "
-                  f"order {_fmt_exp(order)}  {ms} ms")
+                  f"order {order}  {ms} ms")
             for n, mism in report.results:
                 if mism is None:
                     continue
                 print(f"      index {n}: first mismatch at "
-                      f"q^{_fmt_exp(mism.exponent)}")
+                      f"q^{mism.exponent}")
         return 0 if report.ok else 1
 
     # chain
@@ -207,14 +200,14 @@ def cmd_bailey(args) -> int:
         status = "PASS" if diff is None else "FAIL"
         if args.output == "machine":
             print(f"{args.expr} == {args.equals}\t{status}\t"
-                  f"{_fmt_exp(order)}\t{ms}")
+                  f"{order}\t{ms}")
         else:
             print(f"{status}  {args.expr}  ==  {args.equals}  "
-                  f"n <= {args.n}  order {_fmt_exp(order)}  {ms} ms")
+                  f"n <= {args.n}  order {order}  {ms} ms")
             if diff is not None:
                 n, side, mism = diff
                 print(f"      {side}_{n} differs first at "
-                      f"q^{_fmt_exp(mism.exponent)}")
+                      f"q^{mism.exponent}")
         rc = 0 if diff is None else 1
     if args.show is not None:
         parts = [s.strip() for s in args.show.split(",") if s.strip()]

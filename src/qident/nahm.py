@@ -15,7 +15,9 @@ solved exactly on the orthant; otherwise the form's square is completed
 exactly (a rational LDL^T, :func:`_squares`), which gives each variable its
 real ellipsoid extent and the enumerator a floor at every node (Fincke-Pohst
 row bounds).  The same completion decides positive definiteness.  No
-floating point anywhere.
+floating point anywhere.  Both kinds check themselves when built: a
+:class:`MultiSumSpec` holds only what :func:`multi_sum` can enumerate, and a
+:class:`NahmQuadruple` only a symmetrizable positive definite A.
 """
 
 from __future__ import annotations
@@ -113,6 +115,8 @@ class NahmQuadruple:
             raise ValueError("symmetrizer entries must be positive integers")
         if len(self.A) != len(self.b) or len(self.A) != len(self.d):
             raise ValueError("rank mismatch between A, b and d")
+        if not check_symmetrizable(self.A, self.d):
+            raise ValueError("A*diag(d) is not symmetric positive definite")
 
     @property
     def rank(self) -> int:
@@ -185,13 +189,36 @@ class MultiSumSpec:
     prefactor: tuple[tuple[Scalar, AffineForm], ...] = ()
 
     def __post_init__(self):
+        # The box needs a positive diagonal, and a form with a negative
+        # entry positive definite (one with none is bounded on the orthant).
+        # It certifies only the quadratic exponent, so every other factor
+        # must add no negative power of q.
         k = len(self.names)
-        if len(self.quad) != k or len(self.lin) != k or len(self.denoms) != k:
+        m = self.quad
+        if len(m) != k or len(self.lin) != k or len(self.denoms) != k:
             raise ValueError("spec dimensions disagree")
         for i in range(k):
             for j in range(i):
-                if self.quad[i][j] != self.quad[j][i]:
+                if m[i][j] != m[j][i]:
                     raise ValueError("quadratic form must be symmetric")
+        if any(m[i][i] <= 0 for i in range(k)):
+            raise ValueError("unbounded enumeration: nonpositive diagonal")
+        if any(x < 0 for row in m for x in row):
+            _squares(m, self.lin, self.const)
+        for _, form in self.prefactor:
+            if form.const < 0 or any(c < 0 for c in form.coeffs):
+                raise ValueError("prefactor exponents must have a nonnegative "
+                                 "constant and coefficients")
+        for f in self.extra:
+            if any(c < 0 or c.denominator != 1 for c in f.length.coeffs) \
+                    or f.length.const.denominator != 1 or f.length.const < 0:
+                raise ValueError("extra factor lengths must be nonnegative "
+                                 "integer forms")
+            if f.arg.exp < 0 or f.base < 0:
+                raise ValueError("extra factors need a nonnegative argument "
+                                 "exponent and base")
+            if f.power not in (1, -1):
+                raise ValueError("extra factor powers are +1 or -1 only")
 
     @property
     def rank(self) -> int:
@@ -235,9 +262,8 @@ def _ceil_sqrt(x: Fraction) -> int:
 
 def _min_pure_contrib(half_m: Fraction, lin: Fraction,
                       hi: Optional[int] = None) -> Fraction:
-    """min over integers n >= 0 (optionally <= hi) of half_m*n^2 + lin*n."""
-    if half_m <= 0:
-        raise ValueError("need a positive diagonal")
+    """min over integers n >= 0 (optionally <= hi) of half_m*n^2 + lin*n,
+    for half_m > 0."""
     vertex = -lin / (2 * half_m)
     cands = {0}
     for c in (int(vertex), int(vertex) + 1):
@@ -248,9 +274,8 @@ def _min_pure_contrib(half_m: Fraction, lin: Fraction,
 
 def _max_n_quadratic(half_m: Fraction, lin: Fraction,
                      budget: Fraction) -> int:
-    """Largest integer n >= 0 with half_m*n^2 + lin*n <= budget, or -1."""
-    if half_m <= 0:
-        raise ValueError("need a positive diagonal")
+    """Largest integer n >= 0 with half_m*n^2 + lin*n <= budget, or -1,
+    for half_m > 0."""
     if budget < 0 and lin >= 0:
         return -1
     disc = lin * lin + 4 * half_m * budget
@@ -260,18 +285,6 @@ def _max_n_quadratic(half_m: Fraction, lin: Fraction,
     while n >= 0 and half_m * n * n + lin * n > budget:
         n -= 1
     return n
-
-
-def check_bounded(spec: MultiSumSpec) -> None:
-    """Raise ValueError unless a box can hold every point of the spec's form
-    below an order: each diagonal entry is positive, and a form with a
-    negative entry is positive definite (one with none is bounded on the
-    orthant, definite or not)."""
-    m = spec.quad
-    if any(m[i][i] <= 0 for i in range(spec.rank)):
-        raise ValueError("unbounded enumeration: nonpositive diagonal")
-    if any(x < 0 for row in m for x in row):
-        _squares(m, spec.lin, spec.const)
 
 
 def lattice_bound(spec: Union[NahmQuadruple, MultiSumSpec],
@@ -295,7 +308,6 @@ def _box(spec: MultiSumSpec, order: Fraction) -> tuple[int, ...]:
     m, lin = spec.quad, spec.lin
     r = spec.rank
     budget0 = order - spec.const
-    check_bounded(spec)
     if all(x >= 0 for row in m for x in row):
         mins = [_min_pure_contrib(Fraction(m[i][i], 2), lin[i])
                 for i in range(r)]
@@ -336,8 +348,6 @@ def nahm_sum(spec: NahmQuadruple, order: ExpLike,
     The independent oracle for this evaluator is the test suite's brute-force
     ``brute_sum`` (tests/helpers.py).
     """
-    if not check_symmetrizable(spec.A, spec.d):
-        raise ValueError("quadruple is not symmetrizable positive definite")
     return multi_sum(quadruple_spec(spec), order, den)
 
 
@@ -353,23 +363,6 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     onum = exp_num(nonneg_order(order), den)
     bounds = lattice_bound(spec, order)
     r = spec.rank
-    # The box certifies only the quadratic exponent, so every other factor
-    # must add no negative power of q: prefactor forms and extra-factor
-    # arguments and bases are nonnegative.
-    for _, form in spec.prefactor:
-        if form.const < 0 or any(c < 0 for c in form.coeffs):
-            raise ValueError("prefactor exponents must have a nonnegative "
-                             "constant and coefficients")
-    for f in spec.extra:
-        if any(c < 0 or c.denominator != 1 for c in f.length.coeffs) \
-                or f.length.const.denominator != 1 or f.length.const < 0:
-            raise ValueError("extra factor lengths must be nonnegative "
-                             "integer forms")
-        if f.arg.exp < 0 or f.base < 0:
-            raise ValueError("extra factors need a nonnegative argument "
-                             "exponent and base")
-        if f.power not in (1, -1):
-            raise ValueError("extra factor powers are +1 or -1 only")
     m, lin = spec.quad, spec.lin
     nonneg = all(x >= 0 for row in m for x in row)
     pref = spec.prefactor or ((1, AffineForm(0, [0] * r)),)

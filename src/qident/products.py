@@ -1,9 +1,12 @@
 """Pochhammer symbols, theta triples and product expressions.
 
-Finite symbols (a; q^base)_n are exact Laurent polynomials (negative n turns
-into an inversion).  Infinite symbols are truncated soundly: a factor
-(1 - a q^(base*k)) is included iff its lowest nontrivial exponent is <= the
-requested order, every omitted factor being 1 + O(q^(>order)).
+Finite symbols prod_x (x; q^base)_n^(+-1) are the entries of one row class,
+:class:`PochRow`, which grows them a factor at a time and alone decides where
+an entry is cut at the order; without an order they are exact Laurent
+polynomials (negative n turns into an inversion).  Infinite symbols are
+truncated soundly: a factor (1 - a q^(base*k)) is included iff its lowest
+nontrivial exponent is <= the requested order, every omitted factor being
+1 + O(q^(>order)).
 
 :class:`ProductExpr` is the assembled right-hand-side shape: an optional
 polynomial prefactor times a signed multiset of infinite products.  The
@@ -48,19 +51,12 @@ def poch_finite(a: Monomial, base: ExpLike, n: int,
                 den: int = DEFAULT_D) -> QSeries:
     """(a; q^base)_n for any integer n.
 
-    n >= 0 gives the exact polynomial prod_{k<n} (1 - a q^(base*k)); n < 0
-    inverts the complementary product, which requires an explicit order.
+    n >= 0 gives entry n of the :class:`PochRow` of a; n < 0 inverts the
+    complementary product, which requires an explicit order.
     """
-    base = Fraction(base)
     if n >= 0:
-        onum = None if order is None else exp_num(order, den)
-        out = QSeries.one(den)
-        for k in range(n):
-            out = mul_one_minus(out, a.coeff, exp_num(a.exp + base * k, den))
-            if onum is not None and (out.order_num is None
-                                     or out.order_num > onum):
-                out = out.truncated(Fraction(order))
-        return out
+        return PochRow((a,), base, order, den)[n]
+    base = Fraction(base)
     # (a;q)_{-m} = 1 / prod_{k<m} (1 - a q^(base*(n+k)))
     for k in range(-n):
         if a.coeff == 1 and a.exp + base * (n + k) == 0:
@@ -177,17 +173,6 @@ def triple_product_oracle(z: Monomial, base: ExpLike, order: ExpLike,
     while put(n):
         n -= 1
     return QSeries(den, terms, onum)
-
-
-def theta_triple(a: ExpLike, m: ExpLike, order: ExpLike,
-                 den: int = DEFAULT_D) -> QSeries:
-    """(q^a, q^(m-a), q^m; q^m)_infinity truncated at order."""
-    a, m = Fraction(a), Fraction(m)
-    if not 0 < a < m:
-        raise ValueError(f"theta triple needs 0 < a < m, got a={a}, m={m}")
-    out = poch_infinite(Monomial(1, a), m, order, den)
-    out = out * poch_infinite(Monomial(1, m - a), m, order, den)
-    return out * poch_infinite(Monomial(1, m), m, order, den)
 
 
 # -- product expressions -----------------------------------------------------
@@ -319,6 +304,12 @@ def eval_product(expr: ProductExpr, order: ExpLike,
     return out * pf
 
 
+def theta_triple(a: ExpLike, m: ExpLike, order: ExpLike,
+                 den: int = DEFAULT_D) -> QSeries:
+    """(q^a, q^(m-a), q^m; q^m)_infinity truncated at order."""
+    return eval_product(J(a, m), order, den)
+
+
 def eval_product_sum(exprs, order: ExpLike, den: int = DEFAULT_D) -> QSeries:
     """Sum of product expressions (multi-term right-hand sides)."""
     out = QSeries(den, {}, exp_num(order, den))
@@ -327,58 +318,65 @@ def eval_product_sum(exprs, order: ExpLike, den: int = DEFAULT_D) -> QSeries:
     return out
 
 
-# -- shared Pochhammer tables ------------------------------------------------
+# -- finite Pochhammer rows ---------------------------------------------------
 
-class InvPochRow:
-    """1/(arg; q^base)_n for n = 0, 1, ..., each truncated at order, made
-    when first read: entry n is the untruncated entry n-1, which the row
-    keeps, divided by the single factor (1 - arg q^(base*(n-1))).
+class PochRow:
+    """prod_x (x; q^base)_n^power over x in args, power 1 or -1, for n = 0,
+    1, ..., made when first read: entry n is entry n-1 times one factor
+    (1 - x q^(base*(n-1)))^power per symbol.  The cut rule: with an order
+    (an inverse row needs one), the product is cut at it after every factor
+    that leaves it exact or valid past the order.  So a product row is
+    exact at n = 0 and cut from its first factor on; an inverse row starts
+    cut.
     """
 
-    def __init__(self, arg: Monomial, base: ExpLike, order: ExpLike,
-                 den: int = DEFAULT_D):
-        self.arg, self.base, self.order = arg, Fraction(base), Fraction(order)
-        self._last = QSeries(den, {0: 1}, exp_num(order, den))
-        self.entries = [self._last]
+    def __init__(self, args: tuple[Monomial, ...], base: ExpLike,
+                 order: Optional[ExpLike] = None, den: int = DEFAULT_D,
+                 power: int = 1):
+        self.args, self.base, self.power = args, Fraction(base), power
+        self.order = None if order is None else Fraction(order)
+        self.onum = None if order is None else exp_num(order, den)
+        if power == -1 and order is None:
+            raise ValueError("an inverse Pochhammer row needs an order")
+        self.entries = [QSeries(den, {0: 1},
+                                None if power == 1 else self.onum)]
 
     def __getitem__(self, n: int) -> QSeries:
+        order, onum = self.order, self.onum
         while len(self.entries) <= n:
-            f = Monomial(self.arg.coeff,
-                         self.arg.exp + self.base * (len(self.entries) - 1))
-            if f.exp > 0:
-                last = mul_inv_one_minus(self._last, f, self.order)
-            elif f.exp == 0:
-                if f.coeff == 1:
-                    raise ValueError("vanishing Pochhammer factor")
-                last = self._last.scale(1 / (1 - Fraction(f.coeff)))
-            else:
-                last = self._last * invert_unit(QSeries.from_terms(
-                    [(0, 1), (f.exp, -f.coeff)], den=self._last.den),
-                    self.order - 2 * f.exp)
-            self._last = last
-            self.entries.append(last.truncated(self.order))
+            s = self.entries[-1]
+            shift = self.base * (len(self.entries) - 1)
+            for x in self.args:
+                f = Monomial(x.coeff, x.exp + shift)
+                if self.power == 1:
+                    s = mul_one_minus(s, f.coeff, exp_num(f.exp, s.den))
+                elif f.exp > 0:
+                    s = mul_inv_one_minus(s, f, order)
+                elif f.exp == 0:
+                    if f.coeff == 1:
+                        raise ValueError("vanishing Pochhammer factor")
+                    s = s.scale(1 / (1 - Fraction(f.coeff)))
+                else:
+                    s = s * invert_unit(QSeries.from_terms(
+                        [(0, 1), (f.exp, -f.coeff)], den=s.den),
+                        order - 2 * f.exp)
+                if onum is not None and (s.order_num is None
+                                         or s.order_num > onum):
+                    s = s.truncated(order)
+            self.entries.append(s)
         return self.entries[n]
 
 
 def inv_poch_table(arg: Monomial, base: ExpLike, n_max: int, order: ExpLike,
                    den: int = DEFAULT_D) -> list[QSeries]:
     """[1/(arg; q^base)_n for n in 0..n_max], each truncated at order."""
-    row = InvPochRow(arg, base, order, den)
+    row = PochRow((arg,), base, order, den, -1)
     return [row[n] for n in range(n_max + 1)]
 
 
 def poch_table(arg: Monomial, base: ExpLike, n_max: int,
                order: Optional[ExpLike] = None,
                den: int = DEFAULT_D) -> list[QSeries]:
-    """[(arg; q^base)_n for n in 0..n_max] as exact polynomials."""
-    base = Fraction(base)
-    out = [QSeries.one(den)]
-    for n in range(1, n_max + 1):
-        nxt = mul_one_minus(out[-1], arg.coeff,
-                            exp_num(arg.exp + base * (n - 1), den))
-        if order is not None and nxt.order_num is None:
-            hi = exp_num(order, den)
-            if any(e > hi for e in nxt.terms):
-                nxt = nxt.truncated(Fraction(order))
-        out.append(nxt)
-    return out
+    """[(arg; q^base)_n for n in 0..n_max], cut at order if one is given."""
+    row = PochRow((arg,), base, order, den)
+    return [row[n] for n in range(n_max + 1)]

@@ -30,8 +30,8 @@ from qident.bailey import (
 )
 from qident.catalog import parse_chain, run_chain
 from qident.products import (
-    InvPochRow,
     J,
+    PochRow,
     eval_product,
     inv_poch_table,
     poch_finite,
@@ -448,7 +448,7 @@ def test_inv_table_entries_do_not_depend_on_the_first_request():
                       (Monomial(2, 0), 1), (Monomial(3, -2), 1),
                       (Monomial(Fraction(1, 3), -1), HALF)):
         for order, den in ((Fraction(7, 2), 4), (Fraction(16), 8)):
-            up = InvPochRow(arg, base, order, den)
+            up = PochRow((arg,), base, order, den, -1)
             rows = [[up[n] for n in range(8)]]
             _inv_table.cache_clear()
             shared = _inv_table(arg, Fraction(base), order, den)
@@ -562,14 +562,6 @@ def test_limit_identity_order_zero():
     lhs, rhs = limit_identity(builtin_pair("G2"), 0)
     assert lhs.coeff_num(0) == 1 and rhs.coeff_num(0) == 1
     assert compare_up_to(lhs, rhs, 0) is None
-
-
-def test_limit_identity_respects_generator_range():
-    g1 = builtin_pair("G1")
-    p = BaileyPair(a=g1.a, alpha=g1.alpha, beta=g1.beta, name="short",
-                   n_max_hint=3)
-    with pytest.raises(ValueError):
-        limit_identity(p, 40)
 
 
 # -- chain expressions -----------------------------------------------------------

@@ -279,6 +279,8 @@ def test_bailey_chain_show_and_errors(capsys):
     (["list", "--catalog", "@extra-junk"], "record t: extra: expected"),
     (["verify", "t", "--order", "12", "--catalog", "@negative-prefactor"],
      "prefactor exponents must have a nonnegative"),
+    (["list", "--catalog", "@negative-prefactor"],
+     "record t: prefactor exponents must have a nonnegative"),
     (["verify", "t", "--order", "10", "--catalog", "@indefinite-multisum"],
      "positive definite"),
     (["list", "--catalog", "@indefinite-multisum"],
@@ -291,7 +293,7 @@ def test_bailey_chain_show_and_errors(capsys):
         "bailey-verify-negative-n", "chain-show-negative-n",
         "indefinite-nahm-record", "unknown-key", "kind-key", "repeated-key",
         "id-key", "missing-key", "matrix-junk", "extra-junk",
-        "negative-prefactor", "indefinite-multisum",
+        "negative-prefactor", "list-negative-prefactor", "indefinite-multisum",
         "list-indefinite-multisum", "verify-negative-order",
         "verify-zero-denominator-order", "bailey-zero-denominator-order"])
 def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):

@@ -333,10 +333,10 @@ def test_multi_sum_inverse_extra():
      ()),
 ], ids=["prefactor-coeff", "prefactor-const", "extra-arg", "extra-base"])
 def test_multi_sum_rejects_negative_factor_powers(order, extra, prefactor):
-    spec = MultiSumSpec(names=("i",), quad=((Fraction(2),),),
-                        lin=(Fraction(0),), denoms=(Fraction(1),),
-                        extra=extra, prefactor=prefactor)
     with pytest.raises(ValueError, match="nonnegative"):
+        spec = MultiSumSpec(names=("i",), quad=((Fraction(2),),),
+                            lin=(Fraction(0),), denoms=(Fraction(1),),
+                            extra=extra, prefactor=prefactor)
         multi_sum(spec, order)
 
 

@@ -15,6 +15,7 @@ from qident.series import (
     coefficient,
     dump,
     equal_up_to,
+    exp_num,
     invert_unit,
     qmono,
 )
@@ -23,6 +24,7 @@ from qident.products import (
     NP,
     P,
     TP,
+    PochRow,
     ProductExpr,
     eval_product,
     eval_product_sum,
@@ -380,6 +382,19 @@ def test_poch_table_matches_finite():
     tab = poch_table(Monomial(-1, Fraction(1, 2)), 1, 6)
     for n in range(7):
         assert tab[n] == poch_finite(Monomial(-1, Fraction(1, 2)), 1, n)
+    # a row of several symbols is the product of their single rows, each
+    # cut at the order; the symbol with a negative exponent comes last
+    args = (Monomial(-1, Fraction(1, 2)), Monomial(2, 1), qmono(2),
+            Monomial(Fraction(1, 3), -1))
+    for order in (None, Fraction(7, 2), Fraction(12)):
+        row = PochRow(args, 1, order, 4)
+        for n in (3, 0, 6, 1, 2, 5, 4):
+            want = QSeries.one(4)
+            for x in args:
+                want = want * poch_finite(x, 1, n, order, 4)
+            assert row[n] == want, (order, n)
+            if order is not None and n:
+                assert want.order_num == exp_num(order - 1, 4)
 
 
 @pytest.mark.parametrize("order", [-2, Fraction(-1, 4)])
