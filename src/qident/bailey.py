@@ -43,7 +43,6 @@ from qident.series import (
     deepen_until_valid,
     exp_num,
     invert_unit,
-    mul_one_minus,
     qmono,
 )
 from qident.products import PochRow, ProductExpr, eval_product
@@ -535,15 +534,10 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
         heads = row(d2).heads
         tq = _inv_table(qmono(1), Fraction(1), d2, den)
         taq = _inv_table(aq, Fraction(1), d2, den)
-        # (c1 q^r, c2 q^r; q)_{n-r} as exact polynomials, r stepping down
-        tails = [QSeries.one(den)]
-        for r in range(n - 1, -1, -1):
-            t = tails[-1]
-            for c in (c1, c2):
-                t = mul_one_minus(t, c.coeff, exp_num(c.exp + r, den))
-            tails.append(t)
-        tails.reverse()
-        return sum((alphas[r] * heads[r] * tails[r] * tq[n - r] *
+        # entry n-r is (c1 q^r, c2 q^r; q)_{n-r}, an exact polynomial
+        tails = PochRow((c1 * qmono(n - 1), c2 * qmono(n - 1)), -1, None,
+                        den)
+        return sum((alphas[r] * heads[r] * tails[n - r] * tq[n - r] *
                     taq[n + r] * c12_pow(r)
                     for r in range(n + 1) if not alphas[r].is_zero),
                    _zero(d2, den))

@@ -6,8 +6,10 @@ quadruple (A, b, d, optional c) or a generic multi-sum description (vars, a
 quadratic exponent expression, per-index Pochhammer bases, optional per-point
 prefactor polynomial, optional finite Pochhammer factors), plus a
 product-quotient right-hand side.  Both forms load as one
-:class:`MultiSumSpec`, and a form no enumeration box can bound is rejected
-when the catalog loads.
+:class:`MultiSumSpec` (a quadruple through :func:`nahm_spec`), and a form no
+enumeration box can bound is rejected when the catalog loads.  An optional
+``route`` key names, as a transform chain, the Bailey pair a record's
+reduced sum comes from.
 
 Parameterized families are generated in code.  Each builder registers
 itself in :data:`FAMILIES` where it is written (``@_family(name, domain)``,
@@ -17,16 +19,17 @@ one builder.  Its quadratic form is extracted from a plain Python exponent
 function by exact finite differences, with randomized probes that reject
 any non-quadratic function loudly.
 
-The same reader parses the transform chains of ``qident bailey``,
-"SEED |> STEP |> STEP(params)" (:func:`parse_chain`, :func:`run_chain`),
-so step parameters are spelled exactly like catalog monomials.
+The same reader parses the transform chains of ``qident bailey`` and of
+``route``, "SEED |> STEP |> STEP(params)" (:func:`parse_chain`,
+:func:`run_chain`), so step parameters are spelled exactly like catalog
+monomials.
 
 Verification is truncation-sound: both sides are evaluated exactly to the
 requested order and compared coefficient by coefficient.  A reduction
 cross-check re-derives an identity's sum side through an independent
 lower-rank route (index merge or index summation, found by
-:func:`reduce_rank` on the record's spec, or a transform-chain limit) and
-demands three-way agreement.
+:func:`reduce_rank` on the record's spec, and for a record with a ``route``
+also that chain's limit identity) and demands that every series agree.
 """
 
 from __future__ import annotations
@@ -63,16 +66,14 @@ from qident.products import (
 from qident.nahm import (
     AffineForm,
     MultiSumSpec,
-    NahmQuadruple,
     PochFactor,
     eval_reduction,
     lattice_bound,
     multi_sum,
-    quadruple_spec,
+    nahm_spec,
     reduce_rank,
 )
 from qident.bailey import (
-    S3,
     TRANSFORMS,
     BaileyPair,
     TransformStep,
@@ -519,8 +520,12 @@ class Identity:
     """One verifiable sum-equals-product statement.
 
     ``spec`` is the sum side, whichever form the record was given in.
-    ``base_substitution`` records that the stored display lives in q**k of a
-    finer-base statement; it is metadata only, evaluation happens as stored.
+    ``base_substitution`` = k >= 1 records that the stored display lives in
+    q**k of a finer-base statement; verification evaluates it as stored.
+    ``route``, a parsed transform chain (seed, steps), names the Bailey pair
+    whose limit identity, taken in that finer base and mapped back by
+    q -> q**k, the record's reduced sum is (see
+    :meth:`Catalog.cross_check_reduction`).
     """
 
     id: str
@@ -528,12 +533,13 @@ class Identity:
     rhs: tuple[ProductExpr, ...]
     tags: tuple[str, ...] = ()
     base_substitution: int = 1
+    route: Optional[tuple[str, tuple[TransformStep, ...]]] = None
 
 
 _HEADER_RE = re.compile(r"^\[identity\s+(.+?)\]$")
 
 _COMMON_KEYS = {"lhs.kind": True, "rhs": True, "tags": False,
-                "base_substitution": False}
+                "base_substitution": False, "route": False}
 
 # The keys a record of each lhs.kind accepts, each marked required or not.
 RECORD_KEYS: dict[str, dict[str, bool]] = {
@@ -566,16 +572,24 @@ def _build_record(rid: str, rec: dict[str, str]) -> Identity:
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
 
+    def checked_chain(r: _Reader) -> tuple[str, tuple[TransformStep, ...]]:
+        seed, steps = parse_chain(r.string())
+        builtin_pair(seed)  # an unknown seed fails here
+        return seed, steps
+
     tags = field("tags", _Reader.names, ())
     base = field("base_substitution", _Reader.integer, 1)
+    if base < 1:
+        raise ValueError(f"base_substitution: must be at least 1, got {base}")
+    route = field("route", checked_chain)
     rhs = field("rhs", lambda r: parse_rhs(r.string()))
     if kind == "nahm":
-        quad = NahmQuadruple(
+        spec = nahm_spec(
             field("A", lambda r: r.bracketed(lambda: r.bracketed(r.rational))),
             field("b", lambda r: r.bracketed(r.rational)),
             field("c", _Reader.rational, 0),
             field("d", lambda r: r.bracketed(r.integer)))
-        return Identity(rid, quadruple_spec(quad), rhs, tags, base)
+        return Identity(rid, spec, rhs, tags, base, route)
     names = field("vars", _Reader.names)
     qm, lin, const = field(
         "exponent", lambda r: parse_exponent(r.string(), names))
@@ -589,7 +603,7 @@ def _build_record(rid: str, rec: dict[str, str]) -> Identity:
                                            for s in r.bracketed(r.string)), ())
     spec = MultiSumSpec(names=names, quad=qm, lin=lin, denoms=denoms,
                         const=const, extra=extra, prefactor=pf)
-    return Identity(rid, spec, rhs, tags, base)
+    return Identity(rid, spec, rhs, tags, base, route)
 
 
 def parse_catalog_text(text: str) -> dict[str, Identity]:
@@ -1112,28 +1126,27 @@ class Catalog:
                               den: int = DEFAULT_D) -> ReductionReport:
         """Re-verify one identity through an independent lower-rank route.
 
-        Most records admit an index merge or an index summation
-        (:func:`reduce_rank`); exam12-1 instead goes through a transform-chain
-        limit in the halved base.  Raises LookupError when no route exists.
+        The route is an index merge or an index summation
+        (:func:`reduce_rank`).  A record with a ``route`` chain is also
+        compared with that chain's limit identity: both limit sides, taken
+        at order/k and mapped back by q -> q^k (k the record's
+        ``base_substitution``), times the reduction's own prefactor.
+        Raises LookupError when no reduction exists.
         """
         ident = target if isinstance(target, Identity) else self.resolve(target)
         order = Fraction(order)
-        if ident.id == "exam12-1":
-            # After summing the first index with Euler's theorem, the
-            # remaining double sum in the halved base is the limit identity
-            # of the pair G1 |> S3; both limit sides are mapped back by
-            # q -> q^2.
-            pair = _bailey_chain(builtin_pair("G1"), [S3])
-            head = eval_product(NP(1, 2), order, den)
-            routes = [head * substitute_power(side, 2)
-                      for side in limit_identity(pair, order / 2, den)]
-            kind, removed = "bailey", (ident.spec.names[0],)
-        else:
-            red = reduce_rank(ident.spec)
-            if red is None:
-                raise LookupError(f"no reduction route for {ident.id!r}")
-            routes = [eval_reduction(red, order, den)]
-            kind, removed = red.kind, red.removed
+        red = reduce_rank(ident.spec)
+        if red is None:
+            raise LookupError(f"no reduction route for {ident.id!r}")
+        routes = [eval_reduction(red, order, den)]
+        kind = red.kind
+        if ident.route is not None:
+            k = ident.base_substitution
+            pair = _bailey_chain(builtin_pair(ident.route[0]), ident.route[1])
+            head = eval_product(ProductExpr(red.prefactor), order, den)
+            routes += [head * substitute_power(side, k)
+                       for side in limit_identity(pair, order / k, den)]
+            kind = "bailey"
         direct = multi_sum(ident.spec, order, den)
         mismatch = None
         for other in (*routes, eval_product_sum(ident.rhs, order, den)):
@@ -1141,7 +1154,7 @@ class Catalog:
             if mismatch is not None:
                 break
         return ReductionReport(
-            id=ident.id, route=kind, removed=removed, order=order,
+            id=ident.id, route=kind, removed=red.removed, order=order,
             equal=mismatch is None, first_mismatch=mismatch)
 
 

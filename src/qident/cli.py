@@ -211,10 +211,9 @@ def cmd_bailey(args) -> int:
         rc = 0 if diff is None else 1
     if args.show is not None:
         parts = [s.strip() for s in args.show.split(",") if s.strip()]
-        for part in parts:
-            if part not in ("alpha", "beta"):
-                raise ValueError(
-                    f"--show takes alpha and/or beta, not {part!r}")
+        if not parts or not set(parts) <= {"alpha", "beta"}:
+            raise ValueError(f"--show takes a comma list of alpha and/or "
+                             f"beta, not {args.show!r}")
         for n in range(args.n + 1):
             for part in parts:
                 gen = pair.alpha if part == "alpha" else pair.beta

@@ -1,12 +1,11 @@
 """Lattice-sum evaluators for quadratic-exponent q-series.
 
-Two kinds of sums are evaluated exactly over Z_{>=0}^r:
-
-* :class:`NahmQuadruple` -- (A, b, c, d) with exponent (1/2) n^T A D n + n.b
-  + c and denominators (q^(d_i); q^(d_i))_{n_i},
-* :class:`MultiSumSpec` -- the generic shape: arbitrary rational quadratic +
-  linear exponent, per-index Pochhammer denominators, optional extra
-  Pochhammer factors of affine length and per-term monomial prefactors.
+Every sum is one :class:`MultiSumSpec`, evaluated exactly over Z_{>=0}^r:
+an arbitrary rational quadratic + linear exponent, per-index Pochhammer
+denominators, optional extra Pochhammer factors of affine length and
+per-term monomial prefactors.  A Nahm sum (A, b, c, d), with exponent
+(1/2) n^T A D n + n.b + c and denominators (q^(d_i); q^(d_i))_{n_i}, is the
+spec :func:`nahm_spec` builds.
 
 Truncation is sound: :func:`lattice_bound` produces a box that provably
 contains every lattice point whose exponent is <= the requested order.  When
@@ -15,9 +14,9 @@ solved exactly on the orthant; otherwise the form's square is completed
 exactly (a rational LDL^T, :func:`_squares`), which gives each variable its
 real ellipsoid extent and the enumerator a floor at every node (Fincke-Pohst
 row bounds).  The same completion decides positive definiteness.  No
-floating point anywhere.  Both kinds check themselves when built: a
-:class:`MultiSumSpec` holds only what :func:`multi_sum` can enumerate, and a
-:class:`NahmQuadruple` only a symmetrizable positive definite A.
+floating point anywhere.  A :class:`MultiSumSpec` checks itself when built,
+so it holds only what :func:`multi_sum` can enumerate; :func:`nahm_spec`
+also demands a symmetrizable positive definite A.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import floor, isqrt, lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from qident.series import (
     DEFAULT_D,
@@ -95,37 +94,6 @@ def is_positive_definite(m: Matrix) -> bool:
     except ValueError:
         return False
     return True
-
-
-@dataclass(frozen=True)
-class NahmQuadruple:
-    """(A, b, c, d): rational matrix/vector/scalar plus the symmetrizer d."""
-
-    A: Matrix
-    b: Vector
-    c: Fraction
-    d: tuple[int, ...]
-
-    def __init__(self, A, b, c, d):
-        object.__setattr__(self, "A", _mat(A))
-        object.__setattr__(self, "b", _vec(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", tuple(int(x) for x in d))
-        if any(x <= 0 for x in self.d):
-            raise ValueError("symmetrizer entries must be positive integers")
-        if len(self.A) != len(self.b) or len(self.A) != len(self.d):
-            raise ValueError("rank mismatch between A, b and d")
-        if not check_symmetrizable(self.A, self.d):
-            raise ValueError("A*diag(d) is not symmetric positive definite")
-
-    @property
-    def rank(self) -> int:
-        return len(self.d)
-
-    @property
-    def ad(self) -> Matrix:
-        return tuple(tuple(row[j] * self.d[j] for j in range(self.rank))
-                     for row in self.A)
 
 
 def check_symmetrizable(A: Sequence[Sequence[ExpLike]],
@@ -236,14 +204,24 @@ class MultiSumSpec:
         return e
 
 
-def quadruple_spec(q: NahmQuadruple) -> MultiSumSpec:
-    """View a quadruple as the equivalent generic spec, c included."""
+def nahm_spec(A: Sequence[Sequence[ExpLike]], b: Sequence[ExpLike],
+              c: ExpLike, d: Sequence[int]) -> MultiSumSpec:
+    """The spec of the Nahm sum (A, b, c, d): exponent (1/2) n^T A D n + n.b
+    + c over n1..nr with denominators (q^(d_i); q^(d_i))_{n_i}, for positive
+    integer d and A*diag(d) symmetric positive definite."""
+    A, b, d = _mat(A), _vec(b), tuple(int(x) for x in d)
+    if any(x <= 0 for x in d):
+        raise ValueError("symmetrizer entries must be positive integers")
+    if len(A) != len(b) or len(A) != len(d):
+        raise ValueError("rank mismatch between A, b and d")
+    if not check_symmetrizable(A, d):
+        raise ValueError("A*diag(d) is not symmetric positive definite")
     return MultiSumSpec(
-        names=tuple(f"n{i+1}" for i in range(q.rank)),
-        quad=q.ad,
-        lin=q.b,
-        denoms=tuple(Fraction(x) for x in q.d),
-        const=q.c,
+        names=tuple(f"n{i+1}" for i in range(len(d))),
+        quad=tuple(tuple(row[j] * d[j] for j in range(len(d))) for row in A),
+        lin=b,
+        denoms=tuple(Fraction(x) for x in d),
+        const=Fraction(c),
     )
 
 
@@ -287,8 +265,7 @@ def _max_n_quadratic(half_m: Fraction, lin: Fraction,
     return n
 
 
-def lattice_bound(spec: Union[NahmQuadruple, MultiSumSpec],
-                  order: ExpLike) -> list[int]:
+def lattice_bound(spec: MultiSumSpec, order: ExpLike) -> list[int]:
     """Box [0..M_1] x ... x [0..M_r] holding all points with exponent <= order.
 
     With a nonnegative matrix, cross terms are dropped and each variable's
@@ -298,8 +275,6 @@ def lattice_bound(spec: Union[NahmQuadruple, MultiSumSpec],
     the square with that variable first leaves its quadratic over the least
     value of the rest.
     """
-    if isinstance(spec, NahmQuadruple):
-        spec = quadruple_spec(spec)
     return list(_box(spec, Fraction(order)))
 
 
@@ -339,16 +314,6 @@ def _accumulate(acc: dict[int, Scalar], prod: QSeries, shift: int,
         if t <= onum:
             acc[t] = get(t, 0) + c * coeff
     return None if prod.order_num is None else prod.order_num + shift
-
-
-def nahm_sum(spec: NahmQuadruple, order: ExpLike,
-             den: int = DEFAULT_D) -> QSeries:
-    """The quadruple's sum truncated at order, evaluated as its generic spec.
-
-    The independent oracle for this evaluator is the test suite's brute-force
-    ``brute_sum`` (tests/helpers.py).
-    """
-    return multi_sum(quadruple_spec(spec), order, den)
 
 
 def multi_sum(spec: MultiSumSpec, order: ExpLike,
@@ -463,6 +428,11 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     return QSeries(den, _normal(acc), valid)
 
 
+# A Nahm sum is a spec from nahm_spec; the name stays for callers that look
+# the evaluator up by it.
+nahm_sum = multi_sum
+
+
 # -- rank reduction -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -480,14 +450,15 @@ def reduce_rank(spec: MultiSumSpec) -> Optional[Reduction]:
 
     A plain sum has no prefactor, no extra factor and integer bases; for any
     other spec there is no route.  M is the spec's quadratic form, indices
-    are named n1..nr by position, and the reduced spec keeps the constant.
+    keep the spec's names, and the reduced spec keeps the constant.
 
     Pattern "merge": indices x (base b) and z (base 2b) couple so that the
     exponent splits as b*C(x,2) + G(x + 2z); the pair then telescopes to a
     single index m = x + 2z with denominator (q^b; q^b)_m.  Matching needs
     M_zz = 4*gamma, M_xz = 2*gamma with gamma = M_xx - b, every other cross
     entry of row z double that of row x, and lin_z = 2*lin_x + b; the merged
-    index keeps quadratic gamma and gets linear lin_x + b/2.
+    index, named "x+2z" after the spec's names, keeps quadratic gamma and
+    gets linear lin_x + b/2.
 
     Pattern "euler": index x whose pure part is b*C(x,2) + s*x, s > 0, and
     whose cross coefficients are nonnegative multiples of b, sums to
@@ -497,8 +468,7 @@ def reduce_rank(spec: MultiSumSpec) -> Optional[Reduction]:
     m, lin, d = spec.quad, spec.lin, spec.denoms
     if spec.prefactor or spec.extra or any(x.denominator != 1 for x in d):
         return None
-    r = spec.rank
-    names = tuple(f"n{i+1}" for i in range(r))
+    r, names = spec.rank, spec.names
 
     for x in range(r):
         for z in range(r):
@@ -527,7 +497,8 @@ def reduce_rank(spec: MultiSumSpec) -> Optional[Reduction]:
                 removed=(names[x], names[z]),
                 prefactor=(),
                 spec=MultiSumSpec(
-                    names=tuple(("m" if i == x else names[i]) for i in idx),
+                    names=tuple((f"{names[x]}+2{names[z]}" if i == x
+                                 else names[i]) for i in idx),
                     quad=tuple(tuple(entry(i, j) for j in idx) for i in idx),
                     lin=tuple((lin[x] + b / 2 if i == x else lin[i])
                               for i in idx),

@@ -1,5 +1,7 @@
 """Catalog records, expression parsers, families and the verify pipeline."""
 
+import ast
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -8,12 +10,14 @@ from pathlib import Path
 
 import pytest
 
+import qident
 from qident.catalog import (
     FAMILIES,
     RECORD_KEYS,
     load_catalog,
     parse_affine,
     parse_catalog_text,
+    parse_chain,
     parse_exponent,
     parse_extra,
     parse_prefactor,
@@ -21,10 +25,10 @@ from qident.catalog import (
 )
 from qident.nahm import (
     AffineForm,
-    NahmQuadruple,
     PochFactor,
     lattice_bound,
     multi_sum,
+    nahm_spec,
 )
 from qident.products import (
     NP,
@@ -314,14 +318,13 @@ def test_list_and_get(cat):
 
 def test_nahm_record_golden(cat):
     ident = cat.get("table2.11.2")
-    d = tuple(int(x) for x in ident.spec.denoms)
-    q = NahmQuadruple([[x / d[b] for b, x in enumerate(row)]
-                       for row in ident.spec.quad], ident.spec.lin, 0, d)
-    assert q.d == (1, 1, 2)
-    assert q.A == ((2, 2, 1), (2, 4, 2), (2, 4, 3))
-    assert ident.spec.names == ("n1", "n2", "n3")
+    spec = nahm_spec([[2, 2, 1], [2, 4, 2], [2, 4, 3]], [0, 0, 0], 0,
+                     [1, 1, 2])
+    assert ident.spec == spec
+    assert spec.names == ("n1", "n2", "n3")
     # AD is the stored displayed quadratic form
-    assert ident.spec.quad == q.ad
+    assert spec.quad == ((2, 2, 2), (2, 4, 4), (2, 4, 6))
+    assert spec.denoms == (1, 1, 2)
 
 
 def test_multisum_record_golden(cat):
@@ -577,13 +580,13 @@ def test_family_instances_match_stored_records(cat):
 
 def test_reduction_routes(cat):
     rep = cat.cross_check_reduction("table2.1.1", 20)
-    assert rep.equal and rep.route == "euler" and rep.removed == ("n1",)
+    assert rep.equal and rep.route == "euler" and rep.removed == ("i",)
     rep = cat.cross_check_reduction("table2.3.1", 20)
-    assert rep.equal and rep.route == "merge" and rep.removed == ("n2", "n3")
+    assert rep.equal and rep.route == "merge" and rep.removed == ("j", "k")
     rep = cat.cross_check_reduction("table2.9.5", 20)
-    assert rep.equal and rep.route == "merge" and rep.removed == ("n1", "n3")
+    assert rep.equal and rep.route == "merge" and rep.removed == ("i", "k")
     rep = cat.cross_check_reduction("table2.9.6", 20)
-    assert rep.equal and rep.route == "merge" and rep.removed == ("n2", "n3")
+    assert rep.equal and rep.route == "merge" and rep.removed == ("j", "k")
 
 
 def test_reduction_route_table(cat):
@@ -612,3 +615,20 @@ def test_bailey_route_for_halved_base_record(cat):
     assert rep.equal
     assert rep.route == "bailey"
     assert rep.removed == ("i",)
+
+
+def test_wrong_route_is_caught(cat):
+    ident = cat.get("exam12-1")
+    assert ident.route == parse_chain("G1 |> S3")
+    wrong = dataclasses.replace(ident, route=parse_chain("G3 |> S3"))
+    rep = cat.cross_check_reduction(wrong, 24)
+    assert rep.route == "bailey" and not rep.equal
+
+
+def test_no_record_id_in_code(cat):
+    # what a record needs is stated in its record, not keyed on its id
+    ids = set(cat.ids())
+    for path in Path(qident.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert node.value not in ids, (path.name, node.value)

@@ -75,6 +75,9 @@ BAD_CATALOGS = {
     "negative-prefactor": RR1_RECORD + 'prefactor = "q^(-i)"\n',
     "indefinite-multisum": RR1_RECORD.replace("vars = i", "vars = i, j")
     .replace('"i^2"', '"i^2 + j^2 - 3ij"').replace("[q]", "[q, q]"),
+    "zero-base": RR1_RECORD + "base_substitution = 0\n",
+    "route-unknown-seed": RR1_RECORD + 'route = "G9 |> S3"\n',
+    "route-not-a-chain": RR1_RECORD + 'route = "G1, S3"\n',
 }
 
 
@@ -285,6 +288,14 @@ def test_bailey_chain_show_and_errors(capsys):
      "positive definite"),
     (["list", "--catalog", "@indefinite-multisum"],
      "record t: matrix is not positive definite"),
+    (["list", "--catalog", "@zero-base"],
+     "record t: base_substitution: must be at least 1"),
+    (["list", "--catalog", "@route-unknown-seed"],
+     "record t: route: unknown built-in pair 'G9'"),
+    (["list", "--catalog", "@route-not-a-chain"],
+     "record t: route: expected the end"),
+    (["bailey", "chain", "G1", "--show", ",", "--n", "1", "--order", "3"],
+     "--show takes"),
     (["verify", "R.R.1", "--order=-1/4"], "order must be nonnegative"),
     (["verify", "R.R.1", "--order", "1/0"], "zero denominator"),
     (["bailey", "verify", "G1", "--n", "2", "--order", "0/0"],
@@ -294,7 +305,9 @@ def test_bailey_chain_show_and_errors(capsys):
         "indefinite-nahm-record", "unknown-key", "kind-key", "repeated-key",
         "id-key", "missing-key", "matrix-junk", "extra-junk",
         "negative-prefactor", "list-negative-prefactor", "indefinite-multisum",
-        "list-indefinite-multisum", "verify-negative-order",
+        "list-indefinite-multisum", "list-zero-base",
+        "list-route-unknown-seed", "list-route-not-a-chain",
+        "chain-show-empty", "verify-negative-order",
         "verify-zero-denominator-order", "bailey-zero-denominator-order"])
 def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
     def catalog(name):

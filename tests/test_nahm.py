@@ -11,15 +11,14 @@ from qident.catalog import load_catalog
 from qident.nahm import (
     AffineForm,
     MultiSumSpec,
-    NahmQuadruple,
     PochFactor,
     check_symmetrizable,
     eval_reduction,
     is_positive_definite,
     lattice_bound,
     multi_sum,
+    nahm_spec,
     nahm_sum,
-    quadruple_spec,
     reduce_rank,
 )
 from qident.products import poch_finite
@@ -44,8 +43,8 @@ from helpers import (
 H = Fraction(1, 2)
 
 
-def rr_quadruple(shift=0):
-    return NahmQuadruple(A=[[2]], b=[shift], c=0, d=[1])
+def rr_spec(shift=0):
+    return nahm_spec(A=[[2]], b=[shift], c=0, d=[1])
 
 
 def test_symmetrizable_checks():
@@ -62,42 +61,41 @@ def test_symmetrizable_checks():
 
 def test_quadruple_validation():
     with pytest.raises(ValueError):
-        NahmQuadruple(A=[[2]], b=[0], c=0, d=[0])
+        nahm_spec(A=[[2]], b=[0], c=0, d=[0])
     with pytest.raises(ValueError):
-        NahmQuadruple(A=[[2]], b=[0, 1], c=0, d=[1])
+        nahm_spec(A=[[2]], b=[0, 1], c=0, d=[1])
     with pytest.raises(ValueError):
-        nahm_sum(NahmQuadruple(A=[[1, 1], [0, 1]], b=[0, 0], c=0, d=[1, 1]),
-                 10)
+        nahm_spec(A=[[1, 1], [0, 1]], b=[0, 0], c=0, d=[1, 1])
 
 
 def test_gap_two_partitions():
     # sum q^(n^2)/(q;q)_n counts partitions with gaps >= 2
-    s = nahm_sum(rr_quadruple(), 30)
+    s = nahm_sum(rr_spec(), 30)
     assert series_coeffs(s, 30) == [count_gap2(n) for n in range(31)]
 
 
 def test_gap_two_partitions_min_part_two():
-    s = nahm_sum(rr_quadruple(shift=1), 30)
+    s = nahm_sum(rr_spec(shift=1), 30)
     assert series_coeffs(s, 30) == [count_gap2(n, 2) for n in range(31)]
 
 
 def test_constant_offset():
-    q = NahmQuadruple(A=[[2]], b=[0], c=H, d=[1])
+    q = nahm_spec(A=[[2]], b=[0], c=H, d=[1])
     with_c = nahm_sum(q, 10)
-    plain = nahm_sum(rr_quadruple(), 10)
+    plain = nahm_sum(rr_spec(), 10)
     assert with_c == (plain * qmono(H)).truncated(10)
-    off = NahmQuadruple(A=[[2]], b=[0], c=Fraction(1, 3), d=[1])
+    off = nahm_spec(A=[[2]], b=[0], c=Fraction(1, 3), d=[1])
     with pytest.raises(LatticeError):
         nahm_sum(off, 10)
 
 
 def test_order_zero():
-    s = nahm_sum(rr_quadruple(), 0)
+    s = nahm_sum(rr_spec(), 0)
     assert s.coeff_num(0) == 1 and len(s.terms) == 1
 
 
 def test_rank_two_against_brute_force():
-    q = NahmQuadruple(A=[[2, 1], [1, 2]], b=[0, H], c=0, d=[1, 1])
+    q = nahm_spec(A=[[2, 1], [1, 2]], b=[0, H], c=0, d=[1, 1])
     order = 20
     box = [b + 2 for b in lattice_bound(q, order)]
 
@@ -114,19 +112,19 @@ def test_rank_two_against_brute_force():
 
 
 TABLE_SHAPED = [
-    NahmQuadruple(A=[[1, 0, H], [0, 2, 1], [1, 2, 2]], b=b, c=0, d=[2, 2, 4])
+    nahm_spec(A=[[1, 0, H], [0, 2, 1], [1, 2, 2]], b=b, c=0, d=[2, 2, 4])
     for b in ([0, 0, 0], [0, 0, 2], [0, 2, 4], [2, 2, 4])
 ]
 
 
 @pytest.mark.parametrize("quad", TABLE_SHAPED + [
-    rr_quadruple(),
-    NahmQuadruple(A=[[2, 1], [1, 2]], b=[0, H], c=0, d=[1, 1]),
-    NahmQuadruple(A=[[4, 1], [2, 2]], b=[-H, 1], c=0, d=[1, 2]),
+    rr_spec(),
+    nahm_spec(A=[[2, 1], [1, 2]], b=[0, H], c=0, d=[1, 1]),
+    nahm_spec(A=[[4, 1], [2, 2]], b=[-H, 1], c=0, d=[1, 2]),
 ])
 def test_two_evaluation_routes_agree(quad):
     order = 16
-    m, lin, d = quad.ad, quad.b, quad.d
+    m, lin, d = quad.quad, quad.lin, quad.denoms
     box = [b + 2 for b in lattice_bound(quad, order)]
 
     def term(pt):
@@ -145,14 +143,14 @@ def test_two_evaluation_routes_agree(quad):
 
 
 def test_lattice_bound_diagonal():
-    q = NahmQuadruple(A=[[2, 0], [0, 2]], b=[0, 0], c=0, d=[1, 1])
+    q = nahm_spec(A=[[2, 0], [0, 2]], b=[0, 0], c=0, d=[1, 1])
     assert lattice_bound(q, 25) == [5, 5]
-    assert lattice_bound(rr_quadruple(shift=-1), 10) == [3]
+    assert lattice_bound(rr_spec(shift=-1), 10) == [3]
 
 
 def test_lattice_bound_hands_out_a_fresh_box_each_call():
     # boxes are memoized; a caller's edits must not reach the next caller
-    q = NahmQuadruple(A=[[2, 0], [0, 2]], b=[0, 0], c=0, d=[1, 1])
+    q = nahm_spec(A=[[2, 0], [0, 2]], b=[0, 0], c=0, d=[1, 1])
     box = lattice_bound(q, 25)
     box.append(99)
     assert lattice_bound(q, 25) == [5, 5]
@@ -178,10 +176,9 @@ def test_multi_sum_refuses_a_negative_order(order):
 
 def test_lattice_bound_covers_shell():
     # no point just outside the box may have exponent <= order
-    q = TABLE_SHAPED[0]
+    spec = TABLE_SHAPED[0]
     order = 12
-    spec = quadruple_spec(q)
-    box = lattice_bound(q, order)
+    box = lattice_bound(spec, order)
     for a in range(box[0] + 3):
         for b in range(box[1] + 3):
             for c in range(box[2] + 3):
@@ -207,9 +204,8 @@ def _within(point, box):
 
 
 def test_lattice_bound_negative_entries():
-    q = NahmQuadruple(A=[[2, -1], [-1, 2]], b=[0, 0], c=0, d=[1, 1])
+    spec = nahm_spec(A=[[2, -1], [-1, 2]], b=[0, 0], c=0, d=[1, 1])
     order = 18
-    spec = quadruple_spec(q)
     box, bound = _oracle_box(spec, order)
     assert bound == [4, 4]
     for a in range(box[0] + 1):
@@ -257,9 +253,9 @@ def test_positive_definite_matches_leading_minors():
 
 
 def test_negative_entry_sum_matches_brute_force():
-    q = NahmQuadruple(A=[[2, -1], [-1, 2]], b=[1, 1], c=0, d=[1, 1])
+    q = nahm_spec(A=[[2, -1], [-1, 2]], b=[1, 1], c=0, d=[1, 1])
     order = 14
-    box, bound = _oracle_box(quadruple_spec(q), order)
+    box, bound = _oracle_box(q, order)
 
     def term(pt):
         n1, n2 = pt
@@ -341,11 +337,11 @@ def test_multi_sum_rejects_negative_factor_powers(order, extra, prefactor):
 
 
 def test_reduce_rank_merge_rank_two():
-    q = NahmQuadruple(A=[[2, 1], [2, 2]], b=[-H, 0], c=0, d=[1, 2])
-    red = reduce_rank(quadruple_spec(q))
+    q = nahm_spec(A=[[2, 1], [2, 2]], b=[-H, 0], c=0, d=[1, 2])
+    red = reduce_rank(q)
     assert red is not None and red.kind == "merge"
     assert red.removed == ("n1", "n2")
-    assert red.spec.names == ("m",)
+    assert red.spec.names == ("n1+2n2",)
     assert red.spec.quad == ((Fraction(1),),)
     assert red.spec.lin == (Fraction(0),)
     assert red.spec.denoms == (Fraction(1),)
@@ -353,12 +349,12 @@ def test_reduce_rank_merge_rank_two():
 
 
 def test_reduce_rank_merge_rank_three():
-    q = NahmQuadruple(A=[[2, 1, 1], [1, 2, 1], [2, 2, 2]], b=[0, 0, 1],
+    q = nahm_spec(A=[[2, 1, 1], [1, 2, 1], [2, 2, 2]], b=[0, 0, 1],
                       c=0, d=[1, 1, 2])
-    red = reduce_rank(quadruple_spec(q))
+    red = reduce_rank(q)
     assert red is not None and red.kind == "merge"
     assert red.removed == ("n1", "n3")
-    assert red.spec.names == ("m", "n2")
+    assert red.spec.names == ("n1+2n3", "n2")
     assert red.spec.quad == ((Fraction(1), Fraction(1)),
                              (Fraction(1), Fraction(2)))
     assert red.spec.lin == (H, Fraction(0))
@@ -366,8 +362,8 @@ def test_reduce_rank_merge_rank_three():
 
 
 def test_reduce_rank_euler():
-    q = NahmQuadruple(A=[[1, 1], [1, 2]], b=[0, 0], c=0, d=[1, 1])
-    red = reduce_rank(quadruple_spec(q))
+    q = nahm_spec(A=[[1, 1], [1, 2]], b=[0, 0], c=0, d=[1, 1])
+    red = reduce_rank(q)
     assert red is not None and red.kind == "euler"
     assert red.removed == ("n1",)
     assert red.prefactor == ((Monomial(-1, H), Fraction(1), 1),)
@@ -377,21 +373,20 @@ def test_reduce_rank_euler():
 
 
 def test_reduce_rank_none():
-    assert reduce_rank(quadruple_spec(rr_quadruple())) is None
-    flat = NahmQuadruple(A=[[2, 0], [0, 2]], b=[0, 0], c=0, d=[1, 1])
-    assert reduce_rank(quadruple_spec(flat)) is None
+    assert reduce_rank(rr_spec()) is None
+    flat = nahm_spec(A=[[2, 0], [0, 2]], b=[0, 0], c=0, d=[1, 1])
+    assert reduce_rank(flat) is None
     # euler shape but with a nonpositive shift s
-    stuck = NahmQuadruple(A=[[1]], b=[-H], c=0, d=[1])
-    assert reduce_rank(quadruple_spec(stuck)) is None
+    stuck = nahm_spec(A=[[1]], b=[-H], c=0, d=[1])
+    assert reduce_rank(stuck) is None
 
 
 def test_reduce_rank_reads_the_spec():
     # only a plain sum has a route, and the reduced sum keeps the constant
-    q = NahmQuadruple(A=[[2, 1], [2, 2]], b=[-H, 0], c=1, d=[1, 2])
-    spec = quadruple_spec(q)
+    spec = nahm_spec(A=[[2, 1], [2, 2]], b=[-H, 0], c=1, d=[1, 2])
     red = reduce_rank(spec)
     assert red.spec.const == 1
-    assert eval_reduction(red, 15) == nahm_sum(q, 15)
+    assert eval_reduction(red, 15) == nahm_sum(spec, 15)
     one = ((1, AffineForm(0, [0, 0])),)
     fac = (PochFactor(Monomial(-1, 1), Fraction(1), AffineForm(0, [1, 0])),)
     halved = (Fraction(1, 2), Fraction(1))
