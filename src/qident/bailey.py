@@ -43,6 +43,7 @@ from qident.series import (
     deepen_until_valid,
     exp_num,
     invert_unit,
+    nonneg_order,
     qmono,
 )
 from qident.products import PochRow, ProductExpr, eval_product
@@ -228,19 +229,6 @@ class PairReport:
         return [n for n, m in self.results if m is not None]
 
 
-def _alpha_depth(p: BaileyPair, n_max: int, order: Fraction,
-                 den: int) -> tuple[list[QSeries], Fraction]:
-    """Alphas re-evaluated deep enough that products reach `order`."""
-    alphas = [p.alpha(k, order, den) for k in range(n_max + 1)]
-    vals = [Fraction(a.min_num, den) for a in alphas if a.min_num is not None]
-    vmin = min([Fraction(0)] + vals)
-    if vmin < 0:
-        depth = order - vmin
-        alphas = [p.alpha(k, depth, den) for k in range(n_max + 1)]
-        return alphas, depth
-    return alphas, order
-
-
 def _check_n_max(n_max: int) -> None:
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -250,8 +238,12 @@ def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
                 den: int = DEFAULT_D) -> PairReport:
     """Check the defining relation for every n <= n_max up to order."""
     _check_n_max(n_max)
-    order = Fraction(order)
-    alphas, depth = _alpha_depth(p, n_max, order, den)
+    order = nonneg_order(order)
+    alphas = [p.alpha(k, order, den) for k in range(n_max + 1)]
+    vals = [Fraction(a.min_num, den) for a in alphas if a.min_num is not None]
+    depth = order - min([Fraction(0)] + vals)
+    if depth != order:
+        alphas = [p.alpha(k, depth, den) for k in range(n_max + 1)]
     aq = Monomial(p.a.coeff, p.a.exp + 1)
     t_q = _inv_table(qmono(1), Fraction(1), depth, den)
     t_aq = _inv_table(aq, Fraction(1), depth, den)
@@ -269,7 +261,7 @@ def pairs_equal(p1: BaileyPair, p2: BaileyPair, n_max: int, order: ExpLike,
                 den: int = DEFAULT_D) -> Optional[tuple[int, str, Mismatch]]:
     """First (n, side, mismatch) where the pairs differ, else None."""
     _check_n_max(n_max)
-    order = Fraction(order)
+    order = nonneg_order(order)
     if p1.a != p2.a:
         return (0, "a", Mismatch(p1.a.exp, p1.a.coeff, p2.a.coeff))
     for n in range(n_max + 1):
@@ -403,21 +395,19 @@ def _transform_general(p: BaileyPair, rho1: Monomial,
 
 
 def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:
+    # with b != 1 and a != q^-j, no 1 - b or 1 - a q^(2n) alpha divides by is 0
     if b.coeff == 1 and b.exp == 0:
         raise ValueError("the shift parameter b = 1 is singular")
     a = p.a
+    if a.coeff == 1 and a.exp <= 0 and a.exp.denominator == 1:
+        raise ValueError(f"DJK is singular on a pair relative to {_spell(a)}"
+                         ": the shifted pair's (aq;q)_n has the factor 1 - 1")
     a_new = Monomial(a.coeff, a.exp - 1)
 
     def _unit_inv(m: Monomial, order: Fraction, den: int) -> QSeries:
-        s = _one_minus(m, den)
-        if s.is_zero:
-            raise ValueError(f"singular factor 1 - {m.coeff}*q^{m.exp}")
-        return invert_unit(s, order)
+        return invert_unit(_one_minus(m, den), order)
 
     def alpha(n, order, den=DEFAULT_D):
-        one_a = _one_minus(a, den)
-        if one_a.is_zero:
-            return _zero(order, den)
         inv_b = _unit_inv(b, order, den)
         t = p.alpha(n, order, den) * \
             _one_minus(Monomial(b.coeff, b.exp + n), den) * inv_b * \
@@ -428,7 +418,7 @@ def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:
                 den=den)
             t = t - p.alpha(n - 1, order, den) * shift * inv_b * \
                 _unit_inv(Monomial(a.coeff, a.exp + 2 * n - 2), order, den)
-        return one_a * t
+        return _one_minus(a, den) * t
 
     bq = Monomial(b.coeff, b.exp + 1)
     heads = lru_cache(maxsize=None)(
@@ -515,7 +505,8 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
     (c q^r; q)_{n-r}.  The cleared form is equivalent for generic parameters
     and stays valid for specializations where a cleared factor vanishes.
     """
-    order = Fraction(order)
+    _check_n_max(n)
+    order = nonneg_order(order)
     a = p.a
     aq = Monomial(a.coeff, a.exp + 1)
     c1 = _mdiv(aq, rho1)
@@ -530,17 +521,17 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
         return row(depth).r_sum(n)
 
     def build_rhs(depth: Fraction) -> QSeries:
-        alphas, d2 = _alpha_depth(p, n, depth, den)
-        heads = row(d2).heads
-        tq = _inv_table(qmono(1), Fraction(1), d2, den)
-        taq = _inv_table(aq, Fraction(1), d2, den)
+        heads = row(depth).heads
+        tq = _inv_table(qmono(1), Fraction(1), depth, den)
+        taq = _inv_table(aq, Fraction(1), depth, den)
         # entry n-r is (c1 q^r, c2 q^r; q)_{n-r}, an exact polynomial
         tails = PochRow((c1 * qmono(n - 1), c2 * qmono(n - 1)), -1, None,
                         den)
-        return sum((alphas[r] * heads[r] * tails[n - r] * tq[n - r] *
+        alphas = [p.alpha(r, depth, den) for r in range(n + 1)]
+        return sum((alpha * heads[r] * tails[n - r] * tq[n - r] *
                     taq[n + r] * c12_pow(r)
-                    for r in range(n + 1) if not alphas[r].is_zero),
-                   _zero(d2, den))
+                    for r, alpha in enumerate(alphas) if not alpha.is_zero),
+                   _zero(depth, den))
 
     lhs = deepen_until_valid(build_lhs, order, den)
     rhs = deepen_until_valid(build_rhs, order, den)

@@ -1042,6 +1042,13 @@ def _build_exam9gen(k: int, a: int) -> _Built:
 _INSTANCE_RE = re.compile(r"(.+?)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)\s*$")
 
 
+def check_no_params(token: str, k: Optional[int], i: Optional[int]) -> None:
+    """Refuse k and i for a token that is not a bare family name."""
+    if k is not None or i is not None:
+        raise ValueError(f"k and i parameters go only with a bare family "
+                         f"name, not {token!r}")
+
+
 class Catalog:
     """Read-only identity store: fixed records plus family generators."""
 
@@ -1081,14 +1088,15 @@ class Catalog:
     def resolve(self, token: str, k: Optional[int] = None,
                 i: Optional[int] = None) -> Identity:
         """Fixed id, family instance token like AG(3,2), or a bare family
-        name with explicit k (and i) parameters."""
-        if token in self.identities:
-            return self.identities[token]
-        if token in self.families:
+        name with k (and i) parameters, the only token that takes them."""
+        if token in self.families and token not in self.identities:
             if k is None:
                 raise ValueError(f"family {token} needs a k parameter"
                                  f" ({self.families[token].domain})")
             return self.instantiate_family(token, k, i)
+        check_no_params(token, k, i)
+        if token in self.identities:
+            return self.identities[token]
         m = _INSTANCE_RE.fullmatch(token)
         if m and m.group(1) in self.families:
             return self.instantiate_family(

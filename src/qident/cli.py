@@ -26,6 +26,7 @@ from qident.catalog import (
     Catalog,
     Identity,
     VerificationReport,
+    check_no_params,
     load_catalog,
     run_chain,
 )
@@ -44,24 +45,29 @@ def _usage_error(exc) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--catalog", metavar="PATH", default=None,
-                        help="catalog file (default: packaged records, or "
-                             "$NAHM_CATALOG when set)")
-    common.add_argument("--d-lattice", dest="d_lattice", type=int,
-                        default=DEFAULT_D, metavar="D",
-                        help="exponent lattice denominator (default %(default)s)")
-    common.add_argument("--output", choices=("human", "machine"),
+    # one parent parser per shared option, given only to the subcommands
+    # that read it
+    catalog, lattice, output, fail_fast = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4))
+    catalog.add_argument("--catalog", metavar="PATH", default=None,
+                         help="catalog file (default: packaged records, or "
+                              "$NAHM_CATALOG when set)")
+    lattice.add_argument("--d-lattice", dest="d_lattice", type=int,
+                         default=DEFAULT_D, metavar="D",
+                         help="exponent lattice denominator "
+                              "(default %(default)s)")
+    output.add_argument("--output", choices=("human", "machine"),
                         default="human", help="report style")
-    common.add_argument("--fail-fast", dest="fail_fast", action="store_true",
-                        help="stop at the first failing identity")
+    fail_fast.add_argument("--fail-fast", action="store_true",
+                           help="stop at the first failing identity")
 
     p = argparse.ArgumentParser(
         prog="qident",
         description="exact verification of q-series sum-product identities")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    pv = sub.add_parser("verify", parents=[common],
+    pv = sub.add_parser("verify",
+                        parents=[catalog, lattice, output, fail_fast],
                         help="compare sum and product sides to a given order")
     pv.add_argument("ids", nargs="+", metavar="ID",
                     help="identity ids, instance tokens like AG(3,2), a bare "
@@ -70,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--k", type=int, default=None)
     pv.add_argument("--i", type=int, default=None)
 
-    pe = sub.add_parser("expand", parents=[common],
+    pe = sub.add_parser("expand", parents=[catalog, lattice],
                         help="print one side as an exact coefficient dump")
     pe.add_argument("id", metavar="ID")
     pe.add_argument("--side", choices=("lhs", "rhs"), default="lhs")
@@ -78,20 +84,20 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--k", type=int, default=None)
     pe.add_argument("--i", type=int, default=None)
 
-    pl = sub.add_parser("list", parents=[common],
+    pl = sub.add_parser("list", parents=[catalog],
                         help="list identity ids and family names")
     pl.add_argument("--tag", default=None,
                     help="only fixed ids carrying this tag")
 
     pb = sub.add_parser("bailey", help="pair verification and chains")
     bsub = pb.add_subparsers(dest="bailey_cmd", required=True)
-    bv = bsub.add_parser("verify", parents=[common],
+    bv = bsub.add_parser("verify", parents=[lattice, output],
                          help="check the defining relation of a pair")
     bv.add_argument("target", help="builtin pair name or chain expression")
     bv.add_argument("--n", type=int, default=10, metavar="N",
                     help="check indices 0..N (default %(default)s)")
     bv.add_argument("--order", default="40")
-    bc = bsub.add_parser("chain", parents=[common],
+    bc = bsub.add_parser("chain", parents=[lattice, output],
                          help="apply transform steps to a seed pair")
     bc.add_argument("expr", help="chain expression, e.g. \"G1 |> S3\"")
     bc.add_argument("--equals", default=None, metavar="CHAIN",
@@ -109,6 +115,7 @@ def _resolve_targets(cat: Catalog, args) -> list[Identity]:
     by_id: dict[str, Identity] = {}
     for token in args.ids:
         if token == "all":
+            check_no_params(token, args.k, args.i)
             for rid in cat.ids():
                 by_id[rid] = cat.get(rid)
             continue
@@ -232,7 +239,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     commands = {"verify": cmd_verify, "expand": cmd_expand, "list": cmd_list,
                 "bailey": cmd_bailey}
     try:
-        if args.d_lattice < 1:
+        if getattr(args, "d_lattice", DEFAULT_D) < 1:
             raise ValueError("--d-lattice must be at least 1")
         if getattr(args, "n", 0) < 0:
             raise ValueError("--n must be at least 0")

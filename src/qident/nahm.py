@@ -238,14 +238,12 @@ def _ceil_sqrt(x: Fraction) -> int:
     return k
 
 
-def _min_pure_contrib(half_m: Fraction, lin: Fraction,
-                      hi: Optional[int] = None) -> Fraction:
-    """min over integers n >= 0 (optionally <= hi) of half_m*n^2 + lin*n,
-    for half_m > 0."""
+def _min_pure_contrib(half_m: Fraction, lin: Fraction) -> Fraction:
+    """min over integers n >= 0 of half_m*n^2 + lin*n, for half_m > 0."""
     vertex = -lin / (2 * half_m)
     cands = {0}
     for c in (int(vertex), int(vertex) + 1):
-        if c >= 0 and (hi is None or c <= hi):
+        if c >= 0:
             cands.add(c)
     return min(half_m * c * c + lin * c for c in cands)
 
@@ -357,8 +355,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     # variables' pure minima; otherwise it is the least real value of the
     # form given the prefix, one completed square per fixed index.
     if nonneg:
-        mins = [_min_pure_contrib(halves[i], lin[i], bounds[i])
-                for i in range(r)]
+        mins = [_min_pure_contrib(halves[i], lin[i]) for i in range(r)]
         # each min is half*c^2 + lin*c at an integer c, so min * L is integral
         tail_min = [0] * (r + 1)
         for i in range(r - 1, -1, -1):

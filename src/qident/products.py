@@ -1,9 +1,10 @@
-"""Pochhammer symbols, theta triples and product expressions.
+"""Pochhammer symbols and product expressions.
 
 Finite symbols prod_x (x; q^base)_n^(+-1) are the entries of one row class,
 :class:`PochRow`, which grows them a factor at a time and alone decides where
 an entry is cut at the order; without an order they are exact Laurent
-polynomials (negative n turns into an inversion).  Infinite symbols are
+polynomials.  A negative index n is entry -n of an inverse row, so it needs
+an order, as every inverse row does.  Infinite symbols are
 truncated soundly: a factor (1 - a q^(base*k)) is included iff its lowest
 nontrivial exponent is <= the requested order, every omitted factor being
 1 + O(q^(>order)).
@@ -51,20 +52,15 @@ def poch_finite(a: Monomial, base: ExpLike, n: int,
                 den: int = DEFAULT_D) -> QSeries:
     """(a; q^base)_n for any integer n.
 
-    n >= 0 gives entry n of the :class:`PochRow` of a; n < 0 inverts the
-    complementary product, which requires an explicit order.
+    n >= 0 gives entry n of the :class:`PochRow` of a.  n < 0 gives entry -n
+    of the inverse row of a q^(base*n), since (a; q^base)_n is
+    1/(a q^(base*n); q^base)_(-n); that row needs an order and refuses a
+    vanishing factor.
     """
     if n >= 0:
         return PochRow((a,), base, order, den)[n]
-    base = Fraction(base)
-    # (a;q)_{-m} = 1 / prod_{k<m} (1 - a q^(base*(n+k)))
-    for k in range(-n):
-        if a.coeff == 1 and a.exp + base * (n + k) == 0:
-            raise ValueError("vanishing factor in negative-index Pochhammer")
-    if order is None:
-        raise ValueError("negative-index Pochhammer needs a truncation order")
-    down = poch_finite(Monomial(a.coeff, a.exp + base * n), base, -n, den=den)
-    return invert_unit(down, order)
+    shifted = Monomial(a.coeff, a.exp + Fraction(base) * n)
+    return PochRow((shifted,), base, order, den, -1)[-n]
 
 
 def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
@@ -78,14 +74,20 @@ def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
     return out
 
 
+def _positive_base(base: ExpLike) -> Fraction:
+    base = Fraction(base)
+    if base <= 0:
+        raise ValueError("infinite product needs a positive base")
+    return base
+
+
 def _factor_nums(a: Monomial, base: ExpLike, order: ExpLike,
                  den: int) -> range:
     """Exponent numerators of the factors (1 - a q^(base*k)) through order.
 
     The range starts at a's exponent numerator even when it is empty.
     """
-    if Fraction(base) <= 0:
-        raise ValueError("infinite product needs a positive base")
+    _positive_base(base)
     onum = exp_num(order, den)
     first = exp_num(a.exp, den)
     if first > onum:  # the base must be on the lattice only from here on
@@ -244,12 +246,12 @@ def _merge(factors):
 
 def P(a: ExpLike, m: ExpLike) -> ProductExpr:
     """(q^a; q^m)_infinity."""
-    return ProductExpr(((Monomial(1, a), Fraction(m), 1),))
+    return ProductExpr(((Monomial(1, a), _positive_base(m), 1),))
 
 
 def NP(a: ExpLike, m: ExpLike) -> ProductExpr:
     """(-q^a; q^m)_infinity."""
-    return ProductExpr(((Monomial(-1, a), Fraction(m), 1),))
+    return ProductExpr(((Monomial(-1, a), _positive_base(m), 1),))
 
 
 def TP(x: ExpLike, y: ExpLike, z: ExpLike, m: ExpLike) -> ProductExpr:
@@ -302,12 +304,6 @@ def eval_product(expr: ProductExpr, order: ExpLike,
     pf = QSeries.from_terms(((mo.exp, mo.coeff) for mo in expr.prefactor),
                             den=den)
     return out * pf
-
-
-def theta_triple(a: ExpLike, m: ExpLike, order: ExpLike,
-                 den: int = DEFAULT_D) -> QSeries:
-    """(q^a, q^(m-a), q^m; q^m)_infinity truncated at order."""
-    return eval_product(J(a, m), order, den)
 
 
 def eval_product_sum(exprs, order: ExpLike, den: int = DEFAULT_D) -> QSeries:

@@ -131,6 +131,20 @@ def test_negative_index_bound_is_rejected():
         verify_pair(g1, -1, 5)
     with pytest.raises(ValueError, match="n_max"):
         pairs_equal(g1, g1, -2, 5)
+    with pytest.raises(ValueError, match="n_max"):  # was ok on empty sums
+        general_bailey_check(g1, qmono(1), qmono(2), -1, 10)
+
+
+@pytest.mark.parametrize("check", [
+    lambda g1: verify_pair(g1, 3, -1),
+    lambda g1: pairs_equal(g1, g1, 3, -1),
+    lambda g1: general_bailey_check(g1, qmono(1), qmono(2), 2, -1),
+    lambda g1: limit_identity(g1, -1),
+], ids=["verify_pair", "pairs_equal", "general_bailey_check",
+        "limit_identity"])
+def test_entry_points_refuse_a_negative_order(check):
+    with pytest.raises(ValueError, match="nonnegative"):
+        check(builtin_pair("G1"))
 
 
 def test_pairs_equal_and_mismatch():
@@ -219,6 +233,15 @@ def test_djk_lowers_relative_parameter():
 def test_djk_rejects_singular_parameter():
     with pytest.raises(ValueError):
         apply_transform(builtin_pair("G1star"), DJK(Monomial(1, 0)))
+
+
+@pytest.mark.parametrize("pair", [
+    builtin_pair("G1"), builtin_pair("G3"), unit_pair(qmono(-2))],
+    ids=["G1", "G3", "unit-q^-2"])
+def test_djk_refuses_a_pair_relative_to_a_nonpositive_integer_power(pair):
+    # the shifted pair's (aq;q)_n = (a;q)_n has the factor 1 - 1
+    with pytest.raises(ValueError, match="singular"):
+        apply_transform(pair, DJK(qmono(2)))
 
 
 def test_djk_limit_equals_g3_exactly():

@@ -78,6 +78,10 @@ BAD_CATALOGS = {
     "zero-base": RR1_RECORD + "base_substitution = 0\n",
     "route-unknown-seed": RR1_RECORD + 'route = "G9 |> S3"\n',
     "route-not-a-chain": RR1_RECORD + 'route = "G1, S3"\n',
+    "zero-base-P": RR1_RECORD.replace("1/(P(1;5)*P(4;5))", "P(1;0)"),
+    "negative-base-NP": RR1_RECORD.replace("1/(P(1;5)*P(4;5))", "NP(1;-1)"),
+    "zero-J": RR1_RECORD.replace("1/(P(1;5)*P(4;5))", "J(0)"),
+    "negative-J": RR1_RECORD.replace("1/(P(1;5)*P(4;5))", "J(-2)"),
 }
 
 
@@ -300,6 +304,22 @@ def test_bailey_chain_show_and_errors(capsys):
     (["verify", "R.R.1", "--order", "1/0"], "zero denominator"),
     (["bailey", "verify", "G1", "--n", "2", "--order", "0/0"],
      "zero denominator"),
+    (["list", "--catalog", "@zero-base-P"],
+     "record t: rhs: infinite product needs a positive base"),
+    (["list", "--catalog", "@negative-base-NP"],
+     "record t: rhs: infinite product needs a positive base"),
+    (["list", "--catalog", "@zero-J"],
+     "record t: rhs: infinite product needs a positive base"),
+    (["list", "--catalog", "@negative-J"],
+     "record t: rhs: infinite product needs a positive base"),
+    (["verify", "AG(3,2)", "--k", "9", "--order", "5"],
+     "only with a bare family name, not 'AG(3,2)'"),
+    (["expand", "R.R.1", "--k", "4", "--i", "9", "--order", "3"],
+     "only with a bare family name, not 'R.R.1'"),
+    (["verify", "all", "--i", "1", "--order", "3"],
+     "only with a bare family name, not 'all'"),
+    (["bailey", "verify", "G1 |> DJK(q^2)", "--n", "3", "--order", "6"],
+     "DJK is singular on a pair relative to 1"),
 ], ids=["general-vanishing", "expand-d0", "chain-show-d0", "verify-d0",
         "bailey-verify-negative-n", "chain-show-negative-n",
         "indefinite-nahm-record", "unknown-key", "kind-key", "repeated-key",
@@ -308,7 +328,10 @@ def test_bailey_chain_show_and_errors(capsys):
         "list-indefinite-multisum", "list-zero-base",
         "list-route-unknown-seed", "list-route-not-a-chain",
         "chain-show-empty", "verify-negative-order",
-        "verify-zero-denominator-order", "bailey-zero-denominator-order"])
+        "verify-zero-denominator-order", "bailey-zero-denominator-order",
+        "list-zero-base-P", "list-negative-base-NP", "list-zero-J",
+        "list-negative-J", "verify-instance-with-k", "expand-id-with-k-i",
+        "verify-all-with-i", "bailey-verify-djk-on-g1"])
 def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
     def catalog(name):
         path = tmp_path / f"{name}.cat"
@@ -320,6 +343,19 @@ def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
     assert rc == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("qident: error: ") and needle in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bailey", "verify", "G1", "--n", "2", "--order", "5", "--catalog", "x"],
+    ["bailey", "chain", "G1", "--fail-fast"],
+    ["list", "--output", "machine"],
+    ["expand", "R.R.1", "--fail-fast"],
+])
+def test_options_a_subcommand_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bailey_verify_human_mode_lists_failing_indices(capsys, monkeypatch):

@@ -32,7 +32,6 @@ from qident.products import (
     poch_finite,
     poch_infinite,
     poch_table,
-    theta_triple,
     triple_product_oracle,
 )
 
@@ -67,6 +66,33 @@ def test_poch_finite_negative_index():
     assert equal_up_to(prod, QSeries.one(), 8)
     with pytest.raises(ValueError):
         poch_finite(Q, 1, -3, order=8)  # (1 - q*q^-1) factor vanishes
+
+
+def test_poch_finite_negative_index_grid_against_inversion():
+    """n < 0 reads entry -n of an inverse row.  The route it replaced,
+    inverting (a q^(base*n); q^base)_(-n), is the oracle for the terms and
+    the validity; without an order, or with a factor 1 - 1, both refuse."""
+    rng = random.Random(1606)
+    for coeff in (1, -1, 2, Fraction(1, 3)):
+        for base in (1, 2, Fraction(1, 2)):
+            for n in range(-6, 0):
+                for order in (Fraction(7, 2), 8, 12):
+                    a = Monomial(coeff, Fraction(rng.randint(1, 12), 2))
+                    shifted = Monomial(coeff, a.exp + base * n)
+                    down = poch_finite(shifted, base, -n)
+                    if down.is_zero:
+                        with pytest.raises(ValueError, match="vanishing"):
+                            poch_finite(a, base, n, order)
+                    else:
+                        got = poch_finite(a, base, n, order)
+                        want = invert_unit(down, order)
+                        assert got.terms == want.terms
+                        assert got.order_num == want.order_num
+                    with pytest.raises(ValueError, match="needs an order"):
+                        poch_finite(a, base, n)
+                    vanishing = qmono(-base * (n + rng.randrange(-n)))
+                    with pytest.raises(ValueError, match="vanishing"):
+                        poch_finite(vanishing, base, n, order)
 
 
 def test_poch_shift_rule():
@@ -109,7 +135,7 @@ def test_triple_product_oracle_matches_products():
     assert z.is_zero and prod.is_zero
 
     assert equal_up_to(triple_product_oracle(qmono(5), 11, 40),
-                       theta_triple(5, 11, 40), 40)
+                       eval_product(J(5, 11), 40), 40)
 
     half = triple_product_oracle(qmono(Fraction(1, 2)), Fraction(3, 2), 30)
     prod = poch_infinite(qmono(Fraction(3, 2)), Fraction(3, 2), 30) * \
@@ -118,20 +144,20 @@ def test_triple_product_oracle_matches_products():
     assert equal_up_to(half, prod, 30)
 
 
-def test_theta_triple_random_against_oracle():
+def test_J_theta_random_against_oracle():
     rng = random.Random(11)
     for _ in range(20):
         m = rng.randint(2, 14)
         a = rng.randint(1, m - 1)
-        assert equal_up_to(theta_triple(a, m, 40),
+        assert equal_up_to(eval_product(J(a, m), 40),
                            triple_product_oracle(qmono(a), m, 40), 40)
 
 
-def test_theta_triple_symmetry():
+def test_J_theta_symmetry():
     for (a, m) in [(2, 4), (1, 5), (3, 7)]:
-        assert theta_triple(a, m, 30) == theta_triple(m - a, m, 30)
+        assert eval_product(J(a, m), 30) == eval_product(J(m - a, m), 30)
     with pytest.raises(ValueError):
-        theta_triple(5, 5, 10)
+        eval_product(J(5, 5), 10)
 
 
 def test_euler_identities():
@@ -206,7 +232,6 @@ def test_eval_product_prefactor_and_sum():
 
 def test_J_helpers():
     assert eval_product(J(14), 30) == poch_infinite(qmono(14), 14, 30)
-    assert eval_product(J(2, 28), 40) == theta_triple(2, 28, 40)
     quotient = J(14) * J(28) ** 2 * J(2, 28) / (J(1, 28) * J(4, 28))
     assert coefficient(eval_product(quotient, 20), 0) == 1
 
