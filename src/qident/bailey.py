@@ -14,15 +14,15 @@ expressions "SEED |> STEP |> STEP(arg)" are read by
 :func:`qident.catalog.parse_chain`.
 
 Generators take (n, order, den) and return a QSeries valid at least to
-order + min(0, valuation); callers that need more depth re-request through
-:func:`qident.series.deepen_until_valid`, the one deepen-until-valid loop.
-Pairs are immutable and generator calls are memoized per pair.
+order + min(0, valuation); :func:`term` reads one entry valid through the
+order, re-requesting through :func:`qident.series.deepen_until_valid`.
+Pairs are immutable, and generator calls are not cached.
 
-Nothing free of n is built per n: every finite symbol is a
-:class:`qident.products.PochRow` grown a factor per new n, the 1/(x;q)_n rows
-sit in the bounded cache :func:`_inv_table`, and each lemma pair owns a
-:class:`_Row` per (order, den), so beta'_n = sum_r u_r w_(n-r) costs n+1
-products.
+The rows are the caches, and nothing free of n is built per n: every finite
+symbol is a :class:`qident.products.PochRow` grown a factor per new n, the
+1/(x;q)_n rows (1/(1 - m) is entry 1 of m's) sit in the bounded cache
+:func:`_inv_table`, and each lemma pair owns a :class:`_Row` per
+(order, den), so beta'_n = sum_r u_r w_(n-r) costs n+1 products.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from qident.series import (
     compare_up_to,
     deepen_until_valid,
     exp_num,
-    invert_unit,
     nonneg_order,
     qmono,
 )
@@ -78,13 +77,9 @@ def _inv_table(arg: Monomial, base: Fraction, order: Fraction,
     return PochRow((arg,), base, order, den, -1)
 
 
-def _memo(fn: Gen) -> Gen:
-    cached = lru_cache(maxsize=None)(fn)
-
-    def wrapper(n: int, order: ExpLike, den: int = DEFAULT_D) -> QSeries:
-        return cached(n, Fraction(order), den)
-
-    return wrapper
+def term(gen: Gen, n: int, order: ExpLike, den: int = DEFAULT_D) -> QSeries:
+    """Entry n of a pair's alpha or beta, valid through the order."""
+    return deepen_until_valid(lambda d: gen(n, d, den), order, den)
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,7 @@ def unit_pair(a: Monomial) -> BaileyPair:
         return _inv_table(qmono(1), Fraction(1), order, den)[n] * \
             _inv_table(aq, Fraction(1), order, den)[n]
 
-    return BaileyPair(a, _memo(alpha), _memo(beta), name="unit")
+    return BaileyPair(a, alpha, beta, name="unit")
 
 
 def _slater_beta(shift_n: bool, comp_exp: Fraction) -> Gen:
@@ -203,7 +198,7 @@ def builtin_pair(name: str) -> BaileyPair:
     if key not in rows:
         raise ValueError(f"unknown built-in pair {name!r}")
     a, alpha, beta = rows[key]
-    return BaileyPair(a, _memo(alpha), _memo(beta), name=key)
+    return BaileyPair(a, alpha, beta, name=key)
 
 
 BUILTIN_NAMES = ("G1", "G2", "G3", "G1star")
@@ -252,8 +247,8 @@ def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
         rhs = sum((a * t_q[n - k] * t_aq[n + k]
                    for k, a in enumerate(alphas[:n + 1]) if not a.is_zero),
                   _zero(depth, den))
-        lhs = deepen_until_valid(lambda d: p.beta(n, d, den), order, den)
-        results.append((n, compare_up_to(lhs, rhs, order)))
+        results.append((n, compare_up_to(term(p.beta, n, order, den), rhs,
+                                         order)))
     return PairReport(p.name, p.a, order, tuple(results))
 
 
@@ -266,11 +261,8 @@ def pairs_equal(p1: BaileyPair, p2: BaileyPair, n_max: int, order: ExpLike,
         return (0, "a", Mismatch(p1.a.exp, p1.a.coeff, p2.a.coeff))
     for n in range(n_max + 1):
         for side in ("alpha", "beta"):
-            g1, g2 = getattr(p1, side), getattr(p2, side)
-            m = compare_up_to(
-                deepen_until_valid(lambda d: g1(n, d, den), order, den),
-                deepen_until_valid(lambda d: g2(n, d, den), order, den),
-                order)
+            m = compare_up_to(term(getattr(p1, side), n, order, den),
+                              term(getattr(p2, side), n, order, den), order)
             if m is not None:
                 return (n, side, m)
     return None
@@ -405,7 +397,7 @@ def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:
     a_new = Monomial(a.coeff, a.exp - 1)
 
     def _unit_inv(m: Monomial, order: Fraction, den: int) -> QSeries:
-        return invert_unit(_one_minus(m, den), order)
+        return _inv_table(m, Fraction(1), order, den)[1]
 
     def alpha(n, order, den=DEFAULT_D):
         inv_b = _unit_inv(b, order, den)
@@ -471,7 +463,7 @@ def apply_transform(p: BaileyPair, t: TransformStep) -> BaileyPair:
     if t.kind not in TRANSFORMS:
         raise ValueError(f"unknown transform kind {t.kind!r}")
     a, alpha, beta = TRANSFORMS[t.kind][1](p, *t.params)
-    return BaileyPair(a, _memo(alpha), _memo(beta), name=_derived_name(p, t))
+    return BaileyPair(a, alpha, beta, name=_derived_name(p, t))
 
 
 def chain(p0: BaileyPair, steps) -> BaileyPair:
@@ -517,9 +509,6 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
     row = lru_cache(maxsize=None)(
         lambda depth: _Row(p.beta, (rho1, rho2), (c12,), c12_pow, depth, den))
 
-    def build_lhs(depth: Fraction) -> QSeries:
-        return row(depth).r_sum(n)
-
     def build_rhs(depth: Fraction) -> QSeries:
         heads = row(depth).heads
         tq = _inv_table(qmono(1), Fraction(1), depth, den)
@@ -533,7 +522,7 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
                     for r, alpha in enumerate(alphas) if not alpha.is_zero),
                    _zero(depth, den))
 
-    lhs = deepen_until_valid(build_lhs, order, den)
+    lhs = deepen_until_valid(lambda d: row(d).r_sum(n), order, den)
     rhs = deepen_until_valid(build_rhs, order, den)
     return GeneralReport(lhs.truncated(order), rhs.truncated(order),
                          compare_up_to(lhs, rhs, order))
@@ -563,19 +552,14 @@ def limit_identity(p: BaileyPair, order: ExpLike,
                     "valuation growth assertion failed")
 
     def build_lhs(depth: Fraction) -> QSeries:
-        acc = _zero(depth, den)
-        for nn in range(n_cut + 1):
-            acc = acc + p.beta(nn, depth, den) * mono(nn)
-        return acc
+        return sum((p.beta(nn, depth, den) * mono(nn)
+                    for nn in range(n_cut + 1)), _zero(depth, den))
 
     def build_rhs(depth: Fraction) -> QSeries:
+        alphas = (p.alpha(nn, depth, den) for nn in range(n_cut + 1))
+        acc = sum((s * mono(nn) for nn, s in enumerate(alphas)
+                   if not s.is_zero), _zero(depth, den))
         aq = Monomial(a.coeff, a.exp + 1)
-        acc = _zero(depth, den)
-        for nn in range(n_cut + 1):
-            term = p.alpha(nn, depth, den)
-            if term.is_zero:
-                continue
-            acc = acc + term * mono(nn)
         return acc * eval_product(
             ProductExpr(((aq, Fraction(1), -1),)), depth, den)
 

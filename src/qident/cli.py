@@ -19,7 +19,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from qident.series import DEFAULT_D, deepen_until_valid, dump, nonneg_order
+from qident.series import DEFAULT_D, dump, nonneg_order
 from qident.nahm import multi_sum
 from qident.products import eval_product_sum
 from qident.catalog import (
@@ -30,7 +30,7 @@ from qident.catalog import (
     load_catalog,
     run_chain,
 )
-from qident.bailey import pairs_equal, verify_pair
+from qident.bailey import pairs_equal, term, verify_pair
 
 
 def _load(args) -> Catalog:
@@ -124,18 +124,20 @@ def _resolve_targets(cat: Catalog, args) -> list[Identity]:
     return [by_id[rid] for rid in sorted(by_id)]
 
 
-def _emit_report(rep: VerificationReport, args) -> None:
-    ms = int(round(rep.wall_time * 1000))
+def _emit(args, ok: bool, seconds: float, label: str, middle: str,
+          order, notes: Sequence[str] = (),
+          machine: Optional[str] = None) -> None:
+    """``machine  PASS|FAIL  order  ms`` (machine defaults to label), or
+    ``PASS|FAIL  label  middle  ms ms`` and one indented line per note."""
+    status = "PASS" if ok else "FAIL"
+    ms = int(round(seconds * 1000))
     if args.output == "machine":
-        print(f"{rep.id}\t{rep.status}\t{rep.order}\t{ms}")
+        print(f"{label if machine is None else machine}\t{status}\t"
+              f"{order}\t{ms}")
         return
-    line = (f"{rep.status}  {rep.id}  order {rep.order}"
-            f"  box {list(rep.box)}  {ms} ms")
-    print(line)
-    if rep.first_mismatch is not None:
-        m = rep.first_mismatch
-        print(f"      first mismatch at q^{m.exponent}: "
-              f"sum side {m.left}, product side {m.right}")
+    print(f"{status}  {label}  {middle}  {ms} ms")
+    for note in notes:
+        print(f"      {note}")
 
 
 def cmd_verify(args) -> int:
@@ -148,7 +150,12 @@ def cmd_verify(args) -> int:
         if args.fail_fast and not rep.equal:
             break
     for rep in reports:
-        _emit_report(rep, args)
+        m = rep.first_mismatch
+        notes = () if m is None else (
+            f"first mismatch at q^{m.exponent}: "
+            f"sum side {m.left}, product side {m.right}",)
+        _emit(args, rep.equal, rep.wall_time, rep.id,
+              f"order {rep.order}  box {list(rep.box)}", rep.order, notes)
     return 0 if all(r.equal for r in reports) else 1
 
 
@@ -183,18 +190,10 @@ def cmd_bailey(args) -> int:
     if args.bailey_cmd == "verify":
         start = time.perf_counter()
         report = verify_pair(pair, args.n, order, args.d_lattice)
-        ms = int(round((time.perf_counter() - start) * 1000))
-        status = "PASS" if report.ok else "FAIL"
-        if args.output == "machine":
-            print(f"{args.target}\t{status}\t{order}\t{ms}")
-        else:
-            print(f"{status}  {args.target}  n <= {args.n}  "
-                  f"order {order}  {ms} ms")
-            for n, mism in report.results:
-                if mism is None:
-                    continue
-                print(f"      index {n}: first mismatch at "
-                      f"q^{mism.exponent}")
+        notes = [f"index {n}: first mismatch at q^{m.exponent}"
+                 for n, m in report.results if m is not None]
+        _emit(args, report.ok, time.perf_counter() - start, args.target,
+              f"n <= {args.n}  order {order}", order, notes)
         return 0 if report.ok else 1
 
     # chain
@@ -203,18 +202,12 @@ def cmd_bailey(args) -> int:
         other = run_chain(args.equals)
         start = time.perf_counter()
         diff = pairs_equal(pair, other, args.n, order, args.d_lattice)
-        ms = int(round((time.perf_counter() - start) * 1000))
-        status = "PASS" if diff is None else "FAIL"
-        if args.output == "machine":
-            print(f"{args.expr} == {args.equals}\t{status}\t"
-                  f"{order}\t{ms}")
-        else:
-            print(f"{status}  {args.expr}  ==  {args.equals}  "
-                  f"n <= {args.n}  order {order}  {ms} ms")
-            if diff is not None:
-                n, side, mism = diff
-                print(f"      {side}_{n} differs first at "
-                      f"q^{mism.exponent}")
+        notes = () if diff is None else (
+            f"{diff[1]}_{diff[0]} differs first at q^{diff[2].exponent}",)
+        _emit(args, diff is None, time.perf_counter() - start,
+              f"{args.expr}  ==  {args.equals}",
+              f"n <= {args.n}  order {order}", order, notes,
+              machine=f"{args.expr} == {args.equals}")
         rc = 0 if diff is None else 1
     if args.show is not None:
         parts = [s.strip() for s in args.show.split(",") if s.strip()]
@@ -223,10 +216,7 @@ def cmd_bailey(args) -> int:
                              f"beta, not {args.show!r}")
         for n in range(args.n + 1):
             for part in parts:
-                gen = pair.alpha if part == "alpha" else pair.beta
-                series = deepen_until_valid(
-                    lambda d: gen(n, d, args.d_lattice), order,
-                    args.d_lattice)
+                series = term(getattr(pair, part), n, order, args.d_lattice)
                 print(f"{part}_{n}:")
                 sys.stdout.write(dump(series, order))
     if args.equals is None and args.show is None:

@@ -40,7 +40,8 @@ from qident.series import (
     exp_num,
     nonneg_order,
 )
-from qident.products import inv_poch_table, poch_table
+from qident.products import (
+    ProductExpr, eval_product, inv_poch_table, poch_table)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -160,11 +161,15 @@ class MultiSumSpec:
         # The box needs a positive diagonal, and a form with a negative
         # entry positive definite (one with none is bounded on the orthant).
         # It certifies only the quadratic exponent, so every other factor
-        # must add no negative power of q.
+        # must add no negative power of q, and every base d of a divisor
+        # 1 - q^(d v) is positive.
         k = len(self.names)
         m = self.quad
-        if len(m) != k or len(self.lin) != k or len(self.denoms) != k:
+        if len(m) != k or len(self.lin) != k or len(self.denoms) != k \
+                or any(len(row) != k for row in m):
             raise ValueError("spec dimensions disagree")
+        if any(d <= 0 for d in self.denoms):
+            raise ValueError("denominator bases must be positive")
         for i in range(k):
             for j in range(i):
                 if m[i][j] != m[j][i]:
@@ -542,8 +547,6 @@ def reduce_rank(spec: MultiSumSpec) -> Optional[Reduction]:
 def eval_reduction(red: Reduction, order: ExpLike,
                    den: int = DEFAULT_D) -> QSeries:
     """Prefactor times the reduced sum, truncated at order."""
-    from qident.products import ProductExpr, eval_product
-
     out = multi_sum(red.spec, order, den)
     if red.prefactor:
         out = out * eval_product(ProductExpr(red.prefactor), order, den)

@@ -15,7 +15,8 @@ bilateral theta sum :func:`triple_product_oracle` gives an independent route
 to the same values and is cross-checked against the product form in the
 test suite.
 
-:func:`eval_product` multiplies numerators in one factor at a time.  The
+:func:`eval_product` multiplies numerators in one factor at a time, and a
+denominator whose first exponent is <= 0 as one inverse row entry.  The
 denominators with a positive first exponent are unit series, and it builds
 their whole product F in one pass of the log-derivative (Euler-transform)
 recurrence n f_n = sum_k G_k f_(n-k), G = q d/dq log F, on integers
@@ -40,7 +41,6 @@ from qident.series import (
     Scalar,
     _normal,
     exp_num,
-    invert_unit,
     mul_inv_one_minus,
     mul_one_minus,
     nonneg_order,
@@ -273,11 +273,12 @@ def eval_product(expr: ProductExpr, order: ExpLike,
                  den: int = DEFAULT_D) -> QSeries:
     """Evaluate a product expression exactly to the given order.
 
-    Numerators are built by :func:`poch_infinite`, and denominators whose
-    first exponent is <= 0 by :func:`poch_infinite` and ``invert_unit``;
-    each is multiplied in where it stands.  Every other denominator is a
-    unit series (constant term 1), and all of them are built in one pass of
-    :func:`_unit_product` and joined with one multiplication at the end.
+    Numerators are built by :func:`poch_infinite`, and a denominator whose
+    first exponent is <= 0 is the entry of an inverse :class:`PochRow` that
+    holds its factors through the order; each is multiplied in where it
+    stands.  Every other denominator is a unit series (constant term 1), and
+    all of them are built in one pass of :func:`_unit_product` and joined
+    with one multiplication at the end.
 
     Why the split changes nothing: a product is valid to the least over its
     operands of one's validity plus the other's valuation.  Every partial
@@ -291,12 +292,13 @@ def eval_product(expr: ProductExpr, order: ExpLike,
     units = []
     for (m, base, power) in expr.factors:
         nums = _factor_nums(m, base, order, den)
-        if power < 0 and nums.start > 0:
+        if power > 0:
+            s = poch_infinite(m, base, order, den)
+        elif nums.start > 0:
             units.append((m.coeff, nums, power))
             continue
-        s = poch_infinite(m, base, order, den)
-        if power < 0:
-            s = invert_unit(s, order)
+        else:
+            s = PochRow((m,), base, order, den, -1)[len(nums)]
         for _ in range(abs(power)):
             out = out * s
     if units:
@@ -319,11 +321,13 @@ def eval_product_sum(exprs, order: ExpLike, den: int = DEFAULT_D) -> QSeries:
 class PochRow:
     """prod_x (x; q^base)_n^power over x in args, power 1 or -1, for n = 0,
     1, ..., made when first read: entry n is entry n-1 times one factor
-    (1 - x q^(base*(n-1)))^power per symbol.  The cut rule: with an order
-    (an inverse row needs one), the product is cut at it after every factor
-    that leaves it exact or valid past the order.  So a product row is
-    exact at n = 0 and cut from its first factor on; an inverse row starts
-    cut.
+    (1 - x q^(base*(n-1)))^power per symbol.  An inverse factor 1/(1 - f)
+    is the geometric series of f when f's exponent is positive, a scalar
+    when it is 0, and -f^-1/(1 - f^-1) when it is negative.  The cut rule:
+    with an order (an inverse row needs one), the product is cut at it after
+    every factor that leaves it exact or valid past the order.  So a product
+    row is exact at n = 0 and cut from its first factor on; an inverse row
+    starts cut.
     """
 
     def __init__(self, args: tuple[Monomial, ...], base: ExpLike,
@@ -353,9 +357,10 @@ class PochRow:
                         raise ValueError("vanishing Pochhammer factor")
                     s = s.scale(1 / (1 - Fraction(f.coeff)))
                 else:
-                    s = s * invert_unit(QSeries.from_terms(
-                        [(0, 1), (f.exp, -f.coeff)], den=s.den),
-                        order - 2 * f.exp)
+                    r = 1 / Fraction(f.coeff)
+                    s = mul_inv_one_minus(
+                        s.scale(-r).shift(exp_num(-f.exp, s.den)),
+                        Monomial(r, -f.exp), order)
                 if onum is not None and (s.order_num is None
                                          or s.order_num > onum):
                     s = s.truncated(order)

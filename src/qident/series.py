@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
 ExpLike = Union[int, Fraction]
@@ -196,9 +196,6 @@ class QSeries:
                 f"coefficient at {Fraction(n, self.den)} is beyond order "
                 f"{Fraction(self.order_num, self.den)}")
         return self.terms.get(n, 0)
-
-    def items(self) -> Iterator[tuple[int, Scalar]]:
-        return iter(sorted(self.terms.items()))
 
     def __repr__(self) -> str:
         parts = []

@@ -25,6 +25,7 @@ from qident.bailey import (
     general_bailey_check,
     limit_identity,
     pairs_equal,
+    term,
     unit_pair,
     verify_pair,
 )
@@ -242,6 +243,47 @@ def test_djk_refuses_a_pair_relative_to_a_nonpositive_integer_power(pair):
     # the shifted pair's (aq;q)_n = (a;q)_n has the factor 1 - 1
     with pytest.raises(ValueError, match="singular"):
         apply_transform(pair, DJK(qmono(2)))
+
+
+@pytest.mark.parametrize("seed, b", [
+    ("G2", Monomial(-1, -1)), ("G2", Monomial(2, -1)),
+    ("G1star", Monomial(Fraction(1, 2), -2)),
+    ("G1star", Monomial(-1, Fraction(-1, 2)))])
+def test_djk_with_a_negative_exponent_shift_keeps_the_pair_relation(seed, b):
+    # 1/(1 - b) and the first factors of 1/(b;q)_n have a negative exponent;
+    # the defining relation, summed here from entries read through the
+    # order, is the oracle
+    p = apply_transform(builtin_pair(seed), DJK(b))
+    order, n_max = Fraction(12), 5
+    aq = Monomial(p.a.coeff, p.a.exp + 1)
+    tq = inv_poch_table(qmono(1), 1, 2 * n_max, order, D)
+    taq = inv_poch_table(aq, 1, 2 * n_max, order, D)
+    alphas = [term(p.alpha, k, order, D) for k in range(n_max + 1)]
+    for n in range(n_max + 1):
+        rhs = sum((alphas[k] * tq[n - k] * taq[n + k] for k in range(n + 1)),
+                  QSeries.zero(D))
+        assert compare_up_to(term(p.beta, n, order, D), rhs, order) is None
+
+
+def test_apply_transform_refuses_an_unknown_kind_and_s5_off_unit_a():
+    with pytest.raises(ValueError, match="unknown transform kind 'S7'"):
+        apply_transform(builtin_pair("G1"), TransformStep("S7"))
+    with pytest.raises(ValueError, match="S5 needs a = q\\^e"):
+        apply_transform(unit_pair(Monomial(2, 0)), S5)
+
+
+def test_term_reads_an_entry_valid_through_the_order():
+    # c12 = -3 q^-2, so the r-sum's weights lower a bare request's validity
+    p = run_chain("G1 |> GENERAL(1/3*q^2, -q)")
+    order = Fraction(12)
+    onum = exp_num(order, D)
+    assert any(p.beta(n, order, D).order_num < onum for n in range(5))
+    for n in range(5):
+        for gen in (p.alpha, p.beta):
+            got = term(gen, n, order, D)
+            assert got.order_num >= onum
+            deep = gen(n, order + 4 * n + 2, D)
+            assert compare_up_to(got, deep, order) is None
 
 
 def test_djk_limit_equals_g3_exactly():

@@ -13,6 +13,7 @@ import pytest
 import qident
 from qident.catalog import (
     FAMILIES,
+    _spec_from_fn,
     RECORD_KEYS,
     load_catalog,
     parse_affine,
@@ -488,6 +489,14 @@ def test_readme_family_table_names_every_family():
     names = [name for line in table.splitlines()[2:]
              for name in re.findall(r"`([^`]+)`", line.split("|")[1])]
     assert sorted(names) == sorted(FAMILIES)
+
+
+def test_family_exponent_that_is_not_quadratic_is_refused():
+    # the finite differences alone would read i^3 as a quadratic form
+    with pytest.raises(ValueError, match="not quadratic"):
+        _spec_from_fn(("i", "j"), lambda p: p[0] ** 3 + p[1] ** 2, (1, 1))
+    spec = _spec_from_fn(("i", "j"), lambda p: p[0] ** 2 + p[1] ** 2, (1, 1))
+    assert spec.quad == ((2, 0), (0, 2))
 
 
 def test_family_domain_errors(cat):

@@ -82,6 +82,13 @@ BAD_CATALOGS = {
     "negative-base-NP": RR1_RECORD.replace("1/(P(1;5)*P(4;5))", "NP(1;-1)"),
     "zero-J": RR1_RECORD.replace("1/(P(1;5)*P(4;5))", "J(0)"),
     "negative-J": RR1_RECORD.replace("1/(P(1;5)*P(4;5))", "J(-2)"),
+    "zero-denominator-base": RR1_RECORD.replace("[q]", "[q^0]"),
+    "two-vars-one-base": RR1_RECORD.replace("vars = i", "vars = i, j"),
+    "repeated-var": RR1_RECORD.replace("vars = i", "vars = i, i"),
+    "divide-by-constant": RR1_RECORD.replace("1/(P(1;5)*P(4;5))",
+                                             "P(1;1) / (2 * P(2;2))"),
+    "power-of-constant": RR1_RECORD.replace("1/(P(1;5)*P(4;5))",
+                                            "(2 * P(1;1))^2"),
 }
 
 
@@ -249,6 +256,19 @@ def test_bailey_chain_equals(capsys):
     assert out.startswith("FAIL")
 
 
+def test_bailey_chain_equals_machine_fail_line(capsys):
+    rc, out, err = run(capsys, "bailey", "chain", "G1", "--equals", "G3",
+                       "--n", "3", "--order", "10", "--output", "machine")
+    assert rc == 1 and err == ""
+    assert _norm_ms(out) == "G1 == G3\tFAIL\t10\tMS\n"
+    rc, out, _ = run(capsys, "bailey", "chain", "G1", "--equals", "G3",
+                     "--n", "3", "--order", "10")
+    assert rc == 1
+    assert re.sub(r"  \d+ ms", "  MS ms", out) == (
+        "FAIL  G1  ==  G3  n <= 3  order 10  MS ms\n"
+        "      alpha_1 differs first at q^0\n")
+
+
 def test_bailey_chain_show_and_errors(capsys):
     rc, out, _ = run(capsys, "bailey", "chain", "G1", "--show", "beta",
                      "--n", "1", "--order", "6")
@@ -320,6 +340,16 @@ def test_bailey_chain_show_and_errors(capsys):
      "only with a bare family name, not 'all'"),
     (["bailey", "verify", "G1 |> DJK(q^2)", "--n", "3", "--order", "6"],
      "DJK is singular on a pair relative to 1"),
+    (["list", "--catalog", "@zero-denominator-base"],
+     "record t: denoms: bases must be positive"),
+    (["list", "--catalog", "@two-vars-one-base"],
+     "record t: 2 vars but 1 denominators"),
+    (["list", "--catalog", "@repeated-var"],
+     "record t: exponent: duplicate variable name 'i'"),
+    (["list", "--catalog", "@divide-by-constant"],
+     "record t: rhs: can only divide by a pure product"),
+    (["list", "--catalog", "@power-of-constant"],
+     "record t: rhs: can only power a pure product"),
 ], ids=["general-vanishing", "expand-d0", "chain-show-d0", "verify-d0",
         "bailey-verify-negative-n", "chain-show-negative-n",
         "indefinite-nahm-record", "unknown-key", "kind-key", "repeated-key",
@@ -331,7 +361,10 @@ def test_bailey_chain_show_and_errors(capsys):
         "verify-zero-denominator-order", "bailey-zero-denominator-order",
         "list-zero-base-P", "list-negative-base-NP", "list-zero-J",
         "list-negative-J", "verify-instance-with-k", "expand-id-with-k-i",
-        "verify-all-with-i", "bailey-verify-djk-on-g1"])
+        "verify-all-with-i", "bailey-verify-djk-on-g1",
+        "list-zero-denominator-base", "list-two-vars-one-base",
+        "list-repeated-var", "list-divide-by-constant",
+        "list-power-of-constant"])
 def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
     def catalog(name):
         path = tmp_path / f"{name}.cat"

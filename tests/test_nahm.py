@@ -336,6 +336,22 @@ def test_multi_sum_rejects_negative_factor_powers(order, extra, prefactor):
         multi_sum(spec, order)
 
 
+@pytest.mark.parametrize("quad, denoms, error", [
+    (((2,),), (0,), "denominator bases must be positive"),
+    (((2,),), (-1,), "denominator bases must be positive"),
+    (((2, 0, 7), (0, 2)), (1, 1), "spec dimensions disagree"),
+    (((2, 0), (0, 2, 7)), (1, 1), "spec dimensions disagree"),
+], ids=["base-0", "base-minus-1", "long-first-row", "long-last-row"])
+def test_spec_refuses_what_multi_sum_cannot_take(quad, denoms, error):
+    # multi_sum divides by 1 - q^(d v) and reads only k entries of a row
+    k = len(quad)
+    with pytest.raises(ValueError, match=error):
+        MultiSumSpec(names=tuple("ij"[:k]),
+                     quad=tuple(tuple(map(Fraction, r)) for r in quad),
+                     lin=(Fraction(0),) * k,
+                     denoms=tuple(map(Fraction, denoms)))
+
+
 def test_reduce_rank_merge_rank_two():
     q = nahm_spec(A=[[2, 1], [2, 2]], b=[-H, 0], c=0, d=[1, 2])
     red = reduce_rank(q)

@@ -403,6 +403,12 @@ def test_eval_product_edge_probes_are_pinned():
         [0, 1, -2, 3, -5, 7, -10]
 
 
+def test_vanishing_denominator_is_refused_by_its_row():
+    # 1/(1;q)_inf has the factor 1/(1 - 1); a ValueError, so the CLI exits 2
+    with pytest.raises(ValueError, match="vanishing Pochhammer factor"):
+        eval_product(ProductExpr() / P(0, 1), 6)
+
+
 def test_poch_table_matches_finite():
     tab = poch_table(Monomial(-1, Fraction(1, 2)), 1, 6)
     for n in range(7):
