@@ -13,10 +13,20 @@ the symmetrized matrix has only nonnegative entries the per-variable bound is
 solved exactly on the orthant; otherwise the form's square is completed
 exactly (a rational LDL^T, :func:`_squares`), which gives each variable its
 real ellipsoid extent and the enumerator a floor at every node (Fincke-Pohst
-row bounds).  The same completion decides positive definiteness.  No
-floating point anywhere.  A :class:`MultiSumSpec` checks itself when built,
-so it holds only what :func:`multi_sum` can enumerate; :func:`nahm_spec`
-also demands a symmetrizable positive definite A.
+row bounds).  The same completion decides positive definiteness.
+
+:func:`multi_sum` walks the box with one running series per index, each
+held as one Python int (Kronecker substitution): slot s, w bits wide, is the
+coefficient of q^(G*s/den) on the sum's own lattice, so dividing by
+(1 - q^(d v)) is a doubling prefix sum, a cut is a mask, and a lattice point
+is one shifted add into a signed accumulator decoded once at the end.  The
+width w is certified in advance from the box size, the prefactor and extra
+factor sizes and the r-coloured partition count, so no slot can carry into
+the next.  No floating point anywhere.
+
+A :class:`MultiSumSpec` checks itself when built, so it holds only what
+:func:`multi_sum` can enumerate; :func:`nahm_spec` also demands a
+symmetrizable positive definite A.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import floor, isqrt, lcm
+from math import floor, gcd, isqrt, lcm, prod
 from typing import Optional, Sequence
 
 from qident.series import (
@@ -35,8 +45,6 @@ from qident.series import (
     Monomial,
     QSeries,
     Scalar,
-    _normal,
-    div_one_minus,
     exp_num,
     nonneg_order,
 )
@@ -243,14 +251,12 @@ def _ceil_sqrt(x: Fraction) -> int:
     return k
 
 
-def _min_pure_contrib(half_m: Fraction, lin: Fraction) -> Fraction:
-    """min over integers n >= 0 of half_m*n^2 + lin*n, for half_m > 0."""
-    vertex = -lin / (2 * half_m)
-    cands = {0}
-    for c in (int(vertex), int(vertex) + 1):
-        if c >= 0:
-            cands.add(c)
-    return min(half_m * c * c + lin * c for c in cands)
+def _min_pure_contrib(half_m: Scalar, lin: Scalar) -> Scalar:
+    """min over integers n >= 0 of half_m*n^2 + lin*n, for half_m > 0, in
+    ints or Fractions: n = 0 or one side of the vertex."""
+    n = max(-lin // (2 * half_m), 0)
+    return min(0, half_m * n * n + lin * n,
+               half_m * (n + 1) ** 2 + lin * (n + 1))
 
 
 def _max_n_quadratic(half_m: Fraction, lin: Fraction,
@@ -307,16 +313,94 @@ def _box(spec: MultiSumSpec, order: Fraction) -> tuple[int, ...]:
 
 # -- evaluation ---------------------------------------------------------------
 
-def _accumulate(acc: dict[int, Scalar], prod: QSeries, shift: int,
-                coeff: Scalar, onum: int) -> Optional[int]:
-    """Add coeff * q^shift * prod into acc through onum; return the
-    contribution's validity, or None when it is exact."""
-    get = acc.get
-    for e, c in prod.terms.items():
-        t = e + shift
-        if t <= onum:
-            acc[t] = get(t, 0) + c * coeff
-    return None if prod.order_num is None else prod.order_num + shift
+# The packed walk's helpers.  Slot s of a packed series, w bits wide, holds
+# the coefficient of q^(G*s/den) past the series' start, so every loop over
+# coefficients is a big-int shift, add or mask, which runs in C.
+
+_SIGMA = [0]  # sigma(k), the sum of the divisors of k
+_COLOURED: dict[int, list[int]] = {}  # r -> [p_r(0), p_r(1), ...]
+
+
+def _coloured_partitions(r: int, n: int) -> int:
+    """p_r(n), the number of r-coloured partitions of n >= 0, from
+    n p_r(n) = r sum_(k=1..n) sigma(k) p_r(n-k).  Each r's table grows to
+    the largest n asked for; none is built at import."""
+    for k in range(len(_SIGMA), n + 1):
+        _SIGMA.append(sum(d for d in range(1, k + 1) if not k % d))
+    row = _COLOURED.setdefault(r, [1])
+    for m in range(len(row), n + 1):
+        row.append(r * sum(_SIGMA[k] * row[m - k]
+                           for k in range(1, m + 1)) // m)
+    return row[n]
+
+
+def _slot_width(points: int, weight: int, rank: int, depth: int,
+                norms: Sequence[int]) -> int:
+    """Bits per slot that no coefficient of the walk can overflow.
+
+    A running series is a truncated product of rank kinds of geometric
+    series in q^g, g the gcd of the divisor steps, so no coefficient through
+    q^(g*depth) exceeds the rank-coloured partition count of depth.  A lattice
+    point adds it times prefactor coefficients of total size `weight` and
+    one table entry per extra factor, whose coefficients sum in size to at
+    most that factor's norm; there are at most `points` lattice points.  Two
+    more bits keep every signed slot below half the slot range, with one to
+    spare.
+    """
+    bound = points * weight * _coloured_partitions(rank, max(depth, 0))
+    for norm in norms:
+        bound *= norm
+    return bound.bit_length() + 2
+
+
+def _div_packed(p: int, shift: int, mask: int) -> int:
+    """p / (1 - x^s) cut by mask, for p packed with nonnegative slots and
+    shift = s slots in bits: p (1 + x^s)(1 + x^(2s))(1 + x^(4s))... until
+    the stride passes the mask."""
+    p &= mask
+    end = mask.bit_length()
+    while shift < end:
+        p = (p + (p << shift)) & mask
+        shift <<= 1
+    return p
+
+
+def _unpack(x: int, width: int, n: int) -> list[int]:
+    """The n unsigned width-bit slots of x, lowest first."""
+    bits = format(x & ((1 << width * n) - 1), "b").zfill(width * n)
+    return [int(bits[i - width:i], 2) for i in range(width * n, 0, -width)]
+
+
+def _pack(digits: Sequence[int], width: int) -> int:
+    """sum digits[s] * 2^(width*s) for digits of either sign."""
+    def join(ds: list[int]) -> int:
+        return int("".join(format(d, "b").zfill(width)
+                           for d in reversed(ds)), 2)
+    return (join([max(d, 0) for d in digits])
+            - join([max(-d, 0) for d in digits]))
+
+
+def _signed_slots(x: int, width: int, n: int) -> list[int]:
+    """The n lowest slots d_s of x = sum d_s 2^(width*s), each with
+    |d_s| < 2^(width-1): a bias of 2^(width-1) per slot absorbs every
+    borrow, so the slots are read as unsigned digits."""
+    half = 1 << (width - 1)
+    bias = half * (((1 << width * n) - 1) // ((1 << width) - 1))
+    return [d - half for d in _unpack(x + bias, width, n)]
+
+
+def _layout(gens: Sequence[int], origin: int, step: int,
+            lowest: int) -> tuple[int, int]:
+    """(G, base) with every exponent of the walk, in units of 1/den, equal
+    to base + G*s for a slot s >= 0, when those exponents lie in
+    origin + span(gens) in units of 1/L, L = den*step, and none is below
+    `lowest` (in units of 1/den).  G is 1 when the span leaves the
+    (1/den)-lattice; a point that lands off it then raises LatticeError."""
+    g = gcd(*gens)
+    if g % step or origin % step:
+        return 1, lowest
+    G = g // step
+    return G, lowest - (lowest - origin // step) % G
 
 
 def multi_sum(spec: MultiSumSpec, order: ExpLike,
@@ -325,8 +409,15 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
 
     Index i keeps one running series, divided by (1 - q^(d_i v)) as v steps
     up and cut to the deepest coefficient a point below it can still use, so
-    no Pochhammer table is convolved per point.  The result is valid to the
-    least validity of its contributions, which the cuts keep at the order.
+    no Pochhammer table is convolved per point.  Each series is packed into
+    one int on the sum's own lattice (:func:`_layout`), in slots wide enough
+    for every coefficient the walk can reach (:func:`_slot_width`), so a
+    division is a doubling prefix sum and a point adds its series, times its
+    prefactor coefficients over one common denominator K, into one signed
+    accumulator that is decoded once.  At a point with extra factors the
+    series is decoded, multiplied by their table entries and packed back.
+    The result is valid to the least validity of its contributions, which
+    the cuts keep at the order.
     """
     onum = exp_num(nonneg_order(order), den)
     bounds = lattice_bound(spec, order)
@@ -348,23 +439,23 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     cross = [[int(m[i][j] * L) for j in range(i)] for i in range(r)]
     lin_l = [int(x * L) for x in lin]
     const_l = int(spec.const * L)
-    pref_l = [(coeff, int(f.const * L), [int(c * L) for c in f.coeffs])
-              for coeff, f in pref]
+    forms = [(int(f.const * L),
+              [int(c * L) for c in f.coeffs] if any(f.coeffs) else [])
+             for _, f in pref]
     lengths = [(int(f.length.const), [int(c) for c in f.length.coeffs])
                for f in spec.extra]
     denom_num = [exp_num(d, den) for d in spec.denoms]
-    pref_min = min(c0 for _, c0, _ in pref_l)
+    pref_min = min(c0 for c0, _ in forms)
     top = onum * step
     # A point below a node has exponent >= the node's floor.  With a
     # nonnegative form that is the partial exponent e2 plus the later
     # variables' pure minima; otherwise it is the least real value of the
     # form given the prefix, one completed square per fixed index.
     if nonneg:
-        mins = [_min_pure_contrib(halves[i], lin[i]) for i in range(r)]
-        # each min is half*c^2 + lin*c at an integer c, so min * L is integral
         tail_min = [0] * (r + 1)
         for i in range(r - 1, -1, -1):
-            tail_min[i] = tail_min[i + 1] + int(min(mins[i], 0) * L)
+            tail_min[i] = tail_min[i + 1] + _min_pure_contrib(half[i],
+                                                              lin_l[i])
         lowest = const_l + tail_min[0]
     else:
         piv, centres, low = _squares(m, lin, spec.const)
@@ -376,29 +467,76 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     extra_tabs = [(poch_table if f.power == 1 else inv_poch_table)(
         f.arg, f.base, int(f.length.value(bounds)), depth, den)
         for f in spec.extra]
-    acc: dict[int, Scalar] = {}
+    # K clears every prefactor coefficient and every table entry, so each
+    # slot of the accumulator is an integer, K times the coefficient
+    kp = lcm(*(c.denominator for c, _ in pref))
+    ks = [lcm(*(c.denominator for t in tab for c in t.terms.values()))
+          for tab in extra_tabs]
+    K = kp * prod(ks)
+    # Q(n) - Q(0) lies in the span of Q(e_i) - Q(0) and the form's entries;
+    # a prefactor term moves it by its form's const (less the first term's)
+    # and coefficients; a running series or extra table entry has powers
+    # spanned by the divisor steps and the extra factors' argument exponents
+    # and bases (an off-lattice one stands in as 1, which forces G = 1)
+    gens = [d * step for d in denom_num]
+    gens += [h + x for h, x in zip(half, lin_l)] + [2 * h for h in half]
+    gens += [x for row in cross for x in row]
+    for c0, cs in forms:
+        gens += [c0 - forms[0][0], *cs]
+    for f in spec.extra:
+        gens += [x.numerator if x.denominator == 1 else 1
+                 for x in (f.arg.exp * L, f.base * L)]
+    G, base = _layout(gens, const_l + forms[0][0], step,
+                      (lowest + pref_min) // step)
+    w = _slot_width(prod(b + 1 for b in bounds),
+                    int(sum(abs(c * kp) for c, _ in pref)), r,
+                    root // gcd(*denom_num),
+                    [int(k * max(sum(abs(c) for c in t.terms.values())
+                                 for t in tab))
+                     for k, tab in zip(ks, extra_tabs)])
+    pref_l = [(int(c * K), c0, cs) for (c, _), (c0, cs) in zip(pref, forms)]
+    acc = 0
     valid = onum
     point = [0] * r
 
-    def emit(expo: int, prod: QSeries) -> None:
-        nonlocal valid
-        for fi, (c0, cs) in enumerate(lengths):
-            n = c0 + sum(c * v for c, v in zip(cs, point))
-            prod = prod * extra_tabs[fi][n]
-        for coeff, c0, cs in pref_l:
-            e = expo + c0 + sum(c * v for c, v in zip(cs, point))
-            if e <= top:
-                if e % step:
-                    raise LatticeError(f"exponent {Fraction(e, L)} is not "
-                                       f"on the (1/{den})-lattice")
-                got = _accumulate(acc, prod, e // step, coeff, onum)
-                if got is not None and got < valid:
-                    valid = got
+    def emit(expo: int, p: int, pcut: Optional[int]) -> None:
+        nonlocal acc, valid
+        if extra_tabs:
+            n = 1 if pcut is None else pcut // G + 1
+            s = QSeries(den, {G * k: c for k, c in enumerate(_unpack(p, w, n))
+                              if c}, pcut)
+            for fi, (c0, cs) in enumerate(lengths):
+                s = s * extra_tabs[fi][c0 + sum(c * v
+                                                for c, v in zip(cs, point))]
+        for ck, c0, cs in pref_l:
+            e = expo + c0
+            if cs:
+                e += sum(c * v for c, v in zip(cs, point))
+            if e > top:
+                continue
+            if e % step:
+                raise LatticeError(f"exponent {Fraction(e, L)} is not "
+                                   f"on the (1/{den})-lattice")
+            shift = e // step
+            at = w * ((shift - base) // G)
+            n = (onum - shift) // G + 1  # the slots that land <= the order
+            if extra_tabs:
+                slots = [0] * n
+                for k, c in s.terms.items():
+                    if k < G * n:
+                        slots[k // G] = int(c * ck)
+                acc += _pack(slots, w) << at
+                got = s.order_num
+            else:
+                acc += ck * (p & ((1 << w * n) - 1)) << at
+                got = pcut
+            if got is not None and got + shift < valid:
+                valid = got + shift
 
-    def rec(i: int, expo: int, prod: QSeries) -> None:
+    def rec(i: int, expo: int, p: int, pcut: Optional[int]) -> None:
         if i == r:
             if expo + pref_min <= top:
-                emit(expo, prod)
+                emit(expo, p, pcut)
             return
         lq = lin_l[i] + sum(c * v for c, v in zip(cross[i], point))
         exps = [expo + (half[i] * v + lq) * v for v in range(bounds[i] + 1)]
@@ -418,16 +556,23 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
             if cuts[v] < 0:
                 break
             if v:
-                prod = div_one_minus(prod, 1, denom_num[i] * v, cuts[v])
+                pcut = cuts[v] if pcut is None else min(cuts[v], pcut)
+                p = _div_packed(p, w * (denom_num[i] * v // G),
+                                (1 << w * (pcut // G + 1)) - 1)
             if needs[v] >= 0:
                 point[i] = v
                 if not nonneg:
                     floors[i + 1] = fls[v]
-                rec(i + 1, e2, prod)
+                rec(i + 1, e2, p, pcut)
         point[i] = 0
 
-    rec(0, const_l, QSeries.one(den))
-    return QSeries(den, _normal(acc), valid)
+    rec(0, const_l, 1, None)
+    terms: dict[int, Scalar] = {}
+    slots = _signed_slots(acc, w, max((onum - base) // G + 1, 0))
+    for s, c in enumerate(slots):
+        if c:
+            terms[base + G * s] = c // K if not c % K else Fraction(c, K)
+    return QSeries(den, terms, valid)
 
 
 # A Nahm sum is a spec from nahm_spec; the name stays for callers that look

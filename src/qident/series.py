@@ -365,12 +365,16 @@ def mul_one_minus(a: QSeries, c: Scalar, num: int) -> QSeries:
     return QSeries(a.den, _normal(out, onum), onum)
 
 
-def div_one_minus(a: QSeries, c: Scalar, step: int, onum: int) -> QSeries:
-    """a / (1 - c q^(step/den)) through numerator onum (or a's order).
+def mul_inv_one_minus(a: QSeries, m: Monomial,
+                      order: ExpLike) -> QSeries:
+    """a / (1 - m) to `order` (or a's), i.e. a times the geometric series of
+    m, which must have positive exponent.
 
     The cumulative recurrence out[n] = a[n] + c * out[n - step] runs in
-    O(onum/step) per populated residue class; step must be positive.
+    O(order/step) per populated residue class, for m = c q^(step/den).
     """
+    c, step = m.coeff, exp_num(m.exp, a.den)
+    onum = exp_num(order, a.den)
     if step <= 0:
         raise ValueError("geometric factor needs a positive exponent")
     if a.order_num is not None:
@@ -386,17 +390,6 @@ def div_one_minus(a: QSeries, c: Scalar, step: int, onum: int) -> QSeries:
             prev = get(n, 0) + c * prev
             out[n] = prev
     return QSeries(a.den, _normal(out), onum)
-
-
-def mul_inv_one_minus(a: QSeries, m: Monomial,
-                      order: ExpLike) -> QSeries:
-    """a / (1 - m) to `order`, i.e. a times the geometric series of m.
-
-    The q-unit form of :func:`div_one_minus`, which keeps Pochhammer
-    tables cheap; m must have positive exponent.
-    """
-    return div_one_minus(a, m.coeff, exp_num(m.exp, a.den),
-                         exp_num(order, a.den))
 
 
 def invert_unit(a: QSeries, order: ExpLike) -> QSeries:

@@ -523,8 +523,8 @@ def test_negative_entry_enumeration_stays_in_the_ellipsoid(monkeypatch):
     order = Fraction(11, 2)
     assert lattice_bound(spec, order) == [1, 3]
     calls = []
-    real = nahm.div_one_minus
-    monkeypatch.setattr(nahm, "div_one_minus",
+    real = nahm._div_packed
+    monkeypatch.setattr(nahm, "_div_packed",
                         lambda *args: calls.append(args) or real(*args))
     got = multi_sum(spec, order, 12)
     assert len(calls) <= 10
@@ -581,3 +581,121 @@ def test_multi_sum_is_valid_to_the_order_it_was_asked_for():
     for rid in cat.ids():
         assert multi_sum(cat.get(rid).spec, 60).order_num == 240, rid
     assert multi_sum(NEG_SPEC, 2).order_num == 8
+
+
+# -- the packed walk: signed coefficients and a certified slot width ---------
+
+SIGNED = [-1, -2, Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 4), 1]
+
+
+def _signed_spec(rng, r):
+    """A random spec whose prefactor coefficients and extra factor
+    arguments have either sign and may be rational, so the accumulator
+    holds negative slots and its common denominator K exceeds 1."""
+    spec = _random_spec(rng, r, nonneg=r == 1 or rng.random() < 0.5)
+    prefactor = tuple((rng.choice(SIGNED), _random_form(rng, r))
+                      for _ in range(rng.randint(1, 3)))
+    extra = []
+    for _ in range(rng.randint(1, 2)):
+        power = rng.choice([1, -1])
+        exp = rng.choice([H, 1, Fraction(4, 3)] + ([0] if power == 1 else []))
+        extra.append(PochFactor(
+            Monomial(rng.choice(SIGNED[:-1] + [3]), exp),
+            Fraction(rng.choice([1, 2])),
+            AffineForm(rng.randint(0, 1),
+                       [rng.randint(0, 1) for _ in range(r)]), power))
+    return dataclasses.replace(spec, prefactor=prefactor, extra=tuple(extra))
+
+
+def test_multi_sum_with_signed_rational_factors_matches_brute_force():
+    rng = random.Random(1807)
+    negative = 0
+    for t in range(15):
+        spec = _signed_spec(rng, t % 3 + 1)
+        order = Fraction(rng.randint(8, 14), 2)
+        got = multi_sum(spec, order, 24)
+        assert got == _brute_multi_sum(spec, order, 24), spec
+        negative += any(c < 0 for c in got.terms.values())
+    assert negative  # the signed decode was exercised
+
+
+def test_coloured_partitions_match_a_product_expansion():
+    for r in (1, 2, 3):
+        want = [1] + [0] * 30  # coefficients of prod_k (1 - q^k)^-r
+        for _ in range(r):
+            for k in range(1, 31):
+                for n in range(k, 31):
+                    want[n] += want[n - k]
+        assert [nahm._coloured_partitions(r, n) for n in range(31)] == want
+
+
+def _watch_widths(monkeypatch):
+    """Record the slot width of every walk, check every packed division
+    against an exact prefix sum, and record how many bits its slots and
+    the accumulator's slots used."""
+    seen = {"width": [], "series": [], "acc": []}
+    width, div, signed = nahm._slot_width, nahm._div_packed, \
+        nahm._signed_slots
+
+    def slot_width(*args):
+        seen["width"].append(width(*args))
+        return seen["width"][-1]
+
+    def div_packed(p, shift, mask):
+        w = seen["width"][-1]
+        n, s = mask.bit_length() // w, shift // w
+        want = nahm._unpack(p, w, n)
+        for k in range(s, n):
+            want[k] += want[k - s]
+        out = div(p, shift, mask)
+        assert nahm._unpack(out, w, n) == want
+        seen["series"].append(max(want).bit_length())
+        return out
+
+    def signed_slots(x, w, n):
+        out = signed(x, w, n)
+        seen["acc"].append(max((abs(c).bit_length() for c in out), default=0))
+        return out
+
+    monkeypatch.setattr(nahm, "_slot_width", slot_width)
+    monkeypatch.setattr(nahm, "_div_packed", div_packed)
+    monkeypatch.setattr(nahm, "_signed_slots", signed_slots)
+    return seen
+
+
+def test_slot_width_holds_every_coefficient_of_the_walk(monkeypatch):
+    cat = load_catalog()
+    rng = random.Random(1808)
+    cases = [(cat.get(rid).spec, 60, 4) for rid in cat.ids()]
+    cases += [(_signed_spec(rng, t % 3 + 1), 7, 24) for t in range(12)]
+    for spec, order, den in cases:
+        seen = _watch_widths(monkeypatch)
+        got = multi_sum(spec, order, den)
+        (w,) = seen["width"]
+        monkeypatch.undo()
+        # the same walk in slots twice as wide gives the same result, so
+        # the decoded slots are the true K * coefficients; a signed slot
+        # needs its bits and a sign bit below the width
+        monkeypatch.setattr(nahm, "_slot_width", lambda *args: 2 * w)
+        assert multi_sum(spec, order, den) == got, spec
+        monkeypatch.undo()
+        assert max(seen["acc"]) < w - 1, spec
+        # every division was checked against an exact prefix sum
+        assert max(seen["series"], default=0) < w, spec
+
+
+def test_a_short_slot_width_is_caught(monkeypatch):
+    # the width of the largest K * coefficient with no sign bit must break
+    # the walk, so the width test above would notice a short width
+    rng = random.Random(1809)
+    cat = load_catalog()
+    cases = [(cat.get("R.R.1").spec, 20, 4), (_signed_spec(rng, 2), 6, 24)]
+    for spec, order, den in cases:
+        want = _brute_multi_sum(spec, order, den)
+        seen = _watch_widths(monkeypatch)
+        assert multi_sum(spec, order, den) == want
+        monkeypatch.undo()
+        short = max(seen["acc"])
+        monkeypatch.setattr(nahm, "_slot_width", lambda *args: short)
+        assert multi_sum(spec, order, den) != want
+        monkeypatch.undo()
