@@ -45,6 +45,12 @@ from qident.series import (
     Monomial,
     QSeries,
     Scalar,
+    _coloured_partitions,
+    _div_packed,
+    _pack,
+    _signed_slots,
+    _slot_bits,
+    _unpack,
     exp_num,
     nonneg_order,
 )
@@ -313,27 +319,6 @@ def _box(spec: MultiSumSpec, order: Fraction) -> tuple[int, ...]:
 
 # -- evaluation ---------------------------------------------------------------
 
-# The packed walk's helpers.  Slot s of a packed series, w bits wide, holds
-# the coefficient of q^(G*s/den) past the series' start, so every loop over
-# coefficients is a big-int shift, add or mask, which runs in C.
-
-_SIGMA = [0]  # sigma(k), the sum of the divisors of k
-_COLOURED: dict[int, list[int]] = {}  # r -> [p_r(0), p_r(1), ...]
-
-
-def _coloured_partitions(r: int, n: int) -> int:
-    """p_r(n), the number of r-coloured partitions of n >= 0, from
-    n p_r(n) = r sum_(k=1..n) sigma(k) p_r(n-k).  Each r's table grows to
-    the largest n asked for; none is built at import."""
-    for k in range(len(_SIGMA), n + 1):
-        _SIGMA.append(sum(d for d in range(1, k + 1) if not k % d))
-    row = _COLOURED.setdefault(r, [1])
-    for m in range(len(row), n + 1):
-        row.append(r * sum(_SIGMA[k] * row[m - k]
-                           for k in range(1, m + 1)) // m)
-    return row[n]
-
-
 def _slot_width(points: int, weight: int, rank: int, depth: int,
                 norms: Sequence[int]) -> int:
     """Bits per slot that no coefficient of the walk can overflow.
@@ -345,48 +330,12 @@ def _slot_width(points: int, weight: int, rank: int, depth: int,
     one table entry per extra factor, whose coefficients sum in size to at
     most that factor's norm; there are at most `points` lattice points.  Two
     more bits keep every signed slot below half the slot range, with one to
-    spare.
+    spare (:func:`_slot_bits`).
     """
     bound = points * weight * _coloured_partitions(rank, max(depth, 0))
     for norm in norms:
         bound *= norm
-    return bound.bit_length() + 2
-
-
-def _div_packed(p: int, shift: int, mask: int) -> int:
-    """p / (1 - x^s) cut by mask, for p packed with nonnegative slots and
-    shift = s slots in bits: p (1 + x^s)(1 + x^(2s))(1 + x^(4s))... until
-    the stride passes the mask."""
-    p &= mask
-    end = mask.bit_length()
-    while shift < end:
-        p = (p + (p << shift)) & mask
-        shift <<= 1
-    return p
-
-
-def _unpack(x: int, width: int, n: int) -> list[int]:
-    """The n unsigned width-bit slots of x, lowest first."""
-    bits = format(x & ((1 << width * n) - 1), "b").zfill(width * n)
-    return [int(bits[i - width:i], 2) for i in range(width * n, 0, -width)]
-
-
-def _pack(digits: Sequence[int], width: int) -> int:
-    """sum digits[s] * 2^(width*s) for digits of either sign."""
-    def join(ds: list[int]) -> int:
-        return int("".join(format(d, "b").zfill(width)
-                           for d in reversed(ds)), 2)
-    return (join([max(d, 0) for d in digits])
-            - join([max(-d, 0) for d in digits]))
-
-
-def _signed_slots(x: int, width: int, n: int) -> list[int]:
-    """The n lowest slots d_s of x = sum d_s 2^(width*s), each with
-    |d_s| < 2^(width-1): a bias of 2^(width-1) per slot absorbs every
-    borrow, so the slots are read as unsigned digits."""
-    half = 1 << (width - 1)
-    bias = half * (((1 << width * n) - 1) // ((1 << width) - 1))
-    return [d - half for d in _unpack(x + bias, width, n)]
+    return _slot_bits(bound)
 
 
 def _layout(gens: Sequence[int], origin: int, step: int,

@@ -10,19 +10,20 @@ nontrivial exponent is <= the requested order, every omitted factor being
 1 + O(q^(>order)).
 
 :class:`ProductExpr` is the assembled right-hand-side shape: an optional
-polynomial prefactor times a signed multiset of infinite products.  The
-bilateral theta sum :func:`triple_product_oracle` gives an independent route
-to the same values and is cross-checked against the product form in the
-test suite.
+polynomial prefactor times a signed multiset of infinite products.
 
-:func:`eval_product` multiplies numerators in one factor at a time, and a
-denominator whose first exponent is <= 0 as one inverse row entry.  The
-denominators with a positive first exponent are unit series, and it builds
-their whole product F in one pass of the log-derivative (Euler-transform)
-recurrence n f_n = sum_k G_k f_(n-k), G = q d/dq log F, on integers
-(:func:`_unit_product`), in place of a product, an O(N^2) inversion and an
-O(N^2) convolution per factor.  The docstring of :func:`eval_product` says
-why the split keeps every coefficient and the validity.
+Every unit infinite product, one whose first exponent is positive, is built
+in one packed pass of :func:`_unit_product` (Kronecker substitution): the
+series is one Python int, W bits per coefficient, a factor (1 - c q^e) is
+one shifted subtraction and a denominator a doubling prefix sum, all cut by
+one mask, and W is certified in advance from the r-coloured partition
+count, so the pass is exact.  :func:`poch_infinite` builds such a symbol
+with it, and a symbol whose first exponent is <= 0 one factor at a time.
+:func:`eval_product` multiplies numerators in as they stand, and a
+denominator whose first exponent is <= 0 as one inverse row entry; the
+unit denominators all go through one pass seeded with that running
+product, which replaces their product and the multiplication joining it.
+The docstring of :func:`eval_product` says why the validity is unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Optional, Union
 
 from qident.series import (
@@ -39,7 +39,13 @@ from qident.series import (
     Monomial,
     QSeries,
     Scalar,
-    _normal,
+    _coloured_partitions,
+    _div_packed,
+    _mul_order,
+    _over_common_den,
+    _pack,
+    _signed_slots,
+    _slot_bits,
     exp_num,
     mul_inv_one_minus,
     mul_one_minus,
@@ -66,9 +72,11 @@ def poch_finite(a: Monomial, base: ExpLike, n: int,
 def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
                   den: int = DEFAULT_D) -> QSeries:
     """(a; q^base)_infinity truncated at order."""
-    nonneg_order(order)
-    nums = _factor_nums(a, base, order, den)
-    out = QSeries(den, {0: 1}, exp_num(order, den))
+    onum = exp_num(nonneg_order(order), den)
+    nums = _factor_nums(a, base, onum, den)
+    if nums.start > 0:
+        return _unit_product([(a.coeff, nums, 1)], onum, den)
+    out = QSeries(den, {0: 1}, onum)
     for num in nums:
         out = mul_one_minus(out, a.coeff, num)
     return out
@@ -81,100 +89,97 @@ def _positive_base(base: ExpLike) -> Fraction:
     return base
 
 
-def _factor_nums(a: Monomial, base: ExpLike, order: ExpLike,
-                 den: int) -> range:
-    """Exponent numerators of the factors (1 - a q^(base*k)) through order.
+def _factor_nums(a: Monomial, base: ExpLike, onum: int, den: int) -> range:
+    """Exponent numerators of the factors (1 - a q^(base*k)) through onum.
 
     The range starts at a's exponent numerator even when it is empty.
     """
     _positive_base(base)
-    onum = exp_num(order, den)
     first = exp_num(a.exp, den)
     if first > onum:  # the base must be on the lattice only from here on
         return range(first, first)
     return range(first, onum + 1, exp_num(base, den))
 
 
-def _unit_product(factors: list[tuple[Scalar, range, int]],
-                  onum: int, den: int) -> QSeries:
-    """prod (1 - c q^(e/den))^p over every e in nums, for (c, nums, p) in
-    factors, to numerator onum; every e must be positive.
+def _unit_width(norm: int, m: int, r: int, size: int) -> int:
+    """Slot width for :func:`_unit_product`: no slot through `size` of a
+    seed of l1 norm `norm` times r symbols whose scaled coefficients are at
+    most m^u at x^u exceeds norm * m^size * p_r(size)."""
+    return _slot_bits(norm * m ** size * _coloured_partitions(r, size))
 
-    Only multiples of the gcd g of all e occur, so n below counts units of
-    g/den.  With F = sum f_n q^n the product, q dF/dq = G F for
-    G = q d/dq log F = -sum p (e/g) c^j q^(j e/g), and comparing
-    coefficients gives n f_n = sum_(k=1..n) G_k f_(n-k) from f_0 = 1: one
-    pass, each coefficient read off the ones below it.
 
-    Each f_n is a polynomial with integer coefficients in the c, of degree
-    at most n.  So with B the lcm of the c's denominators, F_n = B^n f_n and
-    H_k = B^k G_k are integers, and n F_n = sum H_k F_(n-k) is the same
-    recurrence on integers: its division by n is exact, and B^n is divided
-    out once per coefficient at the end.  H_k is G_k with every c replaced
-    by the integer c B^(e/g).
+def _unit_product(factors: list[tuple[Scalar, range, int]], onum: int,
+                  den: int, seed: Optional[QSeries] = None) -> QSeries:
+    """seed * prod (1 - c q^(e/den))^p over every e in nums, for (c, nums,
+    p) in factors, every e positive and every nums running through onum.
+
+    The factors make a unit valid to onum, so the result has the validity
+    :func:`_mul_order` gives seed (default an exact 1) times that unit.
+
+    One packed pass: slot s, W bits wide, holds the coefficient of
+    q^((low + g*s)/den), low being the seed's least exponent numerator and
+    g the gcd of every e and of the seed's exponent differences.  A factor
+    at u = e/g slots is one shifted subtraction, a denominator a doubling
+    prefix sum (:func:`_div_packed`), each cut by the mask of the slots
+    through the validity.  With B the lcm of the c's denominators, c enters
+    as the integer c*B^u and seed slot k as d*B^k times its coefficient, d
+    the seed's common denominator, so slot n is d*B^n times the result's
+    coefficient and is divided by it once, when decoded.
+
+    W is certified before the pass.  Coefficient by coefficient in size, a
+    numerator factor is at most the geometric series of its denominator,
+    c*B^u is at most M^u for M = max(B, |c*B|), and each of the r symbols
+    (counted with their powers) is a sub-product of 1/(q; q)_infinity, so
+    slot n of the result is at most the seed's scaled l1 norm times
+    M^n p_r(n), p_r the r-coloured partition count.  Only the decoded slots
+    need the bound: the masked arithmetic is exact modulo 2^(W*slots).
     """
-    g = 0
+    if seed is None:
+        seed = QSeries.one(den)
+    valid = _mul_order(seed, QSeries(den, {0: 1}, onum))
+    if not seed.terms:
+        return QSeries(den, {}, valid)
+    low = seed.min_num
+    g = gcd(*(n - low for n in seed.terms))
     for _, nums, _ in factors:
         g = gcd(g, *nums[:2])  # a progression's gcd is its first two terms'
-    if not g:
-        return QSeries(den, {0: 1}, onum)
-    size = onum // g
+    g = g or valid - low + 1  # a lone term and no factor: one slot
+    size = (valid - low) // g
     B = lcm(*(c.denominator for c, _, _ in factors))
-    H = [0] * (size + 1)
-    for c, nums, p in factors:
+    d, pairs = _over_common_den(seed.terms)
+    digits = [0] * (min((pairs[-1][0] - low) // g, size) + 1)
+    for n, v in pairs:
+        k = (n - low) // g
+        if k <= size:
+            digits[k] = v * B ** k
+    scaled = [c.numerator * (B // c.denominator) for c, _, _ in factors]
+    W = _unit_width(sum(map(abs, digits)), max([B, *map(abs, scaled)]),
+                    sum(abs(p) for _, _, p in factors), size)
+    mask = (1 << W * (size + 1)) - 1
+    acc = _pack(digits, W) & mask
+    for cb, (_, nums, p) in zip(scaled, factors):
         for e in nums:
             u = e // g
-            cu = c.numerator * (B // c.denominator) * B ** (u - 1)
-            w = -p * u * cu
-            for n in range(u, size + 1, u):
-                H[n] += w
-                w *= cu
-    F = [1]
-    for n in range(1, size + 1):
-        F.append(sum(map(mul, H[1:n + 1], reversed(F))) // n)
-    if B == 1:
-        terms = {n * g: v for n, v in enumerate(F)}
+            if u > size:
+                break
+            cu = cb * B ** (u - 1)
+            for _ in range(abs(p)):
+                if p < 0:
+                    acc = _div_packed(acc, W * u, mask, cu)
+                else:  # times 1 - cu x^u
+                    t = acc << W * u
+                    acc = (acc - t if cu == 1 else acc - cu * t) & mask
+    slots = _signed_slots(acc, W, size + 1)
+    if d == 1 and B == 1:
+        terms = {low + g * s: v for s, v in enumerate(slots) if v}
     else:
-        terms = {n * g: Fraction(v, B ** n) for n, v in enumerate(F)}
-    return QSeries(den, _normal(terms), onum)
-
-
-def triple_product_oracle(z: Monomial, base: ExpLike, order: ExpLike,
-                          den: int = DEFAULT_D) -> QSeries:
-    """Bilateral theta sum sum_n (-1)^n q^(base*C(n,2)) z^n, truncated.
-
-    Equals (q^base, z, q^base/z; q^base)_infinity and is computed without
-    reference to any product code, so it can serve as an oracle for it.
-    """
-    base = Fraction(base)
-    if base <= 0:
-        raise ValueError("oracle needs a positive base")
-    onum = exp_num(order, den)
-    terms: dict[int, Scalar] = {}
-
-    def put(n: int) -> bool:
-        e = base * Fraction(n * (n - 1), 2) + z.exp * n
-        num = exp_num(e, den)
-        if num > onum:
-            return False
-        c = Fraction(z.coeff) ** n if n >= 0 else Fraction(1) / \
-            (Fraction(z.coeff) ** (-n))
-        if n % 2:
-            c = -c
-        prev = Fraction(terms.get(num, 0)) + c
-        if prev == 0:
-            terms.pop(num, None)
-        else:
-            terms[num] = prev.numerator if prev.denominator == 1 else prev
-        return True
-
-    n = 0
-    while put(n):
-        n += 1
-    n = -1
-    while put(n):
-        n -= 1
-    return QSeries(den, terms, onum)
+        terms = {}
+        q = d
+        for s, v in enumerate(slots):
+            if v:
+                terms[low + g * s] = v // q if not v % q else Fraction(v, q)
+            q *= B
+    return QSeries(den, terms, valid)
 
 
 # -- product expressions -----------------------------------------------------
@@ -277,32 +282,33 @@ def eval_product(expr: ProductExpr, order: ExpLike,
     first exponent is <= 0 is the entry of an inverse :class:`PochRow` that
     holds its factors through the order; each is multiplied in where it
     stands.  Every other denominator is a unit series (constant term 1), and
-    all of them are built in one pass of :func:`_unit_product` and joined
-    with one multiplication at the end.
+    all of them are multiplied into the running product in one packed pass
+    of :func:`_unit_product`, seeded with it.
 
-    Why the split changes nothing: a product is valid to the least over its
+    Why this changes nothing: a product is valid to the least over its
     operands of one's validity plus the other's valuation.  Every partial
     product here is valid to at most `order` plus its valuation (for a
     nonnegative order), so a unit, valid to `order` with valuation 0, never
-    lowers it, wherever it is multiplied in.  The validity and the terms
-    through it are therefore those of the factor-by-factor evaluation.
+    lowers it, wherever it is multiplied in.  The seeded pass gives the
+    validity of that multiplication (:func:`_mul_order`), also when the
+    running product is zero and its validity stands in for its valuation,
+    so the validity and the terms through it are those of the
+    factor-by-factor evaluation.
     """
     onum = exp_num(nonneg_order(order), den)
     out = QSeries(den, {0: 1}, onum)
     units = []
     for (m, base, power) in expr.factors:
-        nums = _factor_nums(m, base, order, den)
-        if power > 0:
-            s = poch_infinite(m, base, order, den)
-        elif nums.start > 0:
+        nums = _factor_nums(m, base, onum, den)
+        if power < 0 and nums.start > 0:
             units.append((m.coeff, nums, power))
             continue
-        else:
-            s = PochRow((m,), base, order, den, -1)[len(nums)]
+        s = poch_infinite(m, base, order, den) if power > 0 else \
+            PochRow((m,), base, order, den, -1)[len(nums)]
         for _ in range(abs(power)):
             out = out * s
     if units:
-        out = out * _unit_product(units, onum, den)
+        out = _unit_product(units, onum, den, out)
     pf = QSeries.from_terms(((mo.exp, mo.coeff) for mo in expr.prefactor),
                             den=den)
     return out * pf

@@ -426,6 +426,90 @@ def invert_unit(a: QSeries, order: ExpLike) -> QSeries:
                                 onum), onum)
 
 
+# -- packed series ---------------------------------------------------------
+#
+# A truncated integer series in x, held as one Python int (Kronecker
+# substitution): slot s, `width` bits wide, holds the coefficient of x^s.
+# x -> 2^width is a ring map from Z[x]/(x^n) onto the integers modulo
+# 2^(width*n), so shifted adds cut by a mask are exact, and a result with
+# every coefficient below 2^(width-1) in size is read back with its signs.
+# The product pass in `products` and the enumerator in `nahm` run on these,
+# so every loop over coefficients is a big-int shift, add or mask, in C.
+
+_SIGMA = [0]  # sigma(k), the sum of the divisors of k
+_COLOURED: dict[int, list[int]] = {}  # r -> [p_r(0), p_r(1), ...]
+
+
+def _coloured_partitions(r: int, n: int) -> int:
+    """p_r(n), the number of r-coloured partitions of n >= 0, from
+    n p_r(n) = r sum_(k=1..n) sigma(k) p_r(n-k).  Each r's table grows to
+    the largest n asked for; none is built at import."""
+    for k in range(len(_SIGMA), n + 1):
+        _SIGMA.append(sum(d for d in range(1, k + 1) if not k % d))
+    row = _COLOURED.setdefault(r, [1])
+    for m in range(len(row), n + 1):
+        row.append(r * sum(_SIGMA[k] * row[m - k]
+                           for k in range(1, m + 1)) // m)
+    return row[n]
+
+
+def _slot_bits(bound: int) -> int:
+    """Slot width for coefficients of size at most `bound`: its bits, a
+    sign bit and one to spare, in whole bytes so slots pack through bytes."""
+    return (bound.bit_length() + 9) // 8 * 8
+
+
+def _div_packed(p: int, shift: int, mask: int, c: int = 1) -> int:
+    """p / (1 - c x^s) cut by mask, for shift = s slots in bits: p times
+    (1 + c x^s)(1 + c^2 x^(2s))(1 + c^4 x^(4s))... until the stride passes
+    the mask."""
+    p &= mask
+    end = mask.bit_length()
+    while shift < end:
+        p = (p + (p << shift) if c == 1 else p + c * (p << shift)) & mask
+        shift, c = 2 * shift, c * c
+    return p
+
+
+def _unpack(x: int, width: int, n: int) -> list[int]:
+    """The n unsigned width-bit slots of x, lowest first; whole bytes are
+    read through bytes, any other width by shifts."""
+    x &= (1 << width * n) - 1
+    if width % 8:
+        m = (1 << width) - 1
+        return [x >> (width * s) & m for s in range(n)]
+    k = width // 8
+    b = x.to_bytes(k * n, "little")
+    return [int.from_bytes(b[i:i + k], "little") for i in range(0, k * n, k)]
+
+
+def _pack(digits: list[int], width: int) -> int:
+    """sum digits[s] * 2^(width*s) for digits of either sign: through bytes
+    when the width is whole bytes and every digit fits its slot with a sign
+    bit, by shifts otherwise."""
+    half = 1 << (width - 1)
+    if width % 8 or not -half <= min(digits, default=0) \
+            <= max(digits, default=0) < half:
+        x = 0
+        for d in reversed(digits):
+            x = (x << width) + d
+        return x
+    # every digit + half is an unsigned slot; the bias takes them back
+    k = width // 8
+    bias = half * (((1 << width * len(digits)) - 1) // ((1 << width) - 1))
+    return int.from_bytes(b"".join((d + half).to_bytes(k, "little")
+                                   for d in digits), "little") - bias
+
+
+def _signed_slots(x: int, width: int, n: int) -> list[int]:
+    """The n lowest slots d_s of x = sum d_s 2^(width*s), each with
+    |d_s| < 2^(width-1): a bias of 2^(width-1) per slot absorbs every
+    borrow, so the slots are read as unsigned digits."""
+    half = 1 << (width - 1)
+    bias = half * (((1 << width * n) - 1) // ((1 << width) - 1))
+    return [d - half for d in _unpack(x + bias, width, n)]
+
+
 def substitute_power(a: QSeries, k: ExpLike) -> QSeries:
     """Replace q by q**k; every scaled exponent must stay on the lattice."""
     k = Fraction(k)

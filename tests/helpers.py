@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor, isqrt
 
-from qident.series import QSeries, exp_num
+from qident.series import DEFAULT_D, QSeries, exp_num
 
 
 def count_partitions(n, allowed_parts):
@@ -195,3 +195,43 @@ def check_against(res, ref, lo, order_num):
     for c in res.terms.values():
         assert c != 0
         assert not (isinstance(c, Fraction) and c.denominator == 1)
+
+
+# -- theta sums ----------------------------------------------------------------
+
+def triple_product_oracle(z, base, order, den=DEFAULT_D):
+    """Bilateral theta sum sum_n (-1)^n q^(base*C(n,2)) z^n, truncated.
+
+    Equals (q^base, z, q^base/z; q^base)_infinity for a Monomial z and is
+    computed without reference to any product code, so it can serve as an
+    oracle for it.
+    """
+    base = Fraction(base)
+    if base <= 0:
+        raise ValueError("oracle needs a positive base")
+    onum = exp_num(order, den)
+    terms = {}
+
+    def put(n):
+        e = base * Fraction(n * (n - 1), 2) + z.exp * n
+        num = exp_num(e, den)
+        if num > onum:
+            return False
+        c = Fraction(z.coeff) ** n if n >= 0 else Fraction(1) / \
+            (Fraction(z.coeff) ** (-n))
+        if n % 2:
+            c = -c
+        prev = Fraction(terms.get(num, 0)) + c
+        if prev == 0:
+            terms.pop(num, None)
+        else:
+            terms[num] = prev.numerator if prev.denominator == 1 else prev
+        return True
+
+    n = 0
+    while put(n):
+        n += 1
+    n = -1
+    while put(n):
+        n -= 1
+    return QSeries(den, terms, onum)

@@ -30,7 +30,6 @@ from qident.products import (
     eval_product_sum,
     inv_poch_table,
     poch_infinite,
-    triple_product_oracle,
 )
 from qident.series import (
     Monomial,
@@ -41,6 +40,8 @@ from qident.series import (
     qmono,
     substitute_power,
 )
+
+from helpers import triple_product_oracle
 
 HALF = Fraction(1, 2)
 

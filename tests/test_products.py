@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qident import products
 from qident.catalog import load_catalog
 from qident.series import (
     Monomial,
@@ -32,7 +33,6 @@ from qident.products import (
     poch_finite,
     poch_infinite,
     poch_table,
-    triple_product_oracle,
 )
 
 from helpers import (
@@ -42,6 +42,7 @@ from helpers import (
     dense_inverse,
     dense_mul,
     series_coeffs,
+    triple_product_oracle,
 )
 
 
@@ -338,19 +339,24 @@ def test_eval_product_matches_dense_oracle():
                 eval_product(expr, order, den)
             kinds["refused"] += 1
             continue
-        res = eval_product(expr, order, den)
-        want = _expected_validity(expr, onum, den)
-        lo, ref = _dense_product(expr, den, max(want, res.order_num))
-        if any(ref[:max(want - lo + 1, 0)]):
-            check_against(res, ref[:want - lo + 1], lo, want)
-            kinds["nonzero"] += 1
-        else:
-            # zero through the promised validity, where any validity at
-            # which the value is still zero is sound
-            assert res.is_zero
-            assert not any(ref[:max(res.order_num - lo + 1, 0)])
-            kinds["zero"] += 1
+        kinds[_check_dense(eval_product(expr, order, den), expr, onum,
+                           den)] += 1
     assert kinds["nonzero"] >= 150 and kinds["zero"] and kinds["refused"]
+
+
+def _check_dense(res, expr, onum, den):
+    """Check res, the value of expr at order onum/den, against the dense
+    product of its factors; "nonzero" or "zero" says which check ran."""
+    want = _expected_validity(expr, onum, den)
+    lo, ref = _dense_product(expr, den, max(want, res.order_num))
+    if any(ref[:max(want - lo + 1, 0)]):
+        check_against(res, ref[:want - lo + 1], lo, want)
+        return "nonzero"
+    # zero through the promised validity, where any validity at which the
+    # value is still zero is sound
+    assert res.is_zero
+    assert not any(ref[:max(res.order_num - lo + 1, 0)])
+    return "zero"
 
 
 GOLDEN = Path(__file__).parent / "data" / "eval_product_golden.json"
@@ -401,6 +407,145 @@ def test_eval_product_edge_probes_are_pinned():
     assert golden["probes"]["P(-1,2)"]["order_num"] == 5 * 4
     assert series_coeffs(eval_product(one / NP(-1, 2), 6), 6) == \
         [0, 1, -2, 3, -5, 7, -10]
+
+
+# -- the packed unit pass -------------------------------------------------------
+
+SIGNED = [1, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)]
+
+
+def _random_expr(rng, den, lowest):
+    """One to four signed or rational factors on the (1/den)-lattice with
+    first exponents from `lowest` up, powers +-1..+-2, and a two-term
+    prefactor with a negative exponent."""
+    factors = tuple(
+        (Monomial(rng.choice(SIGNED),
+                  Fraction(rng.randint(lowest * den, 3 * den), den)),
+         Fraction(rng.randint(1, 3 * den), den), rng.choice([-2, -1, 1, 2]))
+        for _ in range(rng.randint(1, 4)))
+    prefactor = (Monomial(rng.choice(SIGNED), Fraction(-1, den)),
+                 Monomial(rng.choice(SIGNED), 1))
+    return ProductExpr(factors, prefactor)
+
+
+def test_unit_pass_matches_the_dense_oracle():
+    """poch_infinite and eval_product, which both run the packed pass,
+    match the dense products of tests/helpers.py under the validity rule of
+    the factor-by-factor evaluation, on signed and rational coefficients,
+    lattices 1, 2 and 4 and orders up to 120; running products with
+    negative exponents seed the pass; a vanishing numerator keeps the
+    validity that multiplying by the unit gave, pinned."""
+    rng = random.Random(20261019)
+    kinds = {"nonzero": 0, "zero": 0}
+    for trial in range(45):
+        den = (1, 2, 4)[trial % 3]
+        onum = rng.randint(0, 120)  # order up to 120 on the 1-lattice
+        m = Monomial(rng.choice(SIGNED),
+                     Fraction(rng.randint(-den, 4 * den), den))
+        base = Fraction(rng.randint(1, 4 * den), den)
+        if m.coeff == 1 and 0 in _elementary(m, base, den, 0):
+            continue  # a vanishing symbol; the pinned cases below have it
+        _check_dense(poch_infinite(m, base, Fraction(onum, den), den),
+                     ProductExpr(((m, base, 1),)), onum, den)
+        expr = _random_expr(rng, den, -2)
+        onum = rng.randint(0, 120)
+        if any(p < 0 and mo.coeff == 1 and 0 in _elementary(mo, b, den, 0)
+               for mo, b, p in expr.factors):
+            continue
+        kinds[_check_dense(eval_product(expr, Fraction(onum, den), den),
+                           expr, onum, den)] += 1
+    assert kinds["nonzero"] >= 25 and kinds["zero"]
+    # a vanishing numerator: the running product is zero before the pass,
+    # whose validity is then _mul_order's with the zero's order standing
+    # in for its valuation
+    pinned = [(P(0, 1) / P(1, 1), 10, 4, 40),
+              (P(-1, 1) * NP(1, 2) / P(1, 1), 10, 4, 36),
+              (P(-2, 1) ** 2 / NP(1, 2) ** 3, 12, 2, 36),
+              (P(-1, 1) / P(Fraction(1, 2), Fraction(1, 2)) / NP(-1, 2),
+               7, 4, 28),
+              (ProductExpr(((Monomial(1, -3), Fraction(3), 1),),
+                           (Monomial(Fraction(1, 2), -2), Monomial(3, 1)))
+               / P(1, 1), 20, 1, 15),
+              (P(0, 1) / P(1, 2), 0, 4, 0)]
+    for expr, order, den, order_num in pinned:
+        res = eval_product(expr, order, den)
+        assert _check_dense(res, expr, order * den, den) == "zero"
+        assert res.order_num == order_num, expr
+
+
+def _watch_unit_widths(monkeypatch):
+    """Record the width of every unit pass and the most bits any of its
+    decoded slots used."""
+    seen = []
+    width, signed = products._unit_width, products._signed_slots
+
+    def unit_width(*args):
+        seen.append([width(*args), 0])
+        return seen[-1][0]
+
+    def signed_slots(x, w, n):
+        out = signed(x, w, n)
+        seen[-1][1] = max((abs(c).bit_length() for c in out), default=0)
+        return out
+
+    monkeypatch.setattr(products, "_unit_width", unit_width)
+    monkeypatch.setattr(products, "_signed_slots", signed_slots)
+    return seen
+
+
+def _rational_cases():
+    """Seeded passes over rational coefficients: a rational numerator with
+    a negative first exponent seeds a rational unit denominator, among
+    random factors."""
+    rng = random.Random(20261020)
+    cases = []
+    for den in (1, 2, 4) * 4:
+        expr = _random_expr(rng, den, 1) * ProductExpr((
+            (Monomial(rng.choice(SIGNED[2:]), Fraction(-1, den)),
+             Fraction(rng.randint(1, 2 * den), den), 1),
+            (Monomial(rng.choice(SIGNED[2:]), Fraction(1, den)),
+             Fraction(rng.randint(1, 2 * den), den), rng.choice([-1, -2]))))
+        cases.append((expr, Fraction(rng.randint(4, 24), den), den))
+    return cases
+
+
+def test_unit_width_holds_every_slot_of_the_pass(monkeypatch):
+    cat = load_catalog()
+    cases = [(cat.get(rid).rhs, 200, 4) for rid in cat.ids()]
+    cases += [((expr,), order, den) for expr, order, den in _rational_cases()]
+    width = products._unit_width
+    for rhs, order, den in cases:
+        seen = _watch_unit_widths(monkeypatch)
+        got = eval_product_sum(rhs, order, den)
+        monkeypatch.undo()
+        assert seen, rhs
+        # slots twice as wide give the same series, so the decoded slots
+        # are the true scaled coefficients; each needs a sign bit below W
+        monkeypatch.setattr(products, "_unit_width",
+                            lambda *args: 2 * width(*args))
+        assert eval_product_sum(rhs, order, den) == got, rhs
+        monkeypatch.undo()
+        assert all(bits < w - 1 for w, bits in seen), rhs
+
+
+def test_a_short_unit_width_is_caught(monkeypatch):
+    # the width of the largest decoded slot with no sign bit must break a
+    # rational seeded pass, so the width test above would see a short one
+    expr = ProductExpr(
+        ((Monomial(Fraction(-2, 3), Fraction(-1, 2)), Fraction(1), 1),
+         (Monomial(Fraction(3, 2), 1), Fraction(1, 2), -2),
+         (Monomial(Fraction(1, 2), Fraction(1, 2)), Fraction(1), -1)),
+        (Monomial(1, Fraction(-1, 2)), Monomial(Fraction(1, 2), 0)))
+    order, den = 6, 2
+    seen = _watch_unit_widths(monkeypatch)
+    assert _check_dense(eval_product(expr, order, den), expr, order * den,
+                        den) == "nonzero"
+    monkeypatch.undo()
+    short = max(bits for _, bits in seen)
+    monkeypatch.setattr(products, "_unit_width", lambda *args: short)
+    res = eval_product(expr, order, den)
+    lo, ref = _dense_product(expr, den, res.order_num)
+    assert [res.coeff_num(n) for n in range(lo, res.order_num + 1)] != ref
 
 
 def test_vanishing_denominator_is_refused_by_its_row():
