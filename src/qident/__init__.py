@@ -4,8 +4,8 @@ The library is organized around one value type, :class:`qident.series.QSeries`
 (truncated series in q**(1/D) over exact rationals), with layers on top:
 
 * :mod:`qident.series`   -- the arithmetic kernel,
-* :mod:`qident.products` -- Pochhammer symbols, theta triples, product
-  expressions and the triple-product oracle,
+* :mod:`qident.products` -- finite and infinite Pochhammer symbols and
+  product expressions,
 * :mod:`qident.nahm`     -- lattice-sum evaluators for quadratic-exponent
   multi-sums and their rank reductions,
 * :mod:`qident.bailey`   -- Bailey pair calculus and transform chains,

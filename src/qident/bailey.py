@@ -45,7 +45,7 @@ from qident.series import (
     nonneg_order,
     qmono,
 )
-from qident.products import PochRow, ProductExpr, eval_product
+from qident.products import PochRow, poch_infinite
 from qident.nahm import _ceil_sqrt
 
 HALF = Fraction(1, 2)
@@ -400,6 +400,8 @@ def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:
         return _inv_table(m, Fraction(1), order, den)[1]
 
     def alpha(n, order, den=DEFAULT_D):
+        # the factors with b lower the pieces' validity by -b.exp if b.exp < 0
+        order -= min(b.exp, 0)
         inv_b = _unit_inv(b, order, den)
         t = p.alpha(n, order, den) * \
             _one_minus(Monomial(b.coeff, b.exp + n), den) * inv_b * \
@@ -417,6 +419,7 @@ def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:
         lambda order, den: PochRow((bq,), 1, order, den))
 
     def beta(n, order, den=DEFAULT_D):
+        order -= min(bq.exp, 0)  # as alpha's, for the factors of (bq; q)_n
         return p.beta(n, order, den) * heads(order, den)[n] * \
             _inv_table(b, Fraction(1), order, den)[n]
 
@@ -560,8 +563,7 @@ def limit_identity(p: BaileyPair, order: ExpLike,
         acc = sum((s * mono(nn) for nn, s in enumerate(alphas)
                    if not s.is_zero), _zero(depth, den))
         aq = Monomial(a.coeff, a.exp + 1)
-        return acc * eval_product(
-            ProductExpr(((aq, Fraction(1), -1),)), depth, den)
+        return poch_infinite(aq, 1, depth, den, -1, acc)
 
     lhs = deepen_until_valid(build_lhs, order, den)
     rhs = deepen_until_valid(build_rhs, order, den)

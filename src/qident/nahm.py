@@ -50,12 +50,12 @@ from qident.series import (
     _pack,
     _signed_slots,
     _slot_bits,
+    _slot_terms,
     _unpack,
     exp_num,
     nonneg_order,
 )
-from qident.products import (
-    ProductExpr, eval_product, inv_poch_table, poch_table)
+from qident.products import inv_poch_table, poch_infinite, poch_table
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -452,8 +452,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
         nonlocal acc, valid
         if extra_tabs:
             n = 1 if pcut is None else pcut // G + 1
-            s = QSeries(den, {G * k: c for k, c in enumerate(_unpack(p, w, n))
-                              if c}, pcut)
+            s = QSeries(den, _slot_terms(_unpack(p, w, n), 0, G), pcut)
             for fi, (c0, cs) in enumerate(lengths):
                 s = s * extra_tabs[fi][c0 + sum(c * v
                                                 for c, v in zip(cs, point))]
@@ -516,12 +515,8 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
         point[i] = 0
 
     rec(0, const_l, 1, None)
-    terms: dict[int, Scalar] = {}
     slots = _signed_slots(acc, w, max((onum - base) // G + 1, 0))
-    for s, c in enumerate(slots):
-        if c:
-            terms[base + G * s] = c // K if not c % K else Fraction(c, K)
-    return QSeries(den, terms, valid)
+    return QSeries(den, _slot_terms(slots, base, G, K), valid)
 
 
 # A Nahm sum is a spec from nahm_spec; the name stays for callers that look
@@ -642,6 +637,6 @@ def eval_reduction(red: Reduction, order: ExpLike,
                    den: int = DEFAULT_D) -> QSeries:
     """Prefactor times the reduced sum, truncated at order."""
     out = multi_sum(red.spec, order, den)
-    if red.prefactor:
-        out = out * eval_product(ProductExpr(red.prefactor), order, den)
+    for m, base, power in red.prefactor:
+        out = poch_infinite(m, base, order, den, power, out)
     return out

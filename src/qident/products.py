@@ -12,30 +12,28 @@ nontrivial exponent is <= the requested order, every omitted factor being
 :class:`ProductExpr` is the assembled right-hand-side shape: an optional
 polynomial prefactor times a signed multiset of infinite products.
 
-Every unit infinite product, one whose first exponent is positive, is built
-in one packed pass of :func:`_unit_product` (Kronecker substitution): the
-series is one Python int, W bits per coefficient, a factor (1 - c q^e) is
-one shifted subtraction and a denominator a doubling prefix sum, all cut by
-one mask, and W is certified in advance from the r-coloured partition
-count, so the pass is exact.  :func:`poch_infinite` builds such a symbol
-with it, and a symbol whose first exponent is <= 0 one factor at a time.
-:func:`eval_product` multiplies numerators in as they stand, and a
-denominator whose first exponent is <= 0 as one inverse row entry; the
-unit denominators all go through one pass seeded with that running
-product, which replaces their product and the multiplication joining it.
-The docstring of :func:`eval_product` says why the validity is unchanged.
+An infinite symbol has one evaluator, :func:`poch_infinite`, which
+multiplies a seed by it.  Its factors whose exponent is <= 0 join the seed
+first; every other factor goes through one packed pass of
+:func:`_unit_product` (Kronecker substitution): the series is one Python
+int, W bits per coefficient, a factor (1 - c q^e) is one shifted
+subtraction and a denominator a doubling prefix sum, all cut by one mask,
+and W is certified in advance from the r-coloured partition count, so the
+pass is exact.  :func:`eval_product` is a fold of :func:`poch_infinite`
+over its symbols.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Union
 
 from qident.series import (
     DEFAULT_D,
     ExpLike,
+    LatticeError,
     Monomial,
     QSeries,
     Scalar,
@@ -46,6 +44,7 @@ from qident.series import (
     _pack,
     _signed_slots,
     _slot_bits,
+    _slot_terms,
     exp_num,
     mul_inv_one_minus,
     mul_one_minus,
@@ -70,16 +69,35 @@ def poch_finite(a: Monomial, base: ExpLike, n: int,
 
 
 def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
-                  den: int = DEFAULT_D) -> QSeries:
-    """(a; q^base)_infinity truncated at order."""
+                  den: int = DEFAULT_D, power: int = 1,
+                  seed: Optional[QSeries] = None) -> QSeries:
+    """seed * (a; q^base)_infinity^power truncated at order.
+
+    seed defaults to 1 valid to the order and must be on the
+    (1/den)-lattice.  The factors whose exponent is <= 0 join the seed
+    first, |power| times: for a numerator as one polynomial built from 1
+    valid to the order, for a denominator as one inverse :class:`PochRow`
+    entry over those factors.  Every other factor goes through one seeded
+    :func:`_unit_product` pass, so the result has the validity
+    :func:`_mul_order` gives that seed times the symbol.
+    """
     onum = exp_num(nonneg_order(order), den)
+    if seed is None:
+        seed = QSeries(den, {0: 1}, onum)
+    elif seed.den != den:
+        raise LatticeError(f"mixing lattices 1/{seed.den} and 1/{den}")
     nums = _factor_nums(a, base, onum, den)
-    if nums.start > 0:
-        return _unit_product([(a.coeff, nums, 1)], onum, den)
-    out = QSeries(den, {0: 1}, onum)
-    for num in nums:
-        out = mul_one_minus(out, a.coeff, num)
-    return out
+    k = len(range(nums.start, 1, nums.step))  # the factors with e <= 0
+    if k and power:
+        if power > 0:
+            head = QSeries(den, {0: 1}, onum)
+            for num in nums[:k]:
+                head = mul_one_minus(head, a.coeff, num)
+        else:
+            head = PochRow((a,), base, order, den, -1)[k]
+        for _ in range(abs(power)):
+            seed = seed * head
+    return _unit_product((a.coeff, nums[k:], power), onum, den, seed)
 
 
 def _positive_base(base: ExpLike) -> Fraction:
@@ -108,78 +126,66 @@ def _unit_width(norm: int, m: int, r: int, size: int) -> int:
     return _slot_bits(norm * m ** size * _coloured_partitions(r, size))
 
 
-def _unit_product(factors: list[tuple[Scalar, range, int]], onum: int,
-                  den: int, seed: Optional[QSeries] = None) -> QSeries:
-    """seed * prod (1 - c q^(e/den))^p over every e in nums, for (c, nums,
-    p) in factors, every e positive and every nums running through onum.
+def _unit_product(symbol: tuple[Scalar, range, int], onum: int, den: int,
+                  seed: QSeries) -> QSeries:
+    """seed * prod (1 - c q^(e/den))^p over every e in nums, for the symbol
+    (c, nums, p), every e positive and nums running through onum.
 
     The factors make a unit valid to onum, so the result has the validity
-    :func:`_mul_order` gives seed (default an exact 1) times that unit.
+    :func:`_mul_order` gives seed times that unit.  When no factor reaches
+    that validity, the result is the seed cut there.
 
     One packed pass: slot s, W bits wide, holds the coefficient of
     q^((low + g*s)/den), low being the seed's least exponent numerator and
     g the gcd of every e and of the seed's exponent differences.  A factor
     at u = e/g slots is one shifted subtraction, a denominator a doubling
     prefix sum (:func:`_div_packed`), each cut by the mask of the slots
-    through the validity.  With B the lcm of the c's denominators, c enters
-    as the integer c*B^u and seed slot k as d*B^k times its coefficient, d
-    the seed's common denominator, so slot n is d*B^n times the result's
+    through the validity.  With B the denominator of c, c enters as the
+    integer c*B^u and seed slot k as d*B^k times its coefficient, d the
+    seed's common denominator, so slot n is d*B^n times the result's
     coefficient and is divided by it once, when decoded.
 
     W is certified before the pass.  Coefficient by coefficient in size, a
     numerator factor is at most the geometric series of its denominator,
-    c*B^u is at most M^u for M = max(B, |c*B|), and each of the r symbols
-    (counted with their powers) is a sub-product of 1/(q; q)_infinity, so
-    slot n of the result is at most the seed's scaled l1 norm times
-    M^n p_r(n), p_r the r-coloured partition count.  Only the decoded slots
-    need the bound: the masked arithmetic is exact modulo 2^(W*slots).
+    c*B^u is at most M^u for M = max(B, |c*B|), and the symbol, counted |p|
+    times, is a sub-product of 1/(q; q)_infinity^|p|, so slot n of the
+    result is at most the seed's scaled l1 norm times M^n p_|p|(n), p_r
+    the r-coloured partition count.  Only the decoded slots need the bound:
+    the masked arithmetic is exact modulo 2^(W*slots).
     """
-    if seed is None:
-        seed = QSeries.one(den)
+    c, nums, p = symbol
     valid = _mul_order(seed, QSeries(den, {0: 1}, onum))
     if not seed.terms:
         return QSeries(den, {}, valid)
     low = seed.min_num
-    g = gcd(*(n - low for n in seed.terms))
-    for _, nums, _ in factors:
-        g = gcd(g, *nums[:2])  # a progression's gcd is its first two terms'
-    g = g or valid - low + 1  # a lone term and no factor: one slot
+    if not (p and nums) or nums[0] > valid - low:
+        return QSeries(den, {n: v for n, v in seed.terms.items()
+                             if n <= valid}, valid)
+    g = gcd(*(n - low for n in seed.terms), *nums[:2])
     size = (valid - low) // g
-    B = lcm(*(c.denominator for c, _, _ in factors))
+    B, cb = c.denominator, c.numerator
     d, pairs = _over_common_den(seed.terms)
     digits = [0] * (min((pairs[-1][0] - low) // g, size) + 1)
     for n, v in pairs:
         k = (n - low) // g
         if k <= size:
-            digits[k] = v * B ** k
-    scaled = [c.numerator * (B // c.denominator) for c, _, _ in factors]
-    W = _unit_width(sum(map(abs, digits)), max([B, *map(abs, scaled)]),
-                    sum(abs(p) for _, _, p in factors), size)
+            digits[k] = v if B == 1 else v * B ** k
+    W = _unit_width(sum(map(abs, digits)), max(B, abs(cb)), abs(p), size)
     mask = (1 << W * (size + 1)) - 1
     acc = _pack(digits, W) & mask
-    for cb, (_, nums, p) in zip(scaled, factors):
-        for e in nums:
-            u = e // g
-            if u > size:
-                break
-            cu = cb * B ** (u - 1)
-            for _ in range(abs(p)):
-                if p < 0:
-                    acc = _div_packed(acc, W * u, mask, cu)
-                else:  # times 1 - cu x^u
-                    t = acc << W * u
-                    acc = (acc - t if cu == 1 else acc - cu * t) & mask
-    slots = _signed_slots(acc, W, size + 1)
-    if d == 1 and B == 1:
-        terms = {low + g * s: v for s, v in enumerate(slots) if v}
-    else:
-        terms = {}
-        q = d
-        for s, v in enumerate(slots):
-            if v:
-                terms[low + g * s] = v // q if not v % q else Fraction(v, q)
-            q *= B
-    return QSeries(den, terms, valid)
+    for e in nums:
+        u = e // g
+        if u > size:
+            break
+        cu = cb if B == 1 else cb * B ** (u - 1)
+        for _ in range(abs(p)):
+            if p < 0:
+                acc = _div_packed(acc, W * u, mask, cu)
+            else:  # times 1 - cu x^u
+                t = acc << W * u
+                acc = (acc - t if cu == 1 else acc - cu * t) & mask
+    return QSeries(den, _slot_terms(_signed_slots(acc, W, size + 1), low, g,
+                                    d, B), valid)
 
 
 # -- product expressions -----------------------------------------------------
@@ -276,39 +282,14 @@ def J(a: ExpLike, m: Optional[ExpLike] = None) -> ProductExpr:
 
 def eval_product(expr: ProductExpr, order: ExpLike,
                  den: int = DEFAULT_D) -> QSeries:
-    """Evaluate a product expression exactly to the given order.
-
-    Numerators are built by :func:`poch_infinite`, and a denominator whose
-    first exponent is <= 0 is the entry of an inverse :class:`PochRow` that
-    holds its factors through the order; each is multiplied in where it
-    stands.  Every other denominator is a unit series (constant term 1), and
-    all of them are multiplied into the running product in one packed pass
-    of :func:`_unit_product`, seeded with it.
-
-    Why this changes nothing: a product is valid to the least over its
-    operands of one's validity plus the other's valuation.  Every partial
-    product here is valid to at most `order` plus its valuation (for a
-    nonnegative order), so a unit, valid to `order` with valuation 0, never
-    lowers it, wherever it is multiplied in.  The seeded pass gives the
-    validity of that multiplication (:func:`_mul_order`), also when the
-    running product is zero and its validity stands in for its valuation,
-    so the validity and the terms through it are those of the
-    factor-by-factor evaluation.
-    """
-    onum = exp_num(nonneg_order(order), den)
-    out = QSeries(den, {0: 1}, onum)
-    units = []
-    for (m, base, power) in expr.factors:
-        nums = _factor_nums(m, base, onum, den)
-        if power < 0 and nums.start > 0:
-            units.append((m.coeff, nums, power))
-            continue
-        s = poch_infinite(m, base, order, den) if power > 0 else \
-            PochRow((m,), base, order, den, -1)[len(nums)]
-        for _ in range(abs(power)):
-            out = out * s
-    if units:
-        out = _unit_product(units, onum, den, out)
+    """Evaluate a product expression exactly to the given order: a fold of
+    :func:`poch_infinite` over its symbols, each seeded with the running
+    product (from 1 valid to the order), then times the prefactor.  Each
+    step has :func:`_mul_order`'s validity, so the fold is the factor by
+    factor evaluation."""
+    out = QSeries(den, {0: 1}, exp_num(nonneg_order(order), den))
+    for m, base, power in expr.factors:
+        out = poch_infinite(m, base, order, den, power, out)
     pf = QSeries.from_terms(((mo.exp, mo.coeff) for mo in expr.prefactor),
                             den=den)
     return out * pf

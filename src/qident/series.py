@@ -510,6 +510,21 @@ def _signed_slots(x: int, width: int, n: int) -> list[int]:
     return [d - half for d in _unpack(x + bias, width, n)]
 
 
+def _slot_terms(slots: list[int], low: int, g: int, div: int = 1,
+                ratio: int = 1) -> dict[int, Scalar]:
+    """The terms a packed pass decodes: slot s holds v, the coefficient of
+    exponent numerator low + g*s times div*ratio^s, and each nonzero v is
+    divided by that once, to an int when it is integral."""
+    if div == 1 and ratio == 1:
+        return {low + g * s: v for s, v in enumerate(slots) if v}
+    terms: dict[int, Scalar] = {}
+    for s, v in enumerate(slots):
+        if v:
+            terms[low + g * s] = v // div if not v % div else Fraction(v, div)
+        div *= ratio
+    return terms
+
+
 def substitute_power(a: QSeries, k: ExpLike) -> QSeries:
     """Replace q by q**k; every scaled exponent must stay on the lattice."""
     k = Fraction(k)

@@ -265,6 +265,23 @@ def test_djk_with_a_negative_exponent_shift_keeps_the_pair_relation(seed, b):
         assert compare_up_to(term(p.beta, n, order, D), rhs, order) is None
 
 
+@pytest.mark.parametrize("text", [
+    "G2 |> DJK(-q^-1)", "G2 |> DJK(2*q^-1)", "G1star |> DJK(1/2*q^-2)",
+    "G1star |> DJK(-q^(-1/2))"])
+def test_djk_with_a_negative_exponent_shift_honours_the_order(text):
+    # 1 - b q^n, and for b = q^-2 the first factor of (bq;q)_n, lowered the
+    # validity below the order at valuation >= 0, so verify_pair's bare
+    # request of alpha failed
+    p = run_chain(text)
+    for order in (Fraction(7, 2), Fraction(16)):
+        onum = exp_num(order, D)
+        for n in range(6):
+            for gen in (p.alpha, p.beta):
+                s = gen(n, order, D)
+                assert s.order_num >= onum + min(0, s.min_num or 0), (n, gen)
+    assert verify_pair(p, 5, 16).ok
+
+
 def test_apply_transform_refuses_an_unknown_kind_and_s5_off_unit_a():
     with pytest.raises(ValueError, match="unknown transform kind 'S7'"):
         apply_transform(builtin_pair("G1"), TransformStep("S7"))

@@ -11,6 +11,7 @@ import pytest
 from qident import products
 from qident.catalog import load_catalog
 from qident.series import (
+    LatticeError,
     Monomial,
     QSeries,
     coefficient,
@@ -19,6 +20,7 @@ from qident.series import (
     exp_num,
     invert_unit,
     qmono,
+    _mul_order,
 )
 from qident.products import (
     J,
@@ -471,6 +473,56 @@ def test_unit_pass_matches_the_dense_oracle():
         res = eval_product(expr, order, den)
         assert _check_dense(res, expr, order * den, den) == "zero"
         assert res.order_num == order_num, expr
+
+
+def _random_seed(rng, den, kind):
+    """A zero, exact or truncated seed on the (1/den)-lattice with signed
+    and rational coefficients and exponents from -2 up."""
+    if kind == "zero":
+        return QSeries(den, {}, rng.randint(-2 * den, 20 * den))
+    low = rng.randint(-2 * den, 2 * den)
+    terms = {low + k * rng.randint(1, 2 * den): rng.choice(SIGNED)
+             for k in range(rng.randint(1, 4))}
+    top = None if kind == "exact" else max(terms) + rng.randint(0, 20 * den)
+    return QSeries(den, terms, top)
+
+
+def test_poch_infinite_takes_a_seed_and_a_power():
+    """poch_infinite(m, base, order, den, power, seed) is seed times the
+    symbol to the power: its validity is _mul_order's for the seed times
+    the unseeded symbol, and its terms match the dense product of
+    tests/helpers.py through it, on zero, exact and truncated seeds with
+    negative exponents and rational coefficients, powers +-1..+-3, first
+    exponents <= 0 and > 0 and lattices 1, 2 and 4; a seed on another
+    lattice is refused."""
+    rng = random.Random(20261022)  # its own generator
+    seen = set()
+    for trial in range(150):
+        den = (1, 2, 4)[trial % 3]
+        m = Monomial(rng.choice(SIGNED),
+                     Fraction(rng.randint(-2 * den, 4 * den), den))
+        base = Fraction(rng.randint(1, 3 * den), den)
+        power = rng.choice([-3, -2, -1, 1, 2, 3])
+        order = Fraction(rng.randint(0, 40), den)
+        if power < 0 and m.coeff == 1 and 0 in _elementary(m, base, den, 0):
+            continue  # a vanishing denominator, refused by its row
+        kind = ("zero", "exact", "truncated")[trial % 5 % 3]
+        seed = _random_seed(rng, den, kind)
+        res = poch_infinite(m, base, order, den, power, seed)
+        assert res.order_num == _mul_order(
+            seed, poch_infinite(m, base, order, den, power)), trial
+        seen.add((kind, power > 0, m.exp > 0, den))
+        if seed.is_zero:
+            assert res.is_zero
+            continue
+        prefactor = tuple(Monomial(c, Fraction(n, den))
+                          for n, c in sorted(seed.terms.items()))
+        expr = ProductExpr(((m, base, power),), prefactor)
+        lo, ref = _dense_product(expr, den, res.order_num)
+        check_against(res, ref, lo, res.order_num)
+    assert len(seen) == 36  # every seed kind, sign, exponent and lattice
+    with pytest.raises(LatticeError, match="lattice"):
+        poch_infinite(Q, 1, 5, 4, 1, QSeries.one(2))
 
 
 def _watch_unit_widths(monkeypatch):
