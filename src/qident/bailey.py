@@ -22,7 +22,10 @@ The rows are the caches, and nothing free of n is built per n: every finite
 symbol is a :class:`qident.products.PochRow` grown a factor per new n, the
 1/(x;q)_n rows (1/(1 - m) is entry 1 of m's) sit in the bounded cache
 :func:`_inv_table`, and each lemma pair owns a :class:`_Row` per
-(order, den), so beta'_n = sum_r u_r w_(n-r) costs n+1 products.
+(order, den).  Every sum of series products, the lemma's
+beta'_n = sum_r u_r w_(n-r), the pair relation's right side and the cleared
+two-parameter identity, is one :func:`qident.series.dot`: one integer
+accumulator and one division per coefficient.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from qident.series import (
     TruncationError,
     compare_up_to,
     deepen_until_valid,
+    dot,
     exp_num,
     nonneg_order,
     qmono,
@@ -242,11 +246,12 @@ def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
     aq = Monomial(p.a.coeff, p.a.exp + 1)
     t_q = _inv_table(qmono(1), Fraction(1), depth, den)
     t_aq = _inv_table(aq, Fraction(1), depth, den)
+    dnum = exp_num(depth, den)
     results = []
     for n in range(n_max + 1):
-        rhs = sum((a * t_q[n - k] * t_aq[n + k]
-                   for k, a in enumerate(alphas[:n + 1]) if not a.is_zero),
-                  _zero(depth, den))
+        rhs = dot([(a * t_q[n - k], t_aq[n + k])
+                   for k, a in enumerate(alphas[:n + 1]) if not a.is_zero],
+                  dnum, den)
         results.append((n, compare_up_to(term(p.beta, n, order, den), rhs,
                                          order)))
     return PairReport(p.name, p.a, order, tuple(results))
@@ -316,8 +321,9 @@ class _Row:
             self.u.append(self.beta(k, order, den) * self.heads[k] *
                           self.mono(k))
             self.w.append(self.tails[k] * tq[k])
-        return sum((self.u[r] * self.w[n - r] for r in range(n + 1)),
-                   _zero(order, den))
+        # the zero u_r stay in: their validity bounds the sum's
+        return dot(zip(self.u[:n + 1], self.w[n::-1]), exp_num(order, den),
+                   den)
 
 
 def _lemma(p: BaileyPair, nums: tuple[Monomial, ...],
@@ -387,9 +393,11 @@ def _transform_general(p: BaileyPair, rho1: Monomial,
 
 
 def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:
-    # with b != 1 and a != q^-j, no 1 - b or 1 - a q^(2n) alpha divides by is 0
-    if b.coeff == 1 and b.exp == 0:
-        raise ValueError("the shift parameter b = 1 is singular")
+    # unless b or a is some q^-j (j >= 0), no 1 - b q^k or 1 - a q^(2n)
+    # that the pieces divide by is 0
+    if b.coeff == 1 and b.exp <= 0 and b.exp.denominator == 1:
+        raise ValueError(f"DJK is singular for b = {_spell(b)}: (b;q)_n has "
+                         f"the factor 1 - 1 for every n > {-b.exp}")
     a = p.a
     if a.coeff == 1 and a.exp <= 0 and a.exp.denominator == 1:
         raise ValueError(f"DJK is singular on a pair relative to {_spell(a)}"
@@ -520,10 +528,10 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
         tails = PochRow((c1 * qmono(n - 1), c2 * qmono(n - 1)), -1, None,
                         den)
         alphas = [p.alpha(r, depth, den) for r in range(n + 1)]
-        return sum((alpha * heads[r] * tails[n - r] * tq[n - r] *
-                    taq[n + r] * c12_pow(r)
-                    for r, alpha in enumerate(alphas) if not alpha.is_zero),
-                   _zero(depth, den))
+        return dot([(alpha * heads[r] * tails[n - r] * tq[n - r] *
+                     c12_pow(r), taq[n + r])
+                    for r, alpha in enumerate(alphas) if not alpha.is_zero],
+                   exp_num(depth, den), den)
 
     lhs = deepen_until_valid(lambda d: row(d).r_sum(n), order, den)
     rhs = deepen_until_valid(build_rhs, order, den)

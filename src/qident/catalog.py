@@ -60,7 +60,6 @@ from qident.products import (
     TP,
     J,
     ProductExpr,
-    eval_product,
     eval_product_sum,
 )
 from qident.nahm import (
@@ -72,6 +71,7 @@ from qident.nahm import (
     multi_sum,
     nahm_spec,
     reduce_rank,
+    times_prefactor,
 )
 from qident.bailey import (
     TRANSFORMS,
@@ -1151,8 +1151,8 @@ class Catalog:
         if ident.route is not None:
             k = ident.base_substitution
             pair = _bailey_chain(builtin_pair(ident.route[0]), ident.route[1])
-            head = eval_product(ProductExpr(red.prefactor), order, den)
-            routes += [head * substitute_power(side, k)
+            routes += [times_prefactor(red, substitute_power(side, k),
+                                       order, den)
                        for side in limit_identity(pair, order / k, den)]
             kind = "bailey"
         direct = multi_sum(ident.spec, order, den)

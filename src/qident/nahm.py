@@ -633,10 +633,16 @@ def reduce_rank(spec: MultiSumSpec) -> Optional[Reduction]:
     return None
 
 
+def times_prefactor(red: Reduction, s: QSeries, order: ExpLike,
+                    den: int = DEFAULT_D) -> QSeries:
+    """s times the reduction's infinite-product prefactor, truncated at
+    order: one :func:`poch_infinite` pass per factor, seeded with s."""
+    for m, base, power in red.prefactor:
+        s = poch_infinite(m, base, order, den, power, s)
+    return s
+
+
 def eval_reduction(red: Reduction, order: ExpLike,
                    den: int = DEFAULT_D) -> QSeries:
     """Prefactor times the reduced sum, truncated at order."""
-    out = multi_sum(red.spec, order, den)
-    for m, base, power in red.prefactor:
-        out = poch_infinite(m, base, order, den, power, out)
-    return out
+    return times_prefactor(red, multi_sum(red.spec, order, den), order, den)

@@ -19,7 +19,10 @@ loops use Python's own int/Fraction operators and normalize once at the end.
 A product brings each operand over one common denominator, the lcm of its
 coefficients' denominators, convolves the integer numerators and divides
 each output coefficient once; an all-int operand has denominator 1 and is
-used as it is.
+used as it is.  :func:`dot`, a sum of products, does the same with one
+accumulator for every pair, scaled to one common denominator, so a sum of
+n products costs one division per coefficient and no additions.  Both run
+the package's one convolution loop, :func:`_convolve`.
 
 No floating point is used anywhere in this module.
 """
@@ -259,19 +262,7 @@ class QSeries:
         out: dict[int, int] = {}
         da, a = _over_common_den(self.terms)
         db, b = _over_common_den(other.terms)
-        if len(a) > len(b):
-            a, b = b, a
-        if a:
-            # each row stops at the first exponent sum beyond the order
-            top = a[-1][0] + b[-1][0] if onum is None else onum
-            get = out.get
-            for n1, c1 in a:
-                lim = top - n1
-                for n2, c2 in b:
-                    if n2 > lim:
-                        break
-                    n = n1 + n2
-                    out[n] = get(n, 0) + c1 * c2
+        _convolve(out, a, b, onum)
         return QSeries(self.den, _normal(out, div=da * db), onum)
 
     def __rmul__(self, other) -> "QSeries":
@@ -309,6 +300,55 @@ def _promote(x, den: int) -> QSeries:
     if isinstance(x, Monomial):
         return QSeries(den, {exp_num(x.exp, den): x.coeff}, None)
     raise TypeError(f"cannot interpret {x!r} as a series")
+
+
+def _convolve(out: dict[int, int], a: list, b: list,
+              top: Optional[int]) -> None:
+    """Add the product of the ascending (n, int) pairs a and b into out:
+    the package's one convolution loop.  The shorter list drives, and each
+    row stops at the first exponent sum beyond top (None: the last sum)."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return
+    if top is None:
+        top = a[-1][0] + b[-1][0]
+    get = out.get
+    for n1, c1 in a:
+        lim = top - n1
+        for n2, c2 in b:
+            if n2 > lim:
+                break
+            n = n1 + n2
+            out[n] = get(n, 0) + c1 * c2
+
+
+def dot(pairs, onum: Optional[int], den: int) -> QSeries:
+    """``sum((a * b for a, b in pairs), QSeries(den, {}, onum))``, terms
+    and validity alike, from one integer accumulator.
+
+    Every pair's :func:`_mul_order` lowers the validity, even with an empty
+    truncated operand, and every row stops there.  Each product is scaled
+    to D = lcm(d_a * d_b) and each output coefficient divided by D once.
+    """
+    parts = []
+    for a, b in pairs:
+        for s in (a, b):
+            if s.den != den:
+                raise LatticeError(f"mixing lattices 1/{s.den} and 1/{den}")
+        onum = _min_order(onum, _mul_order(a, b))
+        if a.terms and b.terms:
+            da, x = _over_common_den(a.terms)
+            db, y = _over_common_den(b.terms)
+            parts.append((da * db, *sorted((x, y), key=len)))
+    big = lcm(*(d for d, _, _ in parts))
+    out: dict[int, int] = {}
+    for d, x, y in parts:
+        if d != big:  # scale the shorter operand up to the common D
+            s = big // d
+            x = [(n, c * s) for n, c in x]
+        _convolve(out, x, y, onum)
+    return QSeries(den, _normal(out, div=big), onum)
 
 
 def _min_order(a: Optional[int], b: Optional[int]) -> Optional[int]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -232,8 +233,20 @@ def test_djk_lowers_relative_parameter():
 
 
 def test_djk_rejects_singular_parameter():
-    with pytest.raises(ValueError):
-        apply_transform(builtin_pair("G1star"), DJK(Monomial(1, 0)))
+    # (b;q)_n has the factor 1 - b q^j = 0 for every n > j when b = q^-j,
+    # so the step is refused when applied, not at the first such n
+    for b, name in ((Monomial(1, 0), "1"), (qmono(-1), "q^-1"),
+                    (qmono(-2), "q^-2")):
+        for seed in ("G1star", "G2"):
+            with pytest.raises(ValueError,
+                               match=re.escape(
+                                   f"DJK is singular for b = {name}: ")):
+                apply_transform(builtin_pair(seed), DJK(b))
+    # the same exponents with another coefficient, or off the integers,
+    # leave every factor nonzero
+    for b in (Monomial(-1, -2), Monomial(2, -1), qmono(Fraction(-1, 2))):
+        assert verify_pair(apply_transform(builtin_pair("G2"), DJK(b)),
+                           4, 8).ok
 
 
 @pytest.mark.parametrize("pair", [

@@ -1,11 +1,14 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
+import random
 import re
+import signal
 from fractions import Fraction
 
 import pytest
 
 from qident.bailey import PairReport
+from qident.catalog import packaged_catalog_text
 from qident.cli import main
 from qident.series import Mismatch
 
@@ -340,6 +343,8 @@ def test_bailey_chain_show_and_errors(capsys):
      "only with a bare family name, not 'all'"),
     (["bailey", "verify", "G1 |> DJK(q^2)", "--n", "3", "--order", "6"],
      "DJK is singular on a pair relative to 1"),
+    (["bailey", "verify", "G2 |> DJK(q^-2)", "--n", "2", "--order", "8"],
+     "DJK is singular for b = q^-2"),
     (["list", "--catalog", "@zero-denominator-base"],
      "record t: denoms: bases must be positive"),
     (["list", "--catalog", "@two-vars-one-base"],
@@ -362,6 +367,7 @@ def test_bailey_chain_show_and_errors(capsys):
         "list-zero-base-P", "list-negative-base-NP", "list-zero-J",
         "list-negative-J", "verify-instance-with-k", "expand-id-with-k-i",
         "verify-all-with-i", "bailey-verify-djk-on-g1",
+        "bailey-verify-djk-b-q^-2",
         "list-zero-denominator-base", "list-two-vars-one-base",
         "list-repeated-var", "list-divide-by-constant",
         "list-power-of-constant"])
@@ -418,3 +424,102 @@ def test_bailey_chain_rejects_leading_plus(capsys):
     rc, _, err = run(capsys, "bailey", "chain", "G1 |> DJK(+q^2)")
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("qident: error: ")
+
+
+# -- seeded fuzz of the exit-2 boundary ----------------------------------------
+
+FUZZ_CHAINS = ("G1 |> S3", "G2 |> DJK(q^2) |> S1", "G1star |> DJKLIM(q^(3/2))",
+               "G1 |> GENERAL(-q^(1/2), q^(3/2))", "G3 |> S1 |> S5",
+               "G2 |> DJK(1/2*q^-2)")
+FUZZ_ORDERS = ("-1", "-1/4", "1/0", "0/0", "", " ", "x", "1//2", "nan", "q",
+               "2-1", "1/-2")
+
+
+class _Hang(Exception):
+    """A fuzz case outran its alarm (not an error main turns into exit 2)."""
+
+
+def _edit(rng, text, alphabet):
+    """text with 1-3 random character replacements, inserts or deletes."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.choice("rid") if chars else "i"
+        if op == "i":
+            chars.insert(i, rng.choice(alphabet))
+        elif op == "r":
+            chars[min(i, len(chars) - 1)] = rng.choice(alphabet)
+        else:
+            del chars[min(i, len(chars) - 1)]
+    return "".join(chars)
+
+
+def _fuzz_cases(rng, tmp_path):
+    """200 argv lists: edited catalog records, edited chain text, and
+    bad --order, --n and --d-lattice values.  Values go in as --opt=value
+    and positionals after --, so argparse hands every one to main."""
+    records = re.split(r"(?m)^(?=\[identity )", packaged_catalog_text())[1:]
+    cases = []
+    for j in range(80):
+        path = tmp_path / f"edit{j}.cat"
+        path.write_text(_edit(rng, rng.choice(records),
+                              "0123456789-+*/^(),;[]=\" \nijkqPTNJ"))
+        cases.append(["verify", "all", "--order=6", f"--catalog={path}"])
+    for _ in range(60):
+        expr = _edit(rng, rng.choice(FUZZ_CHAINS),
+                     "0123456789-+*/^(),|> qGSDJKLIMNERA")
+        cases.append(rng.choice([
+            ["bailey", "verify", "--n=2", "--order=6", "--", expr],
+            ["bailey", "chain", "--show=alpha,beta", "--n=1", "--order=4",
+             "--", expr],
+            ["bailey", "chain", "--equals=G1", "--n=1", "--order=4", "--",
+             expr]]))
+    for _ in range(60):
+        cmd, takes_n = rng.choice([
+            (["verify", "R.R.1"], False), (["expand", "table2.1.1"], False),
+            (["bailey", "verify", "G1"], True),
+            (["bailey", "chain", "G2 |> S3", "--show=beta"], True)])
+        opts = ["--order=4", "--n=1"] if takes_n else ["--order=4"]
+        bad = rng.choice(["order", "lattice", "n"] if takes_n
+                         else ["order", "lattice"])
+        if bad == "order":
+            opts[0] = f"--order={rng.choice(FUZZ_ORDERS)}"
+        elif bad == "n":
+            opts[1] = f"--n={rng.randint(-3, -1)}"
+        else:
+            opts.append(f"--d-lattice={rng.choice([-4, -1, 0, 3, 5])}")
+        cases.append(cmd + opts)
+    return cases
+
+
+def test_fuzzed_inputs_exit_0_1_or_2_with_one_error_line(tmp_path, capsys):
+    """Seeded bad input never escapes main: every case exits 0, 1 or 2,
+    exit 2 prints exactly one stderr line starting "qident: error:", and
+    no case runs past its alarm."""
+    def hang(signum, frame):
+        raise _Hang()
+
+    rng = random.Random(20261021)
+    cases = _fuzz_cases(rng, tmp_path)
+    assert len(cases) == 200
+    codes = []
+    old = signal.signal(signal.SIGALRM, hang)
+    try:
+        for argv in cases:
+            signal.alarm(2)
+            try:
+                rc = main(argv)
+            except _Hang:
+                pytest.fail(f"no result within 2 s: {argv}")
+            finally:
+                signal.alarm(0)
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2), argv
+            if rc == 2:
+                lines = err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith(
+                    "qident: error: "), (argv, err)
+            codes.append(rc)
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    assert {0, 2} <= set(codes)

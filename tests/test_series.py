@@ -15,6 +15,7 @@ from qident.series import (
     coefficient,
     compare_up_to,
     deepen_until_valid,
+    dot,
     dump,
     equal_up_to,
     invert_unit,
@@ -433,3 +434,58 @@ def test_mul_over_common_denominators():
             assert res.terms[0] == c1 * c2 and int(e * den) not in res.terms
         if kind == 4:
             assert res.is_zero
+
+
+def _draw_dot_operand(rng, den):
+    """An exact, truncated or empty truncated series from q^-2 to q^8 with
+    int, small rational or large-denominator coefficients."""
+    kind = rng.random()
+    if kind < 0.15:
+        return QSeries(den, {}, rng.randint(-2 * den, 10 * den))
+    a = _draw_series(rng, den, rng.random() < 0.5)
+    if kind < 0.3 and a.terms:  # denominators the others do not share
+        c = Fraction(rng.choice([1, -1]), rng.choice([7, 9, 2**40 + 1]))
+        a = a.scale(c)
+    return a
+
+
+@pytest.mark.parametrize("den", [1, 2, 4])
+def test_dot_equals_the_folded_sum_of_products(den):
+    """dot(pairs, onum, den) has the terms, coefficient types and validity
+    of sum((a * b for a, b in pairs), QSeries(den, {}, onum)): int and
+    rational operands, exact, truncated and empty truncated ones, negative
+    exponents, onum None and no pairs at all."""
+    # its own generator, so no other check's operands change
+    rng = random.Random(20261021 + den)
+    seen = set()
+    for trial in range(150):
+        pairs = [(_draw_dot_operand(rng, den), _draw_dot_operand(rng, den))
+                 for _ in range(rng.randint(0, 5))]
+        if trial % 4 == 0:  # every operand exact, so the validity may be None
+            pairs = [(QSeries(den, a.terms), QSeries(den, b.terms))
+                     for a, b in pairs]
+        onum = rng.choice([None, rng.randint(-2 * den, 12 * den)])
+        want = sum((a * b for a, b in pairs), QSeries(den, {}, onum))
+        got = dot(pairs, onum, den)
+        assert got.den == den and got.order_num == want.order_num
+        assert [(n, c, type(c)) for n, c in sorted(got.terms.items())] == \
+            [(n, c, type(c)) for n, c in sorted(want.terms.items())]
+        seen.add((got.order_num is None, any(
+            not s.terms and s.order_num is not None for p in pairs for s in p),
+            any(type(c) is Fraction for c in got.terms.values()),
+            any(n < 0 for n in got.terms)))
+    # exact and truncated results, empty operands, rational and negative
+    # exponent outputs all occurred
+    for i in range(4):
+        assert {key[i] for key in seen} == {False, True}
+
+
+def test_dot_rejects_mixed_lattices():
+    with pytest.raises(LatticeError):
+        dot([(QSeries.one(4), QSeries.one(2))], None, 4)
+    with pytest.raises(LatticeError):
+        dot([(QSeries.one(4), QSeries.one(4)),
+             (QSeries.one(2), QSeries.one(2))], 8, 4)
+    with pytest.raises(LatticeError):  # as the folded sum does
+        sum((a * b for a, b in [(QSeries.one(2), QSeries.one(2))]),
+            QSeries(4, {}, 8))
