@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil, isqrt
 from typing import Callable, Optional
 
 from qident.series import (
@@ -50,7 +51,6 @@ from qident.series import (
     qmono,
 )
 from qident.products import PochRow, poch_infinite
-from qident.nahm import _ceil_sqrt
 
 HALF = Fraction(1, 2)
 
@@ -548,7 +548,7 @@ def limit_identity(p: BaileyPair, order: ExpLike,
     """
     order = Fraction(order)
     a = p.a
-    n_cut = _ceil_sqrt(order) + 4
+    n_cut = isqrt(ceil(order) - 1) + 5 if order > 0 else 4
 
     mono = _power(a, Fraction(1))  # the S1 weight a^n q^(n^2)
     for nn in (n_cut + 1, n_cut + 2):

@@ -718,7 +718,8 @@ def _spec_from_fn(names: Sequence[str], fn: Callable[[tuple[int, ...]], ExpLike]
     rng = random.Random(0x51D)
     for _ in range(8):
         p = tuple(rng.randrange(4) for _ in range(k))
-        if spec.exponent(p) != fv(p):
+        f = fv(p)
+        if spec.ints.at(p) * f.denominator != f.numerator * spec.ints.scale:
             raise ValueError("family exponent function is not quadratic")
     return spec
 

@@ -26,17 +26,19 @@ the next.  No floating point anywhere.
 
 A :class:`MultiSumSpec` checks itself when built, so it holds only what
 :func:`multi_sum` can enumerate; :func:`nahm_spec` also demands a
-symmetrizable positive definite A.
+symmetrizable positive definite A.  Its exponent is also held once in
+integers over one common denominator (:class:`ScaledForm`); ``exponent``,
+the box, the walk and the catalog's family probes all read that form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import accumulate
 from math import floor, gcd, isqrt, lcm, prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from qident.series import (
     DEFAULT_D,
@@ -153,6 +155,25 @@ class PochFactor:
     power: int = 1
 
 
+class ScaledForm(NamedTuple):
+    """A spec's exponent times `scale`, the least common denominator of its
+    halves m_ii/2, cross entries, lin, const and prefactor forms, in ints;
+    forms holds (const, coeffs) per prefactor term, coeffs () if all zero."""
+
+    scale: int
+    half: tuple[int, ...]
+    cross: tuple[tuple[int, ...], ...]  # cross[i][j] for j < i
+    lin: tuple[int, ...]
+    const: int
+    forms: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def at(self, point: Sequence[int]) -> int:
+        """The exponent at point, times scale."""
+        return self.const + sum(
+            v * (h * v + x + sum(c * u for c, u in zip(row, point)))
+            for v, h, x, row in zip(point, self.half, self.lin, self.cross))
+
+
 @dataclass(frozen=True)
 class MultiSumSpec:
     """A k-fold sum with quadratic exponent and Pochhammer structure.
@@ -160,7 +181,8 @@ class MultiSumSpec:
     exponent(n) = (1/2) n^T quad n + lin.n + const; index i contributes a
     denominator (q^(denoms[i]); q^(denoms[i]))_{n_i}; `extra` multiplies in
     Pochhammer factors of affine length; `prefactor` is a per-point
-    polynomial sum of coeff * q^form(n) (empty tuple means 1).
+    polynomial sum of coeff * q^form(n) (empty tuple means 1).  `ints`, built
+    on first use, is the exponent in integers (:class:`ScaledForm`).
     """
 
     names: tuple[str, ...]
@@ -211,16 +233,26 @@ class MultiSumSpec:
     def rank(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def ints(self) -> ScaledForm:
+        m, r = self.quad, self.rank
+        halves = [Fraction(m[i][i], 2) for i in range(r)]
+        forms = [f for _, f in self.prefactor] or [AffineForm(0, ())]
+        L = lcm(*(x.denominator for x in (
+            *halves, *(x for row in m for x in row), *self.lin, self.const,
+            *(x for f in forms for x in (f.const, *f.coeffs)))))
+
+        def up(*xs: Fraction) -> tuple[int, ...]:
+            return tuple(x.numerator * (L // x.denominator) for x in xs)
+
+        return ScaledForm(
+            L, up(*halves), tuple(up(*m[i][:i]) for i in range(r)),
+            up(*self.lin), *up(self.const), tuple(
+                (*up(f.const), up(*f.coeffs) if any(f.coeffs) else ())
+                for f in forms))
+
     def exponent(self, point: Sequence[int]) -> Fraction:
-        e = self.const
-        for i, vi in enumerate(point):
-            if not vi:
-                continue
-            e += Fraction(self.quad[i][i] * vi * vi, 2) + self.lin[i] * vi
-            for j in range(i):
-                if point[j]:
-                    e += self.quad[i][j] * vi * point[j]
-        return e
+        return Fraction(self.ints.at(point), self.ints.scale)
 
 
 def nahm_spec(A: Sequence[Sequence[ExpLike]], b: Sequence[ExpLike],
@@ -246,38 +278,23 @@ def nahm_spec(A: Sequence[Sequence[ExpLike]], b: Sequence[ExpLike],
 
 # -- enumeration bounds -------------------------------------------------------
 
-def _ceil_sqrt(x: Fraction) -> int:
-    """Smallest integer k with k*k >= x, for x >= 0."""
-    if x <= 0:
-        return 0
-    num, den = x.numerator, x.denominator
-    k = isqrt(num // den)
-    while k * k * den < num:
-        k += 1
-    return k
-
-
-def _min_pure_contrib(half_m: Scalar, lin: Scalar) -> Scalar:
-    """min over integers n >= 0 of half_m*n^2 + lin*n, for half_m > 0, in
-    ints or Fractions: n = 0 or one side of the vertex."""
+def _min_pure_contrib(half_m: int, lin: int) -> int:
+    """min over integers n >= 0 of half_m*n^2 + lin*n, for half_m > 0: n = 0
+    or one side of the vertex."""
     n = max(-lin // (2 * half_m), 0)
     return min(0, half_m * n * n + lin * n,
                half_m * (n + 1) ** 2 + lin * (n + 1))
 
 
-def _max_n_quadratic(half_m: Fraction, lin: Fraction,
-                     budget: Fraction) -> int:
-    """Largest integer n >= 0 with half_m*n^2 + lin*n <= budget, or -1,
-    for half_m > 0."""
-    if budget < 0 and lin >= 0:
-        return -1
+def _max_n_quadratic(half_m: int, lin: int, budget: int) -> int:
+    """Largest integer n with half_m*n^2 + lin*n <= budget (half_m > 0), or
+    a negative number if no n >= 0 has it: the floor of the larger root
+    (isqrt floors it exactly), unless no integer lies between the roots."""
     disc = lin * lin + 4 * half_m * budget
     if disc < 0:
         return -1
-    n = int((Fraction(_ceil_sqrt(disc)) - lin) / (2 * half_m)) + 1
-    while n >= 0 and half_m * n * n + lin * n > budget:
-        n -= 1
-    return n
+    n = (isqrt(disc) - lin) // (2 * half_m)
+    return n if half_m * n * n + lin * n <= budget else -1
 
 
 def lattice_bound(spec: MultiSumSpec, order: ExpLike) -> list[int]:
@@ -285,36 +302,32 @@ def lattice_bound(spec: MultiSumSpec, order: ExpLike) -> list[int]:
 
     With a nonnegative matrix, cross terms are dropped and each variable's
     quadratic is solved exactly against the budget left after the other
-    variables' (possibly negative) pure minima.  Otherwise each variable
-    gets the exact extent of the real ellipsoid {form <= order}: completing
-    the square with that variable first leaves its quadratic over the least
-    value of the rest.
+    variables' (possibly negative) pure minima, in the spec's integers.
+    Otherwise each variable gets the exact extent of the real ellipsoid
+    {form <= order}: completing the square with that variable first leaves
+    its quadratic over the least value of the rest.
     """
-    return list(_box(spec, Fraction(order)))
-
-
-@lru_cache(maxsize=256)  # a report restates the box its enumeration used
-def _box(spec: MultiSumSpec, order: Fraction) -> tuple[int, ...]:
-    m, lin = spec.quad, spec.lin
-    r = spec.rank
-    budget0 = order - spec.const
-    if all(x >= 0 for row in m for x in row):
-        mins = [_min_pure_contrib(Fraction(m[i][i], 2), lin[i])
-                for i in range(r)]
-        total_min = sum(mins, Fraction(0))
-        return tuple(max(_max_n_quadratic(Fraction(m[i][i], 2), lin[i],
-                                          budget0 - (total_min - mins[i])), 0)
-                     for i in range(r))
+    order, sf = Fraction(order), spec.ints
+    if all(x >= 0 for row in sf.cross for x in row):
+        # in units of 1/scale each pure part is an integer, so the budget
+        # left after the other variables' least pure parts may be floored
+        mins = [_min_pure_contrib(h, x) for h, x in zip(sf.half, sf.lin)]
+        budget = floor(order * sf.scale) - sf.const - sum(mins)
+        return [max(_max_n_quadratic(h, x, budget + low), 0)
+                for h, x, low in zip(sf.half, sf.lin, mins)]
+    m, lin, r = spec.quad, spec.lin, spec.rank
     box = []
     for i in range(r):
         idx = [i] + [j for j in range(r) if j != i]
         piv, centres, low = _squares([[m[a][b] for b in idx] for a in idx],
                                      [lin[a] for a in idx], spec.const)
-        # form >= low + piv/2 (n_i - c)^2, with equality for some real rest
-        p, c = piv[0], centres[0][0]
-        box.append(max(_max_n_quadratic(p / 2, -p * c,
-                                        order - low - p * c * c / 2), 0))
-    return tuple(box)
+        # form >= low + piv/2 (n_i - c)^2, with equality for some real rest,
+        # so n_i <= c + sqrt(rad2), floored over c's denominator b
+        rad2, c = (order - low) * 2 / piv[0], centres[0][0]
+        b = c.denominator
+        box.append(max((c.numerator + isqrt(floor(rad2 * b * b))) // b, 0)
+                   if rad2 >= 0 else 0)
+    return box
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -370,27 +383,18 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     """
     onum = exp_num(nonneg_order(order), den)
     bounds = lattice_bound(spec, order)
-    r = spec.rank
-    m, lin = spec.quad, spec.lin
-    nonneg = all(x >= 0 for row in m for x in row)
-    pref = spec.prefactor or ((1, AffineForm(0, [0] * r)),)
-    # Exponents are kept as ints in units of 1/L, where L is a multiple of
-    # den that clears every coefficient of the quadratic form and of the
-    # prefactor forms; a point lands on the (1/den)-lattice iff its
-    # exponent is a multiple of L/den.
-    halves = [Fraction(m[i][i], 2) for i in range(r)]
-    coeffs = (halves + [m[i][j] for i in range(r) for j in range(i)]
-              + list(lin) + [spec.const]
-              + [x for _, f in pref for x in (f.const, *f.coeffs)])
-    L = den * lcm(*(x.denominator for x in coeffs))
-    step = L // den
-    half = [int(h * L) for h in halves]
-    cross = [[int(m[i][j] * L) for j in range(i)] for i in range(r)]
-    lin_l = [int(x * L) for x in lin]
-    const_l = int(spec.const * L)
-    forms = [(int(f.const * L),
-              [int(c * L) for c in f.coeffs] if any(f.coeffs) else [])
-             for _, f in pref]
+    r, sf = spec.rank, spec.ints
+    nonneg = all(x >= 0 for row in sf.cross for x in row)
+    pcoeffs = [c for c, _ in spec.prefactor] or [1]
+    # Exponents are ints in units of 1/L, L = den * scale (the spec's integer
+    # form times den), so a point lands on the (1/den)-lattice iff its
+    # exponent is a multiple of step = scale.
+    step, L = sf.scale, den * sf.scale
+    half = [h * den for h in sf.half]
+    cross = [[x * den for x in row] for row in sf.cross]
+    lin_l = [x * den for x in sf.lin]
+    const_l = sf.const * den
+    forms = [(c0 * den, [c * den for c in cs]) for c0, cs in sf.forms]
     lengths = [(int(f.length.const), [int(c) for c in f.length.coeffs])
                for f in spec.extra]
     denom_num = [exp_num(d, den) for d in spec.denoms]
@@ -407,7 +411,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
                                                               lin_l[i])
         lowest = const_l + tail_min[0]
     else:
-        piv, centres, low = _squares(m, lin, spec.const)
+        piv, centres, low = _squares(spec.quad, spec.lin, spec.const)
         floors = [low] * (r + 1)  # floors[i]: the floor of the node at i
         lowest = floor(low * L)
     # coefficients past this depth reach no exponent <= the order
@@ -418,7 +422,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
         for f in spec.extra]
     # K clears every prefactor coefficient and every table entry, so each
     # slot of the accumulator is an integer, K times the coefficient
-    kp = lcm(*(c.denominator for c, _ in pref))
+    kp = lcm(*(c.denominator for c in pcoeffs))
     ks = [lcm(*(c.denominator for t in tab for c in t.terms.values()))
           for tab in extra_tabs]
     K = kp * prod(ks)
@@ -438,12 +442,12 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     G, base = _layout(gens, const_l + forms[0][0], step,
                       (lowest + pref_min) // step)
     w = _slot_width(prod(b + 1 for b in bounds),
-                    int(sum(abs(c * kp) for c, _ in pref)), r,
+                    int(sum(abs(c * kp) for c in pcoeffs)), r,
                     root // gcd(*denom_num),
                     [int(k * max(sum(abs(c) for c in t.terms.values())
                                  for t in tab))
                      for k, tab in zip(ks, extra_tabs)])
-    pref_l = [(int(c * K), c0, cs) for (c, _), (c0, cs) in zip(pref, forms)]
+    pref_l = [(int(c * K), c0, cs) for c, (c0, cs) in zip(pcoeffs, forms)]
     acc = 0
     valid = onum
     point = [0] * r
@@ -577,12 +581,6 @@ def reduce_rank(spec: MultiSumSpec) -> Optional[Reduction]:
             if any(m[z][j] != 2 * m[x][j] for j in rest):
                 continue
             idx = sorted([x] + rest)
-
-            def entry(i: int, j: int) -> Fraction:
-                if i == x and j == x:
-                    return gamma
-                return m[i][j]
-
             return Reduction(
                 kind="merge",
                 removed=(names[x], names[z]),
@@ -590,7 +588,8 @@ def reduce_rank(spec: MultiSumSpec) -> Optional[Reduction]:
                 spec=MultiSumSpec(
                     names=tuple((f"{names[x]}+2{names[z]}" if i == x
                                  else names[i]) for i in idx),
-                    quad=tuple(tuple(entry(i, j) for j in idx) for i in idx),
+                    quad=tuple(tuple(gamma if i == j == x else m[i][j]
+                                     for j in idx) for i in idx),
                     lin=tuple((lin[x] + b / 2 if i == x else lin[i])
                               for i in idx),
                     denoms=tuple((b if i == x else d[i]) for i in idx),

@@ -499,6 +499,38 @@ def test_family_exponent_that_is_not_quadratic_is_refused():
     assert spec.quad == ((2, 0), (0, 2))
 
 
+def _rational_quadratic(p):
+    i, j = p
+    return Fraction(3, 2) * i * i + Fraction(2, 3) * i * j + \
+        Fraction(5, 7) * j * j - Fraction(1, 3) * i + Fraction(1, 4) * j + \
+        Fraction(5, 6)
+
+
+def test_family_exponent_with_rational_coefficients():
+    spec = _spec_from_fn(("i", "j"), _rational_quadratic, (1, 2))
+    F = Fraction
+    assert (spec.quad, spec.lin, spec.const, spec.denoms) == (
+        ((3, F(2, 3)), (F(2, 3), F(10, 7))), (F(-1, 3), F(1, 4)), F(5, 6),
+        (1, 2))
+    assert spec.ints.scale == 84
+    for p in ((0, 0), (3, 1), (2, 5)):
+        assert spec.exponent(p) == _rational_quadratic(p)
+
+
+@pytest.mark.parametrize("defect", [1, Fraction(1, 84), Fraction(1, 168)])
+def test_family_defect_seen_only_at_a_probe_point_is_refused(defect):
+    # the finite differences read only points with i*j <= 1, so the defect
+    # is invisible to them; 1/84 is one unit of the integer form's scale
+    # and 1/168 lies off it
+    def fn(p):
+        return _rational_quadratic(p) + (defect if p[0] * p[1] >= 2 else 0)
+
+    for p in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)):
+        assert fn(p) == _rational_quadratic(p)
+    with pytest.raises(ValueError, match="not quadratic"):
+        _spec_from_fn(("i", "j"), fn, (1, 2))
+
+
 def test_family_domain_errors(cat):
     with pytest.raises(ValueError):
         cat.instantiate_family("AG", 1, 1)

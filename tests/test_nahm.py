@@ -3,6 +3,8 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor
 
 import pytest
 
@@ -36,6 +38,7 @@ from helpers import (
     count_gap2,
     det,
     leading_minors,
+    minor,
     real_extent,
     series_coeffs,
 )
@@ -149,7 +152,7 @@ def test_lattice_bound_diagonal():
 
 
 def test_lattice_bound_hands_out_a_fresh_box_each_call():
-    # boxes are memoized; a caller's edits must not reach the next caller
+    # a caller's edits to its box must not reach the next caller
     q = nahm_spec(A=[[2, 0], [0, 2]], b=[0, 0], c=0, d=[1, 1])
     box = lattice_bound(q, 25)
     box.append(99)
@@ -699,3 +702,163 @@ def test_a_short_slot_width_is_caught(monkeypatch):
         monkeypatch.setattr(nahm, "_slot_width", lambda *args: short)
         assert multi_sum(spec, order, den) != want
         monkeypatch.undo()
+
+
+# -- the integer form against Fraction oracles -------------------------------
+
+# the rationals in (0, 3] with denominators 1, 2, 3 and 7 (the halves
+# m_ii/2 add a factor 2)
+SEVENTHS = sorted({Fraction(k, d) for d in (1, 2, 3, 7)
+                   for k in range(1, 3 * d + 1)})
+
+
+def _exponent_oracle(spec, pt):
+    """(1/2) n^T quad n + lin.n + const by the full double sum."""
+    r = spec.rank
+    return spec.const + sum(Fraction(spec.quad[i][j]) * pt[i] * pt[j]
+                            for i in range(r) for j in range(r)) / 2 + \
+        sum(x * v for x, v in zip(spec.lin, pt))
+
+
+def _least(h, x):
+    """min over integers n >= 0 of h n^2 + x n, by scanning past the vertex."""
+    n, best = 0, Fraction(0)
+    while n <= -x / (2 * h):
+        n += 1
+        best = min(best, h * n * n + x * n)
+    return best
+
+
+def _orthant_box(spec, order):
+    """The box with cross terms dropped, each index scanned upward against
+    the budget left after the other indices' least pure parts, with the
+    last n that fits and whether it meets its budget exactly."""
+    halves = [Fraction(spec.quad[i][i], 2) for i in range(spec.rank)]
+    mins = [_least(h, x) for h, x in zip(halves, spec.lin)]
+    out = []
+    for i, (h, x) in enumerate(zip(halves, spec.lin)):
+        budget = order - spec.const - (sum(mins) - mins[i])
+        n, last = 0, -1
+        while n <= -x / (2 * h) or h * n * n + x * n <= budget:
+            if h * n * n + x * n <= budget:
+                last = n
+            n += 1
+        out.append((max(last, 0),
+                    last >= 0 and h * last * last + x * last == budget))
+    return out
+
+
+def _ellipsoid(spec):
+    """The least value of the form and, per index, its real minimizer and
+    the inverse's diagonal entry (Cramer's rule, as tests/helpers.py)."""
+    quad, r = spec.quad, spec.rank
+    d = det(quad)
+    inv = [[(-1) ** (i + j) * det(minor(list(map(list, quad)), j, i)) / d
+            for j in range(r)] for i in range(r)]
+    centre = [-sum(inv[i][j] * spec.lin[j] for j in range(r))
+              for i in range(r)]
+    low = spec.const + sum(x * c for x, c in zip(spec.lin, centre)) / 2
+    return low, centre, [inv[i][i] for i in range(r)]
+
+
+def _int_form_case(rng, r, negative):
+    """A rank-r spec with entries in SEVENTHS and signed rational lin and
+    const, positive definite with a negative entry when `negative`, and
+    with no negative entry otherwise; sometimes with a prefactor whose
+    forms widen the common denominator."""
+    while True:
+        quad = [[Fraction(0)] * r for _ in range(r)]
+        for i in range(r):
+            quad[i][i] = rng.choice([x for x in SEVENTHS if 7 * x >= 3])
+            for j in range(i):
+                x = rng.choice([0] + [x for x in SEVENTHS if x <= 1])
+                quad[i][j] = quad[j][i] = -x if negative else x
+        if not negative or (any(x < 0 for row in quad for x in row)
+                            and all(m > 0 for m in leading_minors(quad))):
+            break
+    small = [x for x in SEVENTHS if x <= 2]
+    lin = [rng.choice([-1, -1, 1, 0]) * rng.choice(small) for _ in range(r)]
+    const = rng.choice([-1, 1]) * rng.choice([0] + SEVENTHS)
+    prefactor = ()
+    if rng.random() < 0.3:
+        prefactor = ((1, AffineForm(rng.choice(SEVENTHS),
+                                    [rng.choice([0] + SEVENTHS)
+                                     for _ in range(r)])),)
+    return MultiSumSpec(names=tuple(f"n{i}" for i in range(r)),
+                        quad=tuple(map(tuple, quad)), lin=tuple(lin),
+                        denoms=(Fraction(1),) * r, const=const,
+                        prefactor=prefactor)
+
+
+def test_integer_form_matches_fraction_oracles():
+    rng = random.Random(2201)
+    seen = set()
+    for t in range(240):
+        negative = t % 3 == 0
+        spec = _int_form_case(rng, rng.randint(2 if negative else 1, 3),
+                              negative)
+        r = spec.rank
+        # an order past the constant, one below it, or one that puts the
+        # bound of one index exactly on its boundary
+        how = rng.choice(["above", "below", "exact", "exact"])
+        if how == "above":
+            order = spec.const + rng.choice(SEVENTHS)
+        elif how == "below":
+            order = spec.const - rng.choice([x for x in SEVENTHS if x <= 1])
+        elif negative:
+            low, centre, inv = _ellipsoid(spec)
+            i = rng.randrange(r)
+            n = max(floor(centre[i]) + 1, 0) + rng.randint(0, 2)
+            order = low + (n - centre[i]) ** 2 / (2 * inv[i])
+        else:
+            i = rng.randrange(r)
+            h, x = Fraction(spec.quad[i][i], 2), spec.lin[i]
+            n = max(ceil(-x / (2 * h)), 0) + rng.randint(0, 3)
+            mins = [_least(Fraction(spec.quad[j][j], 2), spec.lin[j])
+                    for j in range(r) if j != i]
+            order = spec.const + sum(mins) + h * n * n + x * n
+        if how == "exact":
+            # or just off the boundary, by far less than one unit of any
+            # common denominator of the spec (they all divide 84)
+            nudge = rng.choice([0, -1, -1, 1])
+            order += nudge * Fraction(1, 10 ** 12)
+            if nudge < 0:
+                seen.add("nudged below a boundary")
+        box = lattice_bound(spec, order)
+        if negative:
+            assert box == real_extent(spec.quad, spec.lin, spec.const,
+                                      order), (spec, order)
+            low, centre, inv = _ellipsoid(spec)
+            exact = any(b > 0 and (b - c) ** 2 == 2 * (order - low) * v
+                        for b, c, v in zip(box, centre, inv))
+        else:
+            want = _orthant_box(spec, order)
+            assert box == [b for b, _ in want], (spec, order)
+            exact = any(hit for _, hit in want)
+        # every point with exponent <= order lies in the box, and the
+        # integer form's exponent is the Fraction one at every point
+        for pt in product(*(range(b + 3) for b in box)):
+            e = _exponent_oracle(spec, pt)
+            assert spec.exponent(pt) == e, (spec, pt)
+            if e <= order:
+                assert all(v <= b for v, b in zip(pt, box)), (spec, order, pt)
+        entries = [*(x for row in spec.quad for x in row), *spec.lin,
+                   spec.const]
+        for d, kind in ((2, "halves"), (3, "thirds"), (7, "sevenths")):
+            if any(x.denominator % d == 0 for x in entries):
+                seen.add(kind)
+        seen.add("budget below const" if order < spec.const
+                 else "const below the order")
+        if order < 0:
+            seen.add("negative order")
+        if exact:
+            seen.add("exact square, "
+                     + ("ellipsoid" if negative else "orthant"))
+        if negative:
+            seen.add("negative entry")
+        if spec.prefactor:
+            seen.add("prefactor")
+    assert seen == {"halves", "thirds", "sevenths", "budget below const",
+                    "const below the order", "exact square, orthant",
+                    "exact square, ellipsoid", "negative entry", "prefactor",
+                    "negative order", "nudged below a boundary"}
