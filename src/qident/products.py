@@ -12,15 +12,13 @@ nontrivial exponent is <= the requested order, every omitted factor being
 :class:`ProductExpr` is the assembled right-hand-side shape: an optional
 polynomial prefactor times a signed multiset of infinite products.
 
-An infinite symbol has one evaluator, :func:`poch_infinite`, which
-multiplies a seed by it.  Its factors whose exponent is <= 0 join the seed
-first; every other factor goes through one packed pass of
-:func:`_unit_product` (Kronecker substitution): the series is one Python
-int, W bits per coefficient, a factor (1 - c q^e) is one shifted
-subtraction and a denominator a doubling prefix sum, all cut by one mask,
-and W is certified in advance from the r-coloured partition count, so the
-pass is exact.  :func:`eval_product` is a fold of :func:`poch_infinite`
-over its symbols.
+An infinite symbol has one evaluator, :func:`poch_infinite`, which multiplies
+a seed by it: its factors whose exponent is <= 0 join the seed first, every
+other factor goes through one packed pass of :func:`_unit_product` (Kronecker
+substitution, W bits per coefficient, W certified in advance), and the pass's
+signed slots seed the next pass (:class:`_Slots`).  So :func:`eval_product`, a
+fold of :func:`poch_infinite` over its symbols, decodes a series once per
+product.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from qident.series import (
     DEFAULT_D,
@@ -39,7 +37,6 @@ from qident.series import (
     Scalar,
     _coloured_partitions,
     _div_packed,
-    _mul_order,
     _over_common_den,
     _pack,
     _signed_slots,
@@ -70,18 +67,19 @@ def poch_finite(a: Monomial, base: ExpLike, n: int,
 
 def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
                   den: int = DEFAULT_D, power: int = 1,
-                  seed: Optional[QSeries] = None) -> QSeries:
+                  seed: QSeries | _Slots | None = None) -> QSeries | _Slots:
     """seed * (a; q^base)_infinity^power truncated at order.
 
     seed defaults to 1 valid to the order and must be on the
-    (1/den)-lattice.  The factors whose exponent is <= 0 join the seed
-    first, |power| times: for a numerator as one polynomial built from 1
-    valid to the order, for a denominator as one inverse :class:`PochRow`
-    entry over those factors.  Every other factor goes through one seeded
-    :func:`_unit_product` pass, so the result has the validity
-    :func:`_mul_order` gives that seed times the symbol.
-    """
+    (1/den)-lattice; a seed in the slots of an earlier pass (:class:`_Slots`)
+    gives slots, any other a :class:`QSeries`.  The factors whose exponent
+    is <= 0 join the seed first, as a series, |power| times: for a numerator
+    as one polynomial built from 1 valid to the order, for a denominator as
+    one inverse :class:`PochRow` entry over those factors.  Every other
+    factor goes through one seeded :func:`_unit_product` pass, so the result
+    has the validity :func:`_mul_order` gives that seed times the symbol."""
     onum = exp_num(nonneg_order(order), den)
+    slots = isinstance(seed, _Slots)
     if seed is None:
         seed = QSeries(den, {0: 1}, onum)
     elif seed.den != den:
@@ -95,9 +93,12 @@ def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
                 head = mul_one_minus(head, a.coeff, num)
         else:
             head = PochRow((a,), base, order, den, -1)[k]
+        seed = seed.series() if slots else seed
         for _ in range(abs(power)):
             seed = seed * head
-    return _unit_product((a.coeff, nums[k:], power), onum, den, seed)
+    out = _unit_product((a.coeff, nums[k:], power), onum,
+                        _Slots.of(seed) if isinstance(seed, QSeries) else seed)
+    return out if slots else out.series()
 
 
 def _positive_base(base: ExpLike) -> Fraction:
@@ -126,66 +127,85 @@ def _unit_width(norm: int, m: int, r: int, size: int) -> int:
     return _slot_bits(norm * m ** size * _coloured_partitions(r, size))
 
 
-def _unit_product(symbol: tuple[Scalar, range, int], onum: int, den: int,
-                  seed: QSeries) -> QSeries:
+class _Slots(NamedTuple):
+    """A series as a packed pass holds it: digit s is d*ratio^s times the
+    coefficient at exponent numerator low + g*s, the first digit nonzero
+    (a zero has none, a single term g = 0), valid to `valid`."""
+
+    den: int
+    digits: list[int]
+    low: int
+    g: int
+    d: int
+    ratio: int
+    valid: Optional[int]
+
+    @classmethod
+    def of(cls, s: QSeries) -> "_Slots":
+        d, pairs = _over_common_den(s.terms)
+        low = pairs[0][0] if pairs else 0
+        g = gcd(*(n - low for n, _ in pairs))
+        digits = [0] * ((pairs[-1][0] - low) // (g or 1) + 1 if pairs else 0)
+        for n, v in pairs:
+            digits[(n - low) // (g or 1)] = v
+        return cls(s.den, digits, low, g, d, 1, s.order_num)
+
+    def series(self) -> QSeries:
+        return QSeries(self.den, _slot_terms(self.digits, self.low, self.g,
+                                             self.d, self.ratio), self.valid)
+
+
+def _unit_product(symbol: tuple[Scalar, range, int], onum: int,
+                  seed: _Slots) -> _Slots:
     """seed * prod (1 - c q^(e/den))^p over every e in nums, for the symbol
-    (c, nums, p), every e positive and nums running through onum.
+    (c, nums, p), every e positive and nums running through onum, with the
+    validity :func:`_mul_order` gives seed times that unit (a zero seed
+    keeps its own); a seed no factor reaches is cut there.
 
-    The factors make a unit valid to onum, so the result has the validity
-    :func:`_mul_order` gives seed times that unit.  When no factor reaches
-    that validity, the result is the seed cut there.
-
-    One packed pass: slot s, W bits wide, holds the coefficient of
-    q^((low + g*s)/den), low being the seed's least exponent numerator and
-    g the gcd of every e and of the seed's exponent differences.  A factor
-    at u = e/g slots is one shifted subtraction, a denominator a doubling
-    prefix sum (:func:`_div_packed`), each cut by the mask of the slots
-    through the validity.  With B the denominator of c, c enters as the
-    integer c*B^u and seed slot k as d*B^k times its coefficient, d the
-    seed's common denominator, so slot n is d*B^n times the result's
-    coefficient and is divided by it once, when decoded.
-
-    W is certified before the pass.  Coefficient by coefficient in size, a
-    numerator factor is at most the geometric series of its denominator,
-    c*B^u is at most M^u for M = max(B, |c*B|), and the symbol, counted |p|
-    times, is a sub-product of 1/(q; q)_infinity^|p|, so slot n of the
-    result is at most the seed's scaled l1 norm times M^n p_|p|(n), p_r
-    the r-coloured partition count.  Only the decoded slots need the bound:
-    the masked arithmetic is exact modulo 2^(W*slots).
-    """
+    One packed pass: slot t, W bits wide, is at q^((low + g*t)/den), g the
+    gcd of every e and of the seed's stride; a factor at u = e/g slots is a
+    shifted subtraction, a denominator a doubling prefix sum
+    (:func:`_div_packed`), each cut by one mask.  Seed digit s enters slot
+    t = s*(its stride over g) times R^(t-s)*B^t, R the seed's ratio and B
+    the denominator of c, and c as the integer c*(R*B)^u, so the signed
+    slots are the result's digits under the ratio R*B.  W is certified: a
+    numerator factor is coefficientwise at most its denominator's geometric
+    series, c*(R*B)^u at most M^u for M = R*max(B, |c*B|), and the symbol,
+    |p| times, a sub-product of 1/(q; q)_infinity^|p|, so slot t is at most
+    the starting slots' l1 norm times M^t p_|p|(t), p_r the r-coloured
+    partition count; the masked arithmetic is exact modulo 2^(W*slots)."""
     c, nums, p = symbol
-    valid = _mul_order(seed, QSeries(den, {0: 1}, onum))
-    if not seed.terms:
-        return QSeries(den, {}, valid)
-    low = seed.min_num
+    if not seed.digits:
+        return seed
+    low = seed.low
+    valid = onum + low if seed.valid is None else min(seed.valid, onum + low)
     if not (p and nums) or nums[0] > valid - low:
-        return QSeries(den, {n: v for n, v in seed.terms.items()
-                             if n <= valid}, valid)
-    g = gcd(*(n - low for n in seed.terms), *nums[:2])
+        cut = seed.digits[:(valid - low) // (seed.g or 1) + 1]
+        return seed._replace(digits=cut, valid=valid)
+    g = gcd(seed.g, *nums[:2])
     size = (valid - low) // g
-    B, cb = c.denominator, c.numerator
-    d, pairs = _over_common_den(seed.terms)
-    digits = [0] * (min((pairs[-1][0] - low) // g, size) + 1)
-    for n, v in pairs:
-        k = (n - low) // g
-        if k <= size:
-            digits[k] = v if B == 1 else v * B ** k
-    W = _unit_width(sum(map(abs, digits)), max(B, abs(cb)), abs(p), size)
+    k = seed.g // g or 1
+    digits = [0] * (min(len(seed.digits) - 1, size // k) * k + 1)
+    digits[::k] = seed.digits[:size // k + 1]
+    R, B, cb = seed.ratio, c.denominator, c.numerator
+    if R * B != 1:
+        digits = [v * R ** (t - t // k) * B ** t for t, v in enumerate(digits)]
+    W = _unit_width(sum(map(abs, digits)), R * max(B, abs(cb)), abs(p), size)
     mask = (1 << W * (size + 1)) - 1
     acc = _pack(digits, W) & mask
     for e in nums:
         u = e // g
         if u > size:
             break
-        cu = cb if B == 1 else cb * B ** (u - 1)
+        cu = cb if R * B == 1 else cb * B ** (u - 1) * R ** u
         for _ in range(abs(p)):
             if p < 0:
                 acc = _div_packed(acc, W * u, mask, cu)
             else:  # times 1 - cu x^u
                 t = acc << W * u
                 acc = (acc - t if cu == 1 else acc - cu * t) & mask
-    return QSeries(den, _slot_terms(_signed_slots(acc, W, size + 1), low, g,
-                                    d, B), valid)
+    return _Slots(seed.den, _signed_slots(acc, W, size + 1), low, g, seed.d,
+                  R * B, valid)
 
 
 # -- product expressions -----------------------------------------------------
@@ -286,21 +306,19 @@ def eval_product(expr: ProductExpr, order: ExpLike,
     :func:`poch_infinite` over its symbols, each seeded with the running
     product (from 1 valid to the order), then times the prefactor.  Each
     step has :func:`_mul_order`'s validity, so the fold is the factor by
-    factor evaluation."""
-    out = QSeries(den, {0: 1}, exp_num(nonneg_order(order), den))
+    factor evaluation.  The fold carries the packed slots and decodes once."""
+    out = _Slots(den, [1], 0, 0, 1, 1, exp_num(nonneg_order(order), den))
     for m, base, power in expr.factors:
         out = poch_infinite(m, base, order, den, power, out)
     pf = QSeries.from_terms(((mo.exp, mo.coeff) for mo in expr.prefactor),
                             den=den)
-    return out * pf
+    return out.series() * pf
 
 
 def eval_product_sum(exprs, order: ExpLike, den: int = DEFAULT_D) -> QSeries:
     """Sum of product expressions (multi-term right-hand sides)."""
-    out = QSeries(den, {}, exp_num(order, den))
-    for e in exprs:
-        out = out + eval_product(e, order, den)
-    return out
+    return sum((eval_product(e, order, den) for e in exprs),
+               QSeries(den, {}, exp_num(nonneg_order(order), den)))
 
 
 # -- finite Pochhammer rows ---------------------------------------------------

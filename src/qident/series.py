@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -484,12 +485,13 @@ def _coloured_partitions(r: int, n: int) -> int:
     """p_r(n), the number of r-coloured partitions of n >= 0, from
     n p_r(n) = r sum_(k=1..n) sigma(k) p_r(n-k).  Each r's table grows to
     the largest n asked for; none is built at import."""
-    for k in range(len(_SIGMA), n + 1):
-        _SIGMA.append(sum(d for d in range(1, k + 1) if not k % d))
+    if len(_SIGMA) <= n:  # a divisor sieve, rebuilt to twice the length
+        _SIGMA[:] = [0] * (2 * n + 1)
+        for d in range(1, 2 * n + 1):
+            _SIGMA[d::d] = [s + d for s in _SIGMA[d::d]]
     row = _COLOURED.setdefault(r, [1])
     for m in range(len(row), n + 1):
-        row.append(r * sum(_SIGMA[k] * row[m - k]
-                           for k in range(1, m + 1)) // m)
+        row.append(r * sum(map(mul, _SIGMA[1:m + 1], reversed(row))) // m)
     return row[n]
 
 

@@ -8,7 +8,7 @@ from math import ceil, floor
 
 import pytest
 
-from qident import nahm
+from qident import nahm, series
 from qident.catalog import load_catalog
 from qident.nahm import (
     AffineForm,
@@ -622,14 +622,22 @@ def test_multi_sum_with_signed_rational_factors_matches_brute_force():
     assert negative  # the signed decode was exercised
 
 
-def test_coloured_partitions_match_a_product_expansion():
+def test_coloured_partitions_match_a_product_expansion(monkeypatch):
+    # from empty tables, asked in a scrambled order, so the divisor sieve
+    # extends a table that already has entries
+    monkeypatch.setattr(series, "_SIGMA", [0])
+    monkeypatch.setattr(series, "_COLOURED", {})
+    top = 150
+    ns = list(range(top + 1))
+    random.Random(150).shuffle(ns)
     for r in (1, 2, 3):
-        want = [1] + [0] * 30  # coefficients of prod_k (1 - q^k)^-r
+        want = [1] + [0] * top  # coefficients of prod_k (1 - q^k)^-r
         for _ in range(r):
-            for k in range(1, 31):
-                for n in range(k, 31):
+            for k in range(1, top + 1):
+                for n in range(k, top + 1):
                     want[n] += want[n - k]
-        assert [nahm._coloured_partitions(r, n) for n in range(31)] == want
+        got = {n: nahm._coloured_partitions(r, n) for n in ns}
+        assert [got[n] for n in range(top + 1)] == want
 
 
 def _watch_widths(monkeypatch):

@@ -525,6 +525,99 @@ def test_poch_infinite_takes_a_seed_and_a_power():
         poch_infinite(Q, 1, 5, 4, 1, QSeries.one(2))
 
 
+def _chain(factors, order, den, seed):
+    """seed times every symbol of factors, one QSeries-seeded poch_infinite
+    call each, so a series stands between every two passes."""
+    for m, base, power in factors:
+        seed = poch_infinite(m, base, order, den, power, seed)
+    return seed
+
+
+def test_slot_fold_matches_the_series_fold():
+    """eval_product, whose fold carries the packed slots from pass to pass,
+    equals the chain of QSeries-seeded poch_infinite calls times the
+    prefactor in terms and validity, and the dense product through it; a
+    fold seeded with the slots of a zero, exact or truncated seed, under a
+    carried ratio or none, equals the chain from that seed.  The draws
+    cover rational coefficients, heads (factors with exponent <= 0) after
+    a pass, zero products, powers +-1..+-3, lattices 1, 2 and 4 and
+    symbols that reach no slot."""
+    rng = random.Random(20261023)  # its own generator
+    kinds = dict.fromkeys(("rational", "head after a pass", "no slot",
+                           "zero product", "zero", "exact", "truncated",
+                           "refused"), 0)
+    powers = set()
+    for trial in range(160):
+        den = (1, 2, 4)[trial % 3]
+        order = Fraction(rng.randint(0, 30), den)
+        onum = int(order * den)
+        factors = []
+        for _ in range(rng.randint(1, 5)):
+            first = rng.randint(-2 * den, 4 * den)
+            if rng.random() < 0.15:  # past the order: no slot to reach
+                first = onum + rng.randint(1, 3 * den)
+            factors.append((Monomial(rng.choice(SIGNED), Fraction(first, den)),
+                            Fraction(rng.randint(1, 3 * den), den),
+                            rng.choice([-3, -2, -1, 1, 2, 3])))
+        prefactor = (Monomial(rng.choice(SIGNED), Fraction(-1, den)),
+                     Monomial(rng.choice(SIGNED), 1))
+        expr = ProductExpr(tuple(factors), prefactor)
+        if any(p < 0 and m.coeff == 1 and 0 in _elementary(m, b, den, 0)
+               for m, b, p in expr.factors):
+            with pytest.raises(ValueError, match="vanishing"):
+                eval_product(expr, order, den)
+            kinds["refused"] += 1
+            continue
+        got = eval_product(expr, order, den)
+        pf = QSeries.from_terms(((mo.exp, mo.coeff) for mo in prefactor),
+                                den=den)
+        want = _chain(expr.factors, order, den,
+                      QSeries(den, {0: 1}, onum)) * pf
+        assert (got.terms, got.order_num) == (want.terms, want.order_num)
+        _check_dense(got, expr, onum, den)
+        kinds["zero product"] += got.is_zero
+        kind = ("zero", "exact", "truncated")[trial % 5 % 3]
+        seed = _random_seed(rng, den, kind)
+        # the same seed in the slots of a ratio a rational fold carries
+        start = products._Slots.of(seed)
+        ratio = rng.choice([1, 7, 2 ** 12])
+        start = start._replace(ratio=ratio, digits=[
+            v * ratio ** s for s, v in enumerate(start.digits)])
+        slots = _chain(expr.factors, order, den, start)
+        want = _chain(expr.factors, order, den, seed)
+        assert isinstance(slots, products._Slots)
+        assert (slots.series().terms, slots.series().order_num) == \
+            (want.terms, want.order_num)
+        kinds[kind] += 1
+        kinds["rational"] += any(m.coeff.denominator > 1
+                                 for m, _, _ in expr.factors)
+        kinds["head after a pass"] += any(
+            m.exp <= 0 for m, _, _ in expr.factors[1:])
+        kinds["no slot"] += any(m.exp > order for m, _, _ in expr.factors)
+        powers.update(p for _, _, p in expr.factors)
+    assert all(kinds.values()), kinds
+    assert powers == {-3, -2, -1, 1, 2, 3}
+
+
+def test_eval_product_decodes_once_per_product(monkeypatch):
+    # the fold carries the packed slots from symbol to symbol, so each
+    # packaged right side is decoded to a series once, at the end
+    cat = load_catalog()
+    calls = []
+    decode = products._slot_terms
+
+    def slot_terms(*args):
+        calls.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(products, "_slot_terms", slot_terms)
+    for rid in cat.ids():
+        for expr in cat.get(rid).rhs:
+            calls.clear()
+            eval_product(expr, 200)
+            assert len(calls) == 1, rid
+
+
 def _watch_unit_widths(monkeypatch):
     """Record the width of every unit pass and the most bits any of its
     decoded slots used."""
@@ -631,6 +724,7 @@ def test_negative_order_is_refused(order):
     # depended on the factor count (-4 for this quotient at -2)
     for evaluate in (lambda: eval_product(NP(1, 1) / P(1, 1), order),
                      lambda: eval_product(ProductExpr(), order),
+                     lambda: eval_product_sum([], order),
                      lambda: poch_infinite(qmono(1), 1, order)):
         with pytest.raises(ValueError, match="order must be nonnegative"):
             evaluate()
