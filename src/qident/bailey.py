@@ -387,9 +387,14 @@ def _transform_s5(p: BaileyPair) -> Transformed:
 def _transform_general(p: BaileyPair, rho1: Monomial,
                        rho2: Monomial) -> Transformed:
     aq = Monomial(p.a.coeff, p.a.exp + 1)
+    dens = (_mdiv(aq, rho1), _mdiv(aq, rho2))
+    for rho, y in zip((rho1, rho2), dens):  # y = q^-j makes (y;q)_n vanish
+        if y.coeff == 1 and y.exp <= 0 and y.exp.denominator == 1:
+            raise ValueError(f"GENERAL is singular for rho = {_spell(rho)}: "
+                             f"(aq/rho;q)_n has the factor 1 - 1 for every "
+                             f"n > {-y.exp}")
     c12 = _mdiv(aq, rho1 * rho2)
-    return _lemma(p, (rho1, rho2), (_mdiv(aq, rho1), _mdiv(aq, rho2)),
-                  (c12,), _power(c12, Fraction(0)))
+    return _lemma(p, (rho1, rho2), dens, (c12,), _power(c12, Fraction(0)))
 
 
 def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:

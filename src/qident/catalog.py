@@ -60,6 +60,7 @@ from qident.products import (
     TP,
     J,
     ProductExpr,
+    eval_product,
     eval_product_sum,
 )
 from qident.nahm import (
@@ -71,7 +72,6 @@ from qident.nahm import (
     multi_sum,
     nahm_spec,
     reduce_rank,
-    times_prefactor,
 )
 from qident.bailey import (
     TRANSFORMS,
@@ -1152,8 +1152,8 @@ class Catalog:
         if ident.route is not None:
             k = ident.base_substitution
             pair = _bailey_chain(builtin_pair(ident.route[0]), ident.route[1])
-            routes += [times_prefactor(red, substitute_power(side, k),
-                                       order, den)
+            routes += [eval_product(ProductExpr(red.prefactor), order, den,
+                                    substitute_power(side, k))
                        for side in limit_identity(pair, order / k, den)]
             kind = "bailey"
         direct = multi_sum(ident.spec, order, den)

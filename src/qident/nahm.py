@@ -19,10 +19,11 @@ row bounds).  The same completion decides positive definiteness.
 held as one Python int (Kronecker substitution): slot s, w bits wide, is the
 coefficient of q^(G*s/den) on the sum's own lattice, so dividing by
 (1 - q^(d v)) is a doubling prefix sum, a cut is a mask, and a lattice point
-is one shifted add into a signed accumulator decoded once at the end.  The
-width w is certified in advance from the box size, the prefactor and extra
-factor sizes and the r-coloured partition count, so no slot can carry into
-the next.  No floating point anywhere.
+is one masked, shifted add per prefactor term (a point with extra factors
+packs its product with them once) into a signed accumulator decoded once at
+the end.  The width w is certified in advance from the box size, the
+prefactor and extra factor sizes and the r-coloured partition count, so no
+slot can carry into the next.  No floating point anywhere.
 
 A :class:`MultiSumSpec` checks itself when built, so it holds only what
 :func:`multi_sum` can enumerate; :func:`nahm_spec` also demands a
@@ -57,7 +58,8 @@ from qident.series import (
     exp_num,
     nonneg_order,
 )
-from qident.products import inv_poch_table, poch_infinite, poch_table
+from qident.products import (ProductExpr, eval_product, inv_poch_table,
+                              poch_table)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -376,8 +378,8 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     for every coefficient the walk can reach (:func:`_slot_width`), so a
     division is a doubling prefix sum and a point adds its series, times its
     prefactor coefficients over one common denominator K, into one signed
-    accumulator that is decoded once.  At a point with extra factors the
-    series is decoded, multiplied by their table entries and packed back.
+    accumulator that is decoded once; at a point with extra factors, the
+    series times their table entries is packed once and added the same way.
     The result is valid to the least validity of its contributions, which
     the cuts keep at the order.
     """
@@ -420,12 +422,12 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     extra_tabs = [(poch_table if f.power == 1 else inv_poch_table)(
         f.arg, f.base, int(f.length.value(bounds)), depth, den)
         for f in spec.extra]
-    # K clears every prefactor coefficient and every table entry, so each
-    # slot of the accumulator is an integer, K times the coefficient
+    # K = kp * kx clears every prefactor coefficient and every table entry,
+    # so each slot of the accumulator is an integer, K times the coefficient
     kp = lcm(*(c.denominator for c in pcoeffs))
     ks = [lcm(*(c.denominator for t in tab for c in t.terms.values()))
           for tab in extra_tabs]
-    K = kp * prod(ks)
+    kx = prod(ks)
     # Q(n) - Q(0) lies in the span of Q(e_i) - Q(0) and the form's entries;
     # a prefactor term moves it by its form's const (less the first term's)
     # and coefficients; a running series or extra table entry has powers
@@ -447,7 +449,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
                     [int(k * max(sum(abs(c) for c in t.terms.values())
                                  for t in tab))
                      for k, tab in zip(ks, extra_tabs)])
-    pref_l = [(int(c * K), c0, cs) for c, (c0, cs) in zip(pcoeffs, forms)]
+    pref_l = [(int(c * kp), c0, cs) for c, (c0, cs) in zip(pcoeffs, forms)]
     acc = 0
     valid = onum
     point = [0] * r
@@ -457,9 +459,15 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
         if extra_tabs:
             n = 1 if pcut is None else pcut // G + 1
             s = QSeries(den, _slot_terms(_unpack(p, w, n), 0, G), pcut)
-            for fi, (c0, cs) in enumerate(lengths):
-                s = s * extra_tabs[fi][c0 + sum(c * v
-                                                for c, v in zip(cs, point))]
+            for tab, (c0, cs) in zip(extra_tabs, lengths):
+                s = s * tab[c0 + sum(c * v for c, v in zip(cs, point))]
+            # Exact: s has no term past its validity, so its slots (kx times
+            # its coefficients) cut by a term's mask are what that term adds;
+            # masking a signed int adds k*2^(w*n), which the shift by `at` (on
+            # base + G*s, _layout) puts at slot (onum - base)//G + 1: unread.
+            p = _pack([int(s.terms.get(G * t, 0) * kx)
+                       for t in range(max(s.terms, default=0) // G + 1)], w)
+            pcut = s.order_num
         for ck, c0, cs in pref_l:
             e = expo + c0
             if cs:
@@ -472,18 +480,9 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
             shift = e // step
             at = w * ((shift - base) // G)
             n = (onum - shift) // G + 1  # the slots that land <= the order
-            if extra_tabs:
-                slots = [0] * n
-                for k, c in s.terms.items():
-                    if k < G * n:
-                        slots[k // G] = int(c * ck)
-                acc += _pack(slots, w) << at
-                got = s.order_num
-            else:
-                acc += ck * (p & ((1 << w * n) - 1)) << at
-                got = pcut
-            if got is not None and got + shift < valid:
-                valid = got + shift
+            acc += ck * (p & ((1 << w * n) - 1)) << at
+            if pcut is not None and pcut + shift < valid:
+                valid = pcut + shift
 
     def rec(i: int, expo: int, p: int, pcut: Optional[int]) -> None:
         if i == r:
@@ -520,7 +519,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
 
     rec(0, const_l, 1, None)
     slots = _signed_slots(acc, w, max((onum - base) // G + 1, 0))
-    return QSeries(den, _slot_terms(slots, base, G, K), valid)
+    return QSeries(den, _slot_terms(slots, base, G, kp * kx), valid)
 
 
 # A Nahm sum is a spec from nahm_spec; the name stays for callers that look
@@ -632,16 +631,8 @@ def reduce_rank(spec: MultiSumSpec) -> Optional[Reduction]:
     return None
 
 
-def times_prefactor(red: Reduction, s: QSeries, order: ExpLike,
-                    den: int = DEFAULT_D) -> QSeries:
-    """s times the reduction's infinite-product prefactor, truncated at
-    order: one :func:`poch_infinite` pass per factor, seeded with s."""
-    for m, base, power in red.prefactor:
-        s = poch_infinite(m, base, order, den, power, s)
-    return s
-
-
 def eval_reduction(red: Reduction, order: ExpLike,
                    den: int = DEFAULT_D) -> QSeries:
     """Prefactor times the reduced sum, truncated at order."""
-    return times_prefactor(red, multi_sum(red.spec, order, den), order, den)
+    return eval_product(ProductExpr(red.prefactor), order, den,
+                        multi_sum(red.spec, order, den))

@@ -17,8 +17,7 @@ a seed by it: its factors whose exponent is <= 0 join the seed first, every
 other factor goes through one packed pass of :func:`_unit_product` (Kronecker
 substitution, W bits per coefficient, W certified in advance), and the pass's
 signed slots seed the next pass (:class:`_Slots`).  So :func:`eval_product`, a
-fold of :func:`poch_infinite` over its symbols, decodes a series once per
-product.
+fold of :func:`poch_infinite` from a seed times the prefactor, decodes once.
 """
 
 from __future__ import annotations
@@ -80,9 +79,8 @@ def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
     has the validity :func:`_mul_order` gives that seed times the symbol."""
     onum = exp_num(nonneg_order(order), den)
     slots = isinstance(seed, _Slots)
-    if seed is None:
-        seed = QSeries(den, {0: 1}, onum)
-    elif seed.den != den:
+    seed = QSeries(den, {0: 1}, onum) if seed is None else seed
+    if seed.den != den:
         raise LatticeError(f"mixing lattices 1/{seed.den} and 1/{den}")
     nums = _factor_nums(a, base, onum, den)
     k = len(range(nums.start, 1, nums.step))  # the factors with e <= 0
@@ -300,25 +298,30 @@ def J(a: ExpLike, m: Optional[ExpLike] = None) -> ProductExpr:
     return TP(a, m - a, m, m)
 
 
-def eval_product(expr: ProductExpr, order: ExpLike,
-                 den: int = DEFAULT_D) -> QSeries:
-    """Evaluate a product expression exactly to the given order: a fold of
-    :func:`poch_infinite` over its symbols, each seeded with the running
-    product (from 1 valid to the order), then times the prefactor.  Each
-    step has :func:`_mul_order`'s validity, so the fold is the factor by
-    factor evaluation.  The fold carries the packed slots and decodes once."""
-    out = _Slots(den, [1], 0, 0, 1, 1, exp_num(nonneg_order(order), den))
+def eval_product(expr: ProductExpr, order: ExpLike, den: int = DEFAULT_D,
+                 seed: Optional[QSeries] = None) -> QSeries:
+    """seed * expr to the order (seed 1 valid to it by default): a fold of
+    :func:`poch_infinite` from seed times the prefactor, each step with
+    :func:`_mul_order`'s validity, decoded once and never multiplied."""
+    onum = exp_num(nonneg_order(order), den)
+    seed = QSeries(den, {0: 1}, onum) if seed is None else seed
+    if seed.den != den:
+        raise LatticeError(f"mixing lattices 1/{seed.den} and 1/{den}")
+    if expr.prefactor != (Monomial(1, 0),):
+        seed = seed * QSeries.from_terms(
+            ((mo.exp, mo.coeff) for mo in expr.prefactor), den=den)
+    out = _Slots.of(seed)
     for m, base, power in expr.factors:
         out = poch_infinite(m, base, order, den, power, out)
-    pf = QSeries.from_terms(((mo.exp, mo.coeff) for mo in expr.prefactor),
-                            den=den)
-    return out.series() * pf
+    return out.series()
 
 
 def eval_product_sum(exprs, order: ExpLike, den: int = DEFAULT_D) -> QSeries:
-    """Sum of product expressions (multi-term right-hand sides)."""
-    return sum((eval_product(e, order, den) for e in exprs),
-               QSeries(den, {}, exp_num(nonneg_order(order), den)))
+    """Sum of product expressions (multi-term right sides), cut at order."""
+    first, *rest = [eval_product(e, order, den) for e in exprs] or [
+        QSeries(den, {}, exp_num(nonneg_order(order), den))]
+    out = sum(rest, first)
+    return out.truncated(order) if out.order_num > exp_num(order, den) else out
 
 
 # -- finite Pochhammer rows ---------------------------------------------------

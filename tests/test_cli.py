@@ -286,7 +286,7 @@ def test_bailey_chain_show_and_errors(capsys):
 
 @pytest.mark.parametrize("argv, needle", [
     (["bailey", "verify", "G1|>GENERAL(q,q)", "--n", "3", "--order", "10"],
-     "vanishing Pochhammer factor"),
+     "GENERAL is singular for rho = q:"),
     (["expand", "R.R.1", "--order", "10", "--d-lattice", "0"],
      "--d-lattice"),
     (["bailey", "chain", "G1", "--show", "beta", "--n", "1", "--order", "4",
@@ -418,6 +418,32 @@ def test_bailey_chain_name_is_accepted_as_input(capsys):
     assert name == "G1 |> GENERAL(-q^(1/2), q^(3/2))\n"
     rc, again, _ = run(capsys, "bailey", "chain", name.strip())
     assert rc == 0 and again == name
+
+
+@pytest.mark.parametrize("expr, rho, j", [
+    ("G1 |> GENERAL(q, q)", "q", 0),
+    ("G2 |> GENERAL(q^2, -q)", "q^2", 0),
+    ("G1 |> S1 |> GENERAL(q^3, 2)", "q^3", 2),
+])
+def test_singular_general_is_refused_before_any_output(capsys, expr, rho, j):
+    # aq/rho = q^-j makes (aq/rho;q)_n vanish for n > j; the step refuses it
+    # when applied, so no beta_0 is printed before the failure
+    rc, out, err = run(capsys, "bailey", "chain", expr, "--show", "beta",
+                       "--n", "3", "--order", "4")
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [
+        f"qident: error: GENERAL is singular for rho = {rho}: (aq/rho;q)_n "
+        f"has the factor 1 - 1 for every n > {j}"]
+
+
+@pytest.mark.parametrize("expr", ["G1 |> GENERAL(q^(3/2), -q)",
+                                  "G1 |> GENERAL(2*q, -q)"])
+def test_general_near_singular_still_applies(capsys, expr):
+    rc, out, err = run(capsys, "bailey", "chain", expr, "--show", "beta",
+                       "--n", "3", "--order", "4")
+    assert rc == 0 and err == ""
+    assert [line for line in out.splitlines() if line.startswith("beta_")] \
+        == [f"beta_{n}:" for n in range(4)]
 
 
 def test_bailey_chain_rejects_leading_plus(capsys):

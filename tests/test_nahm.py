@@ -610,7 +610,8 @@ def _signed_spec(rng, r):
     return dataclasses.replace(spec, prefactor=prefactor, extra=tuple(extra))
 
 
-def test_multi_sum_with_signed_rational_factors_matches_brute_force():
+def test_multi_sum_with_signed_rational_factors_matches_brute_force(
+        monkeypatch):
     rng = random.Random(1807)
     negative = 0
     for t in range(15):
@@ -620,6 +621,33 @@ def test_multi_sum_with_signed_rational_factors_matches_brute_force():
         assert got == _brute_multi_sum(spec, order, 24), spec
         negative += any(c < 0 for c in got.terms.values())
     assert negative  # the signed decode was exercised
+    # two prefactor terms of opposite sign whose forms vanish at the origin
+    # meet its extra factors there; when the origin's product, packed once,
+    # has a negative digit, that signed int goes through both masked adds
+    packed = []
+    pack = nahm._pack
+
+    def watch(digits, w):
+        packed.append(min(digits) < 0)
+        return pack(digits, w)
+
+    monkeypatch.setattr(nahm, "_pack", watch)
+    rng = random.Random(1809)
+    met = 0
+    for t in range(12):
+        spec = _signed_spec(rng, t % 3 + 1)
+        c = rng.choice(SIGNED)
+        spec = dataclasses.replace(spec, prefactor=(
+            (c, AffineForm(0, [0] * spec.rank)),
+            (-c * rng.choice([1, 2, Fraction(1, 3)]),
+             AffineForm(0, _random_form(rng, spec.rank).coeffs)),
+            *spec.prefactor))
+        order = Fraction(rng.randint(8, 14), 2)
+        packed.clear()
+        got = multi_sum(spec, order, 24)
+        assert got == _brute_multi_sum(spec, order, 24), spec
+        met += spec.exponent([0] * spec.rank) <= order and packed[0]
+    assert met
 
 
 def test_coloured_partitions_match_a_product_expansion(monkeypatch):

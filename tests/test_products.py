@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -597,6 +598,79 @@ def test_slot_fold_matches_the_series_fold():
         powers.update(p for _, _, p in expr.factors)
     assert all(kinds.values()), kinds
     assert powers == {-3, -2, -1, 1, 2, 3}
+
+
+def test_eval_product_takes_a_seed():
+    """eval_product(expr, order, den, seed) is the chain of QSeries-seeded
+    poch_infinite calls from seed times the prefactor, in terms and
+    validity, or the same refusal, on zero, exact and truncated seeds with
+    negative exponents and rational coefficients, prefactors 1, one term
+    and two terms with a negative exponent, expressions with no factors and
+    lattices 1, 2 and 4; a seed on another lattice is refused."""
+    rng = random.Random(20261025)  # its own generator
+    one = (Monomial(1, 0),)
+    seen = set()
+    for trial in range(240):
+        den = (1, 2, 4)[trial % 3]
+        order = Fraction(rng.randint(0, 30), den)
+        factors = tuple(
+            (Monomial(rng.choice(SIGNED),
+                      Fraction(rng.randint(-2 * den, 4 * den), den)),
+             Fraction(rng.randint(1, 3 * den), den),
+             rng.choice([-2, -1, 1, 2]))
+            for _ in range(rng.choice([0, 0, 1, 2, 3])))
+        prefactor = rng.choice([
+            one, (Monomial(rng.choice(SIGNED), Fraction(rng.randint(
+                -den, 2 * den), den)),),
+            (Monomial(rng.choice(SIGNED), Fraction(-1, den)),
+             Monomial(rng.choice(SIGNED), 1))])
+        kind = ("zero", "exact", "truncated")[trial % 5 % 3]
+        seed = _random_seed(rng, den, kind)
+        expr = ProductExpr(factors, prefactor)
+        pf = QSeries.from_terms(((mo.exp, mo.coeff) for mo in prefactor),
+                                den=den)
+        try:
+            want = _chain(factors, order, den, seed) * pf
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                eval_product(expr, order, den, seed)
+            seen.add("refused")
+            continue
+        got = eval_product(expr, order, den, seed)
+        assert (got.terms, got.order_num) == (want.terms, want.order_num)
+        seen.update({kind, den, ("no factors" if not factors else "factors"),
+                     {1: "pf 1" if prefactor == one else "pf monomial",
+                      2: "pf two terms"}[len(prefactor)]})
+        if any(n < 0 for n in seed.terms):
+            seen.add("negative exponent")
+        if any(isinstance(c, Fraction) for c in seed.terms.values()):
+            seen.add("rational")
+    assert seen == {"zero", "exact", "truncated", 1, 2, 4, "no factors",
+                    "factors", "pf 1", "pf monomial", "pf two terms",
+                    "negative exponent", "rational", "refused"}
+    for expr in (P(1, 1), ProductExpr(), ProductExpr((), (qmono(1),))):
+        with pytest.raises(LatticeError, match="lattice"):
+            eval_product(expr, 5, 4, QSeries.one(2))
+
+
+def test_eval_product_never_multiplies_its_product(monkeypatch):
+    # the prefactor joins the seed before the fold, so no series multiply
+    # inside eval_product has an operand longer than the prefactor
+    cat = load_catalog()
+    longest = []
+    mul = QSeries.__mul__
+
+    def watch(a, b):
+        if isinstance(b, QSeries):
+            longest.append(max(len(a.terms), len(b.terms)))
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", watch)
+    for rid in cat.ids():
+        for expr in cat.get(rid).rhs:
+            longest.clear()
+            eval_product(expr, 200)
+            assert max(longest, default=0) <= len(expr.prefactor), rid
 
 
 def test_eval_product_decodes_once_per_product(monkeypatch):
