@@ -21,9 +21,9 @@ coefficient of q^(G*s/den) on the sum's own lattice, so dividing by
 (1 - q^(d v)) is a doubling prefix sum, a cut is a mask, and a lattice point
 is one masked, shifted add per prefactor term (a point with extra factors
 packs its product with them once) into a signed accumulator decoded once at
-the end.  The width w is certified in advance from the box size, the
-prefactor and extra factor sizes and the r-coloured partition count, so no
-slot can carry into the next.  No floating point anywhere.
+the end, all in the slot format `series` owns.  The walk certifies a bound
+from the box, prefactor and extra factor sizes that `series._slot_width`
+turns into a width no slot can carry past.  No floating point anywhere.
 
 A :class:`MultiSumSpec` checks itself when built, so it holds only what
 :func:`multi_sum` can enumerate; :func:`nahm_spec` also demands a
@@ -48,13 +48,11 @@ from qident.series import (
     Monomial,
     QSeries,
     Scalar,
-    _coloured_partitions,
+    _Slots,
     _div_packed,
     _pack,
     _signed_slots,
-    _slot_bits,
-    _slot_terms,
-    _unpack,
+    _slot_width,
     exp_num,
     nonneg_order,
 )
@@ -334,25 +332,6 @@ def lattice_bound(spec: MultiSumSpec, order: ExpLike) -> list[int]:
 
 # -- evaluation ---------------------------------------------------------------
 
-def _slot_width(points: int, weight: int, rank: int, depth: int,
-                norms: Sequence[int]) -> int:
-    """Bits per slot that no coefficient of the walk can overflow.
-
-    A running series is a truncated product of rank kinds of geometric
-    series in q^g, g the gcd of the divisor steps, so no coefficient through
-    q^(g*depth) exceeds the rank-coloured partition count of depth.  A lattice
-    point adds it times prefactor coefficients of total size `weight` and
-    one table entry per extra factor, whose coefficients sum in size to at
-    most that factor's norm; there are at most `points` lattice points.  Two
-    more bits keep every signed slot below half the slot range, with one to
-    spare (:func:`_slot_bits`).
-    """
-    bound = points * weight * _coloured_partitions(rank, max(depth, 0))
-    for norm in norms:
-        bound *= norm
-    return _slot_bits(bound)
-
-
 def _layout(gens: Sequence[int], origin: int, step: int,
             lowest: int) -> tuple[int, int]:
     """(G, base) with every exponent of the walk, in units of 1/den, equal
@@ -375,7 +354,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     up and cut to the deepest coefficient a point below it can still use, so
     no Pochhammer table is convolved per point.  Each series is packed into
     one int on the sum's own lattice (:func:`_layout`), in slots wide enough
-    for every coefficient the walk can reach (:func:`_slot_width`), so a
+    for every coefficient the walk can reach (`series._slot_width`), so a
     division is a doubling prefix sum and a point adds its series, times its
     prefactor coefficients over one common denominator K, into one signed
     accumulator that is decoded once; at a point with extra factors, the
@@ -443,13 +422,16 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
                  for x in (f.arg.exp * L, f.base * L)]
     G, base = _layout(gens, const_l + forms[0][0], step,
                       (lowest + pref_min) // step)
-    w = _slot_width(prod(b + 1 for b in bounds),
-                    int(sum(abs(c * kp) for c in pcoeffs)), r,
-                    root // gcd(*denom_num),
-                    [int(k * max(sum(abs(c) for c in t.terms.values())
-                                 for t in tab))
-                     for k, tab in zip(ks, extra_tabs)])
+    # A running series is r kinds of geometric series in q^g, g the gcd of
+    # the divisor steps, so none of its coefficients through q^(g*depth)
+    # exceeds p_r(depth); each point of the box adds it times the prefactor
+    # (l1 norm sum |ck|) and one entry per extra table (l1 norm at most k
+    # times the table's largest).
     pref_l = [(int(c * kp), c0, cs) for c, (c0, cs) in zip(pcoeffs, forms)]
+    bound = prod(b + 1 for b in bounds) * sum(abs(ck) for ck, _, _ in pref_l)
+    for k, tab in zip(ks, extra_tabs):
+        bound *= int(k * max(sum(map(abs, t.terms.values())) for t in tab))
+    w = _slot_width(bound, r, root // gcd(*denom_num))
     acc = 0
     valid = onum
     point = [0] * r
@@ -458,7 +440,8 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
         nonlocal acc, valid
         if extra_tabs:
             n = 1 if pcut is None else pcut // G + 1
-            s = QSeries(den, _slot_terms(_unpack(p, w, n), 0, G), pcut)
+            # its slots are below half the slot range and nonnegative
+            s = _Slots(den, _signed_slots(p, w, n), 0, G, 1, 1, pcut).series()
             for tab, (c0, cs) in zip(extra_tabs, lengths):
                 s = s * tab[c0 + sum(c * v for c, v in zip(cs, point))]
             # Exact: s has no term past its validity, so its slots (kx times
@@ -518,8 +501,8 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
         point[i] = 0
 
     rec(0, const_l, 1, None)
-    slots = _signed_slots(acc, w, max((onum - base) // G + 1, 0))
-    return QSeries(den, _slot_terms(slots, base, G, kp * kx), valid)
+    return _Slots(den, _signed_slots(acc, w, max((onum - base) // G + 1, 0)),
+                  base, G, kp * kx, 1, valid).series()
 
 
 # A Nahm sum is a spec from nahm_spec; the name stays for callers that look

@@ -14,10 +14,10 @@ polynomial prefactor times a signed multiset of infinite products.
 
 An infinite symbol has one evaluator, :func:`poch_infinite`, which multiplies
 a seed by it: its factors whose exponent is <= 0 join the seed first, every
-other factor goes through one packed pass of :func:`_unit_product` (Kronecker
-substitution, W bits per coefficient, W certified in advance), and the pass's
-signed slots seed the next pass (:class:`_Slots`).  So :func:`eval_product`, a
-fold of :func:`poch_infinite` from a seed times the prefactor, decodes once.
+other factor goes through one packed pass of :func:`_unit_product` in the
+slot format `series` owns, with a width certified from the pass's bound.
+The pass's slots (`_Slots`) seed the next, so :func:`eval_product`, a fold
+of :func:`poch_infinite` from a seed times the prefactor, decodes once.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from qident.series import (
     DEFAULT_D,
@@ -34,13 +34,11 @@ from qident.series import (
     Monomial,
     QSeries,
     Scalar,
-    _coloured_partitions,
+    _Slots,
     _div_packed,
-    _over_common_den,
     _pack,
     _signed_slots,
-    _slot_bits,
-    _slot_terms,
+    _slot_width,
     exp_num,
     mul_inv_one_minus,
     mul_one_minus,
@@ -118,41 +116,6 @@ def _factor_nums(a: Monomial, base: ExpLike, onum: int, den: int) -> range:
     return range(first, onum + 1, exp_num(base, den))
 
 
-def _unit_width(norm: int, m: int, r: int, size: int) -> int:
-    """Slot width for :func:`_unit_product`: no slot through `size` of a
-    seed of l1 norm `norm` times r symbols whose scaled coefficients are at
-    most m^u at x^u exceeds norm * m^size * p_r(size)."""
-    return _slot_bits(norm * m ** size * _coloured_partitions(r, size))
-
-
-class _Slots(NamedTuple):
-    """A series as a packed pass holds it: digit s is d*ratio^s times the
-    coefficient at exponent numerator low + g*s, the first digit nonzero
-    (a zero has none, a single term g = 0), valid to `valid`."""
-
-    den: int
-    digits: list[int]
-    low: int
-    g: int
-    d: int
-    ratio: int
-    valid: Optional[int]
-
-    @classmethod
-    def of(cls, s: QSeries) -> "_Slots":
-        d, pairs = _over_common_den(s.terms)
-        low = pairs[0][0] if pairs else 0
-        g = gcd(*(n - low for n, _ in pairs))
-        digits = [0] * ((pairs[-1][0] - low) // (g or 1) + 1 if pairs else 0)
-        for n, v in pairs:
-            digits[(n - low) // (g or 1)] = v
-        return cls(s.den, digits, low, g, d, 1, s.order_num)
-
-    def series(self) -> QSeries:
-        return QSeries(self.den, _slot_terms(self.digits, self.low, self.g,
-                                             self.d, self.ratio), self.valid)
-
-
 def _unit_product(symbol: tuple[Scalar, range, int], onum: int,
                   seed: _Slots) -> _Slots:
     """seed * prod (1 - c q^(e/den))^p over every e in nums, for the symbol
@@ -188,7 +151,9 @@ def _unit_product(symbol: tuple[Scalar, range, int], onum: int,
     R, B, cb = seed.ratio, c.denominator, c.numerator
     if R * B != 1:
         digits = [v * R ** (t - t // k) * B ** t for t, v in enumerate(digits)]
-    W = _unit_width(sum(map(abs, digits)), R * max(B, abs(cb)), abs(p), size)
+    # norm * M^size * p_|p|(size) bounds every slot, as certified above
+    W = _slot_width(sum(map(abs, digits)) * (R * max(B, abs(cb))) ** size,
+                    abs(p), size)
     mask = (1 << W * (size + 1)) - 1
     acc = _pack(digits, W) & mask
     for e in nums:
@@ -302,7 +267,8 @@ def eval_product(expr: ProductExpr, order: ExpLike, den: int = DEFAULT_D,
                  seed: Optional[QSeries] = None) -> QSeries:
     """seed * expr to the order (seed 1 valid to it by default): a fold of
     :func:`poch_infinite` from seed times the prefactor, each step with
-    :func:`_mul_order`'s validity, decoded once and never multiplied."""
+    :func:`_mul_order`'s validity, decoded once and never multiplied; with
+    no factors, seed times the prefactor itself."""
     onum = exp_num(nonneg_order(order), den)
     seed = QSeries(den, {0: 1}, onum) if seed is None else seed
     if seed.den != den:
@@ -310,6 +276,8 @@ def eval_product(expr: ProductExpr, order: ExpLike, den: int = DEFAULT_D,
     if expr.prefactor != (Monomial(1, 0),):
         seed = seed * QSeries.from_terms(
             ((mo.exp, mo.coeff) for mo in expr.prefactor), den=den)
+    if not expr.factors:
+        return seed
     out = _Slots.of(seed)
     for m, base, power in expr.factors:
         out = poch_infinite(m, base, order, den, power, out)

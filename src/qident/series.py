@@ -21,8 +21,9 @@ coefficients' denominators, convolves the integer numerators and divides
 each output coefficient once; an all-int operand has denominator 1 and is
 used as it is.  :func:`dot`, a sum of products, does the same with one
 accumulator for every pair, scaled to one common denominator, so a sum of
-n products costs one division per coefficient and no additions.  Both run
-the package's one convolution loop, :func:`_convolve`.
+n products costs one division per coefficient and no additions; a product
+is the one-pair :func:`dot`, so the convolution loop is written once.  The
+packed form that the product pass and the lattice walk run on is here too.
 
 No floating point is used anywhere in this module.
 """
@@ -258,13 +259,7 @@ class QSeries:
         if isinstance(other, Monomial):
             return self.scale(other.coeff).shift(exp_num(other.exp, self.den))
         self._check(other)
-        onum = _mul_order(self, other)
-        # convolve integer numerators; _normal divides by da * db once
-        out: dict[int, int] = {}
-        da, a = _over_common_den(self.terms)
-        db, b = _over_common_den(other.terms)
-        _convolve(out, a, b, onum)
-        return QSeries(self.den, _normal(out, div=da * db), onum)
+        return dot(((self, other),), None, self.den)
 
     def __rmul__(self, other) -> "QSeries":
         return self.__mul__(other)
@@ -303,30 +298,10 @@ def _promote(x, den: int) -> QSeries:
     raise TypeError(f"cannot interpret {x!r} as a series")
 
 
-def _convolve(out: dict[int, int], a: list, b: list,
-              top: Optional[int]) -> None:
-    """Add the product of the ascending (n, int) pairs a and b into out:
-    the package's one convolution loop.  The shorter list drives, and each
-    row stops at the first exponent sum beyond top (None: the last sum)."""
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return
-    if top is None:
-        top = a[-1][0] + b[-1][0]
-    get = out.get
-    for n1, c1 in a:
-        lim = top - n1
-        for n2, c2 in b:
-            if n2 > lim:
-                break
-            n = n1 + n2
-            out[n] = get(n, 0) + c1 * c2
-
-
 def dot(pairs, onum: Optional[int], den: int) -> QSeries:
-    """``sum((a * b for a, b in pairs), QSeries(den, {}, onum))``, terms
-    and validity alike, from one integer accumulator.
+    """The sum of a * b over pairs, starting from QSeries(den, {}, onum),
+    terms and validity alike, from one integer accumulator; a * b itself
+    is the one pair ((a, b),) from onum None.
 
     Every pair's :func:`_mul_order` lowers the validity, even with an empty
     truncated operand, and every row stops there.  Each product is scaled
@@ -344,11 +319,20 @@ def dot(pairs, onum: Optional[int], den: int) -> QSeries:
             parts.append((da * db, *sorted((x, y), key=len)))
     big = lcm(*(d for d, _, _ in parts))
     out: dict[int, int] = {}
+    get = out.get
     for d, x, y in parts:
         if d != big:  # scale the shorter operand up to the common D
             s = big // d
             x = [(n, c * s) for n, c in x]
-        _convolve(out, x, y, onum)
+        # the shorter operand drives; each row stops past the validity
+        top = x[-1][0] + y[-1][0] if onum is None else onum
+        for n1, c1 in x:
+            lim = top - n1
+            for n2, c2 in y:
+                if n2 > lim:
+                    break
+                n = n1 + n2
+                out[n] = get(n, 0) + c1 * c2
     return QSeries(den, _normal(out, div=big), onum)
 
 
@@ -475,7 +459,8 @@ def invert_unit(a: QSeries, order: ExpLike) -> QSeries:
 # 2^(width*n), so shifted adds cut by a mask are exact, and a result with
 # every coefficient below 2^(width-1) in size is read back with its signs.
 # The product pass in `products` and the enumerator in `nahm` run on these,
-# so every loop over coefficients is a big-int shift, add or mask, in C.
+# with this module's one width, reader and decoder (`_slot_width`,
+# `_signed_slots`, `_Slots`), so every coefficient loop is a big-int op in C.
 
 _SIGMA = [0]  # sigma(k), the sum of the divisors of k
 _COLOURED: dict[int, list[int]] = {}  # r -> [p_r(0), p_r(1), ...]
@@ -495,10 +480,12 @@ def _coloured_partitions(r: int, n: int) -> int:
     return row[n]
 
 
-def _slot_bits(bound: int) -> int:
-    """Slot width for coefficients of size at most `bound`: its bits, a
-    sign bit and one to spare, in whole bytes so slots pack through bytes."""
-    return (bound.bit_length() + 9) // 8 * 8
+def _slot_width(bound: int, r: int, depth: int) -> int:
+    """Slot width for coefficients of size at most bound * p_r(max(depth,
+    0)), p_r the r-coloured partition count: their bits, a sign bit and one
+    to spare, in whole bytes so slots pack through bytes."""
+    size = bound * _coloured_partitions(r, max(depth, 0))
+    return (size.bit_length() + 9) // 8 * 8
 
 
 def _div_packed(p: int, shift: int, mask: int, c: int = 1) -> int:
@@ -511,18 +498,6 @@ def _div_packed(p: int, shift: int, mask: int, c: int = 1) -> int:
         p = (p + (p << shift) if c == 1 else p + c * (p << shift)) & mask
         shift, c = 2 * shift, c * c
     return p
-
-
-def _unpack(x: int, width: int, n: int) -> list[int]:
-    """The n unsigned width-bit slots of x, lowest first; whole bytes are
-    read through bytes, any other width by shifts."""
-    x &= (1 << width * n) - 1
-    if width % 8:
-        m = (1 << width) - 1
-        return [x >> (width * s) & m for s in range(n)]
-    k = width // 8
-    b = x.to_bytes(k * n, "little")
-    return [int.from_bytes(b[i:i + k], "little") for i in range(0, k * n, k)]
 
 
 def _pack(digits: list[int], width: int) -> int:
@@ -544,27 +519,58 @@ def _pack(digits: list[int], width: int) -> int:
 
 
 def _signed_slots(x: int, width: int, n: int) -> list[int]:
-    """The n lowest slots d_s of x = sum d_s 2^(width*s), each with
-    |d_s| < 2^(width-1): a bias of 2^(width-1) per slot absorbs every
-    borrow, so the slots are read as unsigned digits."""
-    half = 1 << (width - 1)
-    bias = half * (((1 << width * n) - 1) // ((1 << width) - 1))
-    return [d - half for d in _unpack(x + bias, width, n)]
+    """The n lowest slots d_s of x = sum d_s 2^(width*s), lowest first, each
+    with |d_s| < 2^(width-1): a bias of 2^(width-1) per slot absorbs every
+    borrow, so the slots are read as unsigned digits, through bytes for a
+    whole-byte width and by shifts for any other."""
+    half, k, m = 1 << (width - 1), width // 8, (1 << width) - 1
+    x = (x + half * (((1 << width * n) - 1) // m)) & ((1 << width * n) - 1)
+    if width % 8:
+        return [(x >> (width * s) & m) - half for s in range(n)]
+    b = x.to_bytes(k * n, "little")
+    return [int.from_bytes(b[i:i + k], "little") - half
+            for i in range(0, k * n, k)]
 
 
-def _slot_terms(slots: list[int], low: int, g: int, div: int = 1,
-                ratio: int = 1) -> dict[int, Scalar]:
-    """The terms a packed pass decodes: slot s holds v, the coefficient of
-    exponent numerator low + g*s times div*ratio^s, and each nonzero v is
-    divided by that once, to an int when it is integral."""
-    if div == 1 and ratio == 1:
-        return {low + g * s: v for s, v in enumerate(slots) if v}
-    terms: dict[int, Scalar] = {}
-    for s, v in enumerate(slots):
-        if v:
-            terms[low + g * s] = v // div if not v % div else Fraction(v, div)
-        div *= ratio
-    return terms
+class _Slots(NamedTuple):
+    """A series as a packed pass holds it: digit s is d*ratio^s times the
+    coefficient at exponent numerator low + g*s, valid to `valid`.
+
+    The one decoder of both packed passes.  A pass's seed has a nonzero
+    first digit (a zero has none, a single term g = 0), so `low` is its
+    valuation; :meth:`of` and the pass keep it so.  `nahm` only decodes."""
+
+    den: int
+    digits: list[int]
+    low: int
+    g: int
+    d: int
+    ratio: int
+    valid: Optional[int]
+
+    @classmethod
+    def of(cls, s: QSeries) -> "_Slots":
+        d, pairs = _over_common_den(s.terms)
+        low = pairs[0][0] if pairs else 0
+        g = gcd(*(n - low for n, _ in pairs))
+        digits = [0] * ((pairs[-1][0] - low) // (g or 1) + 1 if pairs else 0)
+        for n, v in pairs:
+            digits[(n - low) // (g or 1)] = v
+        return cls(s.den, digits, low, g, d, 1, s.order_num)
+
+    def series(self) -> QSeries:
+        """Each nonzero digit over its d*ratio^s, to an int when integral."""
+        low, g, div, ratio = self.low, self.g, self.d, self.ratio
+        if div == 1 and ratio == 1:
+            terms = {low + g * s: v for s, v in enumerate(self.digits) if v}
+        else:
+            terms = {}
+            for s, v in enumerate(self.digits):
+                if v:
+                    terms[low + g * s] = v // div if not v % div \
+                        else Fraction(v, div)
+                div *= ratio
+        return QSeries(self.den, terms, self.valid)
 
 
 def substitute_power(a: QSeries, k: ExpLike) -> QSeries:

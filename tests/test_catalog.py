@@ -93,6 +93,14 @@ def test_parse_exponent_partial_sum_names():
     assert const == 0
 
 
+def test_parse_exponent_declared_name_shadows_a_partial_sum():
+    # N1 is declared, so it is its own variable and not n1 + n2; the
+    # undeclared N2 is still the derived partial sum n2
+    quad, lin, const = parse_exponent("N1^2 + N2", ("n1", "n2", "N1"))
+    assert quad == ((0, 0, 0), (0, 0, 0), (0, 0, 2))
+    assert lin == (0, 1, 0) and const == 0
+
+
 def test_parse_exponent_errors():
     with pytest.raises(ValueError):
         parse_exponent("i^2 2j", ("i", "j"))  # missing operator

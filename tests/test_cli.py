@@ -92,6 +92,11 @@ BAD_CATALOGS = {
                                              "P(1;1) / (2 * P(2;2))"),
     "power-of-constant": RR1_RECORD.replace("1/(P(1;5)*P(4;5))",
                                             "(2 * P(1;1))^2"),
+    "bad-var-name": RR1_RECORD.replace("vars = i", "vars = n_1")
+    .replace('"i^2"', '"n_1^2"'),
+    "zero-denominator-exponent": RR1_RECORD.replace('"i^2"', '"(1/0)i^2"'),
+    "half-extra-length": RR1_RECORD + 'extra = ["pochf(-q; q; (1/2)i)"]\n',
+    "negative-extra-length": RR1_RECORD + 'extra = ["pochf(-q; q; i - 1)"]\n',
 }
 
 
@@ -355,6 +360,15 @@ def test_bailey_chain_show_and_errors(capsys):
      "record t: rhs: can only divide by a pure product"),
     (["list", "--catalog", "@power-of-constant"],
      "record t: rhs: can only power a pure product"),
+    (["list", "--catalog", "@bad-var-name"],
+     "record t: exponent: bad variable name 'n_1'"),
+    (["verify", "t", "--order", "10", "--catalog",
+      "@zero-denominator-exponent"],
+     "record t: exponent: zero denominator"),
+    (["list", "--catalog", "@half-extra-length"],
+     "record t: extra factor lengths must be nonnegative integer forms"),
+    (["list", "--catalog", "@negative-extra-length"],
+     "record t: extra factor lengths must be nonnegative integer forms"),
 ], ids=["general-vanishing", "expand-d0", "chain-show-d0", "verify-d0",
         "bailey-verify-negative-n", "chain-show-negative-n",
         "indefinite-nahm-record", "unknown-key", "kind-key", "repeated-key",
@@ -370,7 +384,9 @@ def test_bailey_chain_show_and_errors(capsys):
         "bailey-verify-djk-b-q^-2",
         "list-zero-denominator-base", "list-two-vars-one-base",
         "list-repeated-var", "list-divide-by-constant",
-        "list-power-of-constant"])
+        "list-power-of-constant", "list-bad-var-name",
+        "verify-zero-denominator-exponent", "list-half-extra-length",
+        "list-negative-extra-length"])
 def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
     def catalog(name):
         path = tmp_path / f"{name}.cat"

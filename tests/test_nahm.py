@@ -664,7 +664,7 @@ def test_coloured_partitions_match_a_product_expansion(monkeypatch):
             for k in range(1, top + 1):
                 for n in range(k, top + 1):
                     want[n] += want[n - k]
-        got = {n: nahm._coloured_partitions(r, n) for n in ns}
+        got = {n: series._coloured_partitions(r, n) for n in ns}
         assert [got[n] for n in range(top + 1)] == want
 
 
@@ -683,11 +683,11 @@ def _watch_widths(monkeypatch):
     def div_packed(p, shift, mask):
         w = seen["width"][-1]
         n, s = mask.bit_length() // w, shift // w
-        want = nahm._unpack(p, w, n)
+        want = series._signed_slots(p, w, n)
         for k in range(s, n):
             want[k] += want[k - s]
         out = div(p, shift, mask)
-        assert nahm._unpack(out, w, n) == want
+        assert series._signed_slots(out, w, n) == want
         seen["series"].append(max(want).bit_length())
         return out
 
@@ -898,3 +898,21 @@ def test_integer_form_matches_fraction_oracles():
                     "const below the order", "exact square, orthant",
                     "exact square, ellipsoid", "negative entry", "prefactor",
                     "negative order", "nudged below a boundary"}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"quad": ((Fraction(2), Fraction(1)), (Fraction(0), Fraction(2)))},
+     "quadratic form must be symmetric"),
+    ({"extra": (PochFactor(qmono(1), Fraction(1), AffineForm(0, (1, 0)),
+                           2),)},
+     "extra factor powers are +1 or -1 only"),
+], ids=["non-symmetric-form", "extra-power-2"])
+def test_spec_refusals(change, message):
+    fields = dict(names=("i", "j"), quad=((Fraction(2), Fraction(1)),
+                                         (Fraction(1), Fraction(2))),
+                  lin=(Fraction(0), Fraction(0)),
+                  denoms=(Fraction(1), Fraction(1)))
+    MultiSumSpec(**fields)  # the unchanged spec is accepted
+    with pytest.raises(ValueError) as info:
+        MultiSumSpec(**{**fields, **change})
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qident import products
+from qident import products, series
 from qident.catalog import load_catalog
 from qident.series import (
     LatticeError,
@@ -580,13 +580,13 @@ def test_slot_fold_matches_the_series_fold():
         kind = ("zero", "exact", "truncated")[trial % 5 % 3]
         seed = _random_seed(rng, den, kind)
         # the same seed in the slots of a ratio a rational fold carries
-        start = products._Slots.of(seed)
+        start = series._Slots.of(seed)
         ratio = rng.choice([1, 7, 2 ** 12])
         start = start._replace(ratio=ratio, digits=[
             v * ratio ** s for s, v in enumerate(start.digits)])
         slots = _chain(expr.factors, order, den, start)
         want = _chain(expr.factors, order, den, seed)
-        assert isinstance(slots, products._Slots)
+        assert isinstance(slots, series._Slots)
         assert (slots.series().terms, slots.series().order_num) == \
             (want.terms, want.order_num)
         kinds[kind] += 1
@@ -678,13 +678,13 @@ def test_eval_product_decodes_once_per_product(monkeypatch):
     # packaged right side is decoded to a series once, at the end
     cat = load_catalog()
     calls = []
-    decode = products._slot_terms
+    decode = series._Slots.series
 
-    def slot_terms(*args):
-        calls.append(args)
-        return decode(*args)
+    def slots_series(slots):
+        calls.append(slots)
+        return decode(slots)
 
-    monkeypatch.setattr(products, "_slot_terms", slot_terms)
+    monkeypatch.setattr(series._Slots, "series", slots_series)
     for rid in cat.ids():
         for expr in cat.get(rid).rhs:
             calls.clear()
@@ -696,7 +696,7 @@ def _watch_unit_widths(monkeypatch):
     """Record the width of every unit pass and the most bits any of its
     decoded slots used."""
     seen = []
-    width, signed = products._unit_width, products._signed_slots
+    width, signed = products._slot_width, products._signed_slots
 
     def unit_width(*args):
         seen.append([width(*args), 0])
@@ -707,7 +707,7 @@ def _watch_unit_widths(monkeypatch):
         seen[-1][1] = max((abs(c).bit_length() for c in out), default=0)
         return out
 
-    monkeypatch.setattr(products, "_unit_width", unit_width)
+    monkeypatch.setattr(products, "_slot_width", unit_width)
     monkeypatch.setattr(products, "_signed_slots", signed_slots)
     return seen
 
@@ -732,7 +732,7 @@ def test_unit_width_holds_every_slot_of_the_pass(monkeypatch):
     cat = load_catalog()
     cases = [(cat.get(rid).rhs, 200, 4) for rid in cat.ids()]
     cases += [((expr,), order, den) for expr, order, den in _rational_cases()]
-    width = products._unit_width
+    width = products._slot_width
     for rhs, order, den in cases:
         seen = _watch_unit_widths(monkeypatch)
         got = eval_product_sum(rhs, order, den)
@@ -740,7 +740,7 @@ def test_unit_width_holds_every_slot_of_the_pass(monkeypatch):
         assert seen, rhs
         # slots twice as wide give the same series, so the decoded slots
         # are the true scaled coefficients; each needs a sign bit below W
-        monkeypatch.setattr(products, "_unit_width",
+        monkeypatch.setattr(products, "_slot_width",
                             lambda *args: 2 * width(*args))
         assert eval_product_sum(rhs, order, den) == got, rhs
         monkeypatch.undo()
@@ -761,10 +761,44 @@ def test_a_short_unit_width_is_caught(monkeypatch):
                         den) == "nonzero"
     monkeypatch.undo()
     short = max(bits for _, bits in seen)
-    monkeypatch.setattr(products, "_unit_width", lambda *args: short)
+    monkeypatch.setattr(products, "_slot_width", lambda *args: short)
     res = eval_product(expr, order, den)
     lo, ref = _dense_product(expr, den, res.order_num)
     assert [res.coeff_num(n) for n in range(lo, res.order_num + 1)] != ref
+
+
+def test_eval_product_with_no_factors_returns_seed_times_prefactor(
+        monkeypatch):
+    # no factor runs no pass, so nothing is encoded or decoded; the result
+    # is what the slots of seed times the prefactor decode to
+    decode = series._Slots.series
+    decoded = []
+    monkeypatch.setattr(series._Slots, "series",
+                        lambda slots: decoded.append(slots) or decode(slots))
+    two = (Monomial(Fraction(-2, 3), Fraction(-1, 4)), Monomial(3, 1))
+    seeds = [QSeries(4, {}, 12), QSeries(4, {}), QSeries(4, {-2: 1, 3: -2}),
+             QSeries(4, {0: 1, 5: 7, 9: -1}, 20),
+             QSeries(4, {-1: Fraction(1, 2), 6: Fraction(-5, 3)}, 16)]
+    for seed in seeds:
+        for prefactor in ((Monomial(1, 0),), two):
+            pf = QSeries.from_terms(((m.exp, m.coeff) for m in prefactor),
+                                    den=4)
+            want = decode(series._Slots.of(seed * pf))
+            got = eval_product(ProductExpr((), prefactor), 5, 4, seed)
+            assert (got.terms, got.order_num) == \
+                (want.terms, want.order_num), (seed, prefactor)
+    assert decoded == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ProductExpr() * "x",
+    lambda: "x" * ProductExpr(),
+    lambda: ProductExpr() / "x",
+], ids=["mul", "rmul", "truediv"])
+def test_product_expressions_refuse_other_operands(call):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == "cannot use 'x' in a product expression"
 
 
 def test_vanishing_denominator_is_refused_by_its_row():

@@ -489,3 +489,28 @@ def test_dot_rejects_mixed_lattices():
     with pytest.raises(LatticeError):  # as the folded sum does
         sum((a * b for a, b in [(QSeries.one(2), QSeries.one(2))]),
             QSeries(4, {}, 8))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: QSeries(4, {0: 1}, 8).truncated(3), TruncationError,
+     "cannot extend validity from 2 to 3"),
+    (lambda: dump(QSeries(4, {0: 1}, 8), 3), TruncationError,
+     "dump order exceeds series validity"),
+    (lambda: load_dump("0/4 1\n"), ValueError, "missing dump header"),
+    (lambda: load_dump("order 8/2\n0/2 1\n"), LatticeError,
+     "dump lattice 1/2 does not match 1/4"),
+    (lambda: load_dump("order 8/4\n0/4 1\n1/2 3\n"), LatticeError,
+     "inconsistent lattice inside dump"),
+    (lambda: mul_inv_one_minus(QSeries.one(4), qmono(0, 2), 3), ValueError,
+     "geometric factor needs a positive exponent"),
+    (lambda: mul_inv_one_minus(QSeries.one(4), qmono(-1), 3), ValueError,
+     "geometric factor needs a positive exponent"),
+    (lambda: substitute_power(QSeries.one(4), 0), ValueError,
+     "substitution power must be positive"),
+], ids=["truncated-past-validity", "dump-past-validity", "load-no-header",
+        "load-other-lattice", "load-mixed-line", "geometric-exponent-0",
+        "geometric-exponent-negative", "substitute-power-0"])
+def test_kernel_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value) == message
