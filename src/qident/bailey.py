@@ -23,9 +23,10 @@ symbol is a :class:`qident.products.PochRow` grown a factor per new n, the
 1/(x;q)_n rows (1/(1 - m) is entry 1 of m's) sit in the bounded cache
 :func:`_inv_table`, and each lemma pair owns a :class:`_Row` per
 (order, den).  Every sum of series products, the lemma's
-beta'_n = sum_r u_r w_(n-r), the pair relation's right side and the cleared
-two-parameter identity, is one :func:`qident.series.dot`: one integer
-accumulator and one division per coefficient.
+beta'_n = sum_r u_r w_(n-r) and the pair relation's right side
+(:func:`_relation_rhs`, which the cleared two-parameter identity also
+reads), is one :func:`qident.series.dot`: one integer accumulator and one
+division per coefficient.
 """
 
 from __future__ import annotations
@@ -233,25 +234,31 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
 
 
+def _relation_rhs(a: Monomial, xs: list[tuple[int, QSeries]], n: int,
+                  depth: Fraction, den: int) -> QSeries:
+    """sum_k x_k / ((q;q)_{n-k} (aq;q)_{n+k}) over the (k, x_k) in xs, the
+    pair relation's right side, as one dot to the depth."""
+    tq = _inv_table(qmono(1), Fraction(1), depth, den)
+    taq = _inv_table(Monomial(a.coeff, a.exp + 1), Fraction(1), depth, den)
+    return dot([(x * tq[n - k], taq[n + k]) for k, x in xs],
+               exp_num(depth, den), den)
+
+
 def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
                 den: int = DEFAULT_D) -> PairReport:
     """Check the defining relation for every n <= n_max up to order."""
     _check_n_max(n_max)
     order = nonneg_order(order)
+    onum = exp_num(order, den)
     alphas = [p.alpha(k, order, den) for k in range(n_max + 1)]
-    vals = [Fraction(a.min_num, den) for a in alphas if a.min_num is not None]
-    depth = order - min([Fraction(0)] + vals)
-    if depth != order:
+    dnum = onum - min([0] + [a.min_num for a in alphas if not a.is_zero])
+    depth = Fraction(dnum, den)
+    if dnum != onum:
         alphas = [p.alpha(k, depth, den) for k in range(n_max + 1)]
-    aq = Monomial(p.a.coeff, p.a.exp + 1)
-    t_q = _inv_table(qmono(1), Fraction(1), depth, den)
-    t_aq = _inv_table(aq, Fraction(1), depth, den)
-    dnum = exp_num(depth, den)
     results = []
     for n in range(n_max + 1):
-        rhs = dot([(a * t_q[n - k], t_aq[n + k])
-                   for k, a in enumerate(alphas[:n + 1]) if not a.is_zero],
-                  dnum, den)
+        xs = [(k, a) for k, a in enumerate(alphas[:n + 1]) if not a.is_zero]
+        rhs = _relation_rhs(p.a, xs, n, depth, den)
         results.append((n, compare_up_to(term(p.beta, n, order, den), rhs,
                                          order)))
     return PairReport(p.name, p.a, order, tuple(results))
@@ -527,16 +534,13 @@ def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
 
     def build_rhs(depth: Fraction) -> QSeries:
         heads = row(depth).heads
-        tq = _inv_table(qmono(1), Fraction(1), depth, den)
-        taq = _inv_table(aq, Fraction(1), depth, den)
         # entry n-r is (c1 q^r, c2 q^r; q)_{n-r}, an exact polynomial
         tails = PochRow((c1 * qmono(n - 1), c2 * qmono(n - 1)), -1, None,
                         den)
         alphas = [p.alpha(r, depth, den) for r in range(n + 1)]
-        return dot([(alpha * heads[r] * tails[n - r] * tq[n - r] *
-                     c12_pow(r), taq[n + r])
-                    for r, alpha in enumerate(alphas) if not alpha.is_zero],
-                   exp_num(depth, den), den)
+        xs = [(r, alpha * heads[r] * tails[n - r] * c12_pow(r))
+              for r, alpha in enumerate(alphas) if not alpha.is_zero]
+        return _relation_rhs(a, xs, n, depth, den)
 
     lhs = deepen_until_valid(lambda d: row(d).r_sum(n), order, den)
     rhs = deepen_until_valid(build_rhs, order, den)
@@ -551,7 +555,7 @@ def limit_identity(p: BaileyPair, order: ExpLike,
     The cutoff is ceil(sqrt(order)) + 4; the two indices past it are checked
     to contribute only beyond the order, which certifies the truncation.
     """
-    order = Fraction(order)
+    order = nonneg_order(order)
     a = p.a
     n_cut = isqrt(ceil(order) - 1) + 5 if order > 0 else 4
 

@@ -52,6 +52,7 @@ from qident.series import (
     QSeries,
     compare_up_to,
     dump,
+    nonneg_order,
     substitute_power,
 )
 from qident.products import (
@@ -1110,7 +1111,7 @@ class Catalog:
     def verify(self, target: Union[str, Identity], order: ExpLike,
                den: int = DEFAULT_D) -> VerificationReport:
         ident = target if isinstance(target, Identity) else self.resolve(target)
-        order = Fraction(order)
+        order = nonneg_order(order)
         start = time.perf_counter()
         lhs = multi_sum(ident.spec, order, den)
         rhs = eval_product_sum(ident.rhs, order, den)
@@ -1143,7 +1144,7 @@ class Catalog:
         Raises LookupError when no reduction exists.
         """
         ident = target if isinstance(target, Identity) else self.resolve(target)
-        order = Fraction(order)
+        order = nonneg_order(order)
         red = reduce_rank(ident.spec)
         if red is None:
             raise LookupError(f"no reduction route for {ident.id!r}")

@@ -1,23 +1,22 @@
 """Pochhammer symbols and product expressions.
 
-Finite symbols prod_x (x; q^base)_n^(+-1) are the entries of one row class,
+Pochhammer symbols take one of two routes.  Finite symbols
+prod_x (x; q^base)_n^(+-1) are the entries of one row class,
 :class:`PochRow`, which grows them a factor at a time and alone decides where
 an entry is cut at the order; without an order they are exact Laurent
-polynomials.  A negative index n is entry -n of an inverse row, so it needs
-an order, as every inverse row does.  Infinite symbols are
-truncated soundly: a factor (1 - a q^(base*k)) is included iff its lowest
-nontrivial exponent is <= the requested order, every omitted factor being
-1 + O(q^(>order)).
+polynomials.  Infinite symbols are truncated soundly: a factor
+(1 - a q^(base*k)) is included iff its lowest nontrivial exponent is <= the
+requested order, every omitted factor being 1 + O(q^(>order)).
 
 :class:`ProductExpr` is the assembled right-hand-side shape: an optional
 polynomial prefactor times a signed multiset of infinite products.
 
-An infinite symbol has one evaluator, :func:`poch_infinite`, which multiplies
-a seed by it: its factors whose exponent is <= 0 join the seed first, every
-other factor goes through one packed pass of :func:`_unit_product` in the
-slot format `series` owns, with a width certified from the pass's bound.
-The pass's slots (`_Slots`) seed the next, so :func:`eval_product`, a fold
-of :func:`poch_infinite` from a seed times the prefactor, decodes once.
+An infinite symbol is one step of :func:`poch_infinite` on the slot format
+`series` owns (`_Slots`): its factors whose exponent is <= 0 join the seed
+first, every other factor goes through one packed pass with a width
+certified from the pass's bound.  :func:`eval_product`, a fold of those
+steps from a seed times the prefactor, is the one place a series becomes
+slots and back, so it decodes once.
 """
 
 from __future__ import annotations
@@ -46,40 +45,38 @@ from qident.series import (
 )
 
 
-def poch_finite(a: Monomial, base: ExpLike, n: int,
-                order: Optional[ExpLike] = None,
-                den: int = DEFAULT_D) -> QSeries:
-    """(a; q^base)_n for any integer n.
-
-    n >= 0 gives entry n of the :class:`PochRow` of a.  n < 0 gives entry -n
-    of the inverse row of a q^(base*n), since (a; q^base)_n is
-    1/(a q^(base*n); q^base)_(-n); that row needs an order and refuses a
-    vanishing factor.
-    """
-    if n >= 0:
-        return PochRow((a,), base, order, den)[n]
-    shifted = Monomial(a.coeff, a.exp + Fraction(base) * n)
-    return PochRow((shifted,), base, order, den, -1)[-n]
-
-
 def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
                   den: int = DEFAULT_D, power: int = 1,
                   seed: QSeries | _Slots | None = None) -> QSeries | _Slots:
     """seed * (a; q^base)_infinity^power truncated at order.
 
-    seed defaults to 1 valid to the order and must be on the
-    (1/den)-lattice; a seed in the slots of an earlier pass (:class:`_Slots`)
-    gives slots, any other a :class:`QSeries`.  The factors whose exponent
-    is <= 0 join the seed first, as a series, |power| times: for a numerator
-    as one polynomial built from 1 valid to the order, for a denominator as
-    one inverse :class:`PochRow` entry over those factors.  Every other
-    factor goes through one seeded :func:`_unit_product` pass, so the result
-    has the validity :func:`_mul_order` gives that seed times the symbol."""
+    With a series seed, or none (1 valid to the order), it is
+    :func:`eval_product` of the one symbol.  A seed in the slots of an
+    earlier pass (:class:`_Slots`) gives slots, with the validity
+    :func:`_mul_order` gives seed times the symbol (a zero seed keeps its
+    own); a seed no factor reaches is cut there.  The factors whose
+    exponent is <= 0 join the seed first, as a series, |power| times: for a
+    numerator as one polynomial built from 1 valid to the order, for a
+    denominator as one inverse :class:`PochRow` entry over those factors.
+
+    Every other factor (1 - c q^(e/den)), e positive, goes through one
+    packed pass: slot t, W bits wide, is at q^((low + g*t)/den), g the gcd
+    of every e and of the seed's stride; a factor at u = e/g slots is a
+    shifted subtraction, a denominator a doubling prefix sum
+    (:func:`_div_packed`), each cut by one mask.  Seed digit s enters slot
+    t = s*(its stride over g) times R^(t-s)*B^t, R the seed's ratio and B
+    the denominator of c, and c as the integer c*(R*B)^u, so the signed
+    slots are the result's digits under the ratio R*B.  W is certified: a
+    numerator factor is coefficientwise at most its denominator's geometric
+    series, c*(R*B)^u at most M^u for M = R*max(B, |c*B|), and the symbol,
+    |power| times, a sub-product of 1/(q; q)_infinity^|power|, so slot t is
+    at most the starting slots' l1 norm times M^t p_|power|(t), p_r the
+    r-coloured partition count; the masked arithmetic is exact modulo
+    2^(W*slots)."""
+    if not isinstance(seed, _Slots):
+        return eval_product(ProductExpr(((a, base, power),)), order, den,
+                            seed)
     onum = exp_num(nonneg_order(order), den)
-    slots = isinstance(seed, _Slots)
-    seed = QSeries(den, {0: 1}, onum) if seed is None else seed
-    if seed.den != den:
-        raise LatticeError(f"mixing lattices 1/{seed.den} and 1/{den}")
     nums = _factor_nums(a, base, onum, den)
     k = len(range(nums.start, 1, nums.step))  # the factors with e <= 0
     if k and power:
@@ -89,12 +86,45 @@ def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
                 head = mul_one_minus(head, a.coeff, num)
         else:
             head = PochRow((a,), base, order, den, -1)[k]
-        seed = seed.series() if slots else seed
+        s = seed.series()
         for _ in range(abs(power)):
-            seed = seed * head
-    out = _unit_product((a.coeff, nums[k:], power), onum,
-                        _Slots.of(seed) if isinstance(seed, QSeries) else seed)
-    return out if slots else out.series()
+            s = s * head
+        seed = _Slots.of(s)
+    nums = nums[k:]
+    if not seed.digits:
+        return seed
+    low = seed.low
+    valid = onum + low if seed.valid is None else min(seed.valid, onum + low)
+    if not (power and nums) or nums[0] > valid - low:
+        cut = seed.digits[:(valid - low) // (seed.g or 1) + 1]
+        return seed._replace(digits=cut, valid=valid)
+    g = gcd(seed.g, *nums[:2])
+    size = (valid - low) // g
+    stride = seed.g // g or 1
+    digits = [0] * (min(len(seed.digits) - 1, size // stride) * stride + 1)
+    digits[::stride] = seed.digits[:size // stride + 1]
+    R, B, cb = seed.ratio, a.coeff.denominator, a.coeff.numerator
+    if R * B != 1:
+        digits = [v * R ** (t - t // stride) * B ** t
+                  for t, v in enumerate(digits)]
+    # norm * M^size * p_|power|(size) bounds every slot, as certified above
+    W = _slot_width(sum(map(abs, digits)) * (R * max(B, abs(cb))) ** size,
+                    abs(power), size)
+    mask = (1 << W * (size + 1)) - 1
+    acc = _pack(digits, W) & mask
+    for e in nums:
+        u = e // g
+        if u > size:
+            break
+        cu = cb if R * B == 1 else cb * B ** (u - 1) * R ** u
+        for _ in range(abs(power)):
+            if power < 0:
+                acc = _div_packed(acc, W * u, mask, cu)
+            else:  # times 1 - cu x^u
+                t = acc << W * u
+                acc = (acc - t if cu == 1 else acc - cu * t) & mask
+    return _Slots(seed.den, _signed_slots(acc, W, size + 1), low, g,
+                  seed.d, R * B, valid)
 
 
 def _positive_base(base: ExpLike) -> Fraction:
@@ -114,61 +144,6 @@ def _factor_nums(a: Monomial, base: ExpLike, onum: int, den: int) -> range:
     if first > onum:  # the base must be on the lattice only from here on
         return range(first, first)
     return range(first, onum + 1, exp_num(base, den))
-
-
-def _unit_product(symbol: tuple[Scalar, range, int], onum: int,
-                  seed: _Slots) -> _Slots:
-    """seed * prod (1 - c q^(e/den))^p over every e in nums, for the symbol
-    (c, nums, p), every e positive and nums running through onum, with the
-    validity :func:`_mul_order` gives seed times that unit (a zero seed
-    keeps its own); a seed no factor reaches is cut there.
-
-    One packed pass: slot t, W bits wide, is at q^((low + g*t)/den), g the
-    gcd of every e and of the seed's stride; a factor at u = e/g slots is a
-    shifted subtraction, a denominator a doubling prefix sum
-    (:func:`_div_packed`), each cut by one mask.  Seed digit s enters slot
-    t = s*(its stride over g) times R^(t-s)*B^t, R the seed's ratio and B
-    the denominator of c, and c as the integer c*(R*B)^u, so the signed
-    slots are the result's digits under the ratio R*B.  W is certified: a
-    numerator factor is coefficientwise at most its denominator's geometric
-    series, c*(R*B)^u at most M^u for M = R*max(B, |c*B|), and the symbol,
-    |p| times, a sub-product of 1/(q; q)_infinity^|p|, so slot t is at most
-    the starting slots' l1 norm times M^t p_|p|(t), p_r the r-coloured
-    partition count; the masked arithmetic is exact modulo 2^(W*slots)."""
-    c, nums, p = symbol
-    if not seed.digits:
-        return seed
-    low = seed.low
-    valid = onum + low if seed.valid is None else min(seed.valid, onum + low)
-    if not (p and nums) or nums[0] > valid - low:
-        cut = seed.digits[:(valid - low) // (seed.g or 1) + 1]
-        return seed._replace(digits=cut, valid=valid)
-    g = gcd(seed.g, *nums[:2])
-    size = (valid - low) // g
-    k = seed.g // g or 1
-    digits = [0] * (min(len(seed.digits) - 1, size // k) * k + 1)
-    digits[::k] = seed.digits[:size // k + 1]
-    R, B, cb = seed.ratio, c.denominator, c.numerator
-    if R * B != 1:
-        digits = [v * R ** (t - t // k) * B ** t for t, v in enumerate(digits)]
-    # norm * M^size * p_|p|(size) bounds every slot, as certified above
-    W = _slot_width(sum(map(abs, digits)) * (R * max(B, abs(cb))) ** size,
-                    abs(p), size)
-    mask = (1 << W * (size + 1)) - 1
-    acc = _pack(digits, W) & mask
-    for e in nums:
-        u = e // g
-        if u > size:
-            break
-        cu = cb if R * B == 1 else cb * B ** (u - 1) * R ** u
-        for _ in range(abs(p)):
-            if p < 0:
-                acc = _div_packed(acc, W * u, mask, cu)
-            else:  # times 1 - cu x^u
-                t = acc << W * u
-                acc = (acc - t if cu == 1 else acc - cu * t) & mask
-    return _Slots(seed.den, _signed_slots(acc, W, size + 1), low, g, seed.d,
-                  R * B, valid)
 
 
 # -- product expressions -----------------------------------------------------
@@ -267,8 +242,9 @@ def eval_product(expr: ProductExpr, order: ExpLike, den: int = DEFAULT_D,
                  seed: Optional[QSeries] = None) -> QSeries:
     """seed * expr to the order (seed 1 valid to it by default): a fold of
     :func:`poch_infinite` from seed times the prefactor, each step with
-    :func:`_mul_order`'s validity, decoded once and never multiplied; with
-    no factors, seed times the prefactor itself."""
+    :func:`_mul_order`'s validity.  The one place a series becomes slots and
+    back: encoded once, decoded once and never multiplied; with no factors,
+    seed times the prefactor itself."""
     onum = exp_num(nonneg_order(order), den)
     seed = QSeries(den, {0: 1}, onum) if seed is None else seed
     if seed.den != den:
@@ -318,6 +294,8 @@ class PochRow:
                                 None if power == 1 else self.onum)]
 
     def __getitem__(self, n: int) -> QSeries:
+        if n < 0:
+            raise ValueError(f"a Pochhammer row has no entry {n}")
         order, onum = self.order, self.onum
         while len(self.entries) <= n:
             s = self.entries[-1]

@@ -52,6 +52,9 @@ class TruncationError(ValueError):
 
 def exp_num(e: ExpLike, den: int) -> int:
     """Convert an exponent to its integer numerator in units of 1/den."""
+    if den < 1:
+        raise LatticeError(f"lattice denominator must be at least 1, "
+                           f"got {den}")
     scaled = Fraction(e) * den
     if scaled.denominator != 1:
         raise LatticeError(f"exponent {e} is not on the (1/{den})-lattice")

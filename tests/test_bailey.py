@@ -36,7 +36,6 @@ from qident.products import (
     PochRow,
     eval_product,
     inv_poch_table,
-    poch_finite,
 )
 from qident.series import (
     Monomial,
@@ -198,7 +197,7 @@ def test_s5_on_g2_shares_beta_with_s3_on_g1():
     for n in range(9):
         assert equal_up_to(p5.beta(n, order, D), p3.beta(n, order, D), order)
     g2 = builtin_pair("G2")
-    ratio_num = poch_finite(Monomial(-1, Fraction(3, 2)), 1, 5, order, D)
+    ratio_num = PochRow((Monomial(-1, Fraction(3, 2)),), 1, order, D)[5]
     ratio_den = inv_poch_table(Monomial(-1, HALF), 1, 5, order, D)
     expect = g2.alpha(5, order, D) * ratio_num * ratio_den[5] * \
         monomial_series(qmono(Fraction(25, 2)), den=D)
@@ -413,10 +412,10 @@ def test_transform_generators_golden():
 
 def _lemma_oracle(a, alpha, beta, step):
     """The step's alpha and beta with every n evaluated from scratch: each
-    Pochhammer symbol by poch_finite and each 1/(x;q)_n by a fresh
+    Pochhammer symbol by a fresh PochRow and each 1/(x;q)_n by a fresh
     inv_poch_table to n.  Parameters are the lemma's as bailey states them;
     the rho exponents drawn below are positive, where a product of
-    poch_finite heads cuts as the lemma's heads do."""
+    one-symbol rows cuts as the lemma's heads do."""
     aq = Monomial(a.coeff, a.exp + 1)
 
     def over(x, y):
@@ -441,7 +440,7 @@ def _lemma_oracle(a, alpha, beta, step):
     def head(r, order, den):
         out = QSeries.one(den)
         for x in nums:
-            out = out * poch_finite(x, 1, r, order, den)
+            out = out * PochRow((x,), 1, order, den)[r]
         return out
 
     def divide(s, n, order, den):
@@ -457,7 +456,7 @@ def _lemma_oracle(a, alpha, beta, step):
         tq = inv_poch_table(qmono(1), 1, n, order, den)
         acc = QSeries(den, {}, exp_num(order, den))
         for r in range(n + 1):
-            t = poch_finite(tail[0], 1, n - r, order, den) if tail \
+            t = PochRow((tail[0],), 1, order, den)[n - r] if tail \
                 else QSeries.one(den)
             acc = acc + beta(r, order, den) * head(r, order, den) * \
                 (t * tq[n - r]) * mono(r)
@@ -471,8 +470,8 @@ def _chain_oracle(seed, steps):
     comp = Monomial(-1, Fraction(3, 2) if seed == "G2" else HALF)
 
     def seed_beta(n, order, den):
-        out = invert_unit(poch_finite(qmono(2), 2, n, order, den) *
-                          poch_finite(comp, 1, n, order, den), order)
+        out = invert_unit(PochRow((qmono(2),), 2, order, den)[n] *
+                          PochRow((comp,), 1, order, den)[n], order)
         return out * Monomial(1, n) if seed == "G3" else out
 
     seed_pair = builtin_pair(seed)
@@ -484,7 +483,7 @@ def _chain_oracle(seed, steps):
             def djk_beta(n, order, den, inner=beta, b=b):
                 bq = Monomial(b.coeff, b.exp + 1)
                 return inner(n, order, den) * \
-                    poch_finite(bq, 1, n, order, den) * \
+                    PochRow((bq,), 1, order, den)[n] * \
                     inv_poch_table(b, 1, n, order, den)[n]
 
             # DJK's alpha reads no table or row, so the oracle borrows it
@@ -556,7 +555,7 @@ def test_inv_table_entries_do_not_depend_on_the_first_request():
             rows.append([inv_poch_table(arg, base, n, order, den)[n]
                          for n in range(8)])
             if arg.exp > 0:  # unit series: the inverse of the polynomial
-                rows.append([invert_unit(poch_finite(arg, base, n, order, den),
+                rows.append([invert_unit(PochRow((arg,), base, order, den)[n],
                                          order) for n in range(8)])
             want = [(s.terms, s.order_num) for s in rows[0]]
             for row in rows[1:]:

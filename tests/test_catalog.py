@@ -11,6 +11,13 @@ from pathlib import Path
 import pytest
 
 import qident
+from qident.bailey import (
+    builtin_pair,
+    general_bailey_check,
+    limit_identity,
+    pairs_equal,
+    verify_pair,
+)
 from qident.catalog import (
     FAMILIES,
     _spec_from_fn,
@@ -36,9 +43,11 @@ from qident.products import (
     P,
     TP,
     J,
+    PochRow,
     ProductExpr,
+    eval_product,
     eval_product_sum,
-    poch_finite,
+    poch_infinite,
 )
 from qident.series import (
     Monomial,
@@ -469,7 +478,7 @@ def test_triple_sum_against_brute_force(cat):
             return None
         acc = QSeries.one(4) * Monomial(1, e)
         for t, d in enumerate(spec.denoms):
-            acc = acc * invert_unit(poch_finite(qmono(d), d, pt[t], order),
+            acc = acc * invert_unit(PochRow((qmono(d),), d, order)[pt[t]],
                                     order)
         return acc.truncated(order)
 
@@ -681,3 +690,43 @@ def test_no_record_id_in_code(cat):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 assert node.value not in ids, (path.name, node.value)
+
+
+# -- the entry contract of every evaluator ------------------------------------
+
+G1 = builtin_pair("G1")
+EVALUATORS = {
+    "poch_infinite": lambda cat, o, d: poch_infinite(qmono(1), 1, o, d),
+    "eval_product": lambda cat, o, d: eval_product(P(1, 1), o, d),
+    "eval_product_sum": lambda cat, o, d: eval_product_sum([P(1, 1)], o, d),
+    "multi_sum": lambda cat, o, d: multi_sum(
+        cat.identities["R.R.1"].spec, o, d),
+    "verify_pair_n0": lambda cat, o, d: verify_pair(G1, 0, o, d),
+    "verify_pair_n2": lambda cat, o, d: verify_pair(G1, 2, o, d),
+    "pairs_equal": lambda cat, o, d: pairs_equal(G1, G1, 2, o, d),
+    "general_bailey_check": lambda cat, o, d: general_bailey_check(
+        G1, qmono(1), qmono(2), 2, o, d),
+    "limit_identity": lambda cat, o, d: limit_identity(G1, o, d),
+    "Catalog.verify": lambda cat, o, d: cat.verify("R.R.1", o, d),
+    "Catalog.cross_check_reduction":
+        lambda cat, o, d: cat.cross_check_reduction("table2.1.1", o, d),
+}
+BAD_ENTRIES = {  # (order, den, what the message says)
+    "den 0": (5, 0, "lattice denominator must be at least 1, got 0"),
+    "den -4": (5, -4, "lattice denominator must be at least 1, got -4"),
+    "order -1": (-1, 4, "order must be nonnegative, got -1"),
+    "order 1/0": ("1/0", 4, "order has a zero denominator: 1/0"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_every_evaluator_refuses_a_bad_order_or_lattice(cat, name, bad):
+    """A lattice denominator below 1, a negative order or an order with a
+    zero denominator is a ValueError with its check's one-line message:
+    never another exception or message, and never a series that claims to
+    be valid to the order."""
+    order, den, message = BAD_ENTRIES[bad]
+    with pytest.raises(ValueError) as info:
+        EVALUATORS[name](cat, order, den)
+    assert str(info.value) == message

@@ -23,7 +23,7 @@ from qident.nahm import (
     nahm_sum,
     reduce_rank,
 )
-from qident.products import poch_finite
+from qident.products import PochRow
 from qident.series import (
     LatticeError,
     Monomial,
@@ -107,8 +107,8 @@ def test_rank_two_against_brute_force():
         e = n1 * n1 + n1 * n2 + n2 * n2 + Fraction(n2, 2)
         if e > order:
             return None
-        den1 = invert_unit(poch_finite(qmono(1), 1, n1, order), order)
-        den2 = invert_unit(poch_finite(qmono(1), 1, n2, order), order)
+        den1 = invert_unit(PochRow((qmono(1),), 1, order)[n1], order)
+        den2 = invert_unit(PochRow((qmono(1),), 1, order)[n2], order)
         return (den1 * den2 * Monomial(1, e)).truncated(order)
 
     assert nahm_sum(q, order) == brute_sum(order, 4, box, term)
@@ -138,7 +138,7 @@ def test_two_evaluation_routes_agree(quad):
             return None
         out = QSeries.one(4)
         for di, v in zip(d, pt):
-            out = out * invert_unit(poch_finite(qmono(di), di, v, order),
+            out = out * invert_unit(PochRow((qmono(di),), di, order)[v],
                                     order)
         return (out * Monomial(1, e)).truncated(order)
 
@@ -266,8 +266,8 @@ def test_negative_entry_sum_matches_brute_force():
         if e > order:
             return None
         assert _within(pt, bound)
-        den1 = invert_unit(poch_finite(qmono(1), 1, n1, order), order)
-        den2 = invert_unit(poch_finite(qmono(1), 1, n2, order), order)
+        den1 = invert_unit(PochRow((qmono(1),), 1, order)[n1], order)
+        den2 = invert_unit(PochRow((qmono(1),), 1, order)[n2], order)
         return (den1 * den2 * Monomial(1, e)).truncated(order)
 
     assert nahm_sum(q, order) == brute_sum(order, 4, box, term)
@@ -290,8 +290,8 @@ def test_multi_sum_extra_and_prefactor():
         (n,) = pt
         if n * n > order:
             return None
-        num = poch_finite(Monomial(-1, H), 1, n + 1, order)
-        den = invert_unit(poch_finite(qmono(1), 1, n, order), order)
+        num = PochRow((Monomial(-1, H),), 1, order)[n + 1]
+        den = invert_unit(PochRow((qmono(1),), 1, order)[n], order)
         two = QSeries.from_terms([(0, 1), (2 * n + 2, 1)], den=4, order=order)
         return (num * den * two * Monomial(1, n * n)).truncated(order)
 
@@ -314,8 +314,8 @@ def test_multi_sum_inverse_extra():
         (n,) = pt
         if n * n > order:
             return None
-        d1 = invert_unit(poch_finite(qmono(1), 1, n, order), order)
-        d2 = invert_unit(poch_finite(Monomial(-1, H), 1, n, order), order)
+        d1 = invert_unit(PochRow((qmono(1),), 1, order)[n], order)
+        d2 = invert_unit(PochRow((Monomial(-1, H),), 1, order)[n], order)
         return (d1 * d2 * Monomial(1, n * n)).truncated(order)
 
     assert multi_sum(spec, order) == brute_sum(order, 4, [6], term)
@@ -485,11 +485,11 @@ def _brute_multi_sum(spec, order, den):
         depth = order - e
         out = QSeries.from_terms([(f.value(pt), c) for c, f in pref], den=den)
         for d, v in zip(spec.denoms, pt):
-            out = out * invert_unit(poch_finite(qmono(d), d, v, depth, den),
+            out = out * invert_unit(PochRow((qmono(d),), d, depth, den)[v],
                                     depth)
         for f in spec.extra:
-            p = poch_finite(f.arg, f.base, int(f.length.value(pt)), depth,
-                            den)
+            p = PochRow((f.arg,), f.base, depth, den)[
+                int(f.length.value(pt))]
             out = out * (p if f.power == 1 else invert_unit(p, depth))
         return (out.truncated(depth) * Monomial(1, e)).truncated(order)
 

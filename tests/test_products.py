@@ -33,7 +33,6 @@ from qident.products import (
     eval_product,
     eval_product_sum,
     inv_poch_table,
-    poch_finite,
     poch_infinite,
     poch_table,
 )
@@ -56,65 +55,83 @@ def S(pairs, order=None, den=4):
 Q = qmono(1)
 
 
-def test_poch_finite_basic():
-    assert poch_finite(Q, 1, 0) == QSeries.one()
-    assert poch_finite(Q, 1, 3) == S(
+def test_poch_row_basic():
+    row = PochRow((Q,), 1)
+    assert row[0] == QSeries.one()
+    assert row[3] == S(
         [(0, 1), (1, -1), (2, -1), (4, 1), (5, 1), (6, -1)])
 
 
-def test_poch_finite_negative_index():
-    inv = poch_finite(qmono(3), 1, -2, order=8)
-    direct = invert_unit(poch_finite(Q, 1, 2), 8)
+def test_poch_row_refuses_a_negative_index():
+    # after [3] the entry list has 4 items, so [-1] used to read entry 3
+    for row in (PochRow((Q,), 1, 10), PochRow((Q,), 1, 10, 4, -1)):
+        row[3]
+        with pytest.raises(ValueError) as info:
+            row[-1]
+        assert str(info.value) == "a Pochhammer row has no entry -1"
+
+
+def test_inverse_row_matches_inversion():
+    inv = PochRow((Q,), 1, 8, 4, -1)[2]
+    direct = invert_unit(PochRow((Q,), 1)[2], 8)
     assert inv == direct
-    prod = inv * poch_finite(Q, 1, 2)
+    prod = inv * PochRow((Q,), 1)[2]
     assert equal_up_to(prod, QSeries.one(), 8)
     with pytest.raises(ValueError):
-        poch_finite(Q, 1, -3, order=8)  # (1 - q*q^-1) factor vanishes
+        PochRow((qmono(-2),), 1, 8, 4, -1)[3]  # (1 - q^0) factor vanishes
 
 
-def test_poch_finite_negative_index_grid_against_inversion():
-    """n < 0 reads entry -n of an inverse row.  The route it replaced,
-    inverting (a q^(base*n); q^base)_(-n), is the oracle for the terms and
-    the validity; without an order, or with a factor 1 - 1, both refuse."""
+def test_inverse_row_grid_against_inversion():
+    """Entry m of the inverse row of x, against inverting entry m of x's
+    product row, the oracle for the terms and the validity; without an
+    order, or with a factor 1 - 1, the inverse row refuses."""
     rng = random.Random(1606)
     for coeff in (1, -1, 2, Fraction(1, 3)):
         for base in (1, 2, Fraction(1, 2)):
-            for n in range(-6, 0):
+            for m in range(6, 0, -1):
                 for order in (Fraction(7, 2), 8, 12):
-                    a = Monomial(coeff, Fraction(rng.randint(1, 12), 2))
-                    shifted = Monomial(coeff, a.exp + base * n)
-                    down = poch_finite(shifted, base, -n)
+                    x = Monomial(coeff,
+                                 Fraction(rng.randint(1, 12), 2) - base * m)
+                    down = PochRow((x,), base)[m]
                     if down.is_zero:
                         with pytest.raises(ValueError, match="vanishing"):
-                            poch_finite(a, base, n, order)
+                            PochRow((x,), base, order, 4, -1)[m]
                     else:
-                        got = poch_finite(a, base, n, order)
+                        got = PochRow((x,), base, order, 4, -1)[m]
                         want = invert_unit(down, order)
                         assert got.terms == want.terms
                         assert got.order_num == want.order_num
                     with pytest.raises(ValueError, match="needs an order"):
-                        poch_finite(a, base, n)
-                    vanishing = qmono(-base * (n + rng.randrange(-n)))
+                        PochRow((x,), base, None, 4, -1)
+                    vanishing = qmono(-base * rng.randrange(m))
                     with pytest.raises(ValueError, match="vanishing"):
-                        poch_finite(vanishing, base, n, order)
+                        PochRow((vanishing,), base, order, 4, -1)[m]
 
 
 def test_poch_shift_rule():
+    """(a;q)_(n+1) = (a;q)_n (1 - a q^n) for n from -10 to 10, where
+    (a;q)_n for n < 0 is entry -n of the inverse row of a q^n."""
     rng = random.Random(4)
     for n in range(-10, 11):
         a = Monomial(rng.choice([1, -1, 2]),
                      Fraction(2 * rng.randint(0, 2) + 1, 2))
-        lhs = poch_finite(a, 1, n + 1, order=40)
-        rhs = poch_finite(a, 1, n, order=40) * \
-            (QSeries.one() - QSeries.from_terms([(a.exp + n, a.coeff)]))
+        factor = QSeries.one() - QSeries.from_terms([(a.exp + n, a.coeff)])
+        if n >= 0:
+            row = PochRow((a,), 1, 40)
+            lhs, rhs = row[n + 1], row[n] * factor
+        else:
+            lhs = PochRow((Monomial(a.coeff, a.exp + n + 1),), 1, 40, 4,
+                          -1)[-n - 1]
+            rhs = PochRow((Monomial(a.coeff, a.exp + n),), 1, 40, 4,
+                          -1)[-n] * factor
         assert equal_up_to(lhs, rhs, 10)
 
 
 def test_poch_negative_composes():
     for m in (1, 2, 3):
-        a = qmono(Fraction(5, 2))
-        left = poch_finite(a, 1, -m, order=10)
-        right = poch_finite(Monomial(a.coeff, a.exp - m), 1, m)
+        x = qmono(Fraction(5, 2) - m)
+        left = PochRow((x,), 1, 10, 4, -1)[m]
+        right = PochRow((x,), 1)[m]
         assert equal_up_to(left * right, QSeries.one(), 8)
 
 
@@ -810,7 +827,7 @@ def test_vanishing_denominator_is_refused_by_its_row():
 def test_poch_table_matches_finite():
     tab = poch_table(Monomial(-1, Fraction(1, 2)), 1, 6)
     for n in range(7):
-        assert tab[n] == poch_finite(Monomial(-1, Fraction(1, 2)), 1, n)
+        assert tab[n] == PochRow((Monomial(-1, Fraction(1, 2)),), 1)[n]
     # a row of several symbols is the product of their single rows, each
     # cut at the order; the symbol with a negative exponent comes last
     args = (Monomial(-1, Fraction(1, 2)), Monomial(2, 1), qmono(2),
@@ -820,7 +837,7 @@ def test_poch_table_matches_finite():
         for n in (3, 0, 6, 1, 2, 5, 4):
             want = QSeries.one(4)
             for x in args:
-                want = want * poch_finite(x, 1, n, order, 4)
+                want = want * PochRow((x,), 1, order, 4)[n]
             assert row[n] == want, (order, n)
             if order is not None and n:
                 assert want.order_num == exp_num(order - 1, 4)
