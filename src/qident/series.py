@@ -163,6 +163,9 @@ class QSeries:
     def __init__(self, den: int = DEFAULT_D,
                  terms: Optional[dict[int, Scalar]] = None,
                  order_num: Optional[int] = None):
+        if den < 1:
+            raise LatticeError(f"lattice denominator must be at least 1, "
+                               f"got {den}")
         self.den = den
         self.order_num = order_num
         self.terms = {} if terms is None else terms
@@ -461,6 +464,7 @@ def invert_unit(a: QSeries, order: ExpLike) -> QSeries:
 # x -> 2^width is a ring map from Z[x]/(x^n) onto the integers modulo
 # 2^(width*n), so shifted adds cut by a mask are exact, and a result with
 # every coefficient below 2^(width-1) in size is read back with its signs.
+# The width is whole bytes, so slots are written and read through bytes.
 # The product pass in `products` and the enumerator in `nahm` run on these,
 # with this module's one width, reader and decoder (`_slot_width`,
 # `_signed_slots`, `_Slots`), so every coefficient loop is a big-int op in C.
@@ -486,7 +490,8 @@ def _coloured_partitions(r: int, n: int) -> int:
 def _slot_width(bound: int, r: int, depth: int) -> int:
     """Slot width for coefficients of size at most bound * p_r(max(depth,
     0)), p_r the r-coloured partition count: their bits, a sign bit and one
-    to spare, in whole bytes so slots pack through bytes."""
+    to spare, in whole bytes.  A whole-byte width is the one contract of
+    :func:`_pack` and :func:`_signed_slots`, which read slots as bytes."""
     size = bound * _coloured_partitions(r, max(depth, 0))
     return (size.bit_length() + 9) // 8 * 8
 
@@ -504,33 +509,23 @@ def _div_packed(p: int, shift: int, mask: int, c: int = 1) -> int:
 
 
 def _pack(digits: list[int], width: int) -> int:
-    """sum digits[s] * 2^(width*s) for digits of either sign: through bytes
-    when the width is whole bytes and every digit fits its slot with a sign
-    bit, by shifts otherwise."""
-    half = 1 << (width - 1)
-    if width % 8 or not -half <= min(digits, default=0) \
-            <= max(digits, default=0) < half:
-        x = 0
-        for d in reversed(digits):
-            x = (x << width) + d
-        return x
-    # every digit + half is an unsigned slot; the bias takes them back
-    k = width // 8
-    bias = half * (((1 << width * len(digits)) - 1) // ((1 << width) - 1))
+    """sum digits[s] * 2^(width*s) for digits of either sign, width whole
+    bytes (:func:`_slot_width`): each digit + 2^(width-1) is one unsigned
+    slot of width/8 bytes and a bias takes them back, so a digit that does
+    not fit its slot with a sign bit raises OverflowError, never carries."""
+    half, k = 1 << (width - 1), width // 8
+    bias = half * (((1 << width * len(digits)) - 1) // (2 * half - 1))
     return int.from_bytes(b"".join((d + half).to_bytes(k, "little")
                                    for d in digits), "little") - bias
 
 
 def _signed_slots(x: int, width: int, n: int) -> list[int]:
     """The n lowest slots d_s of x = sum d_s 2^(width*s), lowest first, each
-    with |d_s| < 2^(width-1): a bias of 2^(width-1) per slot absorbs every
-    borrow, so the slots are read as unsigned digits, through bytes for a
-    whole-byte width and by shifts for any other."""
-    half, k, m = 1 << (width - 1), width // 8, (1 << width) - 1
-    x = (x + half * (((1 << width * n) - 1) // m)) & ((1 << width * n) - 1)
-    if width % 8:
-        return [(x >> (width * s) & m) - half for s in range(n)]
-    b = x.to_bytes(k * n, "little")
+    with |d_s| < 2^(width-1), width whole bytes (:func:`_slot_width`): a
+    bias of 2^(width-1) per slot absorbs every borrow, so each slot is read
+    as an unsigned digit of width/8 bytes."""
+    half, k, m = 1 << (width - 1), width // 8, (1 << width * n) - 1
+    b = ((x + half * (m // (2 * half - 1))) & m).to_bytes(k * n, "little")
     return [int.from_bytes(b[i:i + k], "little") - half
             for i in range(0, k * n, k)]
 
@@ -628,7 +623,7 @@ def deepen_until_valid(build: Callable[[Fraction], QSeries], order: ExpLike,
     most DEEPEN_ATTEMPTS calls; negative-valuation factors make a result
     valid below its requested depth.
     """
-    order = Fraction(order)
+    order = nonneg_order(order)
     onum = exp_num(order, den)
     depth = order
     for _ in range(DEEPEN_ATTEMPTS):

@@ -38,6 +38,7 @@ from qident.products import (
     inv_poch_table,
 )
 from qident.series import (
+    LatticeError,
     Monomial,
     QSeries,
     compare_up_to,
@@ -79,6 +80,19 @@ def test_builtin_pair_alias_and_unknown():
     assert builtin_pair("G1*").name == builtin_pair("G1star").name
     with pytest.raises(ValueError):
         builtin_pair("G4")
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_NAMES))
+@pytest.mark.parametrize("den", [0, -4])
+def test_builtin_generators_refuse_a_lattice_denominator_below_1(name, den):
+    # alpha_0 builds its series with no exponent to convert, so the series
+    # itself must refuse the lattice, not return a series that cannot print
+    pair = builtin_pair(name)
+    for gen in (pair.alpha, pair.beta):
+        with pytest.raises(LatticeError) as info:
+            gen(0, 5, den)
+        assert str(info.value) == \
+            f"lattice denominator must be at least 1, got {den}"
 
 
 def test_closed_form_alpha_sum_matches_beta():

@@ -16,6 +16,7 @@ from qident.bailey import (
     general_bailey_check,
     limit_identity,
     pairs_equal,
+    term,
     verify_pair,
 )
 from qident.catalog import (
@@ -707,6 +708,7 @@ EVALUATORS = {
     "general_bailey_check": lambda cat, o, d: general_bailey_check(
         G1, qmono(1), qmono(2), 2, o, d),
     "limit_identity": lambda cat, o, d: limit_identity(G1, o, d),
+    "term": lambda cat, o, d: term(G1.alpha, 1, o, d),
     "Catalog.verify": lambda cat, o, d: cat.verify("R.R.1", o, d),
     "Catalog.cross_check_reduction":
         lambda cat, o, d: cat.cross_check_reduction("table2.1.1", o, d),

@@ -724,19 +724,27 @@ def test_slot_width_holds_every_coefficient_of_the_walk(monkeypatch):
 
 
 def test_a_short_slot_width_is_caught(monkeypatch):
-    # the width of the largest K * coefficient with no sign bit must break
-    # the walk, so the width test above would notice a short width
+    # one byte short: the largest whole-byte width that leaves the largest
+    # K * coefficient no sign bit must make the walk raise OverflowError or
+    # decode a wrong series, so the width test above would notice it; a
+    # byte more holds every coefficient again
     rng = random.Random(1809)
     cat = load_catalog()
-    cases = [(cat.get("R.R.1").spec, 20, 4), (_signed_spec(rng, 2), 6, 24)]
+    cases = [(cat.get("R.R.1").spec, 60, 4), (_signed_spec(rng, 2), 6, 24)]
     for spec, order, den in cases:
         want = _brute_multi_sum(spec, order, den)
         seen = _watch_widths(monkeypatch)
         assert multi_sum(spec, order, den) == want
         monkeypatch.undo()
-        short = max(seen["acc"])
+        short = max(seen["acc"]) // 8 * 8
+        assert short >= 8, spec
+        monkeypatch.setattr(nahm, "_slot_width", lambda *args: short + 8)
+        assert multi_sum(spec, order, den) == want
         monkeypatch.setattr(nahm, "_slot_width", lambda *args: short)
-        assert multi_sum(spec, order, den) != want
+        try:
+            assert multi_sum(spec, order, den) != want
+        except OverflowError:
+            pass
         monkeypatch.undo()
 
 

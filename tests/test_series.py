@@ -507,9 +507,14 @@ def test_dot_rejects_mixed_lattices():
      "geometric factor needs a positive exponent"),
     (lambda: substitute_power(QSeries.one(4), 0), ValueError,
      "substitution power must be positive"),
+    (lambda: QSeries.one(0), LatticeError,
+     "lattice denominator must be at least 1, got 0"),
+    (lambda: QSeries(-4, {0: 1}, None), LatticeError,
+     "lattice denominator must be at least 1, got -4"),
 ], ids=["truncated-past-validity", "dump-past-validity", "load-no-header",
         "load-other-lattice", "load-mixed-line", "geometric-exponent-0",
-        "geometric-exponent-negative", "substitute-power-0"])
+        "geometric-exponent-negative", "substitute-power-0", "series-den-0",
+        "series-den-negative"])
 def test_kernel_refusals(call, exc, message):
     with pytest.raises(exc) as info:
         call()
