@@ -15,15 +15,16 @@ exactly (a rational LDL^T, :func:`_squares`), which gives each variable its
 real ellipsoid extent and the enumerator a floor at every node (Fincke-Pohst
 row bounds).  The same completion decides positive definiteness.
 
-:func:`multi_sum` walks the box with one running series per index, each
+:func:`multi_sum` walks one exponent (a prefactor term c q^(f(n)) is c
+times a walk of the exponent plus f) with one running series per index, each
 held as one Python int (Kronecker substitution): slot s, w bits wide, is the
 coefficient of q^(G*s/den) on the sum's own lattice, so dividing by
 (1 - q^(d v)) is a doubling prefix sum, a cut is a mask, and a lattice point
-is one masked, shifted add per prefactor term (a point with extra factors
-packs its product with them once) into a signed accumulator decoded once at
-the end, all in the slot format `series` owns.  The walk certifies a bound
-from the box, prefactor and extra factor sizes that `series._slot_width`
-turns into a width no slot can carry past.  No floating point anywhere.
+is one masked, shifted add (a point with extra factors packs its product
+with them once) into an accumulator decoded once at the end, all in the
+slot format `series` owns.  The walk certifies a bound from the box and the
+extra factor sizes that `series._slot_width` turns into a width no slot can
+carry past.  No floating point anywhere.
 
 A :class:`MultiSumSpec` checks itself when built, so it holds only what
 :func:`multi_sum` can enumerate; :func:`nahm_spec` also demands a
@@ -34,7 +35,7 @@ the box, the walk and the catalog's family probes all read that form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -157,15 +158,13 @@ class PochFactor:
 
 class ScaledForm(NamedTuple):
     """A spec's exponent times `scale`, the least common denominator of its
-    halves m_ii/2, cross entries, lin, const and prefactor forms, in ints;
-    forms holds (const, coeffs) per prefactor term, coeffs () if all zero."""
+    halves m_ii/2, cross entries, lin and const, in ints."""
 
     scale: int
     half: tuple[int, ...]
     cross: tuple[tuple[int, ...], ...]  # cross[i][j] for j < i
     lin: tuple[int, ...]
     const: int
-    forms: tuple[tuple[int, tuple[int, ...]], ...]
 
     def at(self, point: Sequence[int]) -> int:
         """The exponent at point, times scale."""
@@ -196,13 +195,16 @@ class MultiSumSpec:
     def __post_init__(self):
         # The box needs a positive diagonal, and a form with a negative
         # entry positive definite (one with none is bounded on the orthant).
-        # It certifies only the quadratic exponent, so every other factor
+        # It certifies only the quadratic exponent, so an extra factor
         # must add no negative power of q, and every base d of a divisor
-        # 1 - q^(d v) is positive.
+        # 1 - q^(d v) is positive.  Every form has one coefficient per
+        # index, since the walk zips them with the point.
         k = len(self.names)
         m = self.quad
         if len(m) != k or len(self.lin) != k or len(self.denoms) != k \
-                or any(len(row) != k for row in m):
+                or any(len(row) != k for row in m) \
+                or any(len(f.coeffs) != k for _, f in self.prefactor) \
+                or any(len(f.length.coeffs) != k for f in self.extra):
             raise ValueError("spec dimensions disagree")
         if any(d <= 0 for d in self.denoms):
             raise ValueError("denominator bases must be positive")
@@ -214,6 +216,8 @@ class MultiSumSpec:
             raise ValueError("unbounded enumeration: nonpositive diagonal")
         if any(x < 0 for row in m for x in row):
             _squares(m, self.lin, self.const)
+        # A prefactor term is walked as its own spec with its own box, so
+        # its sign is the catalog grammar's rule, not the walk's need.
         for _, form in self.prefactor:
             if form.const < 0 or any(c < 0 for c in form.coeffs):
                 raise ValueError("prefactor exponents must have a nonnegative "
@@ -237,19 +241,15 @@ class MultiSumSpec:
     def ints(self) -> ScaledForm:
         m, r = self.quad, self.rank
         halves = [Fraction(m[i][i], 2) for i in range(r)]
-        forms = [f for _, f in self.prefactor] or [AffineForm(0, ())]
         L = lcm(*(x.denominator for x in (
-            *halves, *(x for row in m for x in row), *self.lin, self.const,
-            *(x for f in forms for x in (f.const, *f.coeffs)))))
+            *halves, *(x for row in m for x in row), *self.lin, self.const)))
 
         def up(*xs: Fraction) -> tuple[int, ...]:
             return tuple(x.numerator * (L // x.denominator) for x in xs)
 
         return ScaledForm(
             L, up(*halves), tuple(up(*m[i][:i]) for i in range(r)),
-            up(*self.lin), *up(self.const), tuple(
-                (*up(f.const), up(*f.coeffs) if any(f.coeffs) else ())
-                for f in forms))
+            up(*self.lin), *up(self.const))
 
     def exponent(self, point: Sequence[int]) -> Fraction:
         return Fraction(self.ints.at(point), self.ints.scale)
@@ -350,23 +350,28 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
               den: int = DEFAULT_D) -> QSeries:
     """Evaluate the generic spec exactly to the given order.
 
+    A prefactor term c q^(f(n)) adds c times the sum of the spec with f
+    added to its exponent and no prefactor, so a walk sees one exponent.
     Index i keeps one running series, divided by (1 - q^(d_i v)) as v steps
     up and cut to the deepest coefficient a point below it can still use, so
     no Pochhammer table is convolved per point.  Each series is packed into
     one int on the sum's own lattice (:func:`_layout`), in slots wide enough
     for every coefficient the walk can reach (`series._slot_width`), so a
-    division is a doubling prefix sum and a point adds its series, times its
-    prefactor coefficients over one common denominator K, into one signed
+    division is a doubling prefix sum and a point adds its series into one
     accumulator that is decoded once; at a point with extra factors, the
-    series times their table entries is packed once and added the same way.
-    The result is valid to the least validity of its contributions, which
-    the cuts keep at the order.
+    series times their table entries, over their common denominator kx, is
+    packed once and added the same way.  The result is valid to the least
+    validity of its contributions, which the cuts keep at the order.
     """
+    if spec.prefactor:
+        return sum(c * multi_sum(replace(
+            spec, prefactor=(), const=spec.const + f.const,
+            lin=tuple(x + y for x, y in zip(spec.lin, f.coeffs))), order, den)
+            for c, f in spec.prefactor)
     onum = exp_num(nonneg_order(order), den)
     bounds = lattice_bound(spec, order)
     r, sf = spec.rank, spec.ints
     nonneg = all(x >= 0 for row in sf.cross for x in row)
-    pcoeffs = [c for c, _ in spec.prefactor] or [1]
     # Exponents are ints in units of 1/L, L = den * scale (the spec's integer
     # form times den), so a point lands on the (1/den)-lattice iff its
     # exponent is a multiple of step = scale.
@@ -375,11 +380,9 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     cross = [[x * den for x in row] for row in sf.cross]
     lin_l = [x * den for x in sf.lin]
     const_l = sf.const * den
-    forms = [(c0 * den, [c * den for c in cs]) for c0, cs in sf.forms]
     lengths = [(int(f.length.const), [int(c) for c in f.length.coeffs])
                for f in spec.extra]
     denom_num = [exp_num(d, den) for d in spec.denoms]
-    pref_min = min(c0 for c0, _ in forms)
     top = onum * step
     # A point below a node has exponent >= the node's floor.  With a
     # nonnegative form that is the partial exponent e2 plus the later
@@ -396,39 +399,32 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
         floors = [low] * (r + 1)  # floors[i]: the floor of the node at i
         lowest = floor(low * L)
     # coefficients past this depth reach no exponent <= the order
-    root = (top - lowest - pref_min) // step
+    root = (top - lowest) // step
     depth = Fraction(root, den)
     extra_tabs = [(poch_table if f.power == 1 else inv_poch_table)(
         f.arg, f.base, int(f.length.value(bounds)), depth, den)
         for f in spec.extra]
-    # K = kp * kx clears every prefactor coefficient and every table entry,
-    # so each slot of the accumulator is an integer, K times the coefficient
-    kp = lcm(*(c.denominator for c in pcoeffs))
+    # kx clears every table entry, so each slot of the accumulator is an
+    # integer, kx times the coefficient
     ks = [lcm(*(c.denominator for t in tab for c in t.terms.values()))
           for tab in extra_tabs]
     kx = prod(ks)
     # Q(n) - Q(0) lies in the span of Q(e_i) - Q(0) and the form's entries;
-    # a prefactor term moves it by its form's const (less the first term's)
-    # and coefficients; a running series or extra table entry has powers
-    # spanned by the divisor steps and the extra factors' argument exponents
-    # and bases (an off-lattice one stands in as 1, which forces G = 1)
+    # a running series or extra table entry has powers spanned by the
+    # divisor steps and the extra factors' argument exponents and bases (an
+    # off-lattice one stands in as 1, which forces G = 1)
     gens = [d * step for d in denom_num]
     gens += [h + x for h, x in zip(half, lin_l)] + [2 * h for h in half]
     gens += [x for row in cross for x in row]
-    for c0, cs in forms:
-        gens += [c0 - forms[0][0], *cs]
     for f in spec.extra:
         gens += [x.numerator if x.denominator == 1 else 1
                  for x in (f.arg.exp * L, f.base * L)]
-    G, base = _layout(gens, const_l + forms[0][0], step,
-                      (lowest + pref_min) // step)
+    G, base = _layout(gens, const_l, step, lowest // step)
     # A running series is r kinds of geometric series in q^g, g the gcd of
     # the divisor steps, so none of its coefficients through q^(g*depth)
-    # exceeds p_r(depth); each point of the box adds it times the prefactor
-    # (l1 norm sum |ck|) and one entry per extra table (l1 norm at most k
-    # times the table's largest).
-    pref_l = [(int(c * kp), c0, cs) for c, (c0, cs) in zip(pcoeffs, forms)]
-    bound = prod(b + 1 for b in bounds) * sum(abs(ck) for ck, _, _ in pref_l)
+    # exceeds p_r(depth); each point of the box adds it times one entry per
+    # extra table (l1 norm at most k times the table's largest).
+    bound = prod(b + 1 for b in bounds)
     for k, tab in zip(ks, extra_tabs):
         bound *= int(k * max(sum(map(abs, t.terms.values())) for t in tab))
     w = _slot_width(bound, r, root // gcd(*denom_num))
@@ -445,44 +441,36 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
             for tab, (c0, cs) in zip(extra_tabs, lengths):
                 s = s * tab[c0 + sum(c * v for c, v in zip(cs, point))]
             # Exact: s has no term past its validity, so its slots (kx times
-            # its coefficients) cut by a term's mask are what that term adds;
+            # its coefficients) cut by the mask are what the point adds;
             # masking a signed int adds k*2^(w*n), which the shift by `at` (on
             # base + G*s, _layout) puts at slot (onum - base)//G + 1: unread.
             p = _pack([int(s.terms.get(G * t, 0) * kx)
                        for t in range(max(s.terms, default=0) // G + 1)], w)
             pcut = s.order_num
-        for ck, c0, cs in pref_l:
-            e = expo + c0
-            if cs:
-                e += sum(c * v for c, v in zip(cs, point))
-            if e > top:
-                continue
-            if e % step:
-                raise LatticeError(f"exponent {Fraction(e, L)} is not "
-                                   f"on the (1/{den})-lattice")
-            shift = e // step
-            at = w * ((shift - base) // G)
-            n = (onum - shift) // G + 1  # the slots that land <= the order
-            acc += ck * (p & ((1 << w * n) - 1)) << at
-            if pcut is not None and pcut + shift < valid:
-                valid = pcut + shift
+        if expo % step:
+            raise LatticeError(f"exponent {Fraction(expo, L)} is not "
+                               f"on the (1/{den})-lattice")
+        shift = expo // step
+        at = w * ((shift - base) // G)
+        n = (onum - shift) // G + 1  # the slots that land <= the order
+        acc += (p & ((1 << w * n) - 1)) << at
+        if pcut is not None and pcut + shift < valid:
+            valid = pcut + shift
 
     def rec(i: int, expo: int, p: int, pcut: Optional[int]) -> None:
-        if i == r:
-            if expo + pref_min <= top:
-                emit(expo, p, pcut)
+        if i == r:  # the last index's need puts expo <= top
+            emit(expo, p, pcut)
             return
         lq = lin_l[i] + sum(c * v for c, v in zip(cross[i], point))
         exps = [expo + (half[i] * v + lq) * v for v in range(bounds[i] + 1)]
         if nonneg:
-            needs = [(top - e2 - tail_min[i + 1] - pref_min) // step
-                     for e2 in exps]
+            needs = [(top - e2 - tail_min[i + 1]) // step for e2 in exps]
         else:
             c0, cs = centres[i]
             c = c0 + sum((x * v for x, v in zip(cs, point)), Fraction(0))
             fls = [floors[i] + piv[i] * (v - c) ** 2 / 2
                    for v in range(len(exps))]
-            needs = [(top - floor(f * L) - pref_min) // step for f in fls]
+            needs = [(top - floor(f * L)) // step for f in fls]
         # the series at v feeds every later v, and the exponent need not
         # grow with v, so it is cut at the most any of them can use
         cuts = list(accumulate(reversed(needs), max))[::-1]
@@ -502,7 +490,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
 
     rec(0, const_l, 1, None)
     return _Slots(den, _signed_slots(acc, w, max((onum - base) // G + 1, 0)),
-                  base, G, kp * kx, 1, valid).series()
+                  base, G, kx, 1, valid).series()
 
 
 # A Nahm sum is a spec from nahm_spec; the name stays for callers that look

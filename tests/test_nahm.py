@@ -622,8 +622,9 @@ def test_multi_sum_with_signed_rational_factors_matches_brute_force(
         negative += any(c < 0 for c in got.terms.values())
     assert negative  # the signed decode was exercised
     # two prefactor terms of opposite sign whose forms vanish at the origin
-    # meet its extra factors there; when the origin's product, packed once,
-    # has a negative digit, that signed int goes through both masked adds
+    # each meet its extra factors there, one walk per term; when the
+    # origin's product, packed once per walk, has a negative digit, that
+    # signed int goes through the walk's masked add
     packed = []
     pack = nahm._pack
 
@@ -650,6 +651,49 @@ def test_multi_sum_with_signed_rational_factors_matches_brute_force(
     assert met
 
 
+def _pref_spec(quad, lin, prefactor, extra=()):
+    """A spec over (i, j) with unit bases and (c, const, coeffs) terms."""
+    return MultiSumSpec(names=("i", "j"),
+                        quad=tuple(tuple(map(Fraction, row)) for row in quad),
+                        lin=tuple(map(Fraction, lin)),
+                        denoms=(Fraction(1),) * 2,
+                        prefactor=tuple((c, AffineForm(c0, cs))
+                                        for c, c0, cs in prefactor),
+                        extra=extra)
+
+
+def test_multi_sum_prefactor_terms_match_brute_force():
+    # each term is its own walk in its own box, so a term off the lattice,
+    # past the order or over a form with a negative entry is met alone
+    third = Fraction(1, 3)
+    off = _pref_spec([[2, 1], [1, 2]], [0, 0],
+                     [(1, 0, [0, 1]), (-2 * third, 0, [third, 0])])
+    with pytest.raises(LatticeError) as info:
+        multi_sum(off, 10, 4)
+    assert str(info.value) == "exponent 4/3 is not on the (1/4)-lattice"
+    inv = PochFactor(Monomial(-1, H), Fraction(1), AffineForm(0, [1, 1]), -1)
+    cases = [
+        (off, 10, 12),
+        # 3 q^9 lies past the order at every point
+        (_pref_spec([[2, 1], [1, 3]], [H, 0],
+                    [(-H, 0, [1, 0]), (2 * third, H, [0, 1]), (3, 9, [0, 0])],
+                    (inv,)), 7, 4),
+        (_pref_spec([[2, -1], [-1, 2]], [0, H],
+                    [(2, 0, [1, 1]), (-third, H, [0, 1])]), 8, 4),
+    ]
+    for spec, order, den in cases:
+        got = multi_sum(spec, order, den)
+        want = _brute_multi_sum(spec, order, den)
+        assert (got.terms, got.order_num) == (want.terms, want.order_num)
+    # both terms leave the lattice, the second at an earlier point of the
+    # walk: the first term's walk reports its own point, on one line
+    two = _pref_spec([[2, 1], [1, 2]], [0, 0],
+                     [(1, 0, [third, 0]), (1, 0, [0, 2 * third])])
+    with pytest.raises(LatticeError) as info:
+        multi_sum(two, 10, 4)
+    assert str(info.value) == "exponent 4/3 is not on the (1/4)-lattice"
+
+
 def test_coloured_partitions_match_a_product_expansion(monkeypatch):
     # from empty tables, asked in a scrambled order, so the divisor sieve
     # extends a table that already has entries
@@ -671,7 +715,7 @@ def test_coloured_partitions_match_a_product_expansion(monkeypatch):
 def _watch_widths(monkeypatch):
     """Record the slot width of every walk, check every packed division
     against an exact prefix sum, and record how many bits its slots and
-    the accumulator's slots used."""
+    each decode's slots used, each with the width of its own walk."""
     seen = {"width": [], "series": [], "acc": []}
     width, div, signed = nahm._slot_width, nahm._div_packed, \
         nahm._signed_slots
@@ -688,12 +732,13 @@ def _watch_widths(monkeypatch):
             want[k] += want[k - s]
         out = div(p, shift, mask)
         assert series._signed_slots(out, w, n) == want
-        seen["series"].append(max(want).bit_length())
+        seen["series"].append((max(want).bit_length(), w))
         return out
 
     def signed_slots(x, w, n):
         out = signed(x, w, n)
-        seen["acc"].append(max((abs(c).bit_length() for c in out), default=0))
+        seen["acc"].append(
+            (max((abs(c).bit_length() for c in out), default=0), w))
         return out
 
     monkeypatch.setattr(nahm, "_slot_width", slot_width)
@@ -710,17 +755,20 @@ def test_slot_width_holds_every_coefficient_of_the_walk(monkeypatch):
     for spec, order, den in cases:
         seen = _watch_widths(monkeypatch)
         got = multi_sum(spec, order, den)
-        (w,) = seen["width"]
         monkeypatch.undo()
-        # the same walk in slots twice as wide gives the same result, so
-        # the decoded slots are the true K * coefficients; a signed slot
-        # needs its bits and a sign bit below the width
-        monkeypatch.setattr(nahm, "_slot_width", lambda *args: 2 * w)
+        # one walk per prefactor term, each at its own width: the same
+        # walks in slots twice as wide give the same result, so the decoded
+        # slots are the true K * coefficients; a signed slot needs its bits
+        # and a sign bit below the width
+        assert len(seen["width"]) == max(len(spec.prefactor), 1), spec
+        width = nahm._slot_width
+        monkeypatch.setattr(nahm, "_slot_width",
+                            lambda *args: 2 * width(*args))
         assert multi_sum(spec, order, den) == got, spec
         monkeypatch.undo()
-        assert max(seen["acc"]) < w - 1, spec
+        assert all(bits < w - 1 for bits, w in seen["acc"]), spec
         # every division was checked against an exact prefix sum
-        assert max(seen["series"], default=0) < w, spec
+        assert all(bits < w for bits, w in seen["series"]), spec
 
 
 def test_a_short_slot_width_is_caught(monkeypatch):
@@ -736,7 +784,7 @@ def test_a_short_slot_width_is_caught(monkeypatch):
         seen = _watch_widths(monkeypatch)
         assert multi_sum(spec, order, den) == want
         monkeypatch.undo()
-        short = max(seen["acc"]) // 8 * 8
+        short = max(bits for bits, _ in seen["acc"]) // 8 * 8
         assert short >= 8, spec
         monkeypatch.setattr(nahm, "_slot_width", lambda *args: short + 8)
         assert multi_sum(spec, order, den) == want
@@ -914,7 +962,15 @@ def test_integer_form_matches_fraction_oracles():
     ({"extra": (PochFactor(qmono(1), Fraction(1), AffineForm(0, (1, 0)),
                            2),)},
      "extra factor powers are +1 or -1 only"),
-], ids=["non-symmetric-form", "extra-power-2"])
+    # the walk zips a form with the point, which would silently drop a long
+    # form's last coefficients and give a short form's missing ones 0
+    ({"prefactor": ((1, AffineForm(0, (1, 1, 5))),)},
+     "spec dimensions disagree"),
+    ({"prefactor": ((1, AffineForm(0, (1,))),)}, "spec dimensions disagree"),
+    ({"extra": (PochFactor(qmono(1), Fraction(1), AffineForm(0, (1,))),)},
+     "spec dimensions disagree"),
+], ids=["non-symmetric-form", "extra-power-2", "long-prefactor-form",
+        "short-prefactor-form", "short-extra-length"])
 def test_spec_refusals(change, message):
     fields = dict(names=("i", "j"), quad=((Fraction(2), Fraction(1)),
                                          (Fraction(1), Fraction(2))),
