@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from importlib import resources
+from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
 from qident.series import (
@@ -87,22 +88,24 @@ HALF = Fraction(1, 2)
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+# a declared name as int coefficients of the summation variables
+IntVector = tuple[int, ...]
 
 
 # -- the reader ----------------------------------------------------------------
 
-def _symbol_table(names: Sequence[str]) -> dict[str, Vector]:
-    """Each declared name maps to its unit vector; when the declared names
-    contain a consecutive block n1..nk, the suffix partial sums N1..Nk are
-    added as derived symbols (Nj = nj + ... + nk)."""
+def _symbol_table(names: Sequence[str]) -> dict[str, IntVector]:
+    """Each declared name maps to its unit vector of ints; when the declared
+    names contain a consecutive block n1..nk, the suffix partial sums N1..Nk
+    are added as derived symbols (Nj = nj + ... + nk)."""
     k = len(names)
-    sym: dict[str, Vector] = {}
+    sym: dict[str, IntVector] = {}
     for idx, nm in enumerate(names):
         if not nm or not nm[0].isalpha() or not nm.isalnum():
             raise ValueError(f"bad variable name {nm!r}")
         if nm in sym:
             raise ValueError(f"duplicate variable name {nm!r}")
-        sym[nm] = tuple(Fraction(int(t == idx)) for t in range(k))
+        sym[nm] = tuple(int(t == idx) for t in range(k))
     block = {}
     for idx, nm in enumerate(names):
         m = re.fullmatch(r"n(\d+)", nm)
@@ -113,9 +116,9 @@ def _symbol_table(names: Sequence[str]) -> dict[str, Vector]:
             nm = f"N{j}"
             if nm in sym:
                 continue
-            vec = [Fraction(0)] * k
+            vec = [0] * k
             for t in range(j, len(block) + 1):
-                vec[block[t]] = Fraction(1)
+                vec[block[t]] = 1
             sym[nm] = tuple(vec)
     return sym
 
@@ -271,7 +274,7 @@ class _Reader:
                 sign = -sign
         return sign
 
-    def factors(self, word: str) -> list[Vector]:
+    def factors(self, word: str) -> list[IntVector]:
         """A run of juxtaposed declared names, longest name first."""
         out, i = [], 0
         while i < len(word):
@@ -283,7 +286,7 @@ class _Reader:
             i += len(nm)
         return out
 
-    def term(self, cap: int) -> tuple[Fraction, list[Vector]]:
+    def term(self, cap: int) -> tuple[Fraction, list[IntVector]]:
         """[coeff [*]] {name [^2]} of degree at most cap; coeff is an int,
         int/int or a parenthesized rational."""
         coeff = None
@@ -294,7 +297,7 @@ class _Reader:
             coeff = self.ratio()
         if coeff is not None:
             self.accept("*")
-        vecs: list[Vector] = []
+        vecs: list[IntVector] = []
         while self.peek()[0] == "name":
             vecs.extend(self.factors(self.advance()[1]))
             if self.accept("^"):
@@ -310,28 +313,41 @@ class _Reader:
     def poly(self, cap: int) -> tuple[list[list[Fraction]], list[Fraction],
                                       Fraction]:
         """Signed terms of degree at most cap, as (quad, lin, const) with
-        value(x) = (1/2) x^T quad x + lin.x + const."""
-        k = self.k
-        quad = [[Fraction(0)] * k for _ in range(k)]
-        lin = [Fraction(0)] * k
-        const = Fraction(0)
+        value(x) = (1/2) x^T quad x + lin.x + const.  The terms are summed
+        as int numerators over the lcm d of their coefficients'
+        denominators, and each entry becomes a Fraction once, at the end."""
+        terms = []
         while True:
             sign = self.signs()
             coeff, vecs = self.term(cap)
-            coeff *= sign
+            terms.append((coeff if sign > 0 else -coeff, vecs))
+            if self.peek() not in _SIGNS:
+                break
+        d = lcm(*(c.denominator for c, _ in terms))
+        k = self.k
+        quad = [[0] * k for _ in range(k)]
+        lin = [0] * k
+        const = 0
+        for coeff, vecs in terms:
+            c = coeff.numerator * (d // coeff.denominator)
             if not vecs:
-                const += coeff
+                const += c
             elif len(vecs) == 1:
-                lin = [l + coeff * v for l, v in zip(lin, vecs[0])]
+                lin = [l + c * x for l, x in zip(lin, vecs[0])]
             else:
                 u, v = vecs
                 for a, x in enumerate(u):
-                    for b, y in enumerate(v):
-                        if x and y:
-                            quad[a][b] += coeff * x * y
-                            quad[b][a] += coeff * x * y
-            if self.peek() not in _SIGNS:
-                return quad, lin, const
+                    if x:
+                        for b, y in enumerate(v):
+                            if y:
+                                quad[a][b] += c * x * y
+                                quad[b][a] += c * x * y
+        zero = Fraction(0)
+
+        def exact(n: int) -> Fraction:
+            return Fraction(n, d) if n else zero
+        return ([[exact(n) for n in row] for row in quad],
+                [exact(n) for n in lin], exact(const))
 
     def affine(self) -> AffineForm:
         _, lin, const = self.poly(1)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Optional, Union
 
 from qident.series import (
@@ -32,7 +33,6 @@ from qident.series import (
     LatticeError,
     Monomial,
     QSeries,
-    Scalar,
     _Slots,
     _div_packed,
     _pack,
@@ -191,26 +191,38 @@ def _as_product(x) -> ProductExpr:
 
 
 def _poly_norm(monos: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
-    acc: dict[Fraction, Scalar] = {}
+    """Sum equal exponents, keyed by the exponent's ints so no Fraction is
+    hashed, and sort by exponent; a zero sum is dropped."""
+    acc: dict[tuple[int, int], list] = {}
     for m in monos:
-        acc[m.exp] = acc.get(m.exp, 0) + m.coeff
-    out = tuple(Monomial(c, e) for e, c in sorted(acc.items()) if c != 0)
+        e = m.exp
+        key = (e.numerator, e.denominator)
+        if key in acc:
+            acc[key][1] += m.coeff
+        else:
+            acc[key] = [e, m.coeff]
+    out = tuple(Monomial(c, e) for e, c in sorted(acc.values(),
+                                                   key=itemgetter(0)) if c)
     if not out:
         raise ValueError("zero prefactor")
     return out
 
 
 def _merge(factors):
-    acc: dict[tuple[Scalar, Fraction, Fraction], int] = {}
-    order = []
-    for (m, b, p) in factors:
-        key = (m.coeff, m.exp, Fraction(b))
-        if key not in acc:
-            order.append(key)
-            acc[key] = 0
-        acc[key] += p
-    return tuple((Monomial(k[0], k[1]), k[2], acc[k])
-                 for k in order if acc[k] != 0)
+    """Sum the powers of equal factors (m, base, power), keyed by the ints
+    of m's coefficient and exponent and of the base so no Fraction is
+    hashed; first-appearance order and each key's first Monomial are kept,
+    and zero powers dropped."""
+    acc: dict[tuple[int, ...], list] = {}
+    for m, b, p in factors:
+        c, e = m.coeff, m.exp
+        key = (c.numerator, c.denominator, e.numerator, e.denominator,
+               b.numerator, b.denominator)
+        if key in acc:
+            acc[key][2] += p
+        else:
+            acc[key] = [m, b if isinstance(b, Fraction) else Fraction(b), p]
+    return tuple((m, b, p) for m, b, p in acc.values() if p)
 
 
 def P(a: ExpLike, m: ExpLike) -> ProductExpr:
@@ -225,7 +237,9 @@ def NP(a: ExpLike, m: ExpLike) -> ProductExpr:
 
 def TP(x: ExpLike, y: ExpLike, z: ExpLike, m: ExpLike) -> ProductExpr:
     """(q^x, q^y, q^z; q^m)_infinity."""
-    return P(x, m) * P(y, m) * P(z, m)
+    m = _positive_base(m)
+    return ProductExpr(_merge(tuple((Monomial(1, a), m, 1)
+                                    for a in (x, y, z))))
 
 
 def J(a: ExpLike, m: Optional[ExpLike] = None) -> ProductExpr:

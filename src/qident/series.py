@@ -311,7 +311,8 @@ def dot(pairs, onum: Optional[int], den: int) -> QSeries:
 
     Every pair's :func:`_mul_order` lowers the validity, even with an empty
     truncated operand, and every row stops there.  Each product is scaled
-    to D = lcm(d_a * d_b) and each output coefficient divided by D once.
+    to D = lcm(d_a * d_b) and each output coefficient divided by D once;
+    one pair is its own D, so nothing is rescaled.
     """
     parts = []
     for a, b in pairs:
@@ -322,8 +323,9 @@ def dot(pairs, onum: Optional[int], den: int) -> QSeries:
         if a.terms and b.terms:
             da, x = _over_common_den(a.terms)
             db, y = _over_common_den(b.terms)
-            parts.append((da * db, *sorted((x, y), key=len)))
-    big = lcm(*(d for d, _, _ in parts))
+            parts.append((da * db, x, y) if len(x) <= len(y)
+                         else (da * db, y, x))
+    big = parts[0][0] if len(parts) == 1 else lcm(*(d for d, _, _ in parts))
     out: dict[int, int] = {}
     get = out.get
     for d, x, y in parts:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor, isqrt
 
-from qident.series import DEFAULT_D, QSeries, exp_num
+from qident.series import DEFAULT_D, Monomial, QSeries, exp_num
 
 
 def count_partitions(n, allowed_parts):
@@ -235,3 +235,73 @@ def triple_product_oracle(z, base, order, den=DEFAULT_D):
     while put(n):
         n -= 1
     return QSeries(den, terms, onum)
+
+
+# -- the product-expression algebra over Fraction-keyed dicts ------------------
+#
+# A product expression is a pair (factors, prefactor) as in ProductExpr; equal
+# factors and equal prefactor exponents are found by hashing the Fractions
+# themselves, the way the algebra did before it keyed on ints.
+
+def oracle_merge(factors):
+    """Sum the powers of equal (m, base, power) factors in first-appearance
+    order, dropping zero powers."""
+    acc = {}
+    order = []
+    for (m, b, p) in factors:
+        key = (m.coeff, m.exp, Fraction(b))
+        if key not in acc:
+            order.append(key)
+            acc[key] = 0
+        acc[key] += p
+    return tuple((Monomial(k[0], k[1]), k[2], acc[k])
+                 for k in order if acc[k] != 0)
+
+
+def oracle_poly_norm(monos):
+    """Sum equal exponents, sort by exponent, drop zeros; none left is a
+    ValueError."""
+    acc = {}
+    for m in monos:
+        acc[m.exp] = acc.get(m.exp, 0) + m.coeff
+    out = tuple(Monomial(c, e) for e, c in sorted(acc.items()) if c != 0)
+    if not out:
+        raise ValueError("zero prefactor")
+    return out
+
+
+ORACLE_ONE = (Monomial(1, 0),)
+
+
+def oracle_mul(x, y):
+    pf = tuple(a * b for a in x[1] for b in y[1])
+    return oracle_merge(x[0] + y[0]), oracle_poly_norm(pf)
+
+
+def oracle_div(x, y):
+    if y[1] != ORACLE_ONE:
+        raise ValueError("can only divide by a pure product")
+    return oracle_merge(x[0] + tuple((m, b, -p) for m, b, p in y[0])), x[1]
+
+
+def oracle_pow(x, k):
+    if x[1] != ORACLE_ONE:
+        raise ValueError("can only power a pure product")
+    return oracle_merge(tuple((m, b, p * k) for m, b, p in x[0])), ORACLE_ONE
+
+
+def oracle_P(a, m, sign=1):
+    """(sign q^a; q^m)_infinity."""
+    return ((Monomial(sign, a), Fraction(m), 1),), ORACLE_ONE
+
+
+def oracle_TP(x, y, z, m):
+    return oracle_mul(oracle_mul(oracle_P(x, m), oracle_P(y, m)),
+                      oracle_P(z, m))
+
+
+def oracle_J(a, m=None):
+    if m is None:
+        return oracle_P(a, a)
+    a, m = Fraction(a), Fraction(m)
+    return oracle_TP(a, m - a, m, m)

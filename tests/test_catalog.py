@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -24,6 +25,7 @@ from qident.catalog import (
     _spec_from_fn,
     RECORD_KEYS,
     load_catalog,
+    packaged_catalog_text,
     parse_affine,
     parse_catalog_text,
     parse_chain,
@@ -609,6 +611,45 @@ def test_summed_rhs_family_full_domain(cat):
         for i in range(1, k):
             rep = cat.verify(f"Bressoud1980({k},{i})", 25)
             assert rep.equal, f"Bressoud1980({k},{i}) fails at {rep.first_mismatch}"
+
+
+def _family_instances(k_max=4):
+    """Every family instance with k <= k_max, families in registry order."""
+    return [gen.instantiate(k, i) for gen in FAMILIES.values()
+            for k in range(gen.k_min, k_max + 1) for i in gen.i_values(k)]
+
+
+# SHA-256 over repr(Identity) of the 67 packaged records, then of the 221
+# family instances with k <= 4, one line each.  Any change to factor order,
+# to Monomial normalization or to a Fraction field that becomes an int moves it.
+PARSE_DIGEST = \
+    "1717ad3a2f33053090cc647fb1843aca8ec361f3399f6e35b39e690028861deb"
+
+
+def test_parsed_records_and_family_instances_are_pinned():
+    records = parse_catalog_text(packaged_catalog_text())
+    instances = _family_instances()
+    assert (len(records), len(instances)) == (67, 221)
+    h = hashlib.sha256()
+    for ident in [*records.values(), *instances]:
+        h.update(repr(ident).encode() + b"\n")
+    assert h.hexdigest() == PARSE_DIGEST
+
+
+def test_building_the_catalog_hashes_no_fraction(monkeypatch):
+    # the product algebra keys factors and exponents by ints; a Fraction's
+    # hash is pure Python and computes a modular inverse
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__",
+                        lambda x: calls.append(x) or fraction_hash(x))
+    assert hash(Fraction(1, 3)) == fraction_hash(Fraction(1, 3))
+    assert len(calls) == 1
+    calls.clear()
+    parse_catalog_text(packaged_catalog_text())
+    assert len(calls) == 0
+    _family_instances()
+    assert len(calls) == 0
 
 
 def test_family_instances_match_stored_records(cat):

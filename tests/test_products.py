@@ -38,11 +38,18 @@ from qident.products import (
 )
 
 from helpers import (
+    ORACLE_ONE,
     check_against,
     count_partitions,
     dense_factors,
     dense_inverse,
     dense_mul,
+    oracle_J,
+    oracle_P,
+    oracle_TP,
+    oracle_div,
+    oracle_mul,
+    oracle_pow,
     series_coeffs,
     triple_product_oracle,
 )
@@ -822,6 +829,147 @@ def test_product_expressions_refuse_other_operands(call):
     with pytest.raises(TypeError) as info:
         call()
     assert str(info.value) == "cannot use 'x' in a product expression"
+
+
+# -- the product algebra against the Fraction-keyed oracle --------------------
+
+# Few distinct values, so equal factors meet often; 2 and 4/2 are one value.
+_EXPS = (Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(4, 2), Fraction(5, 4))
+_BASES = (1, 2, Fraction(3, 2), 4)
+
+
+def _draw_tree(rng, depth):
+    """A random product expression as a nested tuple."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.choice(("P", "NP", "TP", "J", "J1", "pf", "raw"))
+        m = rng.choice(_BASES)
+        if kind in ("P", "NP"):
+            return (kind, rng.choice(_EXPS), m)
+        if kind == "TP":
+            return (kind, *rng.sample(_EXPS, 3), m)
+        if kind == "J":
+            return (kind, Fraction(m) * Fraction(rng.randint(1, 3), 4), m)
+        if kind == "J1":
+            return (kind, m)
+        if kind == "pf":  # (1 + q^e), e = 0 included
+            return (kind, rng.choice((0,) + _EXPS))
+        # a ProductExpr written directly: rational coefficients, int bases,
+        # and now and then a prefactor that cancels to zero
+        factors = tuple((Monomial(rng.choice((1, -1, Fraction(1, 2),
+                                               Fraction(-3, 2))),
+                                  rng.choice(_EXPS)),
+                         rng.choice(_BASES), rng.choice((-2, -1, 1, 3)))
+                        for _ in range(rng.randint(0, 3)))
+        c, e = rng.choice((1, -2, Fraction(2, 3))), rng.choice(_EXPS)
+        pf = rng.choice((ORACLE_ONE, (Monomial(c, e),),
+                         (Monomial(c, e), Monomial(-c, e)),
+                         (Monomial(c, e), Monomial(1, 0), Monomial(c, e))))
+        return ("raw", factors, pf)
+    op = rng.choice(("*", "*", "/", "**", "int"))
+    if op == "**":
+        return (op, _draw_tree(rng, depth - 1), rng.choice((-1, 0, 2, 3)))
+    if op == "int":
+        return (op, _draw_tree(rng, depth - 1), rng.choice((-3, -1, 2, 5)),
+                rng.random() < 0.5)
+    return (op, _draw_tree(rng, depth - 1), _draw_tree(rng, depth - 1))
+
+
+def _build(node):
+    kind = node[0]
+    if kind == "P":
+        return P(*node[1:])
+    if kind == "NP":
+        return NP(*node[1:])
+    if kind == "TP":
+        return TP(*node[1:])
+    if kind == "J":
+        return J(*node[1:])
+    if kind == "J1":
+        return J(node[1])
+    if kind == "pf":
+        return ProductExpr((), (Monomial(1, 0), Monomial(1, node[1])))
+    if kind == "raw":
+        return ProductExpr(*node[1:])
+    if kind == "int":
+        x = _build(node[1])
+        return node[2] * x if node[3] else x * node[2]
+    x, y = _build(node[1]), node[2]
+    if kind == "**":
+        return x ** y
+    return x * _build(y) if kind == "*" else x / _build(y)
+
+
+def _oracle(node):
+    kind = node[0]
+    if kind in ("P", "NP"):
+        return oracle_P(node[1], node[2], 1 if kind == "P" else -1)
+    if kind == "TP":
+        return oracle_TP(*node[1:])
+    if kind in ("J", "J1"):
+        return oracle_J(*node[1:])
+    if kind == "pf":
+        return (), (Monomial(1, 0), Monomial(1, node[1]))
+    if kind == "raw":
+        return node[1], node[2]
+    if kind == "int":
+        return oracle_mul(_oracle(node[1]), ((), (Monomial(node[2], 0),)))
+    if kind == "**":
+        return oracle_pow(_oracle(node[1]), node[2])
+    x, y = _oracle(node[1]), _oracle(node[2])
+    return oracle_mul(x, y) if kind == "*" else oracle_div(x, y)
+
+
+def _outcome(evaluate):
+    """('ok', factors, prefactor) by repr, so an int where a Fraction was
+    differs, or ('error', message)."""
+    try:
+        factors, prefactor = evaluate()
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", repr(factors), repr(prefactor)
+
+
+def test_product_algebra_matches_the_fraction_keyed_oracle():
+    rng = random.Random(3030)
+    seen = {"merged": 0, "empty": 0, "zero prefactor": 0,
+            "can only divide by a pure product": 0,
+            "can only power a pure product": 0}
+    for _ in range(600):
+        tree = _draw_tree(rng, rng.randint(1, 4))
+
+        def lib():
+            expr = _build(tree)
+            return expr.factors, expr.prefactor
+
+        got, want = _outcome(lib), _outcome(lambda: _oracle(tree))
+        assert got == want, tree
+        if got[0] == "error":
+            seen[got[1]] += 1
+        else:
+            factors = _build(tree).factors
+            seen["empty"] += factors == ()
+            seen["merged"] += any(abs(p) > 1 for _, _, p in factors)
+    assert all(seen.values()), seen
+
+
+def test_product_algebra_cancels_and_refuses_a_zero_prefactor():
+    x = J(Fraction(1, 2), 3) * NP(1, 2) ** 2 / P(Fraction(3, 2), 1)
+    q = x / x
+    assert q.factors == () and q.prefactor == (Monomial(1, 0),)
+    assert (TP(1, 1, 2, 4) / P(1, 4) ** 2 / P(2, 4)).factors == ()
+    # the first appearance fixes the order; a power summed to 0 drops out
+    y = P(2, 1) * NP(1, 2) * P(Fraction(4, 2), 1) / NP(1, 2)
+    assert y.factors == ((Monomial(1, 2), Fraction(1), 2),)
+    # an int base is read as its Fraction
+    z = ProductExpr(((Monomial(-1, 1), 2, 1),)) * 1
+    assert repr(z.factors) == repr(((Monomial(-1, 1), Fraction(2), 1),))
+    two = (Monomial(1, 0), Monomial(1, 1))
+    w = ProductExpr((), (Monomial(2, 1), Monomial(-1, 0), Monomial(-2, 1),
+                         Monomial(1, 0)))
+    for expr in (lambda: w * 1, lambda: 3 * w,
+                 lambda: ProductExpr((), two) * w):
+        with pytest.raises(ValueError, match="^zero prefactor$"):
+            expr()
 
 
 def test_vanishing_denominator_is_refused_by_its_row():
