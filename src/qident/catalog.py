@@ -1142,8 +1142,8 @@ class Catalog:
             lhs_digest=_digest(lhs, order),
             rhs_digest=_digest(rhs, order),
             box=tuple(lattice_bound(ident.spec, order)),
-            lhs_terms=len(lhs.terms),
-            rhs_terms=len(rhs.terms),
+            lhs_terms=len(lhs.nums),
+            rhs_terms=len(rhs.nums),
             wall_time=wall,
         )
 

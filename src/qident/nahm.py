@@ -406,8 +406,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
         for f in spec.extra]
     # kx clears every table entry, so each slot of the accumulator is an
     # integer, kx times the coefficient
-    ks = [lcm(*(c.denominator for t in tab for c in t.terms.values()))
-          for tab in extra_tabs]
+    ks = [lcm(*(t.d for t in tab)) for tab in extra_tabs]
     kx = prod(ks)
     # Q(n) - Q(0) lies in the span of Q(e_i) - Q(0) and the form's entries;
     # a running series or extra table entry has powers spanned by the
@@ -426,7 +425,8 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     # extra table (l1 norm at most k times the table's largest).
     bound = prod(b + 1 for b in bounds)
     for k, tab in zip(ks, extra_tabs):
-        bound *= int(k * max(sum(map(abs, t.terms.values())) for t in tab))
+        bound *= max(k // t.d * sum(map(abs, t.nums.values()))
+                     for t in tab)
     w = _slot_width(bound, r, root // gcd(*denom_num))
     acc = 0
     valid = onum
@@ -444,8 +444,9 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
             # its coefficients) cut by the mask are what the point adds;
             # masking a signed int adds k*2^(w*n), which the shift by `at` (on
             # base + G*s, _layout) puts at slot (onum - base)//G + 1: unread.
-            p = _pack([int(s.terms.get(G * t, 0) * kx)
-                       for t in range(max(s.terms, default=0) // G + 1)], w)
+            m = kx // s.d
+            p = _pack([s.nums.get(G * t, 0) * m
+                       for t in range(max(s.nums, default=0) // G + 1)], w)
             pcut = s.order_num
         if expo % step:
             raise LatticeError(f"exponent {Fraction(expo, L)} is not "

@@ -14,16 +14,15 @@ sound truncation, so exactness survives polynomial arithmetic and decays only
 when a genuinely truncated object (an infinite product, a Nahm sum, ...)
 enters the computation.
 
-Coefficients are stored as ints, or as Fractions when not integral.  Kernel
-loops use Python's own int/Fraction operators and normalize once at the end.
-A product brings each operand over one common denominator, the lcm of its
-coefficients' denominators, convolves the integer numerators and divides
-each output coefficient once; an all-int operand has denominator 1 and is
-used as it is.  :func:`dot`, a sum of products, does the same with one
-accumulator for every pair, scaled to one common denominator, so a sum of
-n products costs one division per coefficient and no additions; a product
-is the one-pair :func:`dot`, so the convolution loop is written once.  The
-packed form that the product pass and the lattice walk run on is here too.
+Coefficients are stored in one form, integer numerators over their least
+common denominator d with gcd(d, *numerators) = 1 (FLINT's fmpq_poly form),
+so an integral series has d = 1.  Every kernel loop runs on these ints and
+reduces its result once.  :func:`dot`, a sum of products, convolves every
+pair into one accumulator over the lcm of the pairs' d and reduces once,
+with no series additions; a product is the one-pair :func:`dot`, so the
+convolution loop is written once.  Rational coefficients enter through the
+QSeries constructor and leave through ``terms``.  The packed form that the
+product pass and the lattice walk run on is here too.
 
 No floating point is used anywhere in this module.
 """
@@ -55,10 +54,11 @@ def exp_num(e: ExpLike, den: int) -> int:
     if den < 1:
         raise LatticeError(f"lattice denominator must be at least 1, "
                            f"got {den}")
-    scaled = Fraction(e) * den
-    if scaled.denominator != 1:
+    f = e if isinstance(e, (int, Fraction)) else Fraction(e)
+    num, rem = divmod(f.numerator * den, f.denominator)
+    if rem:
         raise LatticeError(f"exponent {e} is not on the (1/{den})-lattice")
-    return scaled.numerator
+    return num
 
 
 def nonneg_order(order: ExpLike) -> Fraction:
@@ -73,43 +73,9 @@ def nonneg_order(order: ExpLike) -> Fraction:
     return value
 
 
-def _clean(c: Scalar) -> Scalar:
-    """Collapse integral Fractions to int so coefficient dicts stay cheap."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _normal(terms: dict[int, Scalar], onum: Optional[int] = None,
-            div: int = 1) -> dict[int, Scalar]:
-    """The stored form of accumulated coefficients, up to `onum` if given.
-
-    Kernel loops add with Python's own int/Fraction operators and call this
-    once at the end: zero coefficients are dropped and integral Fractions
-    become ints (an int's denominator is 1 and its numerator is itself).
-    With `div`, the coefficients are integer numerators and each is divided
-    by `div` here, once.
-    """
-    if div != 1:
-        return {n: c // div if not c % div else Fraction(c, div)
-                for n, c in terms.items()
-                if c and (onum is None or n <= onum)}
-    return {n: c.numerator if c.denominator == 1 else c
-            for n, c in terms.items()
-            if c and (onum is None or n <= onum)}
-
-
-def _over_common_den(terms: dict[int, Scalar]) -> tuple[int, list]:
-    """(d, ascending (n, d*c) pairs) with every d*c an int.
-
-    d is the lcm of the coefficients' denominators, so an all-int series has
-    d = 1 and keeps its pairs.
-    """
-    d = lcm(*{c.denominator for c in terms.values()})
-    items = sorted(terms.items())
-    if d == 1:
-        return 1, items
-    return d, [(n, c.numerator * (d // c.denominator)) for n, c in items]
+def _scalar(c: int, d: int) -> Scalar:
+    """c/d as an int when integral, else as a Fraction."""
+    return c // d if not c % d else Fraction(c, d)
 
 
 class Mismatch(NamedTuple):
@@ -134,7 +100,9 @@ class Monomial:
     def __init__(self, coeff: Scalar, exp: ExpLike):
         if coeff == 0:
             raise ValueError("zero monomial is not representable")
-        object.__setattr__(self, "coeff", _clean(Fraction(coeff)))
+        c = Fraction(coeff)
+        c = c.numerator if c.denominator == 1 else c
+        object.__setattr__(self, "coeff", c)
         object.__setattr__(self, "exp", Fraction(exp))
 
     def __neg__(self) -> "Monomial":
@@ -152,23 +120,47 @@ def qmono(e: ExpLike, coeff: Scalar = 1) -> Monomial:
 class QSeries:
     """Sparse truncated series; immutable by convention after construction.
 
-    ``terms`` maps exponent numerators (units of 1/den) to nonzero rational
-    coefficients, each an int or, when not integral, a Fraction.
-    ``order_num`` is the largest exponent numerator at which the
-    coefficients are guaranteed, or None for an exact polynomial.
+    ``nums`` maps exponent numerators (units of 1/den) to nonzero int
+    numerators over ``d``, the coefficients' least common denominator, so
+    that gcd(d, *nums.values()) is 1; ``terms`` derives the rational
+    coefficients from them.  ``order_num`` is the largest exponent
+    numerator at which the coefficients are guaranteed, or None for an
+    exact polynomial.  Rational coefficients come in through the
+    constructor, integer numerators through :meth:`_of`; both reduce
+    through :meth:`_set`.
     """
 
-    __slots__ = ("den", "order_num", "terms")
+    __slots__ = ("den", "order_num", "nums", "d")
 
     def __init__(self, den: int = DEFAULT_D,
                  terms: Optional[dict[int, Scalar]] = None,
                  order_num: Optional[int] = None):
+        items = terms.items() if terms else ()
+        d = lcm(*(c.denominator for _, c in items))
+        self._set(den, {n: c.numerator * (d // c.denominator)
+                        for n, c in items}, d, order_num, None)
+
+    @classmethod
+    def _of(cls, den: int, nums: dict[int, int], d: int,
+            order_num: Optional[int], onum: Optional[int] = None):
+        """The series nums/d, without its terms past onum if given."""
+        s = cls.__new__(cls)
+        s._set(den, nums, d, order_num, onum)
+        return s
+
+    def _set(self, den: int, nums: dict[int, int], d: int,
+             order_num: Optional[int], onum: Optional[int]) -> None:
+        """Store nums/d in lowest terms: zeros and the terms past onum
+        dropped, and the gcd divided out."""
         if den < 1:
             raise LatticeError(f"lattice denominator must be at least 1, "
                                f"got {den}")
-        self.den = den
-        self.order_num = order_num
-        self.terms = {} if terms is None else terms
+        nums = {n: c for n, c in nums.items()
+                if c and (onum is None or n <= onum)}
+        g = gcd(d, *nums.values()) if d != 1 else 1
+        if g != 1:
+            nums, d = {n: c // g for n, c in nums.items()}, d // g
+        self.den, self.order_num, self.nums, self.d = den, order_num, nums, d
 
     # -- construction helpers ------------------------------------------------
 
@@ -183,37 +175,45 @@ class QSeries:
     @classmethod
     def from_terms(cls, pairs, den: int = DEFAULT_D,
                    order: Optional[ExpLike] = None) -> "QSeries":
-        """Build from (exponent, coefficient) pairs given in q-units."""
+        """Build from (exponent, coefficient) pairs given in q-units,
+        dropping those past the order."""
         onum = None if order is None else exp_num(order, den)
         terms: dict[int, Scalar] = {}
         for e, c in pairs:
             n = exp_num(e, den)
-            terms[n] = terms.get(n, 0) + c
-        return cls(den, _normal(terms, onum), onum)
+            if onum is None or n <= onum:
+                terms[n] = terms.get(n, 0) + c
+        return cls(den, terms, onum)
 
     # -- inspection ----------------------------------------------------------
 
     @property
+    def terms(self) -> dict[int, Scalar]:
+        """A new dict of the coefficients, each an int or, when not
+        integral, a Fraction."""
+        return {n: _scalar(c, self.d) for n, c in self.nums.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @property
     def min_num(self) -> Optional[int]:
-        return min(self.terms) if self.terms else None
+        return min(self.nums) if self.nums else None
 
     def coeff_num(self, n: int) -> Scalar:
         if self.order_num is not None and n > self.order_num:
             raise TruncationError(
                 f"coefficient at {Fraction(n, self.den)} is beyond order "
                 f"{Fraction(self.order_num, self.den)}")
-        return self.terms.get(n, 0)
+        return _scalar(self.nums.get(n, 0), self.d)
 
     def __repr__(self) -> str:
         parts = []
         for n, c in sorted(self.terms.items())[:8]:
             e = Fraction(n, self.den)
             parts.append(f"{c}*q^{e}" if e else str(c))
-        if len(self.terms) > 8:
+        if len(self.nums) > 8:
             parts.append("...")
         body = " + ".join(parts) if parts else "0"
         tail = "exact" if self.order_num is None else \
@@ -225,7 +225,7 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return (self.den == other.den and self.order_num == other.order_num
-                and self.terms == other.terms)
+                and self.d == other.d and self.nums == other.nums)
 
     def __hash__(self):
         raise TypeError("QSeries is unhashable")
@@ -241,17 +241,19 @@ class QSeries:
         other = _promote(other, self.den)
         self._check(other)
         onum = _min_order(self.order_num, other.order_num)
-        terms = dict(self.terms)
-        get = terms.get
-        for n, c in other.terms.items():
-            terms[n] = get(n, 0) + c
-        return QSeries(self.den, _normal(terms, onum), onum)
+        d = lcm(self.d, other.d)
+        sa, sb = d // self.d, d // other.d
+        nums = {n: c * sa for n, c in self.nums.items()}
+        get = nums.get
+        for n, c in other.nums.items():
+            nums[n] = get(n, 0) + c * sb
+        return QSeries._of(self.den, nums, d, onum, onum)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.den, {n: -c for n, c in self.terms.items()},
-                       self.order_num)
+        return QSeries._of(self.den, {n: -c for n, c in self.nums.items()},
+                           self.d, self.order_num)
 
     def __sub__(self, other) -> "QSeries":
         return self + (-_promote(other, self.den))
@@ -271,17 +273,15 @@ class QSeries:
         return self.__mul__(other)
 
     def scale(self, c: Scalar) -> "QSeries":
-        if c == 0:
-            return QSeries(self.den, {}, self.order_num)
-        return QSeries(self.den,
-                       _normal({n: v * c for n, v in self.terms.items()}),
-                       self.order_num)
+        p = c.numerator
+        return QSeries._of(self.den, {n: v * p for n, v in self.nums.items()},
+                           self.d * c.denominator, self.order_num)
 
     def shift(self, num: int) -> "QSeries":
         """Multiply by q**(num/den)."""
         onum = None if self.order_num is None else self.order_num + num
-        return QSeries(self.den, {n + num: c for n, c in self.terms.items()},
-                       onum)
+        nums = {n + num: c for n, c in self.nums.items()}
+        return QSeries._of(self.den, nums, self.d, onum)
 
     def truncated(self, order: ExpLike) -> "QSeries":
         onum = exp_num(order, self.den)
@@ -289,16 +289,14 @@ class QSeries:
             raise TruncationError(
                 f"cannot extend validity from "
                 f"{Fraction(self.order_num, self.den)} to {order}")
-        return QSeries(self.den,
-                       {n: c for n, c in self.terms.items() if n <= onum},
-                       onum)
+        return QSeries._of(self.den, self.nums, self.d, onum, onum)
 
 
 def _promote(x, den: int) -> QSeries:
     if isinstance(x, QSeries):
         return x
     if isinstance(x, (int, Fraction)):
-        return QSeries(den, {0: _clean(Fraction(x))} if x else {}, None)
+        return QSeries(den, {0: x}, None)
     if isinstance(x, Monomial):
         return QSeries(den, {exp_num(x.exp, den): x.coeff}, None)
     raise TypeError(f"cannot interpret {x!r} as a series")
@@ -310,9 +308,9 @@ def dot(pairs, onum: Optional[int], den: int) -> QSeries:
     is the one pair ((a, b),) from onum None.
 
     Every pair's :func:`_mul_order` lowers the validity, even with an empty
-    truncated operand, and every row stops there.  Each product is scaled
-    to D = lcm(d_a * d_b) and each output coefficient divided by D once;
-    one pair is its own D, so nothing is rescaled.
+    truncated operand, and every row stops there.  Each product of
+    numerators is scaled to D = lcm(a.d * b.d) and the sum is reduced over
+    D once; one pair is its own D, so nothing is rescaled.
     """
     parts = []
     for a, b in pairs:
@@ -320,11 +318,10 @@ def dot(pairs, onum: Optional[int], den: int) -> QSeries:
             if s.den != den:
                 raise LatticeError(f"mixing lattices 1/{s.den} and 1/{den}")
         onum = _min_order(onum, _mul_order(a, b))
-        if a.terms and b.terms:
-            da, x = _over_common_den(a.terms)
-            db, y = _over_common_den(b.terms)
-            parts.append((da * db, x, y) if len(x) <= len(y)
-                         else (da * db, y, x))
+        if a.nums and b.nums:
+            x, y = sorted(a.nums.items()), sorted(b.nums.items())
+            parts.append((a.d * b.d, x, y) if len(x) <= len(y)
+                         else (a.d * b.d, y, x))
     big = parts[0][0] if len(parts) == 1 else lcm(*(d for d, _, _ in parts))
     out: dict[int, int] = {}
     get = out.get
@@ -341,7 +338,7 @@ def dot(pairs, onum: Optional[int], den: int) -> QSeries:
                     break
                 n = n1 + n2
                 out[n] = get(n, 0) + c1 * c2
-    return QSeries(den, _normal(out, div=big), onum)
+    return QSeries._of(den, out, big, onum)
 
 
 def _min_order(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -361,11 +358,11 @@ def _mul_order(a: QSeries, b: QSeries) -> Optional[int]:
     """
     cands = []
     if a.order_num is not None:
-        vb = b.min_num if b.terms else b.order_num
+        vb = b.min_num if b.nums else b.order_num
         if vb is not None:
             cands.append(a.order_num + vb)
     if b.order_num is not None:
-        va = a.min_num if a.terms else a.order_num
+        va = a.min_num if a.nums else a.order_num
         if va is not None:
             cands.append(b.order_num + va)
     return min(cands) if cands else None
@@ -376,10 +373,7 @@ def _mul_order(a: QSeries, b: QSeries) -> Optional[int]:
 def monomial_series(m: Monomial, order: Optional[ExpLike] = None,
                     den: int = DEFAULT_D) -> QSeries:
     """A one-term series, dropped if the exponent is beyond the order."""
-    n = exp_num(m.exp, den)
-    onum = None if order is None else exp_num(order, den)
-    terms = {n: m.coeff} if (onum is None or n <= onum) else {}
-    return QSeries(den, terms, onum)
+    return QSeries.from_terms(((m.exp, m.coeff),), den, order)
 
 
 def mul_one_minus(a: QSeries, c: Scalar, num: int) -> QSeries:
@@ -390,12 +384,13 @@ def mul_one_minus(a: QSeries, c: Scalar, num: int) -> QSeries:
     an exact product.
     """
     onum = None if a.order_num is None else a.order_num + min(num, 0)
-    out = dict(a.terms)
+    p, r = c.numerator, c.denominator
+    out = {n: v * r for n, v in a.nums.items()}
     get = out.get
-    for n, v in a.terms.items():
+    for n, v in a.nums.items():
         t = n + num
-        out[t] = get(t, 0) - c * v
-    return QSeries(a.den, _normal(out, onum), onum)
+        out[t] = get(t, 0) - p * v
+    return QSeries._of(a.den, out, a.d * r, onum, onum)
 
 
 def mul_inv_one_minus(a: QSeries, m: Monomial,
@@ -404,7 +399,9 @@ def mul_inv_one_minus(a: QSeries, m: Monomial,
     m, which must have positive exponent.
 
     The cumulative recurrence out[n] = a[n] + c * out[n - step] runs in
-    O(order/step) per populated residue class, for m = c q^(step/den).
+    O(order/step) per populated residue class, for m = c q^(step/den).  With
+    c = p/r, A a's numerators and top the most steps a class takes, it runs
+    on y = out * a.d * r^top: y[n] = A[n] r^top + p y[n - step] / r, exact.
     """
     c, step = m.coeff, exp_num(m.exp, a.den)
     onum = exp_num(order, a.den)
@@ -412,17 +409,19 @@ def mul_inv_one_minus(a: QSeries, m: Monomial,
         raise ValueError("geometric factor needs a positive exponent")
     if a.order_num is not None:
         onum = min(onum, a.order_num)
-    get = a.terms.get
-    out: dict[int, Scalar] = {}
+    p, r = c.numerator, c.denominator
+    get = a.nums.get
+    out: dict[int, int] = {}
     starts: dict[int, int] = {}  # lowest exponent in each residue class
-    for n in sorted(a.terms, reverse=True):
+    for n in sorted(a.nums, reverse=True):
         starts[n % step] = n
+    rtop = r ** max([(onum - n) // step for n in starts.values()] + [0])
     for start in starts.values():
-        prev: Scalar = 0
+        prev = 0
         for n in range(start, onum + 1, step):
-            prev = get(n, 0) + c * prev
+            prev = get(n, 0) * rtop + p * prev // r
             out[n] = prev
-    return QSeries(a.den, _normal(out), onum)
+    return QSeries._of(a.den, out, a.d * rtop, onum)
 
 
 def invert_unit(a: QSeries, order: ExpLike) -> QSeries:
@@ -432,14 +431,13 @@ def invert_unit(a: QSeries, order: ExpLike) -> QSeries:
     den = a.den
     onum = exp_num(order, den)
     low = a.min_num
-    c0 = a.terms[low]
     if a.order_num is not None and a.order_num - 2 * low < onum:
         raise TruncationError(
             "operand is not valid far enough to invert to the requested order")
     # u = a / (c0 q^low) has constant term 1; invert by the usual recurrence.
-    r0 = _clean(1 / Fraction(c0))
-    u_items = sorted(_normal({n - low: v * r0 for n, v in a.terms.items()
-                              if n != low}).items())
+    r0 = Fraction(a.d, a.nums[low])
+    u_items = sorted((n - low, v * r0) for n, v in a.terms.items()
+                     if n != low)
     inv: dict[int, Scalar] = {0: 1}
     if u_items:
         # 1/u lives on the lattice of u's exponents; step over it
@@ -455,8 +453,8 @@ def invert_unit(a: QSeries, order: ExpLike) -> QSeries:
                     s += uc * prev
             if s:
                 inv[n] = -s
-    return QSeries(den, _normal({n - low: v * r0 for n, v in inv.items()},
-                                onum), onum)
+    return QSeries(den, {n - low: v * r0 for n, v in inv.items()
+                         if n - low <= onum}, onum)
 
 
 # -- packed series ---------------------------------------------------------
@@ -550,27 +548,22 @@ class _Slots(NamedTuple):
 
     @classmethod
     def of(cls, s: QSeries) -> "_Slots":
-        d, pairs = _over_common_den(s.terms)
+        pairs = sorted(s.nums.items())
         low = pairs[0][0] if pairs else 0
         g = gcd(*(n - low for n, _ in pairs))
         digits = [0] * ((pairs[-1][0] - low) // (g or 1) + 1 if pairs else 0)
         for n, v in pairs:
             digits[(n - low) // (g or 1)] = v
-        return cls(s.den, digits, low, g, d, 1, s.order_num)
+        return cls(s.den, digits, low, g, s.d, 1, s.order_num)
 
     def series(self) -> QSeries:
-        """Each nonzero digit over its d*ratio^s, to an int when integral."""
-        low, g, div, ratio = self.low, self.g, self.d, self.ratio
-        if div == 1 and ratio == 1:
-            terms = {low + g * s: v for s, v in enumerate(self.digits) if v}
-        else:
-            terms = {}
-            for s, v in enumerate(self.digits):
-                if v:
-                    terms[low + g * s] = v // div if not v % div \
-                        else Fraction(v, div)
-                div *= ratio
-        return QSeries(self.den, terms, self.valid)
+        """Digit s times ratio^(top - s) over d*ratio^top, top the last."""
+        low, g, r, top = self.low, self.g, self.ratio, len(self.digits) - 1
+        digits = self.digits if r == 1 else [
+            v * r ** (top - s) for s, v in enumerate(self.digits)]
+        nums = {low + g * s: v for s, v in enumerate(digits) if v}
+        return QSeries._of(self.den, nums, self.d * r ** max(top, 0),
+                           self.valid)
 
 
 def substitute_power(a: QSeries, k: ExpLike) -> QSeries:
@@ -578,17 +571,18 @@ def substitute_power(a: QSeries, k: ExpLike) -> QSeries:
     k = Fraction(k)
     if k <= 0:
         raise ValueError("substitution power must be positive")
-    terms: dict[int, Scalar] = {}
-    for n, c in a.terms.items():
-        s = n * k
-        if s.denominator != 1:
+    kn, kd = k.numerator, k.denominator
+    nums: dict[int, int] = {}
+    for n, c in a.nums.items():
+        s, rem = divmod(n * kn, kd)
+        if rem:
             raise LatticeError(
                 f"exponent {Fraction(n, a.den)}*{k} leaves the lattice")
-        terms[s.numerator] = c
+        nums[s] = c
     onum = a.order_num
     if onum is not None:
-        onum = (onum * k.numerator) // k.denominator
-    return QSeries(a.den, terms, onum)
+        onum = (onum * kn) // kd
+    return QSeries._of(a.den, nums, a.d, onum)
 
 
 def compare_up_to(a: QSeries, b: QSeries,
@@ -601,12 +595,14 @@ def compare_up_to(a: QSeries, b: QSeries,
             raise TruncationError(
                 f"operand only valid to {Fraction(s.order_num, s.den)}, "
                 f"compared at {order}")
-    for n in sorted(set(a.terms) | set(b.terms)):
+    an, bn, ad, bd = a.nums, b.nums, a.d, b.d
+    for n in sorted(an.keys() | bn.keys()):
         if n > onum:
             break
-        ca, cb = a.terms.get(n, 0), b.terms.get(n, 0)
-        if ca != cb:
-            return Mismatch(Fraction(n, a.den), ca, cb)
+        ca, cb = an.get(n, 0), bn.get(n, 0)
+        if ca * bd != cb * ad:
+            return Mismatch(Fraction(n, a.den), _scalar(ca, ad),
+                            _scalar(cb, bd))
     return None
 
 
@@ -654,11 +650,11 @@ def dump(a: QSeries, order: Optional[ExpLike] = None) -> str:
         onum = exp_num(order, a.den)
         if a.order_num is not None and onum > a.order_num:
             raise TruncationError("dump order exceeds series validity")
-    lines = [f"order {onum}/{a.den}"]
-    for n, c in sorted(a.terms.items()):
+    lines, d = [f"order {onum}/{a.den}"], a.d
+    for n, c in sorted(a.nums.items()):
         if n > onum:
             break
-        lines.append(f"{n}/{a.den} {c}")
+        lines.append(f"{n}/{a.den} {c if d == 1 else _scalar(c, d)}")
     return "\n".join(lines) + "\n"
 
 
@@ -678,7 +674,6 @@ def load_dump(text: str, den: int = DEFAULT_D) -> QSeries:
         n_s, d2_s = e_s.split("/")
         if int(d2_s) != d:
             raise LatticeError("inconsistent lattice inside dump")
-        c = Fraction(c_s)
-        terms[int(n_s)] = _clean(c)
+        terms[int(n_s)] = Fraction(c_s)
     return QSeries(den, terms, int(onum_s))
 

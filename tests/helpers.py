@@ -7,7 +7,7 @@ its own expected values.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, isqrt
+from math import floor, gcd, isqrt
 
 from qident.series import DEFAULT_D, Monomial, QSeries, exp_num
 
@@ -186,8 +186,11 @@ def dense_factors(c, exps, length):
 def check_against(res, ref, lo, order_num):
     """res has the expected validity, stores nothing outside the reference
     window or past its order, agrees with ref through its order, and keeps
-    every coefficient in normal form: nonzero, and an int when integral."""
+    the one integer form: nonzero int numerators over a least denominator,
+    read back as ints when integral."""
     assert res.order_num == order_num
+    assert res.d >= 1 and gcd(res.d, *res.nums.values()) == 1
+    assert all(type(c) is int and c for c in res.nums.values())
     top = lo + len(ref) - 1 if order_num is None else order_num
     assert all(lo <= n <= top for n in res.terms)
     for n in range(lo, top + 1):

@@ -4,6 +4,8 @@ The modules form a stack in README's order; each imports only modules
 below it.  The packed slot format has one owner, ``series``: the only
 private names that cross a module boundary are its packed API, imported
 by the two packed passes, and no other module defines one of them.
+A series' rational ``terms`` are derived for tests and tooling; the
+library above ``series`` reads its integer numerators instead.
 """
 
 import ast
@@ -86,3 +88,9 @@ def test_series_alone_defines_the_packed_api():
                     for t in node.targets if isinstance(t, ast.Name)}
         want = PACKED_API if module == "series" else set()
         assert defined & PACKED_API == want, module
+
+
+@pytest.mark.parametrize("module", LAYERS[1:])
+def test_no_module_above_series_reads_terms(module):
+    assert [node.lineno for node in ast.walk(_tree(module))
+            if isinstance(node, ast.Attribute) and node.attr == "terms"] == []

@@ -12,6 +12,7 @@ from qident.series import (
     Monomial,
     QSeries,
     TruncationError,
+    _Slots,
     coefficient,
     compare_up_to,
     deepen_until_valid,
@@ -47,6 +48,26 @@ def test_monomial_series_basics():
     assert monomial_series(Monomial(-1, Fraction(1, 2)), order=40) == \
         S([(Fraction(1, 2), -1)], 40)
     assert monomial_series(Monomial(2, 41), order=40).is_zero
+
+
+def test_constructor_drops_stored_zeros():
+    s = QSeries(4, {0: 0})
+    assert s.is_zero and s.min_num is None
+    assert dump(s, 1) == "order 4/4\n"
+
+
+def test_constructor_reduces_to_the_least_denominator():
+    assert QSeries(4, {0: 0, 3: Fraction(4, 2)}) == QSeries(4, {3: 2})
+    s = QSeries(4, {0: Fraction(1, 6), 2: Fraction(-3, 4)}, 8)
+    assert (s.nums, s.d) == ({0: 2, 2: -9}, 12)
+    half = QSeries(4, {1: Fraction(1, 2)})
+    assert ((half + half).nums, (half + half).d) == ({1: 1}, 1)
+
+
+def test_invert_unit_skips_a_stored_zero():
+    # the lowest term is q^(1/4), so the operand is not valid far enough
+    with pytest.raises(TruncationError):
+        invert_unit(QSeries(4, {0: 0, 1: 1}, 8), 2)
 
 
 def test_zero_monomial_rejected():
@@ -185,7 +206,7 @@ def test_invert_roundtrip_random():
     rng = random.Random(777)
     for _ in range(100):
         a = _random_series(rng, order=16)
-        a.terms[0] = rng.choice([1, -1, 2, Fraction(1, 2)])
+        a = a + (rng.choice([1, -1, 2, Fraction(1, 2)]) - a.coeff_num(0))
         inv = invert_unit(a, 8)
         assert equal_up_to(a * inv, QSeries.one(), 7)
 
@@ -519,3 +540,51 @@ def test_kernel_refusals(call, exc, message):
     with pytest.raises(exc) as info:
         call()
     assert type(info.value) is exc and str(info.value) == message
+
+
+def test_kernel_builds_no_fraction_per_coefficient(monkeypatch):
+    """The kernel runs on integer numerators: on operands over 3, 7 and
+    2**40 + 1, dot, +, -, shift, truncated and the packed codec build no
+    Fraction, and scale, mul_one_minus and mul_inv_one_minus at most one per
+    call, for their scalar."""
+    # its own generator, so no other check's operands change
+    rng = random.Random(20261022)
+    den, dens = 4, [3, 7, 2**40 + 1]
+
+    def draw():
+        q = rng.choice(dens)
+        pairs = [(Fraction(rng.randint(-2 * den, 8 * den), den),
+                  Fraction(rng.randint(-9, 9), q))
+                 for _ in range(rng.randint(2, 8))]
+        return QSeries.from_terms(pairs, den=den, order=rng.choice([None, 10]))
+
+    cases = []
+    for _ in range(40):
+        a, b = draw(), draw()
+        c = Fraction(rng.choice([-4, 1, 5]), rng.choice(dens))
+        cases.append((a, b, c, Monomial(c, Fraction(rng.randint(1, 8), den)),
+                      _Slots.of(a)))
+    assert sum(any(type(c) is Fraction for c in a.terms.values())
+               for a, *_ in cases) > 30
+
+    calls = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for a, b, c, m, slots in cases:
+        calls.clear()
+        dot(((a, b), (b, a)), 30, den)
+        for s in (a + b, a - b, a.shift(3), a.truncated(5)):
+            _Slots.of(s)
+        slots.series()
+        slots._replace(ratio=3).series()
+        assert calls == []
+        for op in (lambda: a.scale(c), lambda: mul_one_minus(a, c, -2),
+                   lambda: mul_inv_one_minus(a, m, 10)):
+            calls.clear()
+            op()
+            assert len(calls) <= 1
