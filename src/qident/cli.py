@@ -236,6 +236,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return commands[args.cmd](args)
     except (OSError, KeyError, ValueError) as exc:
         return _usage_error(exc)
+    except MemoryError:  # e.g. a family parameter too large to build
+        return _usage_error("out of memory")
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ times a walk of the exponent plus f) with one running series per index, each
 held as one Python int (Kronecker substitution): slot s, w bits wide, is the
 coefficient of q^(G*s/den) on the sum's own lattice, so dividing by
 (1 - q^(d v)) is a doubling prefix sum, a cut is a mask, and a lattice point
-is one masked, shifted add (a point with extra factors packs its product
-with them once) into an accumulator decoded once at the end, all in the
+is one int product per extra factor table, packed once per walk, and one
+masked, shifted add into an accumulator decoded once at the end, all in the
 slot format `series` owns.  The walk certifies a bound from the box and the
 extra factor sizes that `series._slot_width` turns into a width no slot can
 carry past.  No floating point anywhere.
@@ -51,6 +51,7 @@ from qident.series import (
     Scalar,
     _Slots,
     _div_packed,
+    _mul_valid,
     _pack,
     _signed_slots,
     _slot_width,
@@ -354,13 +355,13 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     added to its exponent and no prefactor, so a walk sees one exponent.
     Index i keeps one running series, divided by (1 - q^(d_i v)) as v steps
     up and cut to the deepest coefficient a point below it can still use, so
-    no Pochhammer table is convolved per point.  Each series is packed into
+    no denominator table is convolved per point.  Each series is packed into
     one int on the sum's own lattice (:func:`_layout`), in slots wide enough
     for every coefficient the walk can reach (`series._slot_width`), so a
-    division is a doubling prefix sum and a point adds its series into one
-    accumulator that is decoded once; at a point with extra factors, the
-    series times their table entries, over their common denominator kx, is
-    packed once and added the same way.  The result is valid to the least
+    division is a doubling prefix sum, and a point multiplies its series by
+    its entry of each packed extra table (over the tables' common
+    denominator kx), cut at the product's validity, and adds it into one
+    accumulator that is decoded once.  The result is valid to the least
     validity of its contributions, which the cuts keep at the order.
     """
     if spec.prefactor:
@@ -423,31 +424,30 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
     # the divisor steps, so none of its coefficients through q^(g*depth)
     # exceeds p_r(depth); each point of the box adds it times one entry per
     # extra table (l1 norm at most k times the table's largest).
-    bound = prod(b + 1 for b in bounds)
-    for k, tab in zip(ks, extra_tabs):
-        bound *= max(k // t.d * sum(map(abs, t.nums.values()))
-                     for t in tab)
+    bound = prod(b + 1 for b in bounds) * prod(
+        max(k // t.d * sum(map(abs, t.nums.values())) for t in tab)
+        for k, tab in zip(ks, extra_tabs))
     w = _slot_width(bound, r, root // gcd(*denom_num))
-    acc = 0
-    valid = onum
-    point = [0] * r
+    # each table entry as one int (k/d times it), its validity and valuation
+    packed = [[(_pack([t.nums.get(G * s, 0) * (k // t.d)
+                       for s in range(max(t.nums, default=0) // G + 1)], w),
+                t.order_num, t.min_num if t.nums else t.order_num)
+               for t in tab] for k, tab in zip(ks, extra_tabs)]
+    acc, valid, point = 0, onum, [0] * r
 
     def emit(expo: int, p: int, pcut: Optional[int]) -> None:
         nonlocal acc, valid
-        if extra_tabs:
-            n = 1 if pcut is None else pcut // G + 1
-            # its slots are below half the slot range and nonnegative
-            s = _Slots(den, _signed_slots(p, w, n), 0, G, 1, 1, pcut).series()
-            for tab, (c0, cs) in zip(extra_tabs, lengths):
-                s = s * tab[c0 + sum(c * v for c, v in zip(cs, point))]
-            # Exact: s has no term past its validity, so its slots (kx times
-            # its coefficients) cut by the mask are what the point adds;
-            # masking a signed int adds k*2^(w*n), which the shift by `at` (on
-            # base + G*s, _layout) puts at slot (onum - base)//G + 1: unread.
-            m = kx // s.d
-            p = _pack([s.nums.get(G * t, 0) * m
-                       for t in range(max(s.nums, default=0) // G + 1)], w)
-            pcut = s.order_num
+        for tab, (c0, cs) in zip(packed, lengths):
+            e, ecut, elow = tab[c0 + sum(c * v for c, v in zip(cs, point))]
+            low = ((p & -p).bit_length() - 1) // w * G if p else pcut
+            pcut = _mul_valid(pcut, low, ecut, elow)
+            # the slots through pcut are exact mod 2^(w*n) and sum, signed,
+            # to less than 2^(w*n - 1): the least absolute residue (mask -1
+            # keeps an exact product whole)
+            mask = -1 if pcut is None else (1 << w * (pcut // G + 1)) - 1
+            p = p * (e & mask) & mask
+            if p > mask >> 1:
+                p -= mask + 1
         if expo % step:
             raise LatticeError(f"exponent {Fraction(expo, L)} is not "
                                f"on the (1/{den})-lattice")

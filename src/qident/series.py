@@ -350,22 +350,19 @@ def _min_order(a: Optional[int], b: Optional[int]) -> Optional[int]:
 
 
 def _mul_order(a: QSeries, b: QSeries) -> Optional[int]:
-    """Sound truncation for a product.
+    """Sound truncation for a product (:func:`_mul_valid`); the valuation
+    of an empty truncated series is conservatively its order."""
+    va, vb = (s.min_num if s.nums else s.order_num for s in (a, b))
+    return _mul_valid(a.order_num, va, b.order_num, vb)
 
-    Unknown terms of one factor first pollute the product at
-    order + (valuation of the other factor); an exact factor never does.
-    The valuation of an empty truncated series is conservatively its order.
-    """
-    cands = []
-    if a.order_num is not None:
-        vb = b.min_num if b.nums else b.order_num
-        if vb is not None:
-            cands.append(a.order_num + vb)
-    if b.order_num is not None:
-        va = a.min_num if a.nums else a.order_num
-        if va is not None:
-            cands.append(b.order_num + va)
-    return min(cands) if cands else None
+
+def _mul_valid(oa: Optional[int], va: Optional[int], ob: Optional[int],
+               vb: Optional[int]) -> Optional[int]:
+    """The validity of a product of factors valid to oa and ob (None when
+    exact) with valuations va and vb (None for an exact zero): unknown terms
+    of one factor first pollute it at its order + the other's valuation."""
+    return min((o + v for o, v in ((oa, vb), (ob, va))
+                if o is not None and v is not None), default=None)
 
 
 # -- spec-level operations ---------------------------------------------------
@@ -514,7 +511,7 @@ def _pack(digits: list[int], width: int) -> int:
     slot of width/8 bytes and a bias takes them back, so a digit that does
     not fit its slot with a sign bit raises OverflowError, never carries."""
     half, k = 1 << (width - 1), width // 8
-    bias = half * (((1 << width * len(digits)) - 1) // (2 * half - 1))
+    bias = int.from_bytes(half.to_bytes(k, "little") * len(digits), "little")
     return int.from_bytes(b"".join((d + half).to_bytes(k, "little")
                                    for d in digits), "little") - bias
 
@@ -525,7 +522,8 @@ def _signed_slots(x: int, width: int, n: int) -> list[int]:
     bias of 2^(width-1) per slot absorbs every borrow, so each slot is read
     as an unsigned digit of width/8 bytes."""
     half, k, m = 1 << (width - 1), width // 8, (1 << width * n) - 1
-    b = ((x + half * (m // (2 * half - 1))) & m).to_bytes(k * n, "little")
+    bias = int.from_bytes(half.to_bytes(k, "little") * n, "little")
+    b = ((x + bias) & m).to_bytes(k * n, "little")
     return [int.from_bytes(b[i:i + k], "little") - half
             for i in range(0, k * n, k)]
 

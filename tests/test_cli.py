@@ -413,6 +413,20 @@ def test_options_a_subcommand_does_not_read_are_refused(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    # a family parameter too large to build, such as AG with k = 99999999999,
+    # runs out of memory in Catalog.resolve; stand in for it without
+    # allocating
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("qident.catalog.Catalog.resolve", exhausted)
+    rc, out, err = run(capsys, "verify", "AG", "--k", "99999999999",
+                       "--i", "1")
+    assert rc == 2 and out == ""
+    assert err.splitlines() == ["qident: error: out of memory"]
+
+
 def test_bailey_verify_human_mode_lists_failing_indices(capsys, monkeypatch):
     def failing(pair, n_max, order, den):
         return PairReport(pair.name, pair.a, Fraction(order),

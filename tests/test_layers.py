@@ -17,7 +17,7 @@ import qident
 
 PKG = Path(qident.__file__).parent
 LAYERS = ("series", "products", "nahm", "bailey", "catalog", "cli")
-PACKED_API = {"_Slots", "_div_packed", "_pack", "_signed_slots",
+PACKED_API = {"_Slots", "_div_packed", "_mul_valid", "_pack", "_signed_slots",
               "_slot_width"}
 PACKED_USERS = {"products", "nahm"}
 

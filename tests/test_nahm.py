@@ -1,10 +1,14 @@
 """Lattice-sum evaluators, enumeration bounds and rank reduction."""
 
 import dataclasses
+import hashlib
+import json
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,7 @@ from qident.series import (
     LatticeError,
     Monomial,
     QSeries,
+    dump,
     equal_up_to,
     exp_num,
     invert_unit,
@@ -579,6 +584,24 @@ def test_multi_sum_validity_follows_its_contributions(monkeypatch):
     assert equal_up_to(got, _brute_multi_sum(spec, 10, 4), 8)
 
 
+def test_a_product_cut_short_of_the_order_keeps_nothing_past_its_cut(
+        monkeypatch):
+    # the origin is the one point; its entry 1/(1 + q^(1/2)), valid two
+    # powers short of the order, ends on a negative digit, which the cut
+    # keeps signed, so no slot between the cut and the order is written
+    cut = nahm.inv_poch_table
+    monkeypatch.setattr(
+        nahm, "inv_poch_table",
+        lambda arg, base, n, order, den: cut(arg, base, n, order - 2, den))
+    spec = dataclasses.replace(
+        NEG_SPEC, quad=((Fraction(40),),), lin=(Fraction(0),),
+        extra=(PochFactor(Monomial(-1, H), Fraction(1), AffineForm(1, [0]),
+                          -1),))
+    want = QSeries.from_terms(
+        ((Fraction(k, 2), (-1) ** k) for k in range(18)), 4, Fraction(17, 2))
+    assert multi_sum(spec, Fraction(21, 2)) == want
+
+
 def test_multi_sum_is_valid_to_the_order_it_was_asked_for():
     cat = load_catalog()
     for rid in cat.ids():
@@ -610,8 +633,7 @@ def _signed_spec(rng, r):
     return dataclasses.replace(spec, prefactor=prefactor, extra=tuple(extra))
 
 
-def test_multi_sum_with_signed_rational_factors_matches_brute_force(
-        monkeypatch):
+def test_multi_sum_with_signed_rational_factors_matches_brute_force():
     rng = random.Random(1807)
     negative = 0
     for t in range(15):
@@ -623,16 +645,19 @@ def test_multi_sum_with_signed_rational_factors_matches_brute_force(
     assert negative  # the signed decode was exercised
     # two prefactor terms of opposite sign whose forms vanish at the origin
     # each meet its extra factors there, one walk per term; when the
-    # origin's product, packed once per walk, has a negative digit, that
-    # signed int goes through the walk's masked add
-    packed = []
-    pack = nahm._pack
+    # origin's product with its table entries has a negative digit, that
+    # signed int goes through the walk's masked add: read it from the
+    # walk's leaf as the leaf returns
+    leaves = []
+    emit = next(c for c in nahm.multi_sum.__code__.co_consts
+                if getattr(c, "co_name", None) == "emit")
 
-    def watch(digits, w):
-        packed.append(min(digits) < 0)
-        return pack(digits, w)
+    def watch(frame, event, arg):
+        if event == "return" and frame.f_code is emit:
+            loc = frame.f_locals
+            digits = series._signed_slots(loc["p"], loc["w"], loc["n"])
+            leaves.append(not any(loc["point"]) and min(digits) < 0)
 
-    monkeypatch.setattr(nahm, "_pack", watch)
     rng = random.Random(1809)
     met = 0
     for t in range(12):
@@ -644,10 +669,15 @@ def test_multi_sum_with_signed_rational_factors_matches_brute_force(
              AffineForm(0, _random_form(rng, spec.rank).coeffs)),
             *spec.prefactor))
         order = Fraction(rng.randint(8, 14), 2)
-        packed.clear()
-        got = multi_sum(spec, order, 24)
+        leaves.clear()
+        profiler = sys.getprofile()
+        sys.setprofile(watch)
+        try:
+            got = multi_sum(spec, order, 24)
+        finally:
+            sys.setprofile(profiler)
         assert got == _brute_multi_sum(spec, order, 24), spec
-        met += spec.exponent([0] * spec.rank) <= order and packed[0]
+        met += any(leaves)
     assert met
 
 
@@ -794,6 +824,57 @@ def test_a_short_slot_width_is_caught(monkeypatch):
         except OverflowError:
             pass
         monkeypatch.undo()
+
+
+# -- walks with extra factors: one packed leaf --------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "multi_sum_golden.json"
+
+
+def _digest(s):
+    return hashlib.sha256(f"{s.order_num}\n{dump(s)}".encode()).hexdigest()
+
+
+def test_extra_factor_walks_are_pinned():
+    """Every routed record's reduction and every family instance (k <= 4)
+    with extra factors keep the validity and dump they had when each
+    point's product with its table entries was formed as a QSeries."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    order, cat = golden["order"], load_catalog()
+    reds = {rid: reduce_rank(cat.get(rid).spec) for rid in cat.ids()}
+    reds = {rid: red for rid, red in reds.items() if red is not None}
+    assert sorted(reds) == sorted(golden["reductions"])
+    for rid, red in reds.items():
+        assert _digest(eval_reduction(red, order)) == \
+            golden["reductions"][rid], rid
+    assert len(golden["family"]) == 18
+    for name, want in golden["family"].items():
+        spec = cat.resolve(name).spec
+        assert spec.extra, name
+        assert _digest(multi_sum(spec, order)) == want, name
+
+
+def test_a_walk_with_extra_factors_decodes_once(monkeypatch):
+    # every point multiplies its packed series by the packed table entries,
+    # so no QSeries product is formed and the accumulator is the one decode
+    counts = {"dot": 0, "decode": 0}
+    dot, decode = series.dot, series._Slots.series
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(series, "dot", counted("dot", dot))
+    monkeypatch.setattr(series._Slots, "series", counted("decode", decode))
+    cat = load_catalog()
+    for spec in (cat.resolve("thm1.1(2,1)").spec,
+                 reduce_rank(cat.get("exam12-1").spec).spec):
+        assert spec.extra
+        counts.update(dot=0, decode=0)
+        multi_sum(spec, 30)
+        assert counts == {"dot": 0, "decode": 1}
 
 
 # -- the integer form against Fraction oracles -------------------------------
