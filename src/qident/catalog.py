@@ -15,9 +15,10 @@ Parameterized families are generated in code.  Each builder registers
 itself in :data:`FAMILIES` where it is written (``@_family(name, domain)``,
 over a shared parameter domain where one fits) and turns (k, i) into a
 concrete :class:`Identity`; families that differ only by a parameter share
-one builder.  Its quadratic form is extracted from a plain Python exponent
-function by exact finite differences, with randomized probes that reject
-any non-quadratic function loudly.
+one builder.  A builder states its exponent as the reader's terms, each a
+coefficient times at most two int linear forms, so a non-quadratic
+exponent cannot be written; one function (:func:`_form`) sums the terms
+of a family and of a parsed expression alike.
 
 The same reader parses the transform chains of ``qident bailey`` and of
 ``route``, "SEED |> STEP |> STEP(params)" (:func:`parse_chain`,
@@ -35,7 +36,6 @@ also that chain's limit identity) and demands that every series agree.
 from __future__ import annotations
 
 import hashlib
-import random
 import re
 import time
 from dataclasses import dataclass
@@ -94,33 +94,81 @@ IntVector = tuple[int, ...]
 
 # -- the reader ----------------------------------------------------------------
 
+def _units(k: int) -> tuple[IntVector, ...]:
+    """The k unit vectors of ints."""
+    return tuple(tuple(int(t == a) for t in range(k)) for a in range(k))
+
+
+def _plus(u: IntVector, v: IntVector, c: int = 1) -> IntVector:
+    return tuple(x + c * y for x, y in zip(u, v))
+
+
+def _suffix(vs: Sequence[IntVector]) -> list[IntVector]:
+    """Suffix sums: out[j] = vs[j] + vs[j+1] + ... + vs[-1]."""
+    out = list(vs)
+    for j in range(len(out) - 2, -1, -1):
+        out[j] = _plus(out[j], out[j + 1])
+    return out
+
+
 def _symbol_table(names: Sequence[str]) -> dict[str, IntVector]:
     """Each declared name maps to its unit vector of ints; when the declared
     names contain a consecutive block n1..nk, the suffix partial sums N1..Nk
     are added as derived symbols (Nj = nj + ... + nk)."""
-    k = len(names)
+    units = _units(len(names))
     sym: dict[str, IntVector] = {}
     for idx, nm in enumerate(names):
         if not nm or not nm[0].isalpha() or not nm.isalnum():
             raise ValueError(f"bad variable name {nm!r}")
         if nm in sym:
             raise ValueError(f"duplicate variable name {nm!r}")
-        sym[nm] = tuple(int(t == idx) for t in range(k))
+        sym[nm] = units[idx]
     block = {}
     for idx, nm in enumerate(names):
         m = re.fullmatch(r"n(\d+)", nm)
         if m:
             block[int(m.group(1))] = idx
     if block and sorted(block) == list(range(1, len(block) + 1)):
-        for j in range(1, len(block) + 1):
-            nm = f"N{j}"
-            if nm in sym:
-                continue
-            vec = [0] * k
-            for t in range(j, len(block) + 1):
-                vec[block[t]] = 1
-            sym[nm] = tuple(vec)
+        big = _suffix([units[block[j]] for j in range(1, len(block) + 1)])
+        for j, vec in enumerate(big, 1):
+            sym.setdefault(f"N{j}", vec)
     return sym
+
+
+# A polynomial term: coeff times the product of at most two int linear forms.
+_Term = tuple[Union[int, Fraction], list[IntVector]]
+
+
+def _form(k: int, terms: Sequence[_Term]) -> tuple[list[list[Fraction]],
+                                                   list[Fraction], Fraction]:
+    """The sum of terms over k variables as (quad, lin, const) with
+    value(x) = (1/2) x^T quad x + lin.x + const.  The terms are summed as
+    int numerators over the lcm d of their coefficients' denominators, and
+    each entry becomes a Fraction once, at the end."""
+    d = lcm(*(c.denominator for c, _ in terms))
+    quad = [[0] * k for _ in range(k)]
+    lin = [0] * k
+    const = 0
+    for coeff, vecs in terms:
+        c = coeff.numerator * (d // coeff.denominator)
+        if not vecs:
+            const += c
+        elif len(vecs) == 1:
+            lin = [l + c * x for l, x in zip(lin, vecs[0])]
+        else:
+            u, v = vecs
+            for a, x in enumerate(u):
+                if x:
+                    for b, y in enumerate(v):
+                        if y:
+                            quad[a][b] += c * x * y
+                            quad[b][a] += c * x * y
+    zero = Fraction(0)
+
+    def exact(n: int) -> Fraction:
+        return Fraction(n, d) if n else zero
+    return ([[exact(n) for n in row] for row in quad],
+            [exact(n) for n in lin], exact(const))
 
 
 # Whitespace separates tokens and is otherwise skipped; the last alternative
@@ -312,10 +360,7 @@ class _Reader:
 
     def poly(self, cap: int) -> tuple[list[list[Fraction]], list[Fraction],
                                       Fraction]:
-        """Signed terms of degree at most cap, as (quad, lin, const) with
-        value(x) = (1/2) x^T quad x + lin.x + const.  The terms are summed
-        as int numerators over the lcm d of their coefficients'
-        denominators, and each entry becomes a Fraction once, at the end."""
+        """Signed terms of degree at most cap, as :func:`_form` sums them."""
         terms = []
         while True:
             sign = self.signs()
@@ -323,31 +368,7 @@ class _Reader:
             terms.append((coeff if sign > 0 else -coeff, vecs))
             if self.peek() not in _SIGNS:
                 break
-        d = lcm(*(c.denominator for c, _ in terms))
-        k = self.k
-        quad = [[0] * k for _ in range(k)]
-        lin = [0] * k
-        const = 0
-        for coeff, vecs in terms:
-            c = coeff.numerator * (d // coeff.denominator)
-            if not vecs:
-                const += c
-            elif len(vecs) == 1:
-                lin = [l + c * x for l, x in zip(lin, vecs[0])]
-            else:
-                u, v = vecs
-                for a, x in enumerate(u):
-                    if x:
-                        for b, y in enumerate(v):
-                            if y:
-                                quad[a][b] += c * x * y
-                                quad[b][a] += c * x * y
-        zero = Fraction(0)
-
-        def exact(n: int) -> Fraction:
-            return Fraction(n, d) if n else zero
-        return ([[exact(n) for n in row] for row in quad],
-                [exact(n) for n in lin], exact(const))
+        return _form(self.k, terms)
 
     def affine(self) -> AffineForm:
         _, lin, const = self.poly(1)
@@ -695,87 +716,55 @@ def _digest(series: QSeries, order: Fraction) -> str:
 
 # -- family generators ---------------------------------------------------------
 
-def _spec_from_fn(names: Sequence[str], fn: Callable[[tuple[int, ...]], ExpLike],
-                  denoms: Sequence[ExpLike], extra=(), prefactor=()) -> MultiSumSpec:
-    """Extract the quadratic form of a Python exponent function exactly.
-
-    Finite differences at 0, e_a, 2e_a and e_a+e_b pin the coefficients;
-    randomized probes then confirm the function really is quadratic, so a
-    typo in a family formula fails construction instead of corrupting sums.
-    """
-    k = len(names)
-
-    def fv(p: tuple[int, ...]) -> Fraction:
-        return Fraction(fn(p))
-
-    def unit(a: int, scale: int = 1) -> tuple[int, ...]:
-        return tuple(scale if t == a else 0 for t in range(k))
-
-    const = fv((0,) * k)
-    quad = [[Fraction(0)] * k for _ in range(k)]
-    lin = [Fraction(0)] * k
-    singles = [fv(unit(a)) for a in range(k)]
-    for a in range(k):
-        quad[a][a] = fv(unit(a, 2)) - 2 * singles[a] + const
-        lin[a] = singles[a] - const - quad[a][a] / 2
-    for a in range(k):
-        for b in range(a):
-            pt = tuple(int(t in (a, b)) for t in range(k))
-            quad[a][b] = quad[b][a] = \
-                fv(pt) - singles[a] - singles[b] + const
-    spec = MultiSumSpec(
+def _spec(names: Sequence[str], terms: Sequence[_Term],
+          denoms: Sequence[int], extra=()) -> MultiSumSpec:
+    """A family's sum side, its exponent the sum of terms over names."""
+    quad, lin, const = _form(len(names), terms)
+    return MultiSumSpec(
         names=tuple(names),
         quad=tuple(tuple(row) for row in quad),
         lin=tuple(lin),
         denoms=tuple(Fraction(x) for x in denoms),
         const=const,
         extra=tuple(extra),
-        prefactor=tuple(prefactor),
     )
-    rng = random.Random(0x51D)
-    for _ in range(8):
-        p = tuple(rng.randrange(4) for _ in range(k))
-        f = fv(p)
-        if spec.ints.at(p) * f.denominator != f.numerator * spec.ints.scale:
-            raise ValueError("family exponent function is not quadratic")
-    return spec
 
 
-def _nsuffix(vals: Sequence[int]) -> list[int]:
-    """Suffix partial sums: out[j] = vals[j] + vals[j+1] + ... + vals[-1]."""
-    out = [0] * len(vals)
-    acc = 0
-    for t in range(len(vals) - 1, -1, -1):
-        acc += vals[t]
-        out[t] = acc
-    return out
+# Term builders over int linear forms; c scales every term.
+
+def _sq(vs: Sequence[IntVector], c: ExpLike = 1) -> list[_Term]:
+    """c * sum of v^2 over vs."""
+    return [(c, [v, v]) for v in vs]
 
 
-def _sq(vals: Sequence[int]) -> int:
-    return sum(v * v for v in vals)
+def _one(vs: Sequence[IntVector], c: ExpLike = 1) -> list[_Term]:
+    """c * sum of vs."""
+    return [(c, [v]) for v in vs]
 
 
-def _tri(n: int) -> Fraction:
-    return Fraction(n * (n - 1), 2)
+def _cross(u: IntVector, v: IntVector, c: ExpLike = 1) -> list[_Term]:
+    return [(c, [u, v])]
 
 
-def _tri1(n: int) -> Fraction:
-    return Fraction(n * (n + 1), 2)
+def _tri(v: IntVector, c: ExpLike = 1) -> list[_Term]:
+    """c * v(v-1)/2."""
+    return _sq([v], c * HALF) + _one([v], -c * HALF)
+
+
+def _tri1(v: IntVector, c: ExpLike = 1) -> list[_Term]:
+    """c * v(v+1)/2."""
+    return _sq([v], c * HALF) + _one([v], c * HALF)
 
 
 def _nvars(k: int, start: int = 1) -> tuple[str, ...]:
     return tuple(f"n{t}" for t in range(start, k + 1))
 
 
-def _last_unit(k: int) -> tuple[int, ...]:
-    return tuple(int(t == k - 1) for t in range(k))
-
-
-def _ag(nv: Sequence[int], i: int, c: int = 1) -> int:
+def _ag(nv: Sequence[IntVector], i: int, c: int = 1) -> list[_Term]:
     """The Andrews-Gordon tail c * (sum_j N_j^2 + sum_{j >= i} N_j) over the
     suffix sums N of nv."""
-    N = _nsuffix(nv)
-    return c * (_sq(N) + sum(N[i - 1:]))
+    N = _suffix(nv)
+    return _sq(N, c) + _one(N[i - 1:], c)
 
 
 def _theta(ci: ExpLike, mod: ExpLike, head: ProductExpr = ProductExpr(),
@@ -851,24 +840,21 @@ def _family(name: str, domain: _Domain):
 
 @_family("AG", _I_TO_K)
 def _build_ag(k: int, i: int) -> _Built:
-    spec = _spec_from_fn(_nvars(k - 1), lambda p: _ag(p, i), (1,) * (k - 1))
+    spec = _spec(_nvars(k - 1), _ag(_units(k - 1), i), (1,) * (k - 1))
     return spec, _theta(i, 2 * k + 1)
 
 
 @_family("Bressoud", _I_TO_K)
 def _build_bressoud(k: int, i: int) -> _Built:
-    spec = _spec_from_fn(_nvars(k - 1), lambda p: _ag(p, i),
-                         (1,) * (k - 2) + (2,))
+    spec = _spec(_nvars(k - 1), _ag(_units(k - 1), i), (1,) * (k - 2) + (2,))
     return spec, _theta(i, 2 * k)
 
 
 @_family("Warnaar", _I_TO_K)
 def _build_warnaar(k: int, i: int) -> _Built:
-    def fn(p):
-        N = _nsuffix(p)
-        return HALF * _sq(N) + sum(N[i - 1::2])
-
-    spec = _spec_from_fn(_nvars(k), fn, (1,) * (k - 1) + (2,))
+    N = _suffix(_units(k))
+    spec = _spec(_nvars(k), _sq(N, HALF) + _one(N[i - 1::2]),
+                 (1,) * (k - 1) + (2,))
     return spec, _theta(Fraction(i, 2), Fraction(2 * k + 3, 2), NP(HALF, 1))
 
 
@@ -880,121 +866,103 @@ def _build_warnaar(k: int, i: int) -> _Built:
 def _build_thm1(k: int, i: Optional[int]) -> _Built:
     # thm1.2's extra factor is one longer
     extra = (PochFactor(Monomial(-1, HALF), Fraction(1),
-                        AffineForm(int(i is None), _last_unit(k)), -1),)
-    spec = _spec_from_fn(_nvars(k), lambda p: _ag(p, i or 1),
-                         (1,) * (k - 1) + (2,), extra=extra)
+                        AffineForm(int(i is None), _units(k)[-1]), -1),)
+    spec = _spec(_nvars(k), _ag(_units(k), i or 1), (1,) * (k - 1) + (2,),
+                 extra=extra)
     return spec, _theta(i or HALF, Fraction(3, 2) + 2 * k)
 
 
 @_family("corgen13last", _K_ONLY)
 @_family("corgen13", _I_TO_K1)
 def _build_corgen13(k: int, i: Optional[int]) -> _Built:
-    def fn(p):
-        m, nv = p[0], p[1:]
-        # corgen13last adds m
-        return Fraction(m * m, 2) + m * nv[-1] + (i is None) * m + \
-            _ag(nv, i or 1)
-
-    spec = _spec_from_fn(("m",) + _nvars(k), fn, (1,) * k + (2,))
+    m, *nv = _units(k + 1)
+    # corgen13last adds m
+    terms = _sq([m], HALF) + _cross(m, nv[-1]) + _one([m], int(i is None)) \
+        + _ag(nv, i or 1)
+    spec = _spec(("m",) + _nvars(k), terms, (1,) * k + (2,))
     return spec, _theta(i or HALF, Fraction(3, 2) + 2 * k, NP(HALF, 1))
 
 
 @_family("gen5-8a", _I_TO_K1)
 def _build_gen58a(k: int, i: int) -> _Built:
-    def fn(p):
-        return _tri1(p[0]) + p[0] * p[1] + _ag(p[1:], i, 2)
-
-    spec = _spec_from_fn(("m",) + _nvars(k), fn, (1, 1) + (2,) * (k - 1))
+    m, *nv = _units(k + 1)
+    spec = _spec(("m",) + _nvars(k),
+                 _tri1(m) + _cross(m, nv[0]) + _ag(nv, i, 2),
+                 (1, 1) + (2,) * (k - 1))
     return spec, _theta(2 * i, 4 * k + 6)
 
 
 @_family("gen5-8b", _I_TO_K1)
 def _build_gen58b(k: int, i: int) -> _Built:
-    def fn(p):
-        return _tri1(p[0]) + p[0] * p[-1] + _ag(p[1:], i, 2)
-
-    spec = _spec_from_fn(("m",) + _nvars(k), fn,
-                         (1,) + (2,) * (k - 1) + (1,))
+    m, *nv = _units(k + 1)
+    spec = _spec(("m",) + _nvars(k),
+                 _tri1(m) + _cross(m, nv[-1]) + _ag(nv, i, 2),
+                 (1,) + (2,) * (k - 1) + (1,))
     return spec, _theta(2 * i, 4 * k + 6)
 
 
 @_family("gen1", _I_TO_K1)
 def _build_gen1(k: int, i: int) -> _Built:
-    def fn(p):
-        m1, m2, nv = p[0], p[1], p[2:]
-        return _tri1(m1) + m1 * m2 + 2 * _tri1(m2) + 2 * m2 * nv[0] + \
-            _ag(nv, i, 4)
-
-    spec = _spec_from_fn(("m1", "m2") + _nvars(k), fn,
-                         (1, 1, 2) + (4,) * (k - 1))
+    m1, m2, *nv = _units(k + 2)
+    terms = _tri1(m1) + _cross(m1, m2) + _tri1(m2, 2) + \
+        _cross(m2, nv[0], 2) + _ag(nv, i, 4)
+    spec = _spec(("m1", "m2") + _nvars(k), terms, (1, 1, 2) + (4,) * (k - 1))
     return spec, _theta(4 * i, 8 * k + 12)
 
 
 @_family("gen6", _I_TO_K1)
 def _build_gen6(k: int, i: int) -> _Built:
-    def fn(p):
-        m, n11, n12 = p[:3]
-        n1 = n11 + 2 * n12
-        return _tri1(m) + m * n1 + _tri(n11) + _ag((n1,) + p[3:], i, 2)
-
+    m, n11, n12, *rest = _units(k + 2)
+    n1 = _plus(n11, n12, 2)
+    terms = _tri1(m) + _cross(m, n1) + _tri(n11) + _ag([n1, *rest], i, 2)
     names = ("m", "n11", "n12") + _nvars(k, start=2)
-    spec = _spec_from_fn(names, fn, (1, 1, 2) + (2,) * (k - 1))
+    spec = _spec(names, terms, (1, 1, 2) + (2,) * (k - 1))
     return spec, _theta(2 * i, 4 * k + 6)
 
 
 @_family("gen7", _I_TO_K1)
 def _build_gen7(k: int, i: int) -> _Built:
-    def fn(p):
-        m1, m2, nv = p[0], p[1], p[2:]
-        return _tri1(m1) + m1 * nv[0] + 2 * _tri1(m2) + 2 * m2 * nv[0] + \
-            _ag(nv, i, 4)
-
-    spec = _spec_from_fn(("m1", "m2") + _nvars(k), fn,
-                         (1, 2, 1) + (4,) * (k - 1))
+    m1, m2, *nv = _units(k + 2)
+    terms = _tri1(m1) + _cross(m1, nv[0]) + _tri1(m2, 2) + \
+        _cross(m2, nv[0], 2) + _ag(nv, i, 4)
+    spec = _spec(("m1", "m2") + _nvars(k), terms, (1, 2, 1) + (4,) * (k - 1))
     return spec, _theta(4 * i, 8 * k + 12)
 
 
 @_family("gen10", _I_TO_K1)
 def _build_gen10(k: int, i: int) -> _Built:
-    def fn(p):
-        m1, m2, nv = p[0], p[1], p[2:]
-        return _tri(m1) + _tri1(m1 + 2 * m2) + (m1 + 2 * m2) * nv[0] + \
-            _ag(nv, i, 2)
-
-    spec = _spec_from_fn(("m1", "m2") + _nvars(k), fn,
-                         (1, 2, 1) + (2,) * (k - 1))
+    m1, m2, *nv = _units(k + 2)
+    s = _plus(m1, m2, 2)
+    terms = _tri(m1) + _tri1(s) + _cross(s, nv[0]) + _ag(nv, i, 2)
+    spec = _spec(("m1", "m2") + _nvars(k), terms, (1, 2, 1) + (2,) * (k - 1))
     return spec, _theta(2 * i, 4 * k + 6)
 
 
 @_family("gen14", _I_TO_K1)
 def _build_gen14(k: int, i: int) -> _Built:
-    def fn(p):
-        nk1, nk2 = p[k - 1], p[k]
-        return _tri(nk1) + _ag(p[:k - 1] + (nk1 + 2 * nk2,), i)
-
-    names = _nvars(k - 1) + ("nk1", "nk2")
-    spec = _spec_from_fn(names, fn, (1,) * k + (2,))
+    *nv, nk1, nk2 = _units(k + 1)
+    terms = _tri(nk1) + _ag([*nv, _plus(nk1, nk2, 2)], i)
+    spec = _spec(_nvars(k - 1) + ("nk1", "nk2"), terms, (1,) * k + (2,))
     return spec, _theta(i, 2 * k + 3)
 
 
 @_family("gen17", _I_TO_K1)
 def _build_gen17(k: int, i: int) -> _Built:
-    names = ("n11", "n12") + _nvars(k, start=2)
-    spec = _spec_from_fn(
-        names, lambda p: _tri(p[0]) + _ag((p[0] + 2 * p[1],) + p[2:], i),
-        (1, 2) + (1,) * (k - 1))
+    n11, n12, *rest = _units(k + 1)
+    terms = _tri(n11) + _ag([_plus(n11, n12, 2), *rest], i)
+    spec = _spec(("n11", "n12") + _nvars(k, start=2), terms,
+                 (1, 2) + (1,) * (k - 1))
     return spec, _theta(i, 2 * k + 3)
 
 
 def _build_gen15(k: int, i: int, minus: int) -> _Built:
-    def fn(p):
-        m, n11, n12 = p[:3]
-        n1 = n11 + n12
-        return _tri1(m) + m * n11 + n11 * n11 + n12 * n12 - p[minus] - \
-            _tri(n1) + _ag((n1,) + p[3:], i)
-
+    units = _units(k + 2)
+    m, n11, n12, *rest = units
+    n1 = _plus(n11, n12)
+    terms = _tri1(m) + _cross(m, n11) + _sq([n11, n12]) + \
+        _one([units[minus]], -1) + _tri(n1, -1) + _ag([n1, *rest], i)
     names = ("m", "n11", "n12") + _nvars(k, start=2)
-    spec = _spec_from_fn(names, fn, (1, 1, 2) + (1,) * (k - 1))
+    spec = _spec(names, terms, (1, 1, 2) + (1,) * (k - 1))
     return spec, _theta(i, 2 * k + 3, NP(1, 1))
 
 
@@ -1006,24 +974,22 @@ _family("gen15b", _I_TO_K1)(partial(_build_gen15, minus=2))
 @_family("Bressoud1980", (2, "k >= 2, 1 <= i <= k-1",
                           lambda k: tuple(range(1, k))))
 def _build_bressoud1980(k: int, i: int) -> _Built:
-    def fn(p):
-        N = _nsuffix(p)
-        return _sq(N) - sum(N[:i])
-
-    spec = _spec_from_fn(_nvars(k - 1), fn, (1,) * (k - 2) + (2,))
+    N = _suffix(_units(k - 1))
+    spec = _spec(_nvars(k - 1), _sq(N) + _one(N[:i], -1),
+                 (1,) * (k - 2) + (2,))
     rhs = tuple(TP(2 * k, k - i + 2 * m, k + i - 2 * m, 2 * k) / P(1, 1)
                 for m in range(i + 1))
     return spec, rhs
 
 
-def _and_exp(k: int, a: int, nv: Sequence[int]) -> int:
+def _and_exp(k: int, a: int, nv: Sequence[IntVector]) -> list[_Term]:
     """Andrews' exponent over nv = (n1, ..., n(k-1)); the first branch
     holds when a and k have the same parity."""
-    N = _nsuffix(nv)
+    N = _suffix(nv)
     if a % 2 == k % 2:
-        return _sq(N) + 2 * sum(N[a - 1:k - 2:2])
-    return _sq(N) + sum(nv[j - 1] for j in range(1, a - 2, 2)) + \
-        sum(N[a - 2:])
+        return _sq(N) + _one(N[a - 1:k - 2:2], 2)
+    # n1 + n3 + ... + n(a-3); a stop below 0 would wrap round
+    return _sq(N) + _one(nv[0:max(a - 3, 0):2]) + _one(N[a - 2:])
 
 
 def _and_rhs(k: int, a: int) -> ProductExpr:
@@ -1037,8 +1003,8 @@ def _and_rhs(k: int, a: int) -> ProductExpr:
                   lambda k: tuple(a for a in range(1, k + 1)
                                   if a % 2 == k % 2)))
 def _build_and(k: int, a: int) -> _Built:
-    spec = _spec_from_fn(_nvars(k - 1), lambda p: _and_exp(k, a, p),
-                         (2,) * (k - 1))
+    spec = _spec(_nvars(k - 1), _and_exp(k, a, _units(k - 1)),
+                 (2,) * (k - 1))
     return spec, _and_rhs(k, a)
 
 
@@ -1047,11 +1013,11 @@ def _build_and(k: int, a: int) -> _Built:
                                       if a % 2 == k % 2
                                       or (k % 2 == 1 and a % 2 == 0))))
 def _build_exam9gen(k: int, a: int) -> _Built:
-    def fn(p):  # Andrews' sum with n1 = n11 + 2 n12
-        return 2 * _tri(p[0]) + _and_exp(k, a, (p[0] + 2 * p[1],) + p[2:])
-
-    names = ("n11", "n12") + _nvars(k - 1, start=2)
-    spec = _spec_from_fn(names, fn, (2, 4) + (2,) * (k - 2))
+    # Andrews' sum with n1 = n11 + 2 n12
+    n11, n12, *rest = _units(k)
+    terms = _tri(n11, 2) + _and_exp(k, a, [_plus(n11, n12, 2), *rest])
+    spec = _spec(("n11", "n12") + _nvars(k - 1, start=2), terms,
+                 (2, 4) + (2,) * (k - 2))
     return spec, _and_rhs(k, a)
 
 

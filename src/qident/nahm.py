@@ -30,7 +30,7 @@ A :class:`MultiSumSpec` checks itself when built, so it holds only what
 :func:`multi_sum` can enumerate; :func:`nahm_spec` also demands a
 symmetrizable positive definite A.  Its exponent is also held once in
 integers over one common denominator (:class:`ScaledForm`); ``exponent``,
-the box, the walk and the catalog's family probes all read that form.
+the box and the walk all read that form.
 """
 
 from __future__ import annotations

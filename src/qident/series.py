@@ -555,13 +555,14 @@ class _Slots(NamedTuple):
         return cls(s.den, digits, low, g, s.d, 1, s.order_num)
 
     def series(self) -> QSeries:
-        """Digit s times ratio^(top - s) over d*ratio^top, top the last."""
+        """Digit s times ratio^(top - s) over d*ratio^top, top the last;
+        no term past `valid` is kept."""
         low, g, r, top = self.low, self.g, self.ratio, len(self.digits) - 1
         digits = self.digits if r == 1 else [
             v * r ** (top - s) for s, v in enumerate(self.digits)]
         nums = {low + g * s: v for s, v in enumerate(digits) if v}
         return QSeries._of(self.den, nums, self.d * r ** max(top, 0),
-                           self.valid)
+                           self.valid, self.valid)
 
 
 def substitute_power(a: QSeries, k: ExpLike) -> QSeries:

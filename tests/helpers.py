@@ -308,3 +308,103 @@ def oracle_J(a, m=None):
         return oracle_P(a, a)
     a, m = Fraction(a), Fraction(m)
     return oracle_TP(a, m - a, m, m)
+
+
+# -- family exponents, point by point ------------------------------------------
+#
+# The exponent of every catalog family at an int point p, in plain Fraction
+# arithmetic.  The builders state the same sums as terms over linear forms,
+# so a term written wrong there disagrees with these at some point.
+
+def _suffix_sums(vals):
+    """out[j] = vals[j] + vals[j+1] + ... + vals[-1]."""
+    return [sum(vals[j:]) for j in range(len(vals))]
+
+
+def _sq(vals):
+    return sum(v * v for v in vals)
+
+
+def _tri(n):
+    return Fraction(n * (n - 1), 2)
+
+
+def _tri1(n):
+    return Fraction(n * (n + 1), 2)
+
+
+def _ag(nv, i, c=1):
+    """c * (sum_j N_j^2 + sum_{j >= i} N_j) over the suffix sums N of nv."""
+    N = _suffix_sums(nv)
+    return c * (_sq(N) + sum(N[i - 1:]))
+
+
+def _and_exp(k, a, nv):
+    N = _suffix_sums(nv)
+    if a % 2 == k % 2:
+        return _sq(N) + 2 * sum(N[a - 1:k - 2:2])
+    return _sq(N) + sum(nv[j - 1] for j in range(1, a - 2, 2)) + \
+        sum(N[a - 2:])
+
+
+def _warnaar(k, i, p):
+    N = _suffix_sums(p)
+    return Fraction(_sq(N), 2) + sum(N[i - 1::2])
+
+
+def _corgen13(k, i, p):
+    m, nv = p[0], p[1:]
+    return Fraction(m * m, 2) + m * nv[-1] + (i is None) * m + _ag(nv, i or 1)
+
+
+def _gen15(minus):
+    def exponent(k, i, p):
+        m, n11, n12 = p[:3]
+        n1 = n11 + n12
+        return _tri1(m) + m * n11 + n11 * n11 + n12 * n12 - p[minus] - \
+            _tri(n1) + _ag((n1,) + p[3:], i)
+    return exponent
+
+
+def _bressoud1980(k, i, p):
+    N = _suffix_sums(p)
+    return _sq(N) - sum(N[:i])
+
+
+# family name -> exponent(k, i, p)
+FAMILY_EXPONENTS = {
+    "AG": lambda k, i, p: _ag(p, i),
+    "Bressoud": lambda k, i, p: _ag(p, i),
+    "Warnaar": _warnaar,
+    "thm1.1": lambda k, i, p: _ag(p, i),
+    "thm1.2": lambda k, i, p: _ag(p, 1),
+    "corgen13": _corgen13,
+    "corgen13last": _corgen13,
+    "gen5-8a": lambda k, i, p:
+        _tri1(p[0]) + p[0] * p[1] + _ag(p[1:], i, 2),
+    "gen5-8b": lambda k, i, p:
+        _tri1(p[0]) + p[0] * p[-1] + _ag(p[1:], i, 2),
+    "gen1": lambda k, i, p:
+        _tri1(p[0]) + p[0] * p[1] + 2 * _tri1(p[1]) + 2 * p[1] * p[2] +
+        _ag(p[2:], i, 4),
+    "gen6": lambda k, i, p:
+        _tri1(p[0]) + p[0] * (p[1] + 2 * p[2]) + _tri(p[1]) +
+        _ag((p[1] + 2 * p[2],) + p[3:], i, 2),
+    "gen7": lambda k, i, p:
+        _tri1(p[0]) + p[0] * p[2] + 2 * _tri1(p[1]) + 2 * p[1] * p[2] +
+        _ag(p[2:], i, 4),
+    "gen10": lambda k, i, p:
+        _tri(p[0]) + _tri1(p[0] + 2 * p[1]) + (p[0] + 2 * p[1]) * p[2] +
+        _ag(p[2:], i, 2),
+    "gen14": lambda k, i, p:
+        _tri(p[k - 1]) + _ag(p[:k - 1] + (p[k - 1] + 2 * p[k],), i),
+    "gen17": lambda k, i, p:
+        _tri(p[0]) + _ag((p[0] + 2 * p[1],) + p[2:], i),
+    "gen15a": _gen15(1),
+    "gen15b": _gen15(2),
+    "Bressoud1980": _bressoud1980,
+    "And1": lambda k, a, p: _and_exp(k, a, p),
+    "And2": lambda k, a, p: _and_exp(k, a, p),
+    "exam9gen": lambda k, a, p:
+        2 * _tri(p[0]) + _and_exp(k, a, (p[0] + 2 * p[1],) + p[2:]),
+}

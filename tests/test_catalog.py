@@ -22,7 +22,6 @@ from qident.bailey import (
 )
 from qident.catalog import (
     FAMILIES,
-    _spec_from_fn,
     RECORD_KEYS,
     load_catalog,
     packaged_catalog_text,
@@ -60,7 +59,7 @@ from qident.series import (
     qmono,
     substitute_power,
 )
-from helpers import brute_sum, count_gap2, count_partitions
+from helpers import FAMILY_EXPONENTS, brute_sum, count_gap2, count_partitions
 
 H = Fraction(1, 2)
 
@@ -103,6 +102,9 @@ def test_parse_exponent_partial_sum_names():
         vals.append(Fraction(half, 2) + sum(l * x for l, x in zip(lin, p)))
         assert vals[-1] == direct
     assert const == 0
+    # a family builder states the same sum as terms, through the same form
+    spec = FAMILIES["AG"].instantiate(4, 2).spec
+    assert (spec.quad, spec.lin, spec.const) == (quad, lin, const)
 
 
 def test_parse_exponent_declared_name_shadows_a_partial_sum():
@@ -511,46 +513,6 @@ def test_readme_family_table_names_every_family():
     assert sorted(names) == sorted(FAMILIES)
 
 
-def test_family_exponent_that_is_not_quadratic_is_refused():
-    # the finite differences alone would read i^3 as a quadratic form
-    with pytest.raises(ValueError, match="not quadratic"):
-        _spec_from_fn(("i", "j"), lambda p: p[0] ** 3 + p[1] ** 2, (1, 1))
-    spec = _spec_from_fn(("i", "j"), lambda p: p[0] ** 2 + p[1] ** 2, (1, 1))
-    assert spec.quad == ((2, 0), (0, 2))
-
-
-def _rational_quadratic(p):
-    i, j = p
-    return Fraction(3, 2) * i * i + Fraction(2, 3) * i * j + \
-        Fraction(5, 7) * j * j - Fraction(1, 3) * i + Fraction(1, 4) * j + \
-        Fraction(5, 6)
-
-
-def test_family_exponent_with_rational_coefficients():
-    spec = _spec_from_fn(("i", "j"), _rational_quadratic, (1, 2))
-    F = Fraction
-    assert (spec.quad, spec.lin, spec.const, spec.denoms) == (
-        ((3, F(2, 3)), (F(2, 3), F(10, 7))), (F(-1, 3), F(1, 4)), F(5, 6),
-        (1, 2))
-    assert spec.ints.scale == 84
-    for p in ((0, 0), (3, 1), (2, 5)):
-        assert spec.exponent(p) == _rational_quadratic(p)
-
-
-@pytest.mark.parametrize("defect", [1, Fraction(1, 84), Fraction(1, 168)])
-def test_family_defect_seen_only_at_a_probe_point_is_refused(defect):
-    # the finite differences read only points with i*j <= 1, so the defect
-    # is invisible to them; 1/84 is one unit of the integer form's scale
-    # and 1/168 lies off it
-    def fn(p):
-        return _rational_quadratic(p) + (defect if p[0] * p[1] >= 2 else 0)
-
-    for p in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)):
-        assert fn(p) == _rational_quadratic(p)
-    with pytest.raises(ValueError, match="not quadratic"):
-        _spec_from_fn(("i", "j"), fn, (1, 2))
-
-
 def test_family_domain_errors(cat):
     with pytest.raises(ValueError):
         cat.instantiate_family("AG", 1, 1)
@@ -595,6 +557,20 @@ def test_warnaar_exponent_builder():
                 direct = Fraction(sum(x * x for x in big), 2) + \
                     sum(big[j - 1] for j in range(i, k + 1, 2))
                 assert spec.exponent(p) == direct
+
+
+def test_every_family_exponent_matches_its_oracle():
+    # PARSE_DIGEST pins the instances with k <= 4 only
+    rng = random.Random(33)
+    assert sorted(FAMILY_EXPONENTS) == sorted(FAMILIES)
+    for name, gen in FAMILIES.items():
+        oracle = FAMILY_EXPONENTS[name]
+        for k in range(gen.k_min, 7):
+            for i in gen.i_values(k):
+                spec = gen.instantiate(k, i).spec
+                for _ in range(4):
+                    p = tuple(rng.randrange(5) for _ in spec.names)
+                    assert spec.exponent(p) == oracle(k, i, p), (name, k, i, p)
 
 
 def test_small_family_instances_verify(cat):

@@ -581,6 +581,7 @@ def test_multi_sum_validity_follows_its_contributions(monkeypatch):
                                extra=(INV_EXTRA,))
     got = multi_sum(spec, 10)
     assert got.order_num == exp_num(8, 4)
+    assert max(got.nums) <= got.order_num
     assert equal_up_to(got, _brute_multi_sum(spec, 10, 4), 8)
 
 
