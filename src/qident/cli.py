@@ -234,8 +234,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "n", 0) < 0:
             raise ValueError("--n must be at least 0")
         return commands[args.cmd](args)
-    except (OSError, KeyError, ValueError) as exc:
-        return _usage_error(exc)
+    except (OSError, KeyError, ValueError, OverflowError) as exc:
+        return _usage_error(exc)  # OverflowError: e.g. an order past an index
+    except RecursionError:  # e.g. thousands of parentheses or chain steps
+        return _usage_error("input nested or chained too deeply")
     except MemoryError:  # e.g. a family parameter too large to build
         return _usage_error("out of memory")
 

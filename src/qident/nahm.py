@@ -491,7 +491,7 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
 
     rec(0, const_l, 1, None)
     return _Slots(den, _signed_slots(acc, w, max((onum - base) // G + 1, 0)),
-                  base, G, kx, 1, valid).series()
+                  base, G, kx, valid).series()
 
 
 # A Nahm sum is a spec from nahm_spec; the name stays for callers that look

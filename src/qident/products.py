@@ -12,11 +12,13 @@ requested order, every omitted factor being 1 + O(q^(>order)).
 polynomial prefactor times a signed multiset of infinite products.
 
 An infinite symbol is one step of :func:`poch_infinite` on the slot format
-`series` owns (`_Slots`): its factors whose exponent is <= 0 join the seed
-first, every other factor goes through one packed pass with a width
-certified from the pass's bound.  :func:`eval_product`, a fold of those
-steps from a seed times the prefactor, is the one place a series becomes
-slots and back, so it decodes once.
+`series` owns (`_Slots`): its head, the factors whose exponent is <= 0 or
+every factor of a symbol whose coefficient is not an integer, joins the
+seed first as a series; every other factor goes through one packed pass
+with an integer coefficient and a width certified from the pass's bound.
+:func:`eval_product`, a fold of those steps from a seed times the
+prefactor, is the one place a series becomes slots and back, so it decodes
+once.
 """
 
 from __future__ import annotations
@@ -54,31 +56,31 @@ def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
     :func:`eval_product` of the one symbol.  A seed in the slots of an
     earlier pass (:class:`_Slots`) gives slots, with the validity
     :func:`_mul_order` gives seed times the symbol (a zero seed keeps its
-    own); a seed no factor reaches is cut there.  The factors whose
-    exponent is <= 0 join the seed first, as a series, |power| times: for a
-    numerator as one polynomial built from 1 valid to the order, for a
-    denominator as one inverse :class:`PochRow` entry over those factors.
+    own); a seed no factor reaches is cut there.  The head joins the seed
+    first, as a series, |power| times: for a numerator as one polynomial
+    built from 1 valid to the order, for a denominator as one inverse
+    :class:`PochRow` entry over its factors.  The head is the factors whose
+    exponent is <= 0, or every factor through the order when a's
+    coefficient is not an integer.
 
-    Every other factor (1 - c q^(e/den)), e positive, goes through one
-    packed pass: slot t, W bits wide, is at q^((low + g*t)/den), g the gcd
-    of every e and of the seed's stride; a factor at u = e/g slots is a
-    shifted subtraction, a denominator a doubling prefix sum
-    (:func:`_div_packed`), each cut by one mask.  Seed digit s enters slot
-    t = s*(its stride over g) times R^(t-s)*B^t, R the seed's ratio and B
-    the denominator of c, and c as the integer c*(R*B)^u, so the signed
-    slots are the result's digits under the ratio R*B.  W is certified: a
-    numerator factor is coefficientwise at most its denominator's geometric
-    series, c*(R*B)^u at most M^u for M = R*max(B, |c*B|), and the symbol,
-    |power| times, a sub-product of 1/(q; q)_infinity^|power|, so slot t is
-    at most the starting slots' l1 norm times M^t p_|power|(t), p_r the
-    r-coloured partition count; the masked arithmetic is exact modulo
-    2^(W*slots)."""
+    Every other factor (1 - c q^(e/den)), c an integer and e positive, goes
+    through one packed pass: slot t, W bits wide, holds d times the
+    coefficient at q^((low + g*t)/den), g the gcd of every e and of the
+    seed's stride; a factor at u = e/g slots is a shifted subtraction, a
+    denominator a doubling prefix sum (:func:`_div_packed`), each cut by
+    one mask.  W is certified: a numerator factor is coefficientwise at
+    most its denominator's geometric series, whose coefficient at slot t
+    is at most |c|^t, and the symbol, |power| times, a sub-product of
+    1/(q; q)_infinity^|power|, so slot t is at most the starting slots' l1
+    norm times |c|^t p_|power|(t), p_r the r-coloured partition count; the
+    masked arithmetic is exact modulo 2^(W*slots)."""
     if not isinstance(seed, _Slots):
         return eval_product(ProductExpr(((a, base, power),)), order, den,
                             seed)
     onum = exp_num(nonneg_order(order), den)
     nums = _factor_nums(a, base, onum, den)
-    k = len(range(nums.start, 1, nums.step))  # the factors with e <= 0
+    k = len(nums) if a.coeff.denominator != 1 else len(
+        range(nums.start, 1, nums.step))  # the head's factors
     if k and power:
         if power > 0:
             head = QSeries(den, {0: 1}, onum)
@@ -103,28 +105,23 @@ def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
     stride = seed.g // g or 1
     digits = [0] * (min(len(seed.digits) - 1, size // stride) * stride + 1)
     digits[::stride] = seed.digits[:size // stride + 1]
-    R, B, cb = seed.ratio, a.coeff.denominator, a.coeff.numerator
-    if R * B != 1:
-        digits = [v * R ** (t - t // stride) * B ** t
-                  for t, v in enumerate(digits)]
-    # norm * M^size * p_|power|(size) bounds every slot, as certified above
-    W = _slot_width(sum(map(abs, digits)) * (R * max(B, abs(cb))) ** size,
-                    abs(power), size)
+    c = a.coeff
+    # norm * |c|^size * p_|power|(size) bounds every slot, as certified above
+    W = _slot_width(sum(map(abs, digits)) * abs(c) ** size, abs(power), size)
     mask = (1 << W * (size + 1)) - 1
     acc = _pack(digits, W) & mask
     for e in nums:
         u = e // g
         if u > size:
             break
-        cu = cb if R * B == 1 else cb * B ** (u - 1) * R ** u
         for _ in range(abs(power)):
             if power < 0:
-                acc = _div_packed(acc, W * u, mask, cu)
-            else:  # times 1 - cu x^u
+                acc = _div_packed(acc, W * u, mask, c)
+            else:  # times 1 - c x^u
                 t = acc << W * u
-                acc = (acc - t if cu == 1 else acc - cu * t) & mask
+                acc = (acc - t if c == 1 else acc - c * t) & mask
     return _Slots(seed.den, _signed_slots(acc, W, size + 1), low, g,
-                  seed.d, R * B, valid)
+                  seed.d, valid)
 
 
 def _positive_base(base: ExpLike) -> Fraction:

@@ -529,7 +529,7 @@ def _signed_slots(x: int, width: int, n: int) -> list[int]:
 
 
 class _Slots(NamedTuple):
-    """A series as a packed pass holds it: digit s is d*ratio^s times the
+    """A series as a packed pass holds it: digit s is d times the
     coefficient at exponent numerator low + g*s, valid to `valid`.
 
     The one decoder of both packed passes.  A pass's seed has a nonzero
@@ -541,7 +541,6 @@ class _Slots(NamedTuple):
     low: int
     g: int
     d: int
-    ratio: int
     valid: Optional[int]
 
     @classmethod
@@ -552,17 +551,13 @@ class _Slots(NamedTuple):
         digits = [0] * ((pairs[-1][0] - low) // (g or 1) + 1 if pairs else 0)
         for n, v in pairs:
             digits[(n - low) // (g or 1)] = v
-        return cls(s.den, digits, low, g, s.d, 1, s.order_num)
+        return cls(s.den, digits, low, g, s.d, s.order_num)
 
     def series(self) -> QSeries:
-        """Digit s times ratio^(top - s) over d*ratio^top, top the last;
-        no term past `valid` is kept."""
-        low, g, r, top = self.low, self.g, self.ratio, len(self.digits) - 1
-        digits = self.digits if r == 1 else [
-            v * r ** (top - s) for s, v in enumerate(self.digits)]
-        nums = {low + g * s: v for s, v in enumerate(digits) if v}
-        return QSeries._of(self.den, nums, self.d * r ** max(top, 0),
-                           self.valid, self.valid)
+        """Digit s over d at its exponent; no term past `valid` is kept."""
+        nums = {self.low + self.g * s: v
+                for s, v in enumerate(self.digits) if v}
+        return QSeries._of(self.den, nums, self.d, self.valid, self.valid)
 
 
 def substitute_power(a: QSeries, k: ExpLike) -> QSeries:

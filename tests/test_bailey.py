@@ -348,6 +348,20 @@ def test_djk_limit_rejects_wrong_shape_or_parameter():
         apply_transform(builtin_pair("G2"), DJK_LIMIT(Monomial(1, Fraction(3, 2))))
 
 
+def test_djk_limit_refuses_an_alpha_cut_below_its_probe():
+    # an alpha_0 valid only to q^5 cannot be compared with the u-shape at
+    # the probe, so the comparison's TruncationError is a difference at q^0
+    g1star = builtin_pair("G1star")
+    cut = BaileyPair(g1star.a,
+                     lambda n, order, den: g1star.alpha(n, order, den)
+                     .truncated(5),
+                     g1star.beta, name="cut")
+    with pytest.raises(ValueError, match=re.escape(
+            "alpha_0 does not have the required u-shape (first difference "
+            "near q^0)")):
+        apply_transform(cut, DJK_LIMIT(Monomial(1, Fraction(3, 2))))
+
+
 def test_random_chains_stay_bailey_pairs():
     rng = random.Random(20260814)
     general = GENERAL(Monomial(-1, HALF), Monomial(-1, 1))
@@ -664,6 +678,19 @@ def test_limit_identity_collapses_to_theta_quotient():
     doubled = substitute_power(lhs, 2)
     expect = eval_product(J(4, 9) / J(2), 42, D)
     assert equal_up_to(doubled, expect, 42)
+
+
+def test_limit_identity_refuses_terms_past_its_cutoff():
+    # beta_n = q^(-n^2) cancels the S1 weight q^(n^2): every index adds at
+    # q^0, so the two indices past the cutoff (9 at order 10) are refused
+    flat = BaileyPair(
+        Monomial(1, 0), lambda n, order, den: QSeries(den, {}, None),
+        lambda n, order, den: QSeries(den, {exp_num(-n * n, den): 1}, None),
+        name="flat")
+    with pytest.raises(ValueError, match=re.escape(
+            "beta_9 still contributes at q^0; valuation growth assertion "
+            "failed")):
+        limit_identity(flat, 10)
 
 
 def test_limit_identity_order_zero():

@@ -97,7 +97,12 @@ BAD_CATALOGS = {
     "zero-denominator-exponent": RR1_RECORD.replace('"i^2"', '"(1/0)i^2"'),
     "half-extra-length": RR1_RECORD + 'extra = ["pochf(-q; q; (1/2)i)"]\n',
     "negative-extra-length": RR1_RECORD + 'extra = ["pochf(-q; q; i - 1)"]\n',
+    "deep-rhs": RR1_RECORD.replace("1/(P(1;5)*P(4;5))",
+                                   "(" * 3000 + "P(1;1)" + ")" * 3000),
 }
+
+# an order whose exponent numerator no list index can hold
+HUGE_ORDER = str(10 ** 24)
 
 
 def _norm_ms(text):
@@ -369,6 +374,16 @@ def test_bailey_chain_show_and_errors(capsys):
      "record t: extra factor lengths must be nonnegative integer forms"),
     (["list", "--catalog", "@negative-extra-length"],
      "record t: extra factor lengths must be nonnegative integer forms"),
+    (["list", "--catalog", "@deep-rhs"],
+     "input nested or chained too deeply"),
+    (["bailey", "verify", "G1" + " |> S1" * 1500, "--n", "0", "--order", "1"],
+     "input nested or chained too deeply"),
+    (["expand", "R.R.1", "--side", "rhs", "--order", HUGE_ORDER],
+     "cannot fit 'int' into an index-sized integer"),
+    (["expand", "R.R.1", "--side", "lhs", "--order", HUGE_ORDER],
+     "cannot fit 'int' into an index-sized integer"),
+    (["verify", "AG", "--k", "3", "--i", "1", "--order", HUGE_ORDER],
+     "cannot fit 'int' into an index-sized integer"),
 ], ids=["general-vanishing", "expand-d0", "chain-show-d0", "verify-d0",
         "bailey-verify-negative-n", "chain-show-negative-n",
         "indefinite-nahm-record", "unknown-key", "kind-key", "repeated-key",
@@ -386,7 +401,9 @@ def test_bailey_chain_show_and_errors(capsys):
         "list-repeated-var", "list-divide-by-constant",
         "list-power-of-constant", "list-bad-var-name",
         "verify-zero-denominator-exponent", "list-half-extra-length",
-        "list-negative-extra-length"])
+        "list-negative-extra-length", "list-deep-rhs",
+        "bailey-verify-long-chain", "expand-rhs-huge-order",
+        "expand-lhs-huge-order", "verify-family-huge-order"])
 def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
     def catalog(name):
         path = tmp_path / f"{name}.cat"

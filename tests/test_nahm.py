@@ -405,6 +405,20 @@ def test_reduce_rank_none():
     assert reduce_rank(stuck) is None
 
 
+@pytest.mark.parametrize("A, d, removed", [
+    ([[1, 1], [H, 1]], [2, 1], "n2"),
+    ([[1, 0, -1], [0, 1, 0], [-1, 0, 3]], [1, 1, 1], "n2"),
+], ids=["cross-ratio-not-an-integer", "cross-ratio-negative"])
+def test_reduce_rank_euler_skips_an_index_it_cannot_sum(A, d, removed):
+    # n1 has the euler pure part, but its cross entry over its base is 1/2,
+    # or -1: it is skipped and n2, the next index of that shape, sums away
+    q = nahm_spec(A=A, b=[0] * len(d), c=0, d=d)
+    red = reduce_rank(q)
+    assert red is not None and red.kind == "euler"
+    assert red.removed == (removed,)
+    assert eval_reduction(red, 12) == nahm_sum(q, 12)
+
+
 def test_reduce_rank_reads_the_spec():
     # only a plain sum has a route, and the reduced sum keeps the constant
     spec = nahm_spec(A=[[2, 1], [2, 2]], b=[-H, 0], c=1, d=[1, 2])

@@ -562,11 +562,10 @@ def test_slot_fold_matches_the_series_fold():
     """eval_product, whose fold carries the packed slots from pass to pass,
     equals the chain of QSeries-seeded poch_infinite calls times the
     prefactor in terms and validity, and the dense product through it; a
-    fold seeded with the slots of a zero, exact or truncated seed, under a
-    carried ratio or none, equals the chain from that seed.  The draws
-    cover rational coefficients, heads (factors with exponent <= 0) after
-    a pass, zero products, powers +-1..+-3, lattices 1, 2 and 4 and
-    symbols that reach no slot."""
+    fold seeded with the slots of a zero, exact or truncated seed equals
+    the chain from that seed.  The draws cover rational coefficients, heads
+    (factors with exponent <= 0) after a pass, zero products, powers
+    +-1..+-3, lattices 1, 2 and 4 and symbols that reach no slot."""
     rng = random.Random(20261023)  # its own generator
     kinds = dict.fromkeys(("rational", "head after a pass", "no slot",
                            "zero product", "zero", "exact", "truncated",
@@ -603,12 +602,7 @@ def test_slot_fold_matches_the_series_fold():
         kinds["zero product"] += got.is_zero
         kind = ("zero", "exact", "truncated")[trial % 5 % 3]
         seed = _random_seed(rng, den, kind)
-        # the same seed in the slots of a ratio a rational fold carries
-        start = series._Slots.of(seed)
-        ratio = rng.choice([1, 7, 2 ** 12])
-        start = start._replace(ratio=ratio, digits=[
-            v * ratio ** s for s, v in enumerate(start.digits)])
-        slots = _chain(expr.factors, order, den, start)
+        slots = _chain(expr.factors, order, den, series._Slots.of(seed))
         want = _chain(expr.factors, order, den, seed)
         assert isinstance(slots, series._Slots)
         assert (slots.series().terms, slots.series().order_num) == \
@@ -736,17 +730,22 @@ def _watch_unit_widths(monkeypatch):
     return seen
 
 
-def _rational_cases():
-    """Seeded passes over rational coefficients: a rational numerator with
-    a negative first exponent seeds a rational unit denominator, among
-    random factors."""
+INTS = [1, -1, 2, -2]
+
+
+def _rational_seed_cases():
+    """Seeded passes over rational seeds: integer-coefficient symbols, a
+    numerator with a negative first exponent (coefficient not 1, so it does
+    not vanish) and a unit denominator among them, pass over a seed that a
+    rational prefactor and the rational symbols of random factors, which
+    join it as a series, make rational."""
     rng = random.Random(20261020)
     cases = []
     for den in (1, 2, 4) * 4:
         expr = _random_expr(rng, den, 1) * ProductExpr((
-            (Monomial(rng.choice(SIGNED[2:]), Fraction(-1, den)),
+            (Monomial(rng.choice(INTS[1:]), Fraction(-1, den)),
              Fraction(rng.randint(1, 2 * den), den), 1),
-            (Monomial(rng.choice(SIGNED[2:]), Fraction(1, den)),
+            (Monomial(rng.choice(INTS), Fraction(1, den)),
              Fraction(rng.randint(1, 2 * den), den), rng.choice([-1, -2]))))
         cases.append((expr, Fraction(rng.randint(4, 24), den), den))
     return cases
@@ -755,8 +754,10 @@ def _rational_cases():
 def test_unit_width_holds_every_slot_of_the_pass(monkeypatch):
     cat = load_catalog()
     cases = [(cat.get(rid).rhs, 200, 4) for rid in cat.ids()]
-    cases += [((expr,), order, den) for expr, order, den in _rational_cases()]
+    cases += [((expr,), order, den)
+              for expr, order, den in _rational_seed_cases()]
     width = products._slot_width
+    rational = 0
     for rhs, order, den in cases:
         seen = _watch_unit_widths(monkeypatch)
         got = eval_product_sum(rhs, order, den)
@@ -769,17 +770,19 @@ def test_unit_width_holds_every_slot_of_the_pass(monkeypatch):
         assert eval_product_sum(rhs, order, den) == got, rhs
         monkeypatch.undo()
         assert all(bits < w - 1 for w, bits in seen), rhs
+        rational += got.d > 1  # an integer pass makes no denominator
+    assert rational >= 10
 
 
 def test_a_short_unit_width_is_caught(monkeypatch):
     # one byte short: the largest whole-byte width that leaves the largest
-    # decoded slot no sign bit must make a rational seeded pass raise
-    # OverflowError or decode a wrong series, so the width test above would
-    # see a short one; a byte more holds every slot again
+    # decoded slot no sign bit must make an integer pass over a rational
+    # seed raise OverflowError or decode a wrong series, so the width test
+    # above would see a short one; a byte more holds every slot again
     expr = ProductExpr(
         ((Monomial(Fraction(-2, 3), Fraction(-1, 2)), Fraction(1), 1),
-         (Monomial(Fraction(3, 2), 1), Fraction(1, 2), -2),
-         (Monomial(Fraction(1, 2), Fraction(1, 2)), Fraction(1), -1)),
+         (Monomial(2, 1), Fraction(1, 2), -2),
+         (Monomial(-1, Fraction(1, 2)), Fraction(1), -1)),
         (Monomial(1, Fraction(-1, 2)), Monomial(Fraction(1, 2), 0)))
     order, den = 6, 2
     seen = _watch_unit_widths(monkeypatch)
@@ -795,6 +798,50 @@ def test_a_short_unit_width_is_caught(monkeypatch):
         assert eval_product(expr, order, den) != want
     except OverflowError:
         pass
+
+
+def test_a_rational_symbol_joins_the_seed_as_a_series(monkeypatch):
+    """A symbol whose coefficient is not an integer never reaches the
+    packed pass: only integer coefficients are packed or divided there, and
+    the products of signed and rational symbols, powers +-1..+-3, lattices
+    1, 2 and 4, still match the dense oracle."""
+    rng = random.Random(20261026)  # its own generator
+    calls, packed = [], []
+    step, pack, div = (products.poch_infinite, products._pack,
+                       products._div_packed)
+
+    def watched_step(a, *args):
+        calls.append(a.coeff)
+        return step(a, *args)
+
+    def watched_pack(digits, width):
+        packed.append(calls[-1])
+        return pack(digits, width)
+
+    def watched_div(p, shift, mask, c=1):
+        packed.append(calls[-1])
+        return div(p, shift, mask, c)
+
+    monkeypatch.setattr(products, "poch_infinite", watched_step)
+    monkeypatch.setattr(products, "_pack", watched_pack)
+    monkeypatch.setattr(products, "_div_packed", watched_div)
+    for trial in range(60):
+        den = (1, 2, 4)[trial % 3]
+        factors = tuple(
+            (Monomial(rng.choice(SIGNED + INTS),
+                      Fraction(rng.randint(-den, 4 * den), den)),
+             Fraction(rng.randint(1, 3 * den), den),
+             rng.choice([-3, -2, -1, 1, 2, 3]))
+            for _ in range(rng.randint(1, 4)))
+        expr = ProductExpr(factors)
+        if any(p < 0 and m.coeff == 1 and 0 in _elementary(m, b, den, 0)
+               for m, b, p in factors):
+            continue
+        onum = rng.randint(0, 40)
+        _check_dense(eval_product(expr, Fraction(onum, den), den), expr,
+                     onum, den)
+    assert any(type(c) is Fraction for c in calls)
+    assert packed and all(type(c) is int for c in packed), set(packed)
 
 
 def test_eval_product_with_no_factors_returns_seed_times_prefactor(
@@ -818,6 +865,16 @@ def test_eval_product_with_no_factors_returns_seed_times_prefactor(
             assert (got.terms, got.order_num) == \
                 (want.terms, want.order_num), (seed, prefactor)
     assert decoded == []
+
+
+def test_a_monomial_joins_the_prefactor():
+    half = Monomial(Fraction(1, 2), 3)
+    expr = P(1, 1) * half
+    assert expr.prefactor == (half,) and expr.factors == P(1, 1).factors
+    assert eval_product(expr, 10) == \
+        eval_product(P(1, 1), 10).scale(Fraction(1, 2)).shift(3 * 4)
+    with pytest.raises(ValueError, match="can only divide by a pure product"):
+        P(1, 1) / half
 
 
 @pytest.mark.parametrize("call", [

@@ -75,6 +75,32 @@ def test_zero_monomial_rejected():
         Monomial(0, 3)
 
 
+def test_negated_monomial_keeps_its_exponent():
+    assert -Monomial(Fraction(2, 3), Fraction(5, 4)) == \
+        Monomial(Fraction(-2, 3), Fraction(5, 4))
+    assert -(-qmono(3)) == qmono(3)
+
+
+def test_scalars_and_monomials_subtract_from_a_series():
+    # a scalar or a monomial on the left is promoted to an exact series
+    s = S([(0, 1), (Fraction(1, 2), -3)], order=6)
+    assert 1 - s == S([(Fraction(1, 2), 3)], order=6)
+    assert Fraction(1, 2) - s == S([(0, Fraction(-1, 2)),
+                                    (Fraction(1, 2), 3)], order=6)
+    assert Monomial(Fraction(-2, 3), 2) - s == \
+        S([(0, -1), (Fraction(1, 2), 3), (2, Fraction(-2, 3))], order=6)
+    assert s - qmono(0) == S([(Fraction(1, 2), -3)], order=6)
+
+
+def test_repr_shows_eight_terms_and_the_validity():
+    assert repr(QSeries(4, {})) == "<QSeries 0 | exact>"
+    assert repr(S([(0, 2), (Fraction(1, 4), Fraction(-1, 2))], order=3)) == \
+        "<QSeries 2 + -1/2*q^1/4 | O(q^3)>"
+    long = repr(S([(k, 1) for k in range(10)]))
+    assert long == ("<QSeries 1 + " + " + ".join(
+        f"1*q^{k}" for k in range(1, 8)) + " + ... | exact>")
+
+
 def test_add():
     one_plus = S([(0, 1), (1, 1)])
     one_minus = S([(0, 1), (1, -1)])
@@ -532,10 +558,14 @@ def test_dot_rejects_mixed_lattices():
      "lattice denominator must be at least 1, got 0"),
     (lambda: QSeries(-4, {0: 1}, None), LatticeError,
      "lattice denominator must be at least 1, got -4"),
+    (lambda: QSeries.one(4) + "x", TypeError,
+     "cannot interpret 'x' as a series"),
+    (lambda: 1.5 - QSeries.one(4), TypeError,
+     "cannot interpret 1.5 as a series"),
 ], ids=["truncated-past-validity", "dump-past-validity", "load-no-header",
         "load-other-lattice", "load-mixed-line", "geometric-exponent-0",
         "geometric-exponent-negative", "substitute-power-0", "series-den-0",
-        "series-den-negative"])
+        "series-den-negative", "add-a-string", "subtract-from-a-float"])
 def test_kernel_refusals(call, exc, message):
     with pytest.raises(exc) as info:
         call()
@@ -581,7 +611,6 @@ def test_kernel_builds_no_fraction_per_coefficient(monkeypatch):
         for s in (a + b, a - b, a.shift(3), a.truncated(5)):
             _Slots.of(s)
         slots.series()
-        slots._replace(ratio=3).series()
         assert calls == []
         for op in (lambda: a.scale(c), lambda: mul_one_minus(a, c, -2),
                    lambda: mul_inv_one_minus(a, m, 10)):
