@@ -23,10 +23,9 @@ symbol is a :class:`qident.products.PochRow` grown a factor per new n, the
 1/(x;q)_n rows (1/(1 - m) is entry 1 of m's) sit in the bounded cache
 :func:`_inv_table`, and each lemma pair owns a :class:`_Row` per
 (order, den).  Every sum of series products, the lemma's
-beta'_n = sum_r u_r w_(n-r) and the pair relation's right side
-(:func:`_relation_rhs`, which the cleared two-parameter identity also
-reads), is one :func:`qident.series.dot`: one integer accumulator and one
-division per coefficient.
+beta'_n = sum_r u_r w_(n-r) and the pair relation's right side in
+:func:`verify_pair`, is one :func:`qident.series.dot`: one integer
+accumulator and one division per coefficient.
 """
 
 from __future__ import annotations
@@ -234,16 +233,6 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
 
 
-def _relation_rhs(a: Monomial, xs: list[tuple[int, QSeries]], n: int,
-                  depth: Fraction, den: int) -> QSeries:
-    """sum_k x_k / ((q;q)_{n-k} (aq;q)_{n+k}) over the (k, x_k) in xs, the
-    pair relation's right side, as one dot to the depth."""
-    tq = _inv_table(qmono(1), Fraction(1), depth, den)
-    taq = _inv_table(Monomial(a.coeff, a.exp + 1), Fraction(1), depth, den)
-    return dot([(x * tq[n - k], taq[n + k]) for k, x in xs],
-               exp_num(depth, den), den)
-
-
 def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
                 den: int = DEFAULT_D) -> PairReport:
     """Check the defining relation for every n <= n_max up to order."""
@@ -255,10 +244,14 @@ def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
     depth = Fraction(dnum, den)
     if dnum != onum:
         alphas = [p.alpha(k, depth, den) for k in range(n_max + 1)]
+    tq = _inv_table(qmono(1), Fraction(1), depth, den)
+    taq = _inv_table(Monomial(p.a.coeff, p.a.exp + 1), Fraction(1), depth, den)
     results = []
     for n in range(n_max + 1):
-        xs = [(k, a) for k, a in enumerate(alphas[:n + 1]) if not a.is_zero]
-        rhs = _relation_rhs(p.a, xs, n, depth, den)
+        # sum_k alpha_k / ((q;q)_{n-k} (aq;q)_{n+k}) as one dot to the depth
+        rhs = dot([(a * tq[n - k], taq[n + k])
+                   for k, a in enumerate(alphas[:n + 1]) if not a.is_zero],
+                  dnum, den)
         results.append((n, compare_up_to(term(p.beta, n, order, den), rhs,
                                          order)))
     return PairReport(p.name, p.a, order, tuple(results))
@@ -498,55 +491,6 @@ def chain(p0: BaileyPair, steps) -> BaileyPair:
 
 
 # -- identities from pairs ----------------------------------------------------
-
-@dataclass(frozen=True)
-class GeneralReport:
-    lhs: QSeries
-    rhs: QSeries
-    mismatch: Optional[Mismatch]
-
-    @property
-    def ok(self) -> bool:
-        return self.mismatch is None
-
-
-def general_bailey_check(p: BaileyPair, rho1: Monomial, rho2: Monomial,
-                         n: int, order: ExpLike,
-                         den: int = DEFAULT_D) -> GeneralReport:
-    """Both sides of the two-parameter finite identity, compared to order.
-
-    Checked after clearing the (aq/rho1, aq/rho2; q)_n denominators, so the
-    ratio (c;q)_n/(c;q)_r on the alpha side becomes the finite product
-    (c q^r; q)_{n-r}.  The cleared form is equivalent for generic parameters
-    and stays valid for specializations where a cleared factor vanishes.
-    """
-    _check_n_max(n)
-    order = nonneg_order(order)
-    a = p.a
-    aq = Monomial(a.coeff, a.exp + 1)
-    c1 = _mdiv(aq, rho1)
-    c2 = _mdiv(aq, rho2)
-    c12 = _mdiv(aq, rho1 * rho2)
-
-    c12_pow = _power(c12, Fraction(0))
-    row = lru_cache(maxsize=None)(
-        lambda depth: _Row(p.beta, (rho1, rho2), (c12,), c12_pow, depth, den))
-
-    def build_rhs(depth: Fraction) -> QSeries:
-        heads = row(depth).heads
-        # entry n-r is (c1 q^r, c2 q^r; q)_{n-r}, an exact polynomial
-        tails = PochRow((c1 * qmono(n - 1), c2 * qmono(n - 1)), -1, None,
-                        den)
-        alphas = [p.alpha(r, depth, den) for r in range(n + 1)]
-        xs = [(r, alpha * heads[r] * tails[n - r] * c12_pow(r))
-              for r, alpha in enumerate(alphas) if not alpha.is_zero]
-        return _relation_rhs(a, xs, n, depth, den)
-
-    lhs = deepen_until_valid(lambda d: row(d).r_sum(n), order, den)
-    rhs = deepen_until_valid(build_rhs, order, den)
-    return GeneralReport(lhs.truncated(order), rhs.truncated(order),
-                         compare_up_to(lhs, rhs, order))
-
 
 def limit_identity(p: BaileyPair, order: ExpLike,
                    den: int = DEFAULT_D) -> tuple[QSeries, QSeries]:

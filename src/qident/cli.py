@@ -8,7 +8,8 @@ Machine output is one tab-separated line per item, ``id  PASS|FAIL  order
 ms``, stably sorted by id so runs diff cleanly; only the millisecond column
 may vary between runs.  Exit status: 0 all checks passed, 1 at least one
 mismatch, 2 any error (unknown ids, malformed chains or catalogs, inputs that
-cannot be evaluated), reported as one ``qident: error:`` line on stderr.
+cannot be evaluated), reported as one ``qident: error:`` line on stderr with
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -196,8 +197,18 @@ def cmd_bailey(args) -> int:
               f"n <= {args.n}  order {order}", order, notes)
         return 0 if report.ok else 1
 
-    # chain
-    rc = 0
+    # chain: the --show entries are computed first and printed last, after
+    # any --equals line, so an error leaves stdout empty
+    parts = []
+    if args.show is not None:
+        parts = [s.strip() for s in args.show.split(",") if s.strip()]
+        if not parts or not set(parts) <= {"alpha", "beta"}:
+            raise ValueError(f"--show takes a comma list of alpha and/or "
+                             f"beta, not {args.show!r}")
+    shown = [f"{part}_{n}:\n" + dump(term(getattr(pair, part), n, order,
+                                          args.d_lattice), order)
+             for n in range(args.n + 1) for part in parts]
+    diff = None
     if args.equals is not None:
         other = run_chain(args.equals)
         start = time.perf_counter()
@@ -208,20 +219,10 @@ def cmd_bailey(args) -> int:
               f"{args.expr}  ==  {args.equals}",
               f"n <= {args.n}  order {order}", order, notes,
               machine=f"{args.expr} == {args.equals}")
-        rc = 0 if diff is None else 1
-    if args.show is not None:
-        parts = [s.strip() for s in args.show.split(",") if s.strip()]
-        if not parts or not set(parts) <= {"alpha", "beta"}:
-            raise ValueError(f"--show takes a comma list of alpha and/or "
-                             f"beta, not {args.show!r}")
-        for n in range(args.n + 1):
-            for part in parts:
-                series = term(getattr(pair, part), n, order, args.d_lattice)
-                print(f"{part}_{n}:")
-                sys.stdout.write(dump(series, order))
+    sys.stdout.write("".join(shown))
     if args.equals is None and args.show is None:
         print(pair.name or args.expr)
-    return rc
+    return 0 if diff is None else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -233,6 +234,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ValueError("--d-lattice must be at least 1")
         if getattr(args, "n", 0) < 0:
             raise ValueError("--n must be at least 0")
+        if args.cmd in ("verify", "expand") and \
+                nonneg_order(args.order) * args.d_lattice > sys.maxsize:
+            raise ValueError(f"--order {args.order} is past the largest index "
+                             f"on the (1/{args.d_lattice})-lattice")
         return commands[args.cmd](args)
     except (OSError, KeyError, ValueError, OverflowError) as exc:
         return _usage_error(exc)  # OverflowError: e.g. an order past an index

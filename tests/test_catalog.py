@@ -14,7 +14,6 @@ import pytest
 import qident
 from qident.bailey import (
     builtin_pair,
-    general_bailey_check,
     limit_identity,
     pairs_equal,
     term,
@@ -722,14 +721,26 @@ EVALUATORS = {
     "verify_pair_n0": lambda cat, o, d: verify_pair(G1, 0, o, d),
     "verify_pair_n2": lambda cat, o, d: verify_pair(G1, 2, o, d),
     "pairs_equal": lambda cat, o, d: pairs_equal(G1, G1, 2, o, d),
-    "general_bailey_check": lambda cat, o, d: general_bailey_check(
-        G1, qmono(1), qmono(2), 2, o, d),
     "limit_identity": lambda cat, o, d: limit_identity(G1, o, d),
     "term": lambda cat, o, d: term(G1.alpha, 1, o, d),
     "Catalog.verify": lambda cat, o, d: cat.verify("R.R.1", o, d),
     "Catalog.cross_check_reduction":
         lambda cat, o, d: cat.cross_check_reduction("table2.1.1", o, d),
 }
+
+
+def test_readme_names_every_evaluator():
+    # the README sentence lists the evaluators this contract covers, one
+    # name per EVALUATORS entry less its n suffix
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    sentence = " ".join(readme.split()).split(
+        "Every evaluator that takes an order and a lattice (")[1].split(")")[0]
+    names = re.findall(r"`([^`]+)`", sentence)
+    assert sorted(names) == sorted({re.sub(r"_n[02]$", "", name)
+                                    for name in EVALUATORS})
+
+
 BAD_ENTRIES = {  # (order, den, what the message says)
     "den 0": (5, 0, "lattice denominator must be at least 1, got 0"),
     "den -4": (5, -4, "lattice denominator must be at least 1, got -4"),

@@ -2,8 +2,10 @@
 
 import random
 import re
+import shlex
 import signal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +115,20 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def test_readme_examples_run(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## CLI\n\n```sh\n")[1].split("```")[0]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("qident ") for line in lines)
+    for line in lines:
+        rc, _, err = run(capsys, *shlex.split(line)[1:])
+        assert (rc, err) == (0, ""), line
+    example = readme.split("```python\n")[1].split("```")[0]
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "True\n"
 
 
 def test_verify_machine_golden(capsys):
@@ -333,6 +349,8 @@ def test_bailey_chain_show_and_errors(capsys):
      "record t: route: expected the end"),
     (["bailey", "chain", "G1", "--show", ",", "--n", "1", "--order", "3"],
      "--show takes"),
+    (["bailey", "chain", "G1", "--equals", "G1", "--show", "gamma", "--n", "1",
+      "--order", "3"], "--show takes"),
     (["verify", "R.R.1", "--order=-1/4"], "order must be nonnegative"),
     (["verify", "R.R.1", "--order", "1/0"], "zero denominator"),
     (["bailey", "verify", "G1", "--n", "2", "--order", "0/0"],
@@ -379,11 +397,13 @@ def test_bailey_chain_show_and_errors(capsys):
     (["bailey", "verify", "G1" + " |> S1" * 1500, "--n", "0", "--order", "1"],
      "input nested or chained too deeply"),
     (["expand", "R.R.1", "--side", "rhs", "--order", HUGE_ORDER],
-     "cannot fit 'int' into an index-sized integer"),
+     f"--order {HUGE_ORDER} is past the largest index"),
     (["expand", "R.R.1", "--side", "lhs", "--order", HUGE_ORDER],
-     "cannot fit 'int' into an index-sized integer"),
+     f"--order {HUGE_ORDER} is past the largest index"),
     (["verify", "AG", "--k", "3", "--i", "1", "--order", HUGE_ORDER],
-     "cannot fit 'int' into an index-sized integer"),
+     f"--order {HUGE_ORDER} is past the largest index"),
+    (["bailey", "chain", "G1", "--show", "alpha", "--n", "2", "--order", "5",
+      "--d-lattice", "1"], "exponent 1/2 is not on the (1/1)-lattice"),
 ], ids=["general-vanishing", "expand-d0", "chain-show-d0", "verify-d0",
         "bailey-verify-negative-n", "chain-show-negative-n",
         "indefinite-nahm-record", "unknown-key", "kind-key", "repeated-key",
@@ -391,7 +411,8 @@ def test_bailey_chain_show_and_errors(capsys):
         "negative-prefactor", "list-negative-prefactor", "indefinite-multisum",
         "list-indefinite-multisum", "list-zero-base",
         "list-route-unknown-seed", "list-route-not-a-chain",
-        "chain-show-empty", "verify-negative-order",
+        "chain-show-empty", "chain-equals-show-gamma",
+        "verify-negative-order",
         "verify-zero-denominator-order", "bailey-zero-denominator-order",
         "list-zero-base-P", "list-negative-base-NP", "list-zero-J",
         "list-negative-J", "verify-instance-with-k", "expand-id-with-k-i",
@@ -403,7 +424,8 @@ def test_bailey_chain_show_and_errors(capsys):
         "verify-zero-denominator-exponent", "list-half-extra-length",
         "list-negative-extra-length", "list-deep-rhs",
         "bailey-verify-long-chain", "expand-rhs-huge-order",
-        "expand-lhs-huge-order", "verify-family-huge-order"])
+        "expand-lhs-huge-order", "verify-family-huge-order",
+        "chain-show-off-lattice"])
 def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
     def catalog(name):
         path = tmp_path / f"{name}.cat"
@@ -411,8 +433,8 @@ def test_error_paths_exit_2_with_one_line(tmp_path, capsys, argv, needle):
         return str(path)
 
     argv = [catalog(a[1:]) if a.startswith("@") else a for a in argv]
-    rc, _, err = run(capsys, *argv)
-    assert rc == 2
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("qident: error: ") and needle in err
 

@@ -64,6 +64,16 @@ def test_constructor_reduces_to_the_least_denominator():
     assert ((half + half).nums, (half + half).d) == ({1: 1}, 1)
 
 
+def test_equality_is_between_series_only_and_a_series_is_unhashable():
+    # a series never equals a scalar, from either side, even when its only
+    # term is that scalar
+    assert not QSeries.one() == 1
+    assert not 1 == QSeries.one()
+    assert QSeries.one() != Fraction(1)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(QSeries.one())
+
+
 def test_invert_unit_skips_a_stored_zero():
     # the lowest term is q^(1/4), so the operand is not valid far enough
     with pytest.raises(TruncationError):
