@@ -19,12 +19,17 @@ with an integer coefficient and a width certified from the pass's bound.
 :func:`eval_product`, a fold of those steps from a seed times the
 prefactor, is the one place a series becomes slots and back, so it decodes
 once.
+
+An unseeded :func:`eval_product` is memoized, PRODUCT_MEMO_SIZE entries
+keyed by (expr, order numerator, den), so a right side many records share
+is expanded once per order and lattice; a seeded fold bypasses the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import itemgetter
 from typing import Optional, Union
@@ -249,15 +254,23 @@ def J(a: ExpLike, m: Optional[ExpLike] = None) -> ProductExpr:
     return TP(a, m - a, m, m)
 
 
+# the 67 packaged records have 44 distinct right sides; one order fits
+PRODUCT_MEMO_SIZE = 128
+
+
 def eval_product(expr: ProductExpr, order: ExpLike, den: int = DEFAULT_D,
                  seed: Optional[QSeries] = None) -> QSeries:
     """seed * expr to the order (seed 1 valid to it by default): a fold of
     :func:`poch_infinite` from seed times the prefactor, each step with
     :func:`_mul_order`'s validity.  The one place a series becomes slots and
     back: encoded once, decoded once and never multiplied; with no factors,
-    seed times the prefactor itself."""
+    seed times the prefactor itself.  Without a seed the series comes from
+    an LRU memo of PRODUCT_MEMO_SIZE entries keyed by (expr, order
+    numerator, den), shared, so never to be mutated; a seeded call always
+    folds."""
     onum = exp_num(nonneg_order(order), den)
-    seed = QSeries(den, {0: 1}, onum) if seed is None else seed
+    if seed is None:
+        return _memo_product(expr, onum, den)
     if seed.den != den:
         raise LatticeError(f"mixing lattices 1/{seed.den} and 1/{den}")
     if expr.prefactor != (Monomial(1, 0),):
@@ -269,6 +282,13 @@ def eval_product(expr: ProductExpr, order: ExpLike, den: int = DEFAULT_D,
     for m, base, power in expr.factors:
         out = poch_infinite(m, base, order, den, power, out)
     return out.series()
+
+
+@lru_cache(maxsize=PRODUCT_MEMO_SIZE)
+def _memo_product(expr: ProductExpr, onum: int, den: int) -> QSeries:
+    """The fold from 1 valid to the order onum/den."""
+    return eval_product(expr, Fraction(onum, den), den,
+                        QSeries(den, {0: 1}, onum))
 
 
 def eval_product_sum(exprs, order: ExpLike, den: int = DEFAULT_D) -> QSeries:

@@ -693,7 +693,8 @@ def test_eval_product_never_multiplies_its_product(monkeypatch):
 
 def test_eval_product_decodes_once_per_product(monkeypatch):
     # the fold carries the packed slots from symbol to symbol, so each
-    # packaged right side is decoded to a series once, at the end
+    # packaged right side is decoded to a series once, at the end; the memo
+    # is emptied first, since a repeated side is not evaluated again
     cat = load_catalog()
     calls = []
     decode = series._Slots.series
@@ -706,6 +707,7 @@ def test_eval_product_decodes_once_per_product(monkeypatch):
     for rid in cat.ids():
         for expr in cat.get(rid).rhs:
             calls.clear()
+            products._memo_product.cache_clear()
             eval_product(expr, 200)
             assert len(calls) == 1, rid
 
@@ -759,12 +761,15 @@ def test_unit_width_holds_every_slot_of_the_pass(monkeypatch):
     width = products._slot_width
     rational = 0
     for rhs, order, den in cases:
+        # each watched or patched pass must run, not come from the memo
+        products._memo_product.cache_clear()
         seen = _watch_unit_widths(monkeypatch)
         got = eval_product_sum(rhs, order, den)
         monkeypatch.undo()
         assert seen, rhs
         # slots twice as wide give the same series, so the decoded slots
         # are the true scaled coefficients; each needs a sign bit below W
+        products._memo_product.cache_clear()
         monkeypatch.setattr(products, "_slot_width",
                             lambda *args: 2 * width(*args))
         assert eval_product_sum(rhs, order, den) == got, rhs
@@ -785,19 +790,66 @@ def test_a_short_unit_width_is_caught(monkeypatch):
          (Monomial(-1, Fraction(1, 2)), Fraction(1), -1)),
         (Monomial(1, Fraction(-1, 2)), Monomial(Fraction(1, 2), 0)))
     order, den = 6, 2
+    # each pass below must run, not come from the memo
+    clear = products._memo_product.cache_clear
+    clear()
     seen = _watch_unit_widths(monkeypatch)
     want = eval_product(expr, order, den)
     assert _check_dense(want, expr, order * den, den) == "nonzero"
     monkeypatch.undo()
     short = max(bits for _, bits in seen) // 8 * 8
     assert short >= 8
+    clear()
     monkeypatch.setattr(products, "_slot_width", lambda *args: short + 8)
     assert eval_product(expr, order, den) == want
+    clear()
     monkeypatch.setattr(products, "_slot_width", lambda *args: short)
     try:
         assert eval_product(expr, order, den) != want
     except OverflowError:
         pass
+
+
+def test_the_product_memo_is_keyed_by_expression_order_and_lattice(
+        monkeypatch):
+    memo = products._memo_product
+    assert memo.cache_info().maxsize == products.PRODUCT_MEMO_SIZE == 128
+    # every packaged right side at two orders, warm (a repeated side is a
+    # hit), equals its fold with the memo emptied first
+    cat = load_catalog()
+    sides = [expr for rid in cat.ids() for expr in cat.get(rid).rhs]
+    warm = {order: [eval_product(expr, order) for expr in sides]
+            for order in (60, 200)}
+    assert memo.cache_info().hits > 0
+    for order, got in warm.items():
+        for expr, s in zip(sides, got):
+            memo.cache_clear()
+            assert s == eval_product(expr, order), (order, expr)
+    # one order numerator on two lattices: each side on its own lattice
+    memo.cache_clear()
+    inv = P(1, 1) ** -1
+    fine, coarse = eval_product(inv, 100, 8), eval_product(inv, 200, 4)
+    assert (fine.den, coarse.den) == (8, 4)
+    assert fine.order_num == coarse.order_num == 800
+    for s, order, den in ((fine, 100, 8), (coarse, 200, 4)):
+        memo.cache_clear()
+        assert s == eval_product(inv, order, den)
+    # a seeded fold neither reads nor fills the memo
+    seed = eval_product(NP(1, 1), 30)
+    info = memo.cache_info()
+    eval_product(J(1, 5), 30, 4, seed)
+    poch_infinite(Q, 1, 30, 4, -1, seed)
+    poch_infinite(Q, 1, 30, 4, -1, series._Slots.of(seed))
+    assert memo.cache_info() == info
+    # a warm hit runs no step of the fold and decodes nothing
+    want = eval_product(J(2, 7) / J(1), 200)
+    calls = []
+    monkeypatch.setattr(products, "poch_infinite",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(series._Slots, "series",
+                        lambda slots: calls.append(slots))
+    assert eval_product(J(2, 7) / J(1), 200) is want
+    assert calls == []
 
 
 def test_a_rational_symbol_joins_the_seed_as_a_series(monkeypatch):
