@@ -16,16 +16,24 @@ expressions "SEED |> STEP |> STEP(arg)" are read by
 Generators take (n, order, den) and return a QSeries valid at least to
 order + min(0, valuation); :func:`term` reads one entry valid through the
 order, re-requesting through :func:`qident.series.deepen_until_valid`.
-Pairs are immutable, and generator calls are not cached.
+Pairs are immutable, and a chain prefix is one object per process:
+:func:`builtin_pair` keeps one pair per name and :func:`apply_transform`
+the last :data:`PAIR_TABLE_SIZE` pairs it built, one per (pair, step).  A
+call that raises keeps nothing.
 
 The rows are the caches, and nothing free of n is built per n: every finite
 symbol is a :class:`qident.products.PochRow` grown a factor per new n, the
-1/(x;q)_n rows (1/(1 - m) is entry 1 of m's) sit in the bounded cache
-:func:`_inv_table`, and each lemma pair owns a :class:`_Row` per
-(order, den).  Every sum of series products, the lemma's
-beta'_n = sum_r u_r w_(n-r) and the pair relation's right side in
-:func:`verify_pair`, is one :func:`qident.series.dot`: one integer
-accumulator and one division per coefficient.
+1/(x;q)_n rows (1/(1 - m) is entry 1 of m's) and the pair relation's kernel
+sit in the bounded caches :func:`_inv_table` and :func:`_kernel_table`, and
+each lemma pair owns a :class:`_Row` per (order, den), which also keeps its
+finished alpha_n and beta_n, as a seed pair's beta keeps its entries.  So
+a repeated request is a read, and a kept pair holds every row it grew:
+memory grows with the orders and indices asked of the kept pairs, not
+with the number of chains.
+Every sum of series products, the lemma's beta'_n = sum_r u_r w_(n-r) and
+the pair relation's right side in :func:`verify_pair`, is one
+:func:`qident.series.dot`: one integer accumulator and one division per
+coefficient.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from qident.series import (
 from qident.products import PochRow, poch_infinite
 
 HALF = Fraction(1, 2)
+PAIR_TABLE_SIZE = 16  # pairs apply_transform keeps, one per (pair, step)
 
 Gen = Callable[..., QSeries]
 Transformed = tuple[Monomial, Gen, Gen]  # new relative parameter, alpha, beta
@@ -75,10 +84,28 @@ def _zero(order: ExpLike, den: int) -> QSeries:
     return QSeries(den, {}, exp_num(order, den))
 
 
+def _kept(row: dict, key, make: Callable[[], QSeries]) -> QSeries:
+    """row[key], made by make() on the first read; a raise keeps nothing."""
+    s = row.get(key)
+    if s is None:
+        s = row[key] = make()
+    return s
+
+
 @lru_cache(maxsize=1024)
 def _inv_table(arg: Monomial, base: Fraction, order: Fraction,
                den: int) -> PochRow:
     return PochRow((arg,), base, order, den, -1)
+
+
+@lru_cache(maxsize=64)
+def _kernel_table(a: Monomial, order: Fraction,
+                  den: int) -> Callable[[int, int], QSeries]:
+    """(n, k) -> 1/((q;q)_(n-k) (aq;q)_(n+k)), each made when first read."""
+    tq = _inv_table(qmono(1), Fraction(1), order, den)
+    taq = _inv_table(Monomial(a.coeff, a.exp + 1), Fraction(1), order, den)
+    cells: dict[tuple[int, int], QSeries] = {}
+    return lambda n, k: _kept(cells, (n, k), lambda: tq[n - k] * taq[n + k])
 
 
 def term(gen: Gen, n: int, order: ExpLike, den: int = DEFAULT_D) -> QSeries:
@@ -138,13 +165,18 @@ def unit_pair(a: Monomial) -> BaileyPair:
 
 
 def _slater_beta(shift_n: bool, comp_exp: Fraction) -> Gen:
-    """beta_n = q^(n if shift_n) / ((q^2;q^2)_n (-q^comp_exp; q)_n)."""
+    """beta_n = q^(n if shift_n) / ((q^2;q^2)_n (-q^comp_exp; q)_n), each
+    entry kept in a row per (order, den)."""
     comp = Monomial(-1, comp_exp)
+    rows = lru_cache(maxsize=None)(lambda order, den: {})
 
-    def beta(n, order, den=DEFAULT_D):
+    def make(n: int, order: Fraction, den: int) -> QSeries:
         out = _inv_table(qmono(2), Fraction(2), order, den)[n] * \
             _inv_table(comp, Fraction(1), order, den)[n]
         return out * Monomial(1, n) if shift_n else out
+
+    def beta(n, order, den=DEFAULT_D):
+        return _kept(rows(order, den), n, lambda: make(n, order, den))
 
     return beta
 
@@ -186,8 +218,17 @@ def _theta_alpha(u: Monomial, ell: Fraction) -> Gen:
 
 
 def builtin_pair(name: str) -> BaileyPair:
-    """The pairs G1, G2, G3 (Slater's list) and G1star (also spelled G1*)."""
+    """The pairs G1, G2, G3 (Slater's list) and G1star (also spelled G1*),
+    one pair per name."""
+    pairs = _builtin_pairs()
     key = name.replace("*", "star")
+    if key not in pairs:
+        raise ValueError(f"unknown built-in pair {name!r}")
+    return pairs[key]
+
+
+@lru_cache(maxsize=1)
+def _builtin_pairs() -> dict[str, BaileyPair]:
     u = qmono(Fraction(3, 2))
     rows = {
         "G1": (qmono(0), _theta_alpha(qmono(HALF), HALF),
@@ -199,10 +240,8 @@ def builtin_pair(name: str) -> BaileyPair:
         "G1star": (qmono(1), _geometric_alpha(u, Fraction(1)),
                    _slater_beta(False, HALF)),
     }
-    if key not in rows:
-        raise ValueError(f"unknown built-in pair {name!r}")
-    a, alpha, beta = rows[key]
-    return BaileyPair(a, alpha, beta, name=key)
+    return {key: BaileyPair(a, alpha, beta, name=key)
+            for key, (a, alpha, beta) in rows.items()}
 
 
 BUILTIN_NAMES = ("G1", "G2", "G3", "G1star")
@@ -244,12 +283,11 @@ def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
     depth = Fraction(dnum, den)
     if dnum != onum:
         alphas = [p.alpha(k, depth, den) for k in range(n_max + 1)]
-    tq = _inv_table(qmono(1), Fraction(1), depth, den)
-    taq = _inv_table(Monomial(p.a.coeff, p.a.exp + 1), Fraction(1), depth, den)
+    kernel = _kernel_table(p.a, depth, den)
     results = []
     for n in range(n_max + 1):
         # sum_k alpha_k / ((q;q)_{n-k} (aq;q)_{n+k}) as one dot to the depth
-        rhs = dot([(a * tq[n - k], taq[n + k])
+        rhs = dot([(a, kernel(n, k))
                    for k, a in enumerate(alphas[:n + 1]) if not a.is_zero],
                   dnum, den)
         results.append((n, compare_up_to(term(p.beta, n, order, den), rhs,
@@ -259,11 +297,16 @@ def verify_pair(p: BaileyPair, n_max: int, order: ExpLike,
 
 def pairs_equal(p1: BaileyPair, p2: BaileyPair, n_max: int, order: ExpLike,
                 den: int = DEFAULT_D) -> Optional[tuple[int, str, Mismatch]]:
-    """First (n, side, mismatch) where the pairs differ, else None."""
+    """First (n, side, mismatch) where the pairs differ, else None.
+
+    Different relative parameters are (0, "a", mismatch), where the mismatch
+    compares the one-term series a1 and a2 at their first difference."""
     _check_n_max(n_max)
     order = nonneg_order(order)
     if p1.a != p2.a:
-        return (0, "a", Mismatch(p1.a.exp, p1.a.coeff, p2.a.coeff))
+        e = min(p1.a.exp, p2.a.exp)
+        c1, c2 = (m.coeff if m.exp == e else 0 for m in (p1.a, p2.a))
+        return (0, "a", Mismatch(e, c1, c2))
     for n in range(n_max + 1):
         for side in ("alpha", "beta"):
             m = compare_up_to(term(getattr(p1, side), n, order, den),
@@ -301,7 +344,7 @@ def _power(m: Monomial, k: Fraction) -> Callable[[int], Monomial]:
 class _Row:
     """A lemma's r-sum pieces that do not depend on n, at one (order, den),
     grown as higher n are asked for: the heads prod_x (x;q)_r, which alpha
-    shares, the tails, u and w.
+    shares, the tails, u and w; and the finished alpha_n and beta_n.
     """
 
     def __init__(self, beta: Gen, nums: tuple[Monomial, ...],
@@ -312,6 +355,8 @@ class _Row:
         self.tails = PochRow(tail, 1, order, den)
         # u[r] = beta_r heads[r] mono(r) and w[k] = tails[k] / (q;q)_k
         self.u, self.w = [], []
+        self.alphas: dict[int, QSeries] = {}
+        self.betas: dict[int, QSeries] = {}
 
     def r_sum(self, n: int) -> QSeries:
         """sum_r beta_r mono(r) prod_x (x;q)_r (tail;q)_{n-r} / (q;q)_{n-r}."""
@@ -345,11 +390,14 @@ def _lemma(p: BaileyPair, nums: tuple[Monomial, ...],
         return s
 
     def alpha(n, order, den=DEFAULT_D):
-        head = row(order, den).heads[n]
-        return divide(p.alpha(n, order, den) * head, n, order, den) * mono(n)
+        r = row(order, den)
+        return _kept(r.alphas, n, lambda: divide(
+            p.alpha(n, order, den) * r.heads[n], n, order, den) * mono(n))
 
     def beta(n, order, den=DEFAULT_D):
-        return divide(row(order, den).r_sum(n), n, order, den)
+        r = row(order, den)
+        return _kept(r.betas, n,
+                     lambda: divide(r.r_sum(n), n, order, den))
 
     return p.a, alpha, beta
 
@@ -474,8 +522,12 @@ TRANSFORMS: dict[str, tuple[int, Callable[..., Transformed]]] = {
 }
 
 
+@lru_cache(maxsize=PAIR_TABLE_SIZE)
 def apply_transform(p: BaileyPair, t: TransformStep) -> BaileyPair:
-    """A new pair per the displayed formulas; relative parameter may move."""
+    """A pair per the displayed formulas; relative parameter may move.
+
+    One pair per (p, t) while it stays among the last PAIR_TABLE_SIZE
+    built, so equal chains share their pairs and rows."""
     if t.kind not in TRANSFORMS:
         raise ValueError(f"unknown transform kind {t.kind!r}")
     a, alpha, beta = TRANSFORMS[t.kind][1](p, *t.params)

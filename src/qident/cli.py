@@ -213,8 +213,11 @@ def cmd_bailey(args) -> int:
         other = run_chain(args.equals)
         start = time.perf_counter()
         diff = pairs_equal(pair, other, args.n, order, args.d_lattice)
-        notes = () if diff is None else (
-            f"{diff[1]}_{diff[0]} differs first at q^{diff[2].exponent}",)
+        notes = ()
+        if diff is not None:
+            n, side, m = diff
+            where = side if side == "a" else f"{side}_{n}"
+            notes = (f"{where} differs first at q^{m.exponent}",)
         _emit(args, diff is None, time.perf_counter() - start,
               f"{args.expr}  ==  {args.equals}",
               f"n <= {args.n}  order {order}", order, notes,

@@ -2,13 +2,15 @@
 
 import pytest
 
-from qident import products
+from helpers import empty_tables
 
 
 @pytest.fixture(autouse=True)
-def empty_product_memo():
-    """Every test starts and ends with an empty eval_product memo, so no
-    test sees a series an earlier one evaluated, or one it patched."""
-    products._memo_product.cache_clear()
+def empty_process_tables():
+    """Every test starts and ends with the process-wide tables empty (the
+    eval_product memo and bailey's pair, kernel and seed-row tables), so no
+    test sees a series, pair or row an earlier one built, or one it
+    patched."""
+    empty_tables()
     yield
-    products._memo_product.cache_clear()
+    empty_tables()

@@ -2,14 +2,26 @@
 
 Everything here recounts coefficients from first principles (partition
 enumeration, direct nested loops) so the library under test never supplies
-its own expected values.
+its own expected values.  :func:`empty_tables` resets the library's
+process-wide tables, for the autouse fixture and for the tests that compare
+a cold pass with a shared one.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, isqrt
 
+from qident import bailey, products
 from qident.series import DEFAULT_D, Monomial, QSeries, exp_num
+
+
+def empty_tables():
+    """Empty the eval_product memo, bailey's pair table, its relation
+    kernels and its seed pairs, which hold the seed rows."""
+    products._memo_product.cache_clear()
+    bailey.apply_transform.cache_clear()
+    bailey._kernel_table.cache_clear()
+    bailey._builtin_pairs.cache_clear()
 
 
 def count_partitions(n, allowed_parts):

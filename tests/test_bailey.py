@@ -8,8 +8,10 @@ from functools import lru_cache
 
 import pytest
 
+from helpers import empty_tables
 from qident.bailey import (
     _inv_table,
+    PAIR_TABLE_SIZE,
     DJK,
     TRANSFORMS,
     DJK_LIMIT,
@@ -38,7 +40,9 @@ from qident.products import (
 )
 from qident.series import (
     LatticeError,
+    Mismatch,
     Monomial,
+    TruncationError,
     QSeries,
     compare_up_to,
     dump,
@@ -164,6 +168,16 @@ def test_pairs_equal_and_mismatch():
     assert diff is not None
     n, side, mism = diff
     assert side in ("alpha", "beta") and n >= 0 and mism is not None
+
+
+def test_pairs_equal_reports_where_the_relative_parameters_differ():
+    # a1 = 1 and a2 = q differ first at q^0, where a2 has no term
+    assert pairs_equal(builtin_pair("G1"), builtin_pair("G2"), 2, 5) == \
+        (0, "a", Mismatch(0, 1, 0))
+    assert pairs_equal(builtin_pair("G2"), builtin_pair("G1"), 2, 5) == \
+        (0, "a", Mismatch(0, 0, 1))
+    assert pairs_equal(unit_pair(Monomial(2, 1)), unit_pair(Monomial(3, 1)),
+                       2, 5) == (0, "a", Mismatch(1, 2, 3))
 
 
 # -- transforms ----------------------------------------------------------------
@@ -582,6 +596,78 @@ def test_inv_table_cache_is_bounded_and_counts_hits():
     assert info.misses > 0 and info.hits > 0
     _inv_table.cache_clear()
     assert _inv_table.cache_info().hits == 0
+
+
+def _draw_chains(rng, count):
+    """(seed, steps) drawn as acceptance criterion 5 draws them, with
+    GENERAL's rhos drawn too; the coefficients exclude +1, so every step is
+    defined."""
+    coeffs = [Fraction(c) for c in ("-1", "2", "-2", "1/2", "-1/3")]
+    exps = [HALF, Fraction(1), Fraction(3, 2), Fraction(2)]
+    chains = []
+    for _ in range(count):
+        seed = rng.choice(sorted(BUILTIN_NAMES))
+        p = builtin_pair(seed)
+        steps = []
+        for _ in range(rng.randrange(1, 4)):
+            pool = [S1, S3, S5]
+            if rng.random() < 0.25:
+                pool = [GENERAL(Monomial(rng.choice(coeffs), rng.choice(exps)),
+                                Monomial(rng.choice(coeffs), rng.choice(exps)))]
+            if p.a == qmono(1):
+                pool.append(DJK(qmono(2)))
+            steps.append(rng.choice(pool))
+            p = apply_transform(p, steps[-1])
+        chains.append((seed, tuple(steps)))
+    return chains
+
+
+def _chain_outputs(seed, steps):
+    """verify_pair's report (or its TruncationError) and the raw entries
+    of a chain at two (order, den) requests."""
+    p = chain(builtin_pair(seed), steps)
+    try:
+        out = [repr(verify_pair(p, 4, 12))]
+    except TruncationError as exc:
+        out = [f"TruncationError: {exc}"]
+    for order, den in ((Fraction(10), 4), (Fraction(7, 2), 8)):
+        for n in range(5):
+            for gen in (p.alpha, p.beta):
+                s = gen(n, order, den)
+                out.append((sorted(s.terms.items()), s.d, s.order_num))
+    return out
+
+
+def test_shared_pairs_and_rows_give_what_cold_ones_give():
+    rng = random.Random(20261020)
+    chains = _draw_chains(rng, 24)
+    cold = {}
+    for c in chains:
+        empty_tables()
+        cold[c] = _chain_outputs(*c)
+    empty_tables()
+    order = chains * 2
+    rng.shuffle(order)
+    for c in order:
+        assert _chain_outputs(*c) == cold[c], c
+    assert apply_transform.cache_info().hits > 0  # prefixes were shared
+    assert apply_transform.cache_info().maxsize == PAIR_TABLE_SIZE == 16
+
+
+def test_pair_tables_keep_one_pair_per_key_and_no_failure():
+    g1 = builtin_pair("G1")
+    assert builtin_pair("G1*") is builtin_pair("G1star")
+    step = GENERAL(Monomial(-1, HALF), Monomial(-1, 1))
+    again = GENERAL(Monomial(Fraction(-1), Fraction(1, 2)), Monomial(-1, 1))
+    assert step is not again
+    assert apply_transform(g1, step) is apply_transform(g1, again)
+    kept = apply_transform.cache_info().currsize
+    # G1star has a = q, so aq/rho = 1 for rho = q^2; DJK(1) has 1 - b = 0
+    for singular in (GENERAL(qmono(2), Monomial(-1, 1)), DJK(qmono(0))):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="singular"):
+                apply_transform(builtin_pair("G1star"), singular)
+    assert apply_transform.cache_info().currsize == kept
 
 
 # -- limit identities ------------------------------------------------------------

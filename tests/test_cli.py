@@ -298,6 +298,15 @@ def test_bailey_chain_equals_machine_fail_line(capsys):
         "      alpha_1 differs first at q^0\n")
 
 
+def test_bailey_chain_equals_names_a_differing_relative_parameter(capsys):
+    rc, out, _ = run(capsys, "bailey", "chain", "G1", "--equals", "G2",
+                     "--n", "2", "--order", "5")
+    assert rc == 1
+    assert re.sub(r"  \d+ ms", "  MS ms", out) == (
+        "FAIL  G1  ==  G2  n <= 2  order 5  MS ms\n"
+        "      a differs first at q^0\n")
+
+
 def test_bailey_chain_show_and_errors(capsys):
     rc, out, _ = run(capsys, "bailey", "chain", "G1", "--show", "beta",
                      "--n", "1", "--order", "6")
