@@ -21,15 +21,16 @@ Pairs are immutable, and a chain prefix is one object per process:
 the last :data:`PAIR_TABLE_SIZE` pairs it built, one per (pair, step).  A
 call that raises keeps nothing.
 
-The rows are the caches, and nothing free of n is built per n: every finite
-symbol is a :class:`qident.products.PochRow` grown a factor per new n, the
-1/(x;q)_n rows (1/(1 - m) is entry 1 of m's) and the pair relation's kernel
-sit in the bounded caches :func:`_inv_table` and :func:`_kernel_table`, and
-each lemma pair owns a :class:`_Row` per (order, den), which also keeps its
-finished alpha_n and beta_n, as a seed pair's beta keeps its entries.  So
-a repeated request is a read, and a kept pair holds every row it grew:
-memory grows with the orders and indices asked of the kept pairs, not
-with the number of chains.
+An entry is kept in one place, its pair: every pair this module returns
+is built by :func:`_pair`, whose generators keep each entry they make, one
+per (n, order, den), so a repeated request is a read.  Nothing free of n
+is built per n: every finite symbol is a :class:`qident.products.PochRow`
+grown a factor per new n, the 1/(x;q)_n rows (1/(1 - m) is entry 1 of
+m's) and the pair relation's kernel sit in the bounded caches
+:func:`_inv_table` and :func:`_kernel_table`, and each lemma pair owns a
+:class:`_Row` of its r-sum pieces per (order, den).  A kept pair holds
+every entry and row it made: memory grows with the orders and indices
+asked of the kept pairs, not with the number of chains.
 Every sum of series products, the lemma's beta'_n = sum_r u_r w_(n-r) and
 the pair relation's right side in :func:`verify_pair`, is one
 :func:`qident.series.dot`: one integer accumulator and one division per
@@ -84,14 +85,6 @@ def _zero(order: ExpLike, den: int) -> QSeries:
     return QSeries(den, {}, exp_num(order, den))
 
 
-def _kept(row: dict, key, make: Callable[[], QSeries]) -> QSeries:
-    """row[key], made by make() on the first read; a raise keeps nothing."""
-    s = row.get(key)
-    if s is None:
-        s = row[key] = make()
-    return s
-
-
 @lru_cache(maxsize=1024)
 def _inv_table(arg: Monomial, base: Fraction, order: Fraction,
                den: int) -> PochRow:
@@ -104,8 +97,7 @@ def _kernel_table(a: Monomial, order: Fraction,
     """(n, k) -> 1/((q;q)_(n-k) (aq;q)_(n+k)), each made when first read."""
     tq = _inv_table(qmono(1), Fraction(1), order, den)
     taq = _inv_table(Monomial(a.coeff, a.exp + 1), Fraction(1), order, den)
-    cells: dict[tuple[int, int], QSeries] = {}
-    return lambda n, k: _kept(cells, (n, k), lambda: tq[n - k] * taq[n + k])
+    return lru_cache(maxsize=None)(lambda n, k: tq[n - k] * taq[n + k])
 
 
 def term(gen: Gen, n: int, order: ExpLike, den: int = DEFAULT_D) -> QSeries:
@@ -115,12 +107,22 @@ def term(gen: Gen, n: int, order: ExpLike, den: int = DEFAULT_D) -> QSeries:
 
 @dataclass(frozen=True)
 class BaileyPair:
-    """Relative parameter a plus alpha/beta generators (n, order, den)."""
+    """Relative parameter a plus alpha/beta generators (n, order, den).
+
+    The pairs this module returns come from :func:`_pair`, so their
+    generators are memos that keep each entry once."""
 
     a: Monomial
     alpha: Gen
     beta: Gen
     name: str = ""
+
+
+def _pair(a: Monomial, alpha: Gen, beta: Gen, name: str) -> BaileyPair:
+    """A pair whose generators keep each entry they make, one per
+    (n, order, den); a request that raises keeps nothing."""
+    return BaileyPair(a, lru_cache(maxsize=None)(alpha),
+                      lru_cache(maxsize=None)(beta), name)
 
 
 @dataclass(frozen=True)
@@ -161,22 +163,17 @@ def unit_pair(a: Monomial) -> BaileyPair:
         return _inv_table(qmono(1), Fraction(1), order, den)[n] * \
             _inv_table(aq, Fraction(1), order, den)[n]
 
-    return BaileyPair(a, alpha, beta, name="unit")
+    return _pair(a, alpha, beta, "unit")
 
 
 def _slater_beta(shift_n: bool, comp_exp: Fraction) -> Gen:
-    """beta_n = q^(n if shift_n) / ((q^2;q^2)_n (-q^comp_exp; q)_n), each
-    entry kept in a row per (order, den)."""
+    """beta_n = q^(n if shift_n) / ((q^2;q^2)_n (-q^comp_exp; q)_n)."""
     comp = Monomial(-1, comp_exp)
-    rows = lru_cache(maxsize=None)(lambda order, den: {})
 
-    def make(n: int, order: Fraction, den: int) -> QSeries:
+    def beta(n, order, den=DEFAULT_D):
         out = _inv_table(qmono(2), Fraction(2), order, den)[n] * \
             _inv_table(comp, Fraction(1), order, den)[n]
         return out * Monomial(1, n) if shift_n else out
-
-    def beta(n, order, den=DEFAULT_D):
-        return _kept(rows(order, den), n, lambda: make(n, order, den))
 
     return beta
 
@@ -240,7 +237,7 @@ def _builtin_pairs() -> dict[str, BaileyPair]:
         "G1star": (qmono(1), _geometric_alpha(u, Fraction(1)),
                    _slater_beta(False, HALF)),
     }
-    return {key: BaileyPair(a, alpha, beta, name=key)
+    return {key: _pair(a, alpha, beta, key)
             for key, (a, alpha, beta) in rows.items()}
 
 
@@ -343,32 +340,17 @@ def _power(m: Monomial, k: Fraction) -> Callable[[int], Monomial]:
 
 class _Row:
     """A lemma's r-sum pieces that do not depend on n, at one (order, den),
-    grown as higher n are asked for: the heads prod_x (x;q)_r, which alpha
-    shares, the tails, u and w; and the finished alpha_n and beta_n.
+    grown by the lemma's beta as higher n are asked for: the heads
+    prod_x (x;q)_r, which alpha shares, the tails, and the lists
+    u[r] = beta_r heads[r] mono(r) and w[k] = tails[k] / (q;q)_k.
     """
 
-    def __init__(self, beta: Gen, nums: tuple[Monomial, ...],
-                 tail: tuple[Monomial, ...], mono: Callable[[int], Monomial],
-                 order: Fraction, den: int):
-        self.beta, self.mono, self.order, self.den = beta, mono, order, den
+    def __init__(self, nums: tuple[Monomial, ...],
+                 tail: tuple[Monomial, ...], order: Fraction, den: int):
         self.heads = PochRow(nums, 1, order, den)
         self.tails = PochRow(tail, 1, order, den)
-        # u[r] = beta_r heads[r] mono(r) and w[k] = tails[k] / (q;q)_k
-        self.u, self.w = [], []
-        self.alphas: dict[int, QSeries] = {}
-        self.betas: dict[int, QSeries] = {}
-
-    def r_sum(self, n: int) -> QSeries:
-        """sum_r beta_r mono(r) prod_x (x;q)_r (tail;q)_{n-r} / (q;q)_{n-r}."""
-        order, den = self.order, self.den
-        tq = _inv_table(qmono(1), Fraction(1), order, den)
-        for k in range(len(self.u), n + 1):
-            self.u.append(self.beta(k, order, den) * self.heads[k] *
-                          self.mono(k))
-            self.w.append(self.tails[k] * tq[k])
-        # the zero u_r stay in: their validity bounds the sum's
-        return dot(zip(self.u[:n + 1], self.w[n::-1]), exp_num(order, den),
-                   den)
+        self.u: list[QSeries] = []
+        self.w: list[QSeries] = []
 
 
 def _lemma(p: BaileyPair, nums: tuple[Monomial, ...],
@@ -382,7 +364,7 @@ def _lemma(p: BaileyPair, nums: tuple[Monomial, ...],
                    (tail;q)_{n-r} / (q;q)_{n-r}
     """
     row = lru_cache(maxsize=None)(
-        lambda order, den: _Row(p.beta, nums, tail, mono, order, den))
+        lambda order, den: _Row(nums, tail, order, den))
 
     def divide(s: QSeries, n: int, order: Fraction, den: int) -> QSeries:
         for y in dens:
@@ -391,13 +373,18 @@ def _lemma(p: BaileyPair, nums: tuple[Monomial, ...],
 
     def alpha(n, order, den=DEFAULT_D):
         r = row(order, den)
-        return _kept(r.alphas, n, lambda: divide(
-            p.alpha(n, order, den) * r.heads[n], n, order, den) * mono(n))
+        s = p.alpha(n, order, den) * r.heads[n]
+        return divide(s, n, order, den) * mono(n)
 
     def beta(n, order, den=DEFAULT_D):
         r = row(order, den)
-        return _kept(r.betas, n,
-                     lambda: divide(r.r_sum(n), n, order, den))
+        tq = _inv_table(qmono(1), Fraction(1), order, den)
+        for k in range(len(r.u), n + 1):
+            r.u.append(p.beta(k, order, den) * r.heads[k] * mono(k))
+            r.w.append(r.tails[k] * tq[k])
+        # the zero u_r stay in: their validity bounds the sum's
+        s = dot(zip(r.u[:n + 1], r.w[n::-1]), exp_num(order, den), den)
+        return divide(s, n, order, den)
 
     return p.a, alpha, beta
 
@@ -531,7 +518,7 @@ def apply_transform(p: BaileyPair, t: TransformStep) -> BaileyPair:
     if t.kind not in TRANSFORMS:
         raise ValueError(f"unknown transform kind {t.kind!r}")
     a, alpha, beta = TRANSFORMS[t.kind][1](p, *t.params)
-    return BaileyPair(a, alpha, beta, name=_derived_name(p, t))
+    return _pair(a, alpha, beta, _derived_name(p, t))
 
 
 def chain(p0: BaileyPair, steps) -> BaileyPair:

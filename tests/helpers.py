@@ -17,7 +17,7 @@ from qident.series import DEFAULT_D, Monomial, QSeries, exp_num
 
 def empty_tables():
     """Empty the eval_product memo, bailey's pair table, its relation
-    kernels and its seed pairs, which hold the seed rows."""
+    kernels and its seed pairs, whose generators keep the seed entries."""
     products._memo_product.cache_clear()
     bailey.apply_transform.cache_clear()
     bailey._kernel_table.cache_clear()

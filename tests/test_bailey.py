@@ -11,6 +11,7 @@ import pytest
 from helpers import empty_tables
 from qident.bailey import (
     _inv_table,
+    _kernel_table,
     PAIR_TABLE_SIZE,
     DJK,
     TRANSFORMS,
@@ -668,6 +669,34 @@ def test_pair_tables_keep_one_pair_per_key_and_no_failure():
             with pytest.raises(ValueError, match="singular"):
                 apply_transform(builtin_pair("G1star"), singular)
     assert apply_transform.cache_info().currsize == kept
+
+
+def test_each_pair_keeps_every_entry_once():
+    g1star = builtin_pair("G1star")
+    pairs = [builtin_pair("G1"), apply_transform(builtin_pair("G1"), S3),
+             apply_transform(g1star, DJK(qmono(2))),
+             apply_transform(g1star, DJK_LIMIT(qmono(Fraction(3, 2)))),
+             unit_pair(qmono(0))]
+    for p in pairs:
+        for gen in (p.alpha, p.beta):
+            for n, order, den in ((0, Fraction(6), 4), (3, Fraction(10), 4),
+                                  (2, Fraction(7, 2), 8)):
+                assert gen(n, order, den) is gen(n, order, den), (p.name, n)
+    kernel = _kernel_table(qmono(1), Fraction(6), 4)
+    assert kernel(3, 1) is kernel(3, 1)
+    # G1star has a = q, so S5's q^(1/2) is off the (1/1)-lattice
+    p = apply_transform(g1star, S5)
+    kept = p.alpha.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(LatticeError):
+            p.alpha(1, Fraction(6), 1)
+    assert p.alpha.cache_info().currsize == kept
+
+
+def test_a_long_chain_verifies_under_the_default_recursion_limit():
+    # each step costs two levels of recursion: the lemma's generator and
+    # the memo that wraps it
+    assert verify_pair(chain(builtin_pair("G1"), [S1] * 300), 3, 10).ok
 
 
 # -- limit identities ------------------------------------------------------------
