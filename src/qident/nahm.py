@@ -53,7 +53,6 @@ from qident.series import (
     _div_packed,
     _mul_valid,
     _pack,
-    _signed_slots,
     _slot_width,
     exp_num,
     nonneg_order,
@@ -213,9 +212,10 @@ class MultiSumSpec:
             for j in range(i):
                 if m[i][j] != m[j][i]:
                     raise ValueError("quadratic form must be symmetric")
-        if any(m[i][i] <= 0 for i in range(k)):
+        # the symmetric form's signs, from its entries' int numerators
+        if any(m[i][i].numerator <= 0 for i in range(k)):
             raise ValueError("unbounded enumeration: nonpositive diagonal")
-        if any(x < 0 for row in m for x in row):
+        if any(x.numerator < 0 for i in range(k) for x in m[i][:i]):
             _squares(m, self.lin, self.const)
         # A prefactor term is walked as its own spec with its own box, so
         # its sign is the catalog grammar's rule, not the walk's need.
@@ -490,8 +490,8 @@ def multi_sum(spec: MultiSumSpec, order: ExpLike,
         point[i] = 0
 
     rec(0, const_l, 1, None)
-    return _Slots(den, _signed_slots(acc, w, max((onum - base) // G + 1, 0)),
-                  base, G, kx, valid).series()
+    return _Slots(den, acc, w, max((onum - base) // G + 1, 0), base, G, kx,
+                  valid).series()
 
 
 # A Nahm sum is a spec from nahm_spec; the name stays for callers that look

@@ -11,18 +11,17 @@ requested order, every omitted factor being 1 + O(q^(>order)).
 :class:`ProductExpr` is the assembled right-hand-side shape: an optional
 polynomial prefactor times a signed multiset of infinite products.
 
-An infinite symbol is one step of :func:`poch_infinite` on the slot format
-`series` owns (`_Slots`): its head, the factors whose exponent is <= 0 or
-every factor of a symbol whose coefficient is not an integer, joins the
-seed first as a series; every other factor goes through one packed pass
-with an integer coefficient and a width certified from the pass's bound.
-:func:`eval_product`, a fold of those steps from a seed times the
-prefactor, is the one place a series becomes slots and back, so it decodes
-once.
+An infinite symbol (a; q^base)_infinity^power is computed once per order
+and lattice, from 1, by :func:`_symbol` and kept packed (`series`'s
+`_Slots`) in a memo keyed by ints: its head (the factors whose exponent is
+<= 0, or all when a's coefficient is not an integer) as a series, every
+other factor in one packed pass of certified width.  :func:`eval_product`
+packs seed times the prefactor once, multiplies the symbols in
+(:func:`poch_infinite`) and decodes once.
 
-An unseeded :func:`eval_product` is memoized, PRODUCT_MEMO_SIZE entries
+An unseeded :func:`eval_product` is memoized too, PRODUCT_MEMO_SIZE entries
 keyed by (expr, order numerator, den), so a right side many records share
-is expanded once per order and lattice; a seeded fold bypasses the memo.
+is expanded once per order and lattice; a seeded call bypasses that memo.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ from qident.series import (
     QSeries,
     _Slots,
     _div_packed,
-    _pack,
-    _signed_slots,
     _slot_width,
     exp_num,
     mul_inv_one_minus,
@@ -58,75 +55,18 @@ def poch_infinite(a: Monomial, base: ExpLike, order: ExpLike,
     """seed * (a; q^base)_infinity^power truncated at order.
 
     With a series seed, or none (1 valid to the order), it is
-    :func:`eval_product` of the one symbol.  A seed in the slots of an
-    earlier pass (:class:`_Slots`) gives slots, with the validity
-    :func:`_mul_order` gives seed times the symbol (a zero seed keeps its
-    own); a seed no factor reaches is cut there.  The head joins the seed
-    first, as a series, |power| times: for a numerator as one polynomial
-    built from 1 valid to the order, for a denominator as one inverse
-    :class:`PochRow` entry over its factors.  The head is the factors whose
-    exponent is <= 0, or every factor through the order when a's
-    coefficient is not an integer.
-
-    Every other factor (1 - c q^(e/den)), c an integer and e positive, goes
-    through one packed pass: slot t, W bits wide, holds d times the
-    coefficient at q^((low + g*t)/den), g the gcd of every e and of the
-    seed's stride; a factor at u = e/g slots is a shifted subtraction, a
-    denominator a doubling prefix sum (:func:`_div_packed`), each cut by
-    one mask.  W is certified: a numerator factor is coefficientwise at
-    most its denominator's geometric series, whose coefficient at slot t
-    is at most |c|^t, and the symbol, |power| times, a sub-product of
-    1/(q; q)_infinity^|power|, so slot t is at most the starting slots' l1
-    norm times |c|^t p_|power|(t), p_r the r-coloured partition count; the
-    masked arithmetic is exact modulo 2^(W*slots)."""
+    :func:`eval_product` of the one symbol.  A seed in slots gives slots:
+    one :meth:`_Slots.times` by the memoized symbol (:func:`_symbol`), with
+    the validity :func:`_mul_order` gives seed times the symbol."""
     if not isinstance(seed, _Slots):
         return eval_product(ProductExpr(((a, base, power),)), order, den,
                             seed)
     onum = exp_num(nonneg_order(order), den)
-    nums = _factor_nums(a, base, onum, den)
-    k = len(nums) if a.coeff.denominator != 1 else len(
-        range(nums.start, 1, nums.step))  # the head's factors
-    if k and power:
-        if power > 0:
-            head = QSeries(den, {0: 1}, onum)
-            for num in nums[:k]:
-                head = mul_one_minus(head, a.coeff, num)
-        else:
-            head = PochRow((a,), base, order, den, -1)[k]
-        s = seed.series()
-        for _ in range(abs(power)):
-            s = s * head
-        seed = _Slots.of(s)
-    nums = nums[k:]
-    if not seed.digits:
-        return seed
-    low = seed.low
-    valid = onum + low if seed.valid is None else min(seed.valid, onum + low)
-    if not (power and nums) or nums[0] > valid - low:
-        cut = seed.digits[:(valid - low) // (seed.g or 1) + 1]
-        return seed._replace(digits=cut, valid=valid)
-    g = gcd(seed.g, *nums[:2])
-    size = (valid - low) // g
-    stride = seed.g // g or 1
-    digits = [0] * (min(len(seed.digits) - 1, size // stride) * stride + 1)
-    digits[::stride] = seed.digits[:size // stride + 1]
-    c = a.coeff
-    # norm * |c|^size * p_|power|(size) bounds every slot, as certified above
-    W = _slot_width(sum(map(abs, digits)) * abs(c) ** size, abs(power), size)
-    mask = (1 << W * (size + 1)) - 1
-    acc = _pack(digits, W) & mask
-    for e in nums:
-        u = e // g
-        if u > size:
-            break
-        for _ in range(abs(power)):
-            if power < 0:
-                acc = _div_packed(acc, W * u, mask, c)
-            else:  # times 1 - c x^u
-                t = acc << W * u
-                acc = (acc - t if c == 1 else acc - c * t) & mask
-    return _Slots(seed.den, _signed_slots(acc, W, size + 1), low, g,
-                  seed.d, valid)
+    c, e = a.coeff, a.exp
+    sym, bits = _symbol(c.numerator, c.denominator, e.numerator,
+                        e.denominator, base.numerator, base.denominator,
+                        power, onum, den)
+    return seed.times(sym, seed.bits(), bits)
 
 
 def _positive_base(base: ExpLike) -> Fraction:
@@ -134,18 +74,6 @@ def _positive_base(base: ExpLike) -> Fraction:
     if base <= 0:
         raise ValueError("infinite product needs a positive base")
     return base
-
-
-def _factor_nums(a: Monomial, base: ExpLike, onum: int, den: int) -> range:
-    """Exponent numerators of the factors (1 - a q^(base*k)) through onum.
-
-    The range starts at a's exponent numerator even when it is empty.
-    """
-    _positive_base(base)
-    first = exp_num(a.exp, den)
-    if first > onum:  # the base must be on the lattice only from here on
-        return range(first, first)
-    return range(first, onum + 1, exp_num(base, den))
 
 
 # -- product expressions -----------------------------------------------------
@@ -260,14 +188,12 @@ PRODUCT_MEMO_SIZE = 128
 
 def eval_product(expr: ProductExpr, order: ExpLike, den: int = DEFAULT_D,
                  seed: Optional[QSeries] = None) -> QSeries:
-    """seed * expr to the order (seed 1 valid to it by default): a fold of
-    :func:`poch_infinite` from seed times the prefactor, each step with
-    :func:`_mul_order`'s validity.  The one place a series becomes slots and
-    back: encoded once, decoded once and never multiplied; with no factors,
+    """seed * expr to the order (seed 1 valid to it by default): seed times
+    the prefactor packed once, each memoized symbol multiplied in by
+    :func:`poch_infinite`, and the product decoded once; with no factors,
     seed times the prefactor itself.  Without a seed the series comes from
     an LRU memo of PRODUCT_MEMO_SIZE entries keyed by (expr, order
-    numerator, den), shared, so never to be mutated; a seeded call always
-    folds."""
+    numerator, den), shared, so never to be mutated; a seeded call skips it."""
     onum = exp_num(nonneg_order(order), den)
     if seed is None:
         return _memo_product(expr, onum, den)
@@ -289,6 +215,71 @@ def _memo_product(expr: ProductExpr, onum: int, den: int) -> QSeries:
     """The fold from 1 valid to the order onum/den."""
     return eval_product(expr, Fraction(onum, den), den,
                         QSeries(den, {0: 1}, onum))
+
+
+# a verify-catalog pass (143 distinct symbols) hits as often as unbounded
+@lru_cache(maxsize=PRODUCT_MEMO_SIZE)
+def _symbol(cn: int, cd: int, en: int, ed: int, bn: int, bd: int,
+            power: int, onum: int, den: int) -> tuple[_Slots, int]:
+    """(a; q^base)_infinity^power from 1 valid to onum/den in slots, with
+    their :meth:`_Slots.bits`, for a = cn/cd q^(en/ed) and base = bn/bd.
+
+    The head, the factors whose exponent is <= 0 or all of them when a's
+    coefficient is not an integer, is built as a series, |power| times: for
+    a numerator as one polynomial, for a denominator as one inverse
+    :class:`PochRow` entry.  Every other factor (1 - c q^(e/den)) goes
+    through one packed pass: slot t, W bits wide, holds d times the
+    coefficient at q^((low + g*t)/den), g the gcd of every e and of the
+    head's stride; a factor at u = e/g slots is a shifted subtraction, a
+    denominator a doubling prefix sum (:func:`_div_packed`), each cut by
+    one mask.  W is certified: a numerator factor is coefficientwise at
+    most its denominator's geometric series, whose coefficient at slot t
+    is at most |c|^t, and the symbol, |power| times, a sub-product of
+    1/(q; q)_infinity^|power|, so slot t is at most the head's l1 norm
+    times |c|^t p_|power|(t), p_r the r-coloured partition count; the
+    masked arithmetic is exact modulo 2^(W*slots)."""
+    c, e = Fraction(cn, cd), Fraction(en, ed)
+    base, first = _positive_base(Fraction(bn, bd)), exp_num(e, den)
+    # the factors' exponents; the base need be on the lattice only in range
+    nums = range(first, onum + 1, exp_num(base, den) if first <= onum else 1)
+    k = len(nums) if cd != 1 else len(
+        range(first, 1, nums.step))  # the head's factors
+    seed, norm = _Slots(den, 1, 8, 1, 0, 0, 1, onum), 1  # 1 to the order
+    if k and power:
+        s = head = QSeries(den, {0: 1}, onum)
+        if power > 0:
+            for num in nums[:k]:
+                head = mul_one_minus(head, c, num)
+        else:
+            head = PochRow((Monomial(c, e),), base, Fraction(onum, den),
+                           den, -1)[k]
+        for _ in range(abs(power)):
+            s = s * head
+        seed, norm = _Slots.of(s), sum(map(abs, s.nums.values()))
+    nums, low = nums[k:], seed.low
+    valid = min(seed.valid, onum + low) if seed.n else seed.valid
+    if seed.n and power and nums and nums[0] <= valid - low:
+        g = gcd(seed.g, *nums[:2])
+        size = (valid - low) // g
+        seed = seed.cut(low + size * g)
+        # norm * |c|^size * p_|power|(size) bounds every slot (certified)
+        W = _slot_width(norm * abs(cn) ** size, abs(power), size)
+        mask = (1 << W * (size + 1)) - 1
+        acc = seed.relayout(W, seed.g // g or 1) & mask
+        for num in nums:
+            u = num // g
+            if u > size:
+                break
+            for _ in range(abs(power)):
+                if power < 0:
+                    acc = _div_packed(acc, W * u, mask, cn)
+                else:  # times 1 - c x^u
+                    t = acc << W * u
+                    acc = (acc - t if cn == 1 else acc - cn * t) & mask
+        acc -= mask + 1 if acc > mask >> 1 else 0  # least absolute residue
+        seed = _Slots(den, acc, W, size + 1, low, g, seed.d, valid)
+    out = seed.cut(valid)
+    return out, out.bits()
 
 
 def eval_product_sum(exprs, order: ExpLike, den: int = DEFAULT_D) -> QSeries:

@@ -22,7 +22,7 @@ pair into one accumulator over the lcm of the pairs' d and reduces once,
 with no series additions; a product is the one-pair :func:`dot`, so the
 convolution loop is written once.  Rational coefficients enter through the
 QSeries constructor and leave through ``terms``.  The packed form that the
-product pass and the lattice walk run on is here too.
+symbol passes, the product fold and the lattice walk run on is here too.
 
 No floating point is used anywhere in this module.
 """
@@ -65,10 +65,10 @@ def nonneg_order(order: ExpLike) -> Fraction:
     """order as a Fraction; a negative order or a zero denominator is a
     ValueError."""
     try:
-        value = Fraction(order)
+        value = order if isinstance(order, Fraction) else Fraction(order)
     except ZeroDivisionError:
         raise ValueError(f"order has a zero denominator: {order}") from None
-    if value < 0:
+    if value.numerator < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     return value
 
@@ -457,14 +457,13 @@ def invert_unit(a: QSeries, order: ExpLike) -> QSeries:
 # -- packed series ---------------------------------------------------------
 #
 # A truncated integer series in x, held as one Python int (Kronecker
-# substitution): slot s, `width` bits wide, holds the coefficient of x^s.
-# x -> 2^width is a ring map from Z[x]/(x^n) onto the integers modulo
-# 2^(width*n), so shifted adds cut by a mask are exact, and a result with
-# every coefficient below 2^(width-1) in size is read back with its signs.
-# The width is whole bytes, so slots are written and read through bytes.
-# The product pass in `products` and the enumerator in `nahm` run on these,
-# with this module's one width, reader and decoder (`_slot_width`,
-# `_signed_slots`, `_Slots`), so every coefficient loop is a big-int op in C.
+# substitution, D. Harvey, J. Symbolic Comput. 44 (2009)): slot s, `width`
+# bits wide, holds the coefficient of x^s.  x -> 2^width is a ring map from
+# Z[x]/(x^n) onto the integers modulo 2^(width*n), so masked shifted adds
+# and products are exact, and a result with every coefficient below
+# 2^(width-1) in size is read back with its signs.  The width is whole
+# bytes, so slots move through bytes.  `_Slots` is packed once, decoded
+# once, and in between cut, measured, re-laid out and multiplied as one int.
 
 _SIGMA = [0]  # sigma(k), the sum of the divisors of k
 _COLOURED: dict[int, list[int]] = {}  # r -> [p_r(0), p_r(1), ...]
@@ -529,15 +528,17 @@ def _signed_slots(x: int, width: int, n: int) -> list[int]:
 
 
 class _Slots(NamedTuple):
-    """A series as a packed pass holds it: digit s is d times the
-    coefficient at exponent numerator low + g*s, valid to `valid`.
-
-    The one decoder of both packed passes.  A pass's seed has a nonzero
-    first digit (a zero has none, a single term g = 0), so `low` is its
-    valuation; :meth:`of` and the pass keep it so.  `nahm` only decodes."""
+    """A series as one int x = sum_s digit_s 2^(w*s) over n slots, digit s
+    d times the coefficient at exponent numerator low + g*s, valid to
+    `valid`, each digit in [-2^(w-1), 2^(w-1)).  A nonempty one has a
+    nonzero first digit (one term has g = 0), so `low` is its valuation, and
+    x is the exact signed sum; :meth:`series` reads x modulo 2^(w*n), so
+    `nahm` hands its masked accumulator in as it is."""
 
     den: int
-    digits: list[int]
+    x: int
+    w: int
+    n: int
     low: int
     g: int
     d: int
@@ -545,19 +546,77 @@ class _Slots(NamedTuple):
 
     @classmethod
     def of(cls, s: QSeries) -> "_Slots":
-        pairs = sorted(s.nums.items())
-        low = pairs[0][0] if pairs else 0
-        g = gcd(*(n - low for n, _ in pairs))
-        digits = [0] * ((pairs[-1][0] - low) // (g or 1) + 1 if pairs else 0)
-        for n, v in pairs:
-            digits[(n - low) // (g or 1)] = v
-        return cls(s.den, digits, low, g, s.d, s.order_num)
+        """s packed once, in the least whole-byte width."""
+        low = min(s.nums, default=0)
+        g = gcd(*(n - low for n in s.nums))
+        n = (max(s.nums) - low) // (g or 1) + 1 if s.nums else 0
+        digits = [s.nums.get(low + g * i, 0) for i in range(n)]
+        w = (max(map(abs, digits), default=0).bit_length() + 8) // 8 * 8
+        return cls(s.den, _pack(digits, w), w, n, low, g, s.d, s.order_num)
 
     def series(self) -> QSeries:
-        """Digit s over d at its exponent; no term past `valid` is kept."""
-        nums = {self.low + self.g * s: v
-                for s, v in enumerate(self.digits) if v}
+        """Digit s over d at its exponent, decoded once; none past `valid`."""
+        nums = {self.low + self.g * s: v for s, v in
+                enumerate(_signed_slots(self.x, self.w, self.n)) if v}
         return QSeries._of(self.den, nums, self.d, self.valid, self.valid)
+
+    def cut(self, valid: Optional[int]) -> "_Slots":
+        """The slots through `valid`, valid to it (None keeps them all)."""
+        n = self.n if valid is None else max(
+            min(self.n, (valid - self.low) // (self.g or 1) + 1), 0)
+        x, top = self.x, 1 << self.w * n
+        if n < self.n:  # the least absolute residue of the slots kept
+            x &= top - 1
+            x -= top if n and x >= top >> 1 else 0
+        return _Slots(self.den, x, self.w, n, self.low, self.g, self.d, valid)
+
+    def bits(self) -> int:
+        """The least whole-byte width b that holds every slot, by binary
+        search, with no decode: every digit is in [-2^(b-1), 2^(b-1)) iff
+        x plus 2^(b-1) in each slot has no bit set from b up in any slot."""
+        w, lo, hi = self.w, 8, self.w
+        ones = int.from_bytes((b"\x01" + bytes(w // 8 - 1)) * self.n, "little")
+        while lo < hi:
+            b = (lo + hi) // 16 * 8
+            clear = not (self.x + (ones << b - 1)) & (ones << w) - (ones << b)
+            lo, hi = (lo, b) if clear else (b + 8, hi)
+        return hi
+
+    def relayout(self, W: int, stride: int) -> int:
+        """x with slot s moved to slot stride*s of a W-bit layout, W whole
+        bytes that hold every slot: each slot, biased to be unsigned, is
+        copied byte by byte (``out[j::W/8*stride] = ub[j::w/8]``, in C)."""
+        if self.n < 2 or W == self.w and stride == 1:
+            return self.x
+        k, n, step = self.w // 8, self.n, W // 8 * stride
+        c = min(k, W // 8)  # the bytes that carry a slot in both layouts
+        half = (1 << 8 * c - 1).to_bytes(c, "little")
+        ub = (self.x + int.from_bytes((half + bytes(k - c)) * n, "little")
+              ).to_bytes(k * n, "little")
+        out = bytearray(step * (n - 1) + c)
+        for j in range(c):
+            out[j::step] = ub[j::k]
+        return int.from_bytes(out, "little") - int.from_bytes(
+            (half + bytes(step - c)) * (n - 1) + half, "little")
+
+    def times(self, y: "_Slots", bx: int, by: int) -> "_Slots":
+        """self * y, their slots held in bx and by bits (:meth:`bits`): one
+        multiply of both re-laid out to g = gcd of their g and a width W,
+        cut to :func:`_mul_valid` (an empty operand's valuation is its
+        validity).  W is certified: a product slot sums at most min(n_x,
+        n_y) products of two digits, so its size is at most min(n_x, n_y)
+        2^(bx-1) 2^(by-1)."""
+        valid = _mul_valid(self.valid, self.low if self.n else self.valid,
+                           y.valid, y.low if y.n else y.valid)
+        for one, other in ((self, y), (y, self)):  # a zero or the unit 1
+            if not one.n or one.x == one.n == one.d == 1 and one.low == 0:
+                return (other if one.n else one).cut(valid)
+        g = gcd(self.g, y.g)
+        W = _slot_width(min(self.n, y.n) << (bx + by - 2), 0, 0)
+        sx, sy = self.g // (g or 1) or 1, y.g // (g or 1) or 1
+        return _Slots(self.den, self.relayout(W, sx) * y.relayout(W, sy), W,
+                      (self.n - 1) * sx + (y.n - 1) * sy + 1, self.low + y.low,
+                      g, self.d * y.d, None).cut(valid)
 
 
 def substitute_power(a: QSeries, k: ExpLike) -> QSeries:

@@ -16,9 +16,11 @@ from qident.series import DEFAULT_D, Monomial, QSeries, exp_num
 
 
 def empty_tables():
-    """Empty the eval_product memo, bailey's pair table, its relation
-    kernels and its seed pairs, whose generators keep the seed entries."""
+    """Empty the eval_product and infinite symbol memos, bailey's pair
+    table, its relation kernels and its seed pairs, whose generators keep
+    the seed entries."""
     products._memo_product.cache_clear()
+    products._symbol.cache_clear()
     bailey.apply_transform.cache_clear()
     bailey._kernel_table.cache_clear()
     bailey._builtin_pairs.cache_clear()

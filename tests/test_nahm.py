@@ -763,7 +763,7 @@ def _watch_widths(monkeypatch):
     each decode's slots used, each with the width of its own walk."""
     seen = {"width": [], "series": [], "acc": []}
     width, div, signed = nahm._slot_width, nahm._div_packed, \
-        nahm._signed_slots
+        series._signed_slots
 
     def slot_width(*args):
         seen["width"].append(width(*args))
@@ -772,11 +772,11 @@ def _watch_widths(monkeypatch):
     def div_packed(p, shift, mask):
         w = seen["width"][-1]
         n, s = mask.bit_length() // w, shift // w
-        want = series._signed_slots(p, w, n)
+        want = signed(p, w, n)
         for k in range(s, n):
             want[k] += want[k - s]
         out = div(p, shift, mask)
-        assert series._signed_slots(out, w, n) == want
+        assert signed(out, w, n) == want
         seen["series"].append((max(want).bit_length(), w))
         return out
 
@@ -788,7 +788,8 @@ def _watch_widths(monkeypatch):
 
     monkeypatch.setattr(nahm, "_slot_width", slot_width)
     monkeypatch.setattr(nahm, "_div_packed", div_packed)
-    monkeypatch.setattr(nahm, "_signed_slots", signed_slots)
+    # the accumulator is decoded by its slots' one reader
+    monkeypatch.setattr(series, "_signed_slots", signed_slots)
     return seen
 
 

@@ -44,6 +44,7 @@ from helpers import (
     dense_factors,
     dense_inverse,
     dense_mul,
+    empty_tables,
     oracle_J,
     oracle_P,
     oracle_TP,
@@ -559,7 +560,7 @@ def _chain(factors, order, den, seed):
 
 
 def test_slot_fold_matches_the_series_fold():
-    """eval_product, whose fold carries the packed slots from pass to pass,
+    """eval_product, whose fold keeps the product packed symbol to symbol,
     equals the chain of QSeries-seeded poch_infinite calls times the
     prefactor in terms and validity, and the dense product through it; a
     fold seeded with the slots of a zero, exact or truncated seed equals
@@ -713,22 +714,25 @@ def test_eval_product_decodes_once_per_product(monkeypatch):
 
 
 def _watch_unit_widths(monkeypatch):
-    """Record the width of every unit pass and the most bits any of its
-    decoded slots used."""
+    """Record the width of every symbol pass and the most bits any of its
+    slots uses, read from the memo entry the pass returns."""
     seen = []
-    width, signed = products._slot_width, products._signed_slots
+    width, symbol = products._slot_width, products._symbol
 
     def unit_width(*args):
-        seen.append([width(*args), 0])
+        seen.append([width(*args), None])
         return seen[-1][0]
 
-    def signed_slots(x, w, n):
-        out = signed(x, w, n)
-        seen[-1][1] = max((abs(c).bit_length() for c in out), default=0)
-        return out
+    def watched_symbol(*key):
+        slots, bits = symbol(*key)
+        if seen and seen[-1][1] is None:  # this symbol's pass just ran
+            digits = series._signed_slots(slots.x, slots.w, slots.n)
+            seen[-1][1] = max((abs(c).bit_length() for c in digits),
+                              default=0)
+        return slots, bits
 
     monkeypatch.setattr(products, "_slot_width", unit_width)
-    monkeypatch.setattr(products, "_signed_slots", signed_slots)
+    monkeypatch.setattr(products, "_symbol", watched_symbol)
     return seen
 
 
@@ -761,15 +765,15 @@ def test_unit_width_holds_every_slot_of_the_pass(monkeypatch):
     width = products._slot_width
     rational = 0
     for rhs, order, den in cases:
-        # each watched or patched pass must run, not come from the memo
-        products._memo_product.cache_clear()
+        # each watched or patched pass must run, not come from a memo
+        empty_tables()
         seen = _watch_unit_widths(monkeypatch)
         got = eval_product_sum(rhs, order, den)
         monkeypatch.undo()
         assert seen, rhs
         # slots twice as wide give the same series, so the decoded slots
         # are the true scaled coefficients; each needs a sign bit below W
-        products._memo_product.cache_clear()
+        empty_tables()
         monkeypatch.setattr(products, "_slot_width",
                             lambda *args: 2 * width(*args))
         assert eval_product_sum(rhs, order, den) == got, rhs
@@ -781,17 +785,18 @@ def test_unit_width_holds_every_slot_of_the_pass(monkeypatch):
 
 def test_a_short_unit_width_is_caught(monkeypatch):
     # one byte short: the largest whole-byte width that leaves the largest
-    # decoded slot no sign bit must make an integer pass over a rational
-    # seed raise OverflowError or decode a wrong series, so the width test
-    # above would see a short one; a byte more holds every slot again
+    # slot of a pass no sign bit must make an integer pass, multiplied by a
+    # rational symbol, raise OverflowError or decode a wrong series, so the
+    # width test above would see a short one; a byte more holds every slot
+    # again
     expr = ProductExpr(
         ((Monomial(Fraction(-2, 3), Fraction(-1, 2)), Fraction(1), 1),
          (Monomial(2, 1), Fraction(1, 2), -2),
          (Monomial(-1, Fraction(1, 2)), Fraction(1), -1)),
         (Monomial(1, Fraction(-1, 2)), Monomial(Fraction(1, 2), 0)))
     order, den = 6, 2
-    # each pass below must run, not come from the memo
-    clear = products._memo_product.cache_clear
+    # each pass below must run, not come from a memo
+    clear = empty_tables
     clear()
     seen = _watch_unit_widths(monkeypatch)
     want = eval_product(expr, order, den)
@@ -808,6 +813,119 @@ def test_a_short_unit_width_is_caught(monkeypatch):
         assert eval_product(expr, order, den) != want
     except OverflowError:
         pass
+
+
+def _watch_product_widths(monkeypatch):
+    """Record the width of every packed product of two symbols (the unit
+    1 forms none) and the most bits any of its slots uses."""
+    seen = []
+    width, times = series._slot_width, series._Slots.times
+
+    def product_width(*args):
+        seen.append([width(*args), None])
+        return seen[-1][0]
+
+    def watched_times(x, y, bx, by):
+        out = times(x, y, bx, by)
+        if seen and seen[-1][1] is None:  # this product was just formed
+            digits = series._signed_slots(out.x, out.w, out.n)
+            seen[-1][1] = max((abs(c).bit_length() for c in digits),
+                              default=0)
+        return out
+
+    monkeypatch.setattr(series, "_slot_width", product_width)
+    monkeypatch.setattr(series._Slots, "times", watched_times)
+    return seen
+
+
+def test_product_width_holds_every_slot(monkeypatch):
+    # a product of two packed symbols takes a width certified from their
+    # bits: twice that width gives the same series, so the decoded slots
+    # are the true products, and each keeps a sign bit and one to spare
+    cat = load_catalog()
+    cases = [(cat.get(rid).rhs, 200, 4) for rid in cat.ids()]
+    cases += [((expr,), order, den)
+              for expr, order, den in _rational_seed_cases()]
+    width = series._slot_width
+    products_seen = 0
+    for rhs, order, den in cases:
+        empty_tables()  # each product must be formed, not read back
+        seen = _watch_product_widths(monkeypatch)
+        got = eval_product_sum(rhs, order, den)
+        monkeypatch.undo()
+        assert all(bits < w - 1 for w, bits in seen), rhs
+        products_seen += len(seen)
+        empty_tables()
+        monkeypatch.setattr(series, "_slot_width",
+                            lambda *args: 2 * width(*args))
+        assert eval_product_sum(rhs, order, den) == got, rhs
+        monkeypatch.undo()
+    assert products_seen > 100
+
+
+def test_a_short_product_width_is_caught(monkeypatch):
+    # one byte short: the largest whole-byte width that leaves the largest
+    # product slot no sign bit must raise OverflowError or decode a wrong
+    # series, so the width test above would see a short one; a byte more
+    # holds every slot again.  Every symbol here has nonnegative
+    # coefficients, so no operand slot is larger than a product slot.
+    expr = P(1, 1) ** -2 * P(1, 2) ** -1 * NP(1, 1)
+    order, den = 60, 4
+    seen = _watch_product_widths(monkeypatch)
+    want = eval_product(expr, order, den)
+    monkeypatch.undo()
+    assert len(seen) == 2 and _check_dense(want, expr, order * den,
+                                           den) == "nonzero"
+    short = max(bits for _, bits in seen) // 8 * 8
+    assert short >= 8
+    empty_tables()
+    monkeypatch.setattr(series, "_slot_width", lambda *args: short + 8)
+    assert eval_product(expr, order, den) == want
+    empty_tables()
+    monkeypatch.setattr(series, "_slot_width", lambda *args: short)
+    try:
+        assert eval_product(expr, order, den) != want
+    except OverflowError:
+        pass
+
+
+def test_each_distinct_symbol_runs_its_pass_once(monkeypatch):
+    # the 67 packaged right sides at order 200, cold: every distinct
+    # infinite symbol is computed once, by at most one pass, and read from
+    # the symbol memo wherever else it occurs; with the symbols warm, the
+    # sides run no pass and divide nothing
+    cat = load_catalog()
+    sides = [cat.get(rid).rhs for rid in cat.ids()]
+    distinct = {(m.coeff, m.exp, b, p) for rhs in sides for expr in rhs
+                for m, b, p in expr.factors}
+    calls, passes, divs = [], [], []
+    step, width, div = (products.poch_infinite, products._slot_width,
+                        products._div_packed)
+
+    def watched_step(a, base, order, den, power, seed):
+        calls.append((a.coeff, a.exp, base, power))
+        return step(a, base, order, den, power, seed)
+
+    def watched_width(*args):
+        passes.append(calls[-1])
+        return width(*args)
+
+    monkeypatch.setattr(products, "poch_infinite", watched_step)
+    monkeypatch.setattr(products, "_slot_width", watched_width)
+    monkeypatch.setattr(products, "_div_packed",
+                        lambda *args: divs.append(args) or div(*args))
+    for rhs in sides:
+        eval_product_sum(rhs, 200)
+    info = products._symbol.cache_info()
+    assert info.misses == len(distinct) == len(set(calls))
+    assert len(passes) == len(set(passes)) and divs
+    assert info.hits == len(calls) - len(distinct) > 0
+    products._memo_product.cache_clear()
+    passes.clear(), divs.clear()
+    for rhs in sides:
+        eval_product_sum(rhs, 200)
+    assert passes == divs == []
+    assert products._symbol.cache_info().misses == len(distinct)
 
 
 def test_the_product_memo_is_keyed_by_expression_order_and_lattice(
@@ -854,28 +972,28 @@ def test_the_product_memo_is_keyed_by_expression_order_and_lattice(
 
 def test_a_rational_symbol_joins_the_seed_as_a_series(monkeypatch):
     """A symbol whose coefficient is not an integer never reaches the
-    packed pass: only integer coefficients are packed or divided there, and
-    the products of signed and rational symbols, powers +-1..+-3, lattices
-    1, 2 and 4, still match the dense oracle."""
+    packed pass: only integer coefficients are given a pass width or
+    divided there, and the products of signed and rational symbols, powers
+    +-1..+-3, lattices 1, 2 and 4, still match the dense oracle."""
     rng = random.Random(20261026)  # its own generator
     calls, packed = [], []
-    step, pack, div = (products.poch_infinite, products._pack,
-                       products._div_packed)
+    step, width, div = (products.poch_infinite, products._slot_width,
+                        products._div_packed)
 
     def watched_step(a, *args):
         calls.append(a.coeff)
         return step(a, *args)
 
-    def watched_pack(digits, width):
+    def watched_width(*args):  # once per pass, as a symbol is computed
         packed.append(calls[-1])
-        return pack(digits, width)
+        return width(*args)
 
     def watched_div(p, shift, mask, c=1):
         packed.append(calls[-1])
         return div(p, shift, mask, c)
 
     monkeypatch.setattr(products, "poch_infinite", watched_step)
-    monkeypatch.setattr(products, "_pack", watched_pack)
+    monkeypatch.setattr(products, "_slot_width", watched_width)
     monkeypatch.setattr(products, "_div_packed", watched_div)
     for trial in range(60):
         den = (1, 2, 4)[trial % 3]

@@ -13,6 +13,8 @@ from qident.series import (
     QSeries,
     TruncationError,
     _Slots,
+    _pack,
+    _signed_slots,
     coefficient,
     compare_up_to,
     deepen_until_valid,
@@ -627,3 +629,67 @@ def test_kernel_builds_no_fraction_per_coefficient(monkeypatch):
             calls.clear()
             op()
             assert len(calls) <= 1
+
+
+# -- packed series: the slot codec is the oracle -----------------------------
+
+def _fits(digits, b):
+    return all(-(1 << b - 1) <= v < 1 << b - 1 for v in digits)
+
+
+def test_packed_operations_match_the_codec():
+    """bits, relayout and cut of a packed series against _pack and
+    _signed_slots on seeded digit vectors: widths 8 to 128 bits, strides 1
+    to 4, mixed signs with digits at both ends of their range, and empty
+    and one-slot vectors."""
+    rng = random.Random(20261039)  # its own generator
+    seen = set()
+    for trial in range(400):
+        w = rng.randrange(8, 129, 8)
+        n = rng.choice([0, 1, 2, rng.randint(3, 40)])
+        size = rng.randint(1, w)  # the digits' largest bit length + 1
+        ends = [-(1 << size - 1), (1 << size - 1) - 1]
+        digits = [rng.choice([rng.randint(*ends), rng.choice(ends), 0,
+                              rng.randint(-3, 3)]) for _ in range(n)]
+        x = _pack(digits, w)
+        assert _signed_slots(x, w, n) == digits
+        low, g = rng.randint(-8, 8), rng.randint(1, 3) if n > 1 else 0
+        slots = _Slots(4, x, w, n, low, g, rng.choice([1, 3]), None)
+        # bits: the least whole byte that holds every digit with its sign
+        b = slots.bits()
+        assert b % 8 == 0 and 8 <= b <= w and _fits(digits, b)
+        assert b == 8 or not _fits(digits, b - 8)
+        # relayout: slot s to slot stride*s of any wide enough layout
+        W = rng.randrange(b, 2 * w + 9, 8)
+        stride = rng.randint(1, 4)
+        spread = [0] * (stride * (n - 1) + 1 if n else 0)
+        spread[::stride] = digits
+        assert slots.relayout(W, stride) == _pack(spread, W)
+        # cut: the slots through an exponent, with their signs
+        valid = rng.randint(low - 2, low + (g or 1) * (n + 1))
+        cut = slots.cut(valid)
+        kept = digits[:max(0, (valid - low) // (g or 1) + 1)]
+        assert (cut.x, cut.n, cut.valid) == (_pack(kept, w), len(kept), valid)
+        assert cut.series() == QSeries._of(
+            4, {low + g * s: v for s, v in enumerate(kept)}, slots.d, valid,
+            valid)
+        seen.update({("n", min(n, 2)), ("stride", stride),
+                     ("narrower", W < w), ("cut", len(kept) < n)})
+    assert seen >= {("n", 0), ("n", 1), ("n", 2), ("narrower", True),
+                    ("cut", True)} | {("stride", s) for s in range(1, 5)}
+
+
+@pytest.mark.parametrize("den", [1, 4])
+def test_packed_times_equals_the_series_product(den):
+    """_Slots.times of two packed series is their QSeries product in terms
+    and validity: exact, truncated and empty truncated operands, int and
+    rational ones, the unit 1 and single terms."""
+    rng = random.Random(20261040 + den)  # its own generator
+    for trial in range(200):
+        a, b = _draw_dot_operand(rng, den), _draw_dot_operand(rng, den)
+        if trial % 7 == 0:
+            a = QSeries(den, {0: 1}, rng.choice([None, 5 * den]))
+        x, y = _Slots.of(a), _Slots.of(b)
+        got = x.times(y, x.bits(), y.bits()).series()
+        want = a * b
+        assert (got.terms, got.order_num) == (want.terms, want.order_num)
