@@ -18,8 +18,9 @@ order + min(0, valuation); :func:`term` reads one entry valid through the
 order, re-requesting through :func:`qident.series.deepen_until_valid`.
 Pairs are immutable, and a chain prefix is one object per process:
 :func:`builtin_pair` keeps one pair per name and :func:`apply_transform`
-the last :data:`PAIR_TABLE_SIZE` pairs it built, one per (pair, step).  A
-call that raises keeps nothing.
+the last :data:`PAIR_TABLE_SIZE` = 128 pairs it built, one per (pair,
+step), enough for every prefix of a session's chains.  A call that raises
+keeps nothing.
 
 An entry is kept in one place, its pair: every pair this module returns
 is built by :func:`_pair`, whose generators keep each entry they make, one
@@ -27,10 +28,14 @@ per (n, order, den), so a repeated request is a read.  Nothing free of n
 is built per n: every finite symbol is a :class:`qident.products.PochRow`
 grown a factor per new n, the 1/(x;q)_n rows (1/(1 - m) is entry 1 of
 m's) and the pair relation's kernel sit in the bounded caches
-:func:`_inv_table` and :func:`_kernel_table`, and each lemma pair owns a
-:class:`_Row` of its r-sum pieces per (order, den).  A kept pair holds
-every entry and row it made: memory grows with the orders and indices
-asked of the kept pairs, not with the number of chains.
+:func:`_inv_table` and :func:`_kernel_table`, and each lemma pair works
+in a :class:`_Row` of its r-sum pieces per (order, den), DJK in a row of
+its heads.  A kept pair holds every entry it made but only its
+:data:`ROWS_KEPT` = 2 most recent working rows: later chains read a
+shared prefix's entries, not its rows, and an evicted row is rebuilt from
+the previous pair's kept entries.  Memory grows with the entries asked of
+the kept pairs, not with the number of chains or the orders a pair was
+once asked at.
 Every sum of series products, the lemma's beta'_n = sum_r u_r w_(n-r) and
 the pair relation's right side in :func:`verify_pair`, is one
 :func:`qident.series.dot`: one integer accumulator and one division per
@@ -62,7 +67,11 @@ from qident.series import (
 from qident.products import PochRow, poch_infinite
 
 HALF = Fraction(1, 2)
-PAIR_TABLE_SIZE = 16  # pairs apply_transform keeps, one per (pair, step)
+# constants the generators would otherwise rebuild on every call
+ONE, TWO = Fraction(1), Fraction(2)
+Q, Q2 = qmono(1), qmono(2)
+PAIR_TABLE_SIZE = 128  # pairs apply_transform keeps, one per (pair, step)
+ROWS_KEPT = 2  # working rows each pair keeps, one per (order, den)
 
 Gen = Callable[..., QSeries]
 Transformed = tuple[Monomial, Gen, Gen]  # new relative parameter, alpha, beta
@@ -95,8 +104,8 @@ def _inv_table(arg: Monomial, base: Fraction, order: Fraction,
 def _kernel_table(a: Monomial, order: Fraction,
                   den: int) -> Callable[[int, int], QSeries]:
     """(n, k) -> 1/((q;q)_(n-k) (aq;q)_(n+k)), each made when first read."""
-    tq = _inv_table(qmono(1), Fraction(1), order, den)
-    taq = _inv_table(Monomial(a.coeff, a.exp + 1), Fraction(1), order, den)
+    tq = _inv_table(Q, ONE, order, den)
+    taq = _inv_table(Monomial(a.coeff, a.exp + 1), ONE, order, den)
     return lru_cache(maxsize=None)(lambda n, k: tq[n - k] * taq[n + k])
 
 
@@ -160,8 +169,8 @@ def unit_pair(a: Monomial) -> BaileyPair:
         return QSeries.one(den) if n == 0 else QSeries.zero(den)
 
     def beta(n, order, den=DEFAULT_D):
-        return _inv_table(qmono(1), Fraction(1), order, den)[n] * \
-            _inv_table(aq, Fraction(1), order, den)[n]
+        return _inv_table(Q, ONE, order, den)[n] * \
+            _inv_table(aq, ONE, order, den)[n]
 
     return _pair(a, alpha, beta, "unit")
 
@@ -171,8 +180,8 @@ def _slater_beta(shift_n: bool, comp_exp: Fraction) -> Gen:
     comp = Monomial(-1, comp_exp)
 
     def beta(n, order, den=DEFAULT_D):
-        out = _inv_table(qmono(2), Fraction(2), order, den)[n] * \
-            _inv_table(comp, Fraction(1), order, den)[n]
+        out = _inv_table(Q2, TWO, order, den)[n] * \
+            _inv_table(comp, ONE, order, den)[n]
         return out * Monomial(1, n) if shift_n else out
 
     return beta
@@ -363,12 +372,12 @@ def _lemma(p: BaileyPair, nums: tuple[Monomial, ...],
         beta'_n  = prod_y (y;q)_n^-1 sum_r beta_r mono(r) prod_x (x;q)_r
                    (tail;q)_{n-r} / (q;q)_{n-r}
     """
-    row = lru_cache(maxsize=None)(
+    row = lru_cache(maxsize=ROWS_KEPT)(
         lambda order, den: _Row(nums, tail, order, den))
 
     def divide(s: QSeries, n: int, order: Fraction, den: int) -> QSeries:
         for y in dens:
-            s = s * _inv_table(y, Fraction(1), order, den)[n]
+            s = s * _inv_table(y, ONE, order, den)[n]
         return s
 
     def alpha(n, order, den=DEFAULT_D):
@@ -378,7 +387,7 @@ def _lemma(p: BaileyPair, nums: tuple[Monomial, ...],
 
     def beta(n, order, den=DEFAULT_D):
         r = row(order, den)
-        tq = _inv_table(qmono(1), Fraction(1), order, den)
+        tq = _inv_table(Q, ONE, order, den)
         for k in range(len(r.u), n + 1):
             r.u.append(p.beta(k, order, den) * r.heads[k] * mono(k))
             r.w.append(r.tails[k] * tq[k])
@@ -445,7 +454,7 @@ def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:
     a_new = Monomial(a.coeff, a.exp - 1)
 
     def _unit_inv(m: Monomial, order: Fraction, den: int) -> QSeries:
-        return _inv_table(m, Fraction(1), order, den)[1]
+        return _inv_table(m, ONE, order, den)[1]
 
     def alpha(n, order, den=DEFAULT_D):
         # the factors with b lower the pieces' validity by -b.exp if b.exp < 0
@@ -463,13 +472,13 @@ def _transform_djk(p: BaileyPair, b: Monomial) -> Transformed:
         return _one_minus(a, den) * t
 
     bq = Monomial(b.coeff, b.exp + 1)
-    heads = lru_cache(maxsize=None)(
+    heads = lru_cache(maxsize=ROWS_KEPT)(
         lambda order, den: PochRow((bq,), 1, order, den))
 
     def beta(n, order, den=DEFAULT_D):
         order -= min(bq.exp, 0)  # as alpha's, for the factors of (bq; q)_n
         return p.beta(n, order, den) * heads(order, den)[n] * \
-            _inv_table(b, Fraction(1), order, den)[n]
+            _inv_table(b, ONE, order, den)[n]
 
     return a_new, alpha, beta
 
@@ -514,7 +523,7 @@ def apply_transform(p: BaileyPair, t: TransformStep) -> BaileyPair:
     """A pair per the displayed formulas; relative parameter may move.
 
     One pair per (p, t) while it stays among the last PAIR_TABLE_SIZE
-    built, so equal chains share their pairs and rows."""
+    built, so equal chains share their pairs and entries."""
     if t.kind not in TRANSFORMS:
         raise ValueError(f"unknown transform kind {t.kind!r}")
     a, alpha, beta = TRANSFORMS[t.kind][1](p, *t.params)

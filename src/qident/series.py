@@ -20,7 +20,8 @@ so an integral series has d = 1.  Every kernel loop runs on these ints and
 reduces its result once.  :func:`dot`, a sum of products, convolves every
 pair into one accumulator over the lcm of the pairs' d and reduces once,
 with no series additions; a product is the one-pair :func:`dot`, so the
-convolution loop is written once.  Rational coefficients enter through the
+convolution loop is written once, and a product with the exact unit 1 is
+the other factor itself.  Rational coefficients enter through the
 QSeries constructor and leave through ``terms``.  The packed form that the
 symbol passes, the product fold and the lattice walk run on is here too.
 
@@ -267,6 +268,9 @@ class QSeries:
         if isinstance(other, Monomial):
             return self.scale(other.coeff).shift(exp_num(other.exp, self.den))
         self._check(other)
+        for one, x in ((self, other), (other, self)):  # the exact unit 1
+            if one.order_num is None and one.d == 1 and one.nums == {0: 1}:
+                return x
         return dot(((self, other),), None, self.den)
 
     def __rmul__(self, other) -> "QSeries":
@@ -305,7 +309,8 @@ def _promote(x, den: int) -> QSeries:
 def dot(pairs, onum: Optional[int], den: int) -> QSeries:
     """The sum of a * b over pairs, starting from QSeries(den, {}, onum),
     terms and validity alike, from one integer accumulator; a * b itself
-    is the one pair ((a, b),) from onum None.
+    is the one pair ((a, b),) from onum None, or the other factor when
+    one is the exact unit 1.
 
     Every pair's :func:`_mul_order` lowers the validity, even with an empty
     truncated operand, and every row stops there.  Each product of

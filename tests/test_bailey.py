@@ -12,7 +12,7 @@ from helpers import empty_tables
 from qident.bailey import (
     _inv_table,
     _kernel_table,
-    PAIR_TABLE_SIZE,
+    ROWS_KEPT,
     DJK,
     TRANSFORMS,
     DJK_LIMIT,
@@ -623,6 +623,10 @@ def _draw_chains(rng, count):
     return chains
 
 
+def _entry(s):
+    return sorted(s.terms.items()), s.d, s.order_num
+
+
 def _chain_outputs(seed, steps):
     """verify_pair's report (or its TruncationError) and the raw entries
     of a chain at two (order, den) requests."""
@@ -634,8 +638,7 @@ def _chain_outputs(seed, steps):
     for order, den in ((Fraction(10), 4), (Fraction(7, 2), 8)):
         for n in range(5):
             for gen in (p.alpha, p.beta):
-                s = gen(n, order, den)
-                out.append((sorted(s.terms.items()), s.d, s.order_num))
+                out.append(_entry(gen(n, order, den)))
     return out
 
 
@@ -651,8 +654,47 @@ def test_shared_pairs_and_rows_give_what_cold_ones_give():
     rng.shuffle(order)
     for c in order:
         assert _chain_outputs(*c) == cold[c], c
-    assert apply_transform.cache_info().hits > 0  # prefixes were shared
-    assert apply_transform.cache_info().maxsize == PAIR_TABLE_SIZE == 16
+    # every prefix is built once and kept for the rest of the session
+    prefixes = {(seed, steps[:k]) for seed, steps in chains
+                for k in range(1, len(steps) + 1)}
+    assert apply_transform.cache_info().misses == len(prefixes)
+    assert apply_transform.cache_info().hits > 0
+
+
+def _row_memo(gen):
+    """The per-(order, den) row memo a transform's generator closes over:
+    the lemma's _Row or DJK's heads."""
+    (memo,) = [c.cell_contents for c in gen.__wrapped__.__closure__
+               if hasattr(c.cell_contents, "cache_info")]
+    return memo
+
+
+@pytest.mark.parametrize("seed, step", [
+    ("G1", GENERAL(Monomial(-1, HALF), Monomial(-1, 1))),
+    ("G1star", DJK(qmono(2))),
+])
+def test_an_evicted_row_is_rebuilt_to_the_same_entries(seed, step):
+    # the fourth request finds the row for order 16 evicted, and its new
+    # indices are read from a rebuilt row
+    requests = [(Fraction(16), 4), (Fraction(33, 2), 5), (Fraction(17), 5),
+                (Fraction(16), 7)]
+    cold = {}
+    for order, top in requests:
+        empty_tables()
+        p = apply_transform(builtin_pair(seed), step)
+        for n in range(top):
+            for side in ("alpha", "beta"):
+                cold[n, order, side] = _entry(getattr(p, side)(n, order, D))
+    empty_tables()
+    p = apply_transform(builtin_pair(seed), step)
+    rows = _row_memo(p.beta)
+    for order, top in requests:
+        for n in range(top):
+            for side in ("alpha", "beta"):
+                got = _entry(getattr(p, side)(n, order, D))
+                assert got == cold[n, order, side], (side, n, order)
+                assert rows.cache_info().currsize <= ROWS_KEPT == 2
+    assert rows.cache_info().misses == len(requests)
 
 
 def test_pair_tables_keep_one_pair_per_key_and_no_failure():

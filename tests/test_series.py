@@ -550,6 +550,25 @@ def test_dot_rejects_mixed_lattices():
             QSeries(4, {}, 8))
 
 
+@pytest.mark.parametrize("den", [1, 2, 4])
+def test_a_product_with_the_exact_unit_is_the_other_factor(den):
+    """a * 1 and 1 * a return a itself, equal to the product dot forms;
+    a unit on another lattice is still refused, and a truncated 1 is not
+    the unit."""
+    rng = random.Random(20261022 + den)
+    one = QSeries.one(den)
+    for _ in range(60):
+        a = _draw_dot_operand(rng, den)
+        assert a * one is a and one * a is a
+        assert a == dot(((a, one),), None, den)
+    assert one * one is one
+    with pytest.raises(LatticeError):
+        QSeries.one(2 * den) * _draw_dot_operand(rng, den)
+    a = S([(0, 1), (1, 2)], den=den)
+    cut = QSeries(den, {0: 1}, 2 * den)
+    assert a * cut is not a and (a * cut).order_num == 2 * den
+
+
 @pytest.mark.parametrize("call, exc, message", [
     (lambda: QSeries(4, {0: 1}, 8).truncated(3), TruncationError,
      "cannot extend validity from 2 to 3"),
